@@ -31,7 +31,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", type=Path, help="path to a JSON run configuration")
     parser.add_argument("--out", type=Path, default=Path("."), help="output directory (default: .)")
     parser.add_argument("--format", choices=("csv", "json"), help="override output format")
-    parser.add_argument("--threads", type=int, help="worker threads for sweeps and figures")
+    parser.add_argument(
+        "--threads", type=int,
+        help="accepted for compatibility; has no effect (runs use one thread, BLAS its own)",
+    )
     parser.add_argument("--figure", choices=FIGURE_IDS, help="emit a figure dataset (no config needed)")
     parser.add_argument("--resume", action="store_true", help="resume a sweep from its journal")
     return parser
@@ -156,7 +159,7 @@ def _run_lifetime(cfg: RunConfig, out_dir: Path) -> list:
 
 def _run_sweep_command(cfg: RunConfig, out_dir: Path, resume: bool) -> list:
     journal_path = out_dir / "sweep_journal.jsonl"
-    result = run_sweep(cfg.sweep, workers=cfg.threads, journal_path=journal_path, resume=resume)
+    result = run_sweep(cfg.sweep, journal_path=journal_path, resume=resume)
     path = result.to_csv(out_dir / "sweep.csv")
     return [path, journal_path]
 
@@ -173,7 +176,7 @@ def main(argv=None) -> int:
 
     try:
         if cfg.command == "figure":
-            files = figure_command(cfg.figure, out_dir, workers=cfg.threads)
+            files = figure_command(cfg.figure, out_dir)
         elif cfg.command == "series":
             files = _run_series(cfg, out_dir)
         elif cfg.command == "spectrum":

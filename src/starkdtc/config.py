@@ -19,7 +19,7 @@ Schema (defaults in parentheses):
     sweep: {axes: [{name, values | start/stop/step | start/stop/num}],
             observable, grid_cap (10000)}
     figure: fig2 | fig3a | fig3b | fig3c | fig3d | fig4a | fig4b | fig5
-    threads (1), seed (unused, kept for schema stability)
+    threads (1), seed: accepted but unused, kept for schema stability
 """
 
 from __future__ import annotations

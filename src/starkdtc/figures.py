@@ -55,7 +55,7 @@ def _series_and_spectrum(prop, bits, n_cycles):
     return series, fourier_spectrum(series)
 
 
-def _build_fig2(out_dir: Path, workers: int) -> list:
+def _build_fig2(out_dir: Path) -> list:
     factory = PropagatorFactory()
     files = []
     for label, f_t2 in (("0", 0.0), ("0.25", 0.25)):
@@ -86,45 +86,45 @@ def _build_fig2(out_dir: Path, workers: int) -> list:
     return files
 
 
-def _build_fig3a(out_dir: Path, workers: int) -> list:
+def _build_fig3a(out_dir: Path) -> list:
     spec = SweepSpec(
         axes=(SweepAxis("epsilon", FINE_GRID), SweepAxis("F_T2", FINE_GRID)),
         base=FIG3_PARAMS,
         observable="a_pi",
         n_cycles=N_CYCLES,
     )
-    result = run_sweep(spec, workers=workers)
+    result = run_sweep(spec)
     return [result.to_csv(out_dir / "fig3a_api_map.csv")]
 
 
-def _build_fig3b(out_dir: Path, workers: int) -> list:
+def _build_fig3b(out_dir: Path) -> list:
     spec = SweepSpec(
         axes=(SweepAxis("epsilon", FINE_GRID), SweepAxis("F_T2", (0.0, 0.2, 0.3))),
         base=FIG3_PARAMS,
         observable="a_pi",
         n_cycles=N_CYCLES,
     )
-    result = run_sweep(spec, workers=workers)
+    result = run_sweep(spec)
     return [result.to_csv(out_dir / "fig3b_api_vs_epsilon.csv")]
 
 
-def _build_fig3c(out_dir: Path, workers: int) -> list:
+def _build_fig3c(out_dir: Path) -> list:
     spec = SweepSpec(
         axes=(SweepAxis("V", (0.06, 0.09, 0.12)), SweepAxis("F_T2", FINE_GRID)),
         base=FIG3_PARAMS,
         observable="a_pi",
         n_cycles=N_CYCLES,
     )
-    result = run_sweep(spec, workers=workers)
+    result = run_sweep(spec)
     return [result.to_csv(out_dir / "fig3c_api_vs_ft2.csv")]
 
 
-def _build_fig3d(out_dir: Path, workers: int) -> list:
-    result = kernel_comparison(FIG3_PARAMS, KERNEL_GRID, n_cycles=N_CYCLES, workers=workers)
+def _build_fig3d(out_dir: Path) -> list:
+    result = kernel_comparison(FIG3_PARAMS, KERNEL_GRID, n_cycles=N_CYCLES)
     return [result.to_csv(out_dir / "fig3d_api_kernels.csv")]
 
 
-def _build_fig4a(out_dir: Path, workers: int) -> list:
+def _build_fig4a(out_dir: Path) -> list:
     params = FIG4_PARAMS.with_f_t2(0.25)
     factory = PropagatorFactory()
     prop = factory.get(params)
@@ -145,21 +145,19 @@ def _build_fig4a(out_dir: Path, workers: int) -> list:
     return files
 
 
-def _build_fig4b(out_dir: Path, workers: int) -> list:
+def _build_fig4b(out_dir: Path) -> list:
     spec = SweepSpec(
         axes=(SweepAxis("epsilon", LIFETIME_EPS_GRID), SweepAxis("F_T2", LIFETIME_F_GRID)),
         base=FIG4_PARAMS,
         observable="lifetime",
         n_max=LIFETIME_N_MAX,
     )
-    result = run_sweep(spec, workers=workers)
+    result = run_sweep(spec)
     return [result.to_csv(out_dir / "fig4b_lifetime_grid.csv")]
 
 
-def _build_fig5(out_dir: Path, workers: int) -> list:
-    comparison = initial_state_comparison(
-        FIG4_PARAMS, FIG5_STATES, (0.0, 0.4), n_cycles=N_CYCLES, workers=workers
-    )
+def _build_fig5(out_dir: Path) -> list:
+    comparison = initial_state_comparison(FIG4_PARAMS, FIG5_STATES, (0.0, 0.4), n_cycles=N_CYCLES)
     return [
         comparison.series.to_csv(out_dir / "fig5_series.csv"),
         comparison.spectra.to_csv(out_dir / "fig5_spectra.csv"),
@@ -205,13 +203,13 @@ def figure_parameters(figure_id: str) -> dict:
     return entry
 
 
-def figure_command(figure_id: str, out_dir, workers: int = 1) -> list:
+def figure_command(figure_id: str, out_dir) -> list:
     """Write the figure's panel files and a manifest; returns written paths."""
     if figure_id not in FIGURE_IDS:
         raise ValueError(f"unknown figure id {figure_id!r}, expected one of {FIGURE_IDS}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    files = _BUILDERS[figure_id](out_dir, workers)
+    files = _BUILDERS[figure_id](out_dir)
     manifest = {
         "figure": figure_id,
         "parameters": figure_parameters(figure_id),

@@ -15,7 +15,6 @@ without stage structure.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -95,7 +94,6 @@ class FloquetPropagator:
         self.h2_diagonal = h2_diagonal
         self.phase2 = phase2
         self._spectrum: Optional[QuasiSpectrum] = None
-        self._spectrum_lock = threading.Lock()
         if validate:
             self._check_unitarity()
 
@@ -118,10 +116,9 @@ class FloquetPropagator:
 
     def spectrum(self, validate: bool = True) -> "QuasiSpectrum":
         """Quasi-spectrum, computed once and cached."""
-        with self._spectrum_lock:
-            if self._spectrum is None:
-                self._spectrum = quasi_spectrum(self, validate=validate)
-            return self._spectrum
+        if self._spectrum is None:
+            self._spectrum = quasi_spectrum(self, validate=validate)
+        return self._spectrum
 
     def _check_unitarity(self) -> None:
         dev = unitarity_deviation(self.u_f)

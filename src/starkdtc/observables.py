@@ -22,6 +22,8 @@ from .hamiltonian import SimulationParams
 from .hilbert import StateVector, sigma_z_stack
 
 NORM_DRIFT_TOL = 1e-8
+# |C(n)| may exceed 1 by this much through roundoff
+MAGNITUDE_TOL = 1e-9
 REALNESS_TOL = 1e-10
 REVERSAL_ZERO_ATOL = 1e-12
 SPECTRAL_CROSSCHECK_TOL = 1e-8
@@ -150,7 +152,7 @@ def autocorrelator_series(
     else:
         values = _series_general(prop, psi0, sz, n_cycles)
 
-    if not (np.abs(values) <= 1.0 + 1e-9).all():
+    if not (np.abs(values) <= 1.0 + MAGNITUDE_TOL).all():
         raise NumericError("autocorrelator magnitude exceeded 1 beyond tolerance")
     return AutocorrelatorSeries(
         values=values,
@@ -219,12 +221,10 @@ def fourier_spectrum(series: AutocorrelatorSeries) -> SpectralResult:
     n_cycles = series.n_cycles
     if n_cycles % 2 != 0:
         raise ValueError(f"cycle count must be even for an exact omega=pi bin, got {n_cycles}")
-    samples = series.values[1:]
-    k = np.arange(n_cycles)
-    frequencies = 2.0 * np.pi * k / n_cycles
-    n = np.arange(1, n_cycles + 1)
-    transform = np.exp(-1j * np.outer(frequencies, n)) @ samples
-    magnitudes = np.abs(transform) / n_cycles
+    frequencies = 2.0 * np.pi * np.arange(n_cycles) / n_cycles
+    # np.fft.fft counts the samples from n = 0, so it returns
+    # X(omega_k) exp(i omega_k): the same moduli
+    magnitudes = np.abs(np.fft.fft(series.values[1:])) / n_cycles
     return SpectralResult(
         frequencies=frequencies,
         magnitudes=magnitudes,
@@ -278,8 +278,9 @@ def lifetime(
 ) -> LifetimeResult:
     """DTC lifetime from the autocorrelator over up to n_max cycles.
 
-    evolution="auto" switches to spectral phase powering beyond
-    10^4 cycles (one diagonalization, then O(dim) per cycle).
+    evolution="auto" switches to spectral phase powering beyond 10^4 cycles:
+    one quasi-spectrum, then a dense O(dim^2) product with the Floquet
+    eigenbasis per cycle, no cheaper than the matvec path.
     """
     if n_max < 2:
         raise ValueError(f"cycle cap must be >= 2, got {n_max}")

@@ -1,21 +1,26 @@
 """Parameter-grid sweeps over the Floquet model.
 
 A sweep evaluates one observable on a 1- or 2-axis grid around a base
-parameter set.  Points sharing (L, Omega, epsilon, V, kernel, T1) reuse the
-H1 eigensystem and stage-1 propagator; only the diagonal stage is rebuilt
-per Stark strength, which is the dominant cost saver when F varies along an
-axis.  Evaluation is deterministic: results are gathered by grid index, so
-worker count and completion order never change the output, and each
-completed point is journaled to disk for resumability.
+parameter set.  Points sharing a stage-1 key (L, Omega, epsilon, V, kernel,
+T1) differ only by the diagonal stage-2 phase Phi = exp(-i H2 T2).  The sweep
+therefore fetches the H1 eigensystem and U1 once per key and evolves the
+key's z-product initial states together as the columns of one block,
+Psi <- Phi * (U1 Psi): one gemm per cycle for the group, and no dense U_F per
+point.  The overlap table needs each point's quasi-spectrum and keeps a
+per-point propagator.
+
+Evaluation runs on the calling thread (BLAS already uses every core) and is
+deterministic: a point's value does not depend on which other points share
+its block, results are gathered by grid index, and every evaluated point is
+journaled to disk for resumability.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import threading
-from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
+import os
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field, replace
 from itertools import product
 from pathlib import Path
@@ -32,12 +37,13 @@ from .floquet import (
     unitarity_deviation,
 )
 from .hamiltonian import KERNEL_VARIANTS, SimulationParams, build_h1, build_h2_diagonal
-from .hilbert import z_product_state
+from .hilbert import sigma_z_stack, z_product_state
 from .observables import (
+    MAGNITUDE_TOL,
+    NORM_DRIFT_TOL,
     AutocorrelatorSeries,
-    autocorrelator_series,
     fourier_spectrum,
-    lifetime,
+    reversal_analysis,
 )
 from .output import params_metadata, write_csv, write_sidecar
 
@@ -60,6 +66,17 @@ JOURNAL_KIND = "starkdtc-sweep-journal"
 
 # rough cap on cached eigensystems (~1.5 GB of stage-1 data)
 _CACHE_BYTE_BUDGET = 1_500_000_000
+
+# zgemm evaluates full 4-column panels in one fixed order, so a block padded
+# to a multiple of 4 columns gives every column the same bits at any width
+# and position; narrower products fall to gemv or edge kernels that round
+# differently
+_PANEL = 4
+# keys with fewer grid points evolve each point as a lone vector: one gemv
+# takes ~0.4 ms at L=10 against ~1.1 ms for a 4-column gemm
+_MIN_BLOCK_POINTS = 3
+# caps the block's memory at large L; per-column cost is flat beyond ~16
+_MAX_BLOCK_COLUMNS = 64
 
 
 @dataclass(frozen=True)
@@ -94,6 +111,8 @@ class SweepSpec:
             raise ValueError(f"axis names must be distinct, got {names}")
         if self.observable not in OBSERVABLES:
             raise ValueError(f"unknown observable {self.observable!r}, expected one of {OBSERVABLES}")
+        if self.n_cycles < 1 or self.n_max < 1:
+            raise ValueError(f"cycle counts must be >= 1, got n_cycles={self.n_cycles}, n_max={self.n_max}")
         size = self.grid_size()
         if size > self.grid_cap:
             raise ValueError(f"grid of {size} points exceeds the cap of {self.grid_cap}")
@@ -144,28 +163,30 @@ class SweepSpec:
 
 
 class PropagatorFactory:
-    """Propagator construction with a byte-budgeted stage-1 cache.
+    """Stage-1 propagators cached per key, under a byte budget.
 
-    The H1 eigensystem and U1 are cached per (L, Omega, epsilon, V, kernel,
-    T1); unitarity is validated once per cached U1 and the per-point row
-    scaling by the diagonal stage preserves it exactly.
+    `stage1` returns the H1 eigensystem and U1 for the key (L, Omega,
+    epsilon, V, kernel, T1), computing them on a miss; unitarity is validated
+    once per cached U1.  The grouped sweep applies U1 and the stage-2 phase
+    to a block of states directly; `get` assembles the dense U_F of one
+    point, whose row scaling by the diagonal stage preserves unitarity
+    exactly.  Not thread-safe: sweeps run on the calling thread.
     """
 
     def __init__(self, byte_budget: int = _CACHE_BYTE_BUDGET):
         self._cache: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
         self._byte_budget = byte_budget
 
     @staticmethod
-    def _key(params: SimulationParams):
+    def key(params: SimulationParams):
         return (params.L, params.omega, params.epsilon, params.v, params.kernel, params.t1)
 
-    def _stage1(self, params: SimulationParams):
-        key = self._key(params)
-        with self._lock:
-            if key in self._cache:
-                self._cache.move_to_end(key)
-                return self._cache[key]
+    def stage1(self, params: SimulationParams):
+        """(eigs, vecs, U1) of the point's stage-1 key."""
+        key = self.key(params)
+        if key in self._cache:
+            self._cache.move_to_end(key)
+            return self._cache[key]
         h1 = build_h1(params)
         eigs, vecs = np.linalg.eigh(h1)
         del h1
@@ -174,10 +195,8 @@ class PropagatorFactory:
         if dev > 1e-10:
             raise NumericError(f"cached stage-1 propagator deviates from unitarity by {dev:.2e}")
         entry = (eigs, vecs, u1)
-        with self._lock:
-            self._cache[key] = entry
-            self._cache.move_to_end(key)
-            self._evict()
+        self._cache[key] = entry
+        self._evict()
         return entry
 
     def _evict(self):
@@ -189,7 +208,7 @@ class PropagatorFactory:
             self._cache.popitem(last=False)
 
     def get(self, params: SimulationParams) -> FloquetPropagator:
-        eigs, vecs, u1 = self._stage1(params)
+        eigs, vecs, u1 = self.stage1(params)
         h2 = build_h2_diagonal(params)
         phase2 = propagator_u2(h2, params.t2)
         return FloquetPropagator(
@@ -256,42 +275,155 @@ class SweepResult:
         return out
 
 
-def _evaluate_point(spec: SweepSpec, coords: dict, factory: PropagatorFactory) -> dict:
+def _marker(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _resolve(spec: SweepSpec, coords: dict):
+    """(params, bits) of a grid point whose initial state fits its L."""
     params, bits = spec.point_inputs(coords)
     if len(bits) != params.L or any(ch not in "01" for ch in bits):
         raise ValueError(f"initial state {bits!r} incompatible with L={params.L}")
-    prop = factory.get(params)
-    psi0 = z_product_state(bits, params.basis)
+    return params, bits
+
+
+def _series_record(spec: SweepSpec, values: np.ndarray) -> dict:
+    """The observable's value record from one point's C(n) series."""
     observable = spec.observable
-    if observable == "a_pi":
-        series = autocorrelator_series(prop, psi0, spec.n_cycles)
-        return {"a_pi": fourier_spectrum(series).a_pi}
-    if observable == "series":
-        series = autocorrelator_series(prop, psi0, spec.n_cycles)
-        return {"n": list(range(spec.n_cycles + 1)), "c": series.values.tolist()}
-    if observable == "spectrum":
-        series = autocorrelator_series(prop, psi0, spec.n_cycles)
-        spectral = fourier_spectrum(series)
-        return {
-            "omega": spectral.frequencies.tolist(),
-            "magnitude": spectral.magnitudes.tolist(),
-            "a_pi": spectral.a_pi,
-        }
     if observable == "lifetime":
-        return lifetime(prop, psi0, spec.n_max).record()
-    if observable == "overlap_table":
-        table = overlaps(prop.spectrum(), psi0)
-        return {
-            "quasi_energy": table.quasi_energies.tolist(),
-            "overlap": table.overlaps.tolist(),
-        }
-    raise ValueError(f"unknown observable {observable!r}")
+        return reversal_analysis(values).record()
+    if observable == "series":
+        return {"n": list(range(spec.n_cycles + 1)), "c": values.tolist()}
+    spectral = fourier_spectrum(AutocorrelatorSeries(values=values, n_cycles=spec.n_cycles, params=None))
+    if observable == "a_pi":
+        return {"a_pi": spectral.a_pi}
+    return {
+        "omega": spectral.frequencies.tolist(),
+        "magnitude": spectral.magnitudes.tolist(),
+        "a_pi": spectral.a_pi,
+    }
+
+
+def _block_series(u1: np.ndarray, columns, sz: np.ndarray, n_cycles: int, pad: bool):
+    """C(n) of z-product states evolved together by Psi <- Phi * (U1 Psi).
+
+    `columns` holds one (params, basis index) pair per state; all share the
+    stage-1 propagator `u1`.  With `pad` the block is widened with zero
+    columns to a multiple of 4, which keeps each column's bits independent
+    of the rest of the block; without it the block must hold one column.
+    Returns the (n_cycles + 1, k) series and one error marker (or None) per
+    column.  A failed column (stage-2 build, norm drift, |C| > 1) is zeroed
+    and no longer checked, so it cannot touch the others.
+    """
+    count = len(columns)
+    width = -(-count // _PANEL) * _PANEL if pad else count
+    dim = u1.shape[0]
+    psi = np.zeros((dim, width), dtype=complex, order="F")
+    phi = np.zeros((dim, width), dtype=complex, order="F")
+    work = np.empty((dim, width), dtype=complex, order="F")
+    errors = [None] * count
+    for col, (params, start) in enumerate(columns):
+        try:
+            phi[:, col] = propagator_u2(build_h2_diagonal(params), params.t2)
+        except Exception as exc:  # a bad stage 2 fails its own point only
+            errors[col] = _marker(exc)
+            continue
+        psi[start, col] = 1.0
+    live = [col for col in range(count) if errors[col] is None]
+    signs = [sz[:, start] for _, start in columns]
+    length = sz.shape[0]
+
+    values = np.zeros((n_cycles + 1, count), order="F")
+    values[0] = 1.0
+    for n in range(1, n_cycles + 1):
+        np.matmul(u1, psi, out=work)
+        np.multiply(phi, work, out=psi)
+        prob = np.abs(psi) ** 2
+        drift = np.abs(np.sqrt(prob.sum(axis=0)) - 1.0)
+        for col in list(live):
+            if drift[col] > NORM_DRIFT_TOL:
+                errors[col] = _marker(
+                    NumericError(f"state norm drifted by {drift[col]:.2e} at cycle {n}")
+                )
+                psi[:, col] = 0.0
+                phi[:, col] = 0.0
+                live.remove(col)
+                continue
+            # per column: a block-wide sz @ prob would round by block width
+            values[n, col] = signs[col] @ (sz @ prob[:, col]) / length
+    for col in live:
+        if not (np.abs(values[:, col]) <= 1.0 + MAGNITUDE_TOL).all():
+            errors[col] = _marker(NumericError("autocorrelator magnitude exceeded 1 beyond tolerance"))
+    return values, errors
+
+
+def _evaluate_group(spec: SweepSpec, members, factory: PropagatorFactory, blocked: bool):
+    """(index, coords, value, error) for the points of one stage-1 key.
+
+    `members` are (index, coords, params, bits) tuples.  With `blocked` they
+    are evolved in padded blocks of up to _MAX_BLOCK_COLUMNS columns,
+    otherwise one lone vector at a time.
+    """
+    n_cycles = spec.n_max if spec.observable == "lifetime" else spec.n_cycles
+    try:
+        first = members[0][2]
+        _, _, u1 = factory.stage1(first)
+        sz = sigma_z_stack(first.basis)
+    except Exception as exc:  # a failed stage 1 fails every point of its key
+        for index, coords, _, _ in members:
+            yield index, coords, None, _marker(exc)
+        return
+    step = _MAX_BLOCK_COLUMNS if blocked else 1
+    for at in range(0, len(members), step):
+        chunk = members[at:at + step]
+        columns = [
+            (params, z_product_state(bits, params.basis).product_state_index())
+            for _, _, params, bits in chunk
+        ]
+        values, errors = _block_series(u1, columns, sz, n_cycles, pad=blocked)
+        for col, (index, coords, _, _) in enumerate(chunk):
+            value, error = None, errors[col]
+            if error is None:
+                try:
+                    value = _series_record(spec, values[:, col])
+                except Exception as exc:
+                    error = _marker(exc)
+            yield index, coords, value, error
+
+
+def _evaluate_grouped(spec: SweepSpec, points, pending, factory: PropagatorFactory):
+    """(index, coords, value, error) for the pending points, key by key.
+
+    Whether a key runs as a block or as lone vectors follows its point count
+    in the whole grid, not in `pending`, so a resumed sweep evaluates every
+    point exactly as a fresh one does.
+    """
+    resolved = {}
+    for index, coords in points:
+        try:
+            resolved[index] = _resolve(spec, coords)
+        except Exception as exc:  # reported as the point's error marker
+            resolved[index] = exc
+    grid_counts = Counter(
+        PropagatorFactory.key(item[0]) for item in resolved.values() if not isinstance(item, Exception)
+    )
+    groups = {}
+    for index, coords in pending:
+        item = resolved[index]
+        if isinstance(item, Exception):
+            yield index, coords, None, _marker(item)
+            continue
+        params, bits = item
+        groups.setdefault(PropagatorFactory.key(params), []).append((index, coords, params, bits))
+    for key, members in groups.items():
+        yield from _evaluate_group(spec, members, factory, grid_counts[key] >= _MIN_BLOCK_POINTS)
 
 
 class _Journal:
+    """JSON-lines record of evaluated points: a header, then one line per point."""
+
     def __init__(self, path, fingerprint: str, resume: bool):
         self.path = Path(path)
-        self._lock = threading.Lock()
         self.completed = {}
         if resume and self.path.exists():
             self._load(fingerprint)
@@ -303,17 +435,35 @@ class _Journal:
 
     def _load(self, fingerprint: str):
         with open(self.path, encoding="utf-8") as fh:
-            lines = [line for line in fh.read().splitlines() if line.strip()]
-        if not lines:
+            text = fh.read()
+        numbered = [(i, line) for i, line in enumerate(text.split("\n"), start=1) if line.strip()]
+        if not numbered:
             raise ConfigError(f"journal {self.path} is empty")
-        header = json.loads(lines[0])
-        if header.get("kind") != JOURNAL_KIND:
-            raise ConfigError(f"{self.path} is not a sweep journal")
-        if header.get("fingerprint") != fingerprint:
-            raise ConfigError(f"journal {self.path} belongs to a different sweep spec")
-        for line in lines[1:]:
-            entry = json.loads(line)
-            self.completed[entry["index"]] = entry
+        kept = []
+        for position, (number, line) in enumerate(numbered):
+            try:
+                entry = json.loads(line)
+            except json.JSONDecodeError:
+                if position == len(numbered) - 1 and position > 0:
+                    break  # a write cut short by an interruption: recompute its point
+                raise ConfigError(f"journal {self.path}: line {number} is not valid JSON")
+            if position == 0:
+                if not isinstance(entry, dict) or entry.get("kind") != JOURNAL_KIND:
+                    raise ConfigError(f"{self.path} is not a sweep journal")
+                if entry.get("fingerprint") != fingerprint:
+                    raise ConfigError(f"journal {self.path} belongs to a different sweep spec")
+            elif not isinstance(entry, dict) or not isinstance(entry.get("index"), int):
+                raise ConfigError(f"journal {self.path}: line {number} is not a point record")
+            else:
+                self.completed[entry["index"]] = entry
+            kept.append(line)
+        intact = "".join(line + "\n" for line in kept)
+        if intact != text:
+            # drop the torn tail before appending, via a rename so a second
+            # interruption cannot lose the intact lines
+            scratch = self.path.with_name(self.path.name + ".tmp")
+            scratch.write_text(intact, encoding="utf-8")
+            os.replace(scratch, self.path)
 
     def record(self, index: int, coords: dict, value, error):
         entry = {"index": index, "coords": coords}
@@ -321,27 +471,39 @@ class _Journal:
             entry["value"] = value
         else:
             entry["error"] = error
-        with self._lock:
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(entry, sort_keys=True) + "\n")
+        with open(self.path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(entry, sort_keys=True) + "\n")
+
+
+def _overlap_outcome(spec: SweepSpec, index: int, coords: dict, factory: PropagatorFactory):
+    """(index, coords, value, error) of one overlap-table point."""
+    try:
+        params, bits = _resolve(spec, coords)
+        table = overlaps(factory.get(params).spectrum(), z_product_state(bits, params.basis))
+    except Exception as exc:  # per-point failures stay local to the point
+        return index, coords, None, _marker(exc)
+    value = {"quasi_energy": table.quasi_energies.tolist(), "overlap": table.overlaps.tolist()}
+    return index, coords, value, None
 
 
 def run_sweep(
     spec: SweepSpec,
-    workers: int = 1,
     journal_path=None,
     resume: bool = False,
     factory: Optional[PropagatorFactory] = None,
 ) -> SweepResult:
-    """Evaluate the observable at every grid point.
+    """Evaluate the observable at every grid point, on the calling thread.
 
-    Per-point numeric failures are recorded in place as error markers; the
-    whole sweep fails only on an invalid spec.  With `journal_path` set every
-    completed point is appended to a JSON-lines journal, and `resume=True`
-    skips points already present in a journal for the identical spec.
+    For the a_pi, series, spectrum and lifetime observables the pending
+    points are grouped by stage-1 key; each group fetches (eigs, vecs, U1)
+    once from `factory` and evolves its initial states as one column block.
+    overlap_table evaluates each point's quasi-spectrum.  Per-point numeric
+    failures are recorded in place as error markers; the whole sweep fails
+    only on an invalid spec or journal.  With `journal_path` set every
+    evaluated point is appended to a JSON-lines journal, and `resume=True`
+    skips points already present in a journal for the identical spec (a
+    torn last line is dropped and its point recomputed).
     """
-    if workers < 1:
-        raise ValueError(f"worker count must be >= 1, got {workers}")
     factory = factory or PropagatorFactory()
     points = list(spec.grid_points())
     journal = _Journal(journal_path, spec.fingerprint(), resume) if journal_path else None
@@ -357,25 +519,15 @@ def run_sweep(
         else:
             pending.append((index, coords))
 
-    def work(item):
-        index, coords = item
-        try:
-            return index, coords, _evaluate_point(spec, coords, factory), None
-        except Exception as exc:  # per-point failures stay local to the point
-            return index, coords, None, f"{type(exc).__name__}: {exc}"
-
-    if workers == 1:
-        outcomes = map(work, pending)
+    if spec.observable == "overlap_table":
+        outcomes = (_overlap_outcome(spec, index, coords, factory) for index, coords in pending)
     else:
-        pool = ThreadPoolExecutor(max_workers=workers)
-        outcomes = pool.map(work, pending)
+        outcomes = _evaluate_grouped(spec, points, pending, factory)
     for index, coords, value, error in outcomes:
         values[index] = value
         errors[index] = error
         if journal:
             journal.record(index, coords, value, error)
-    if workers > 1:
-        pool.shutdown()
 
     return SweepResult(
         spec=spec,
@@ -389,7 +541,6 @@ def kernel_comparison(
     base: SimulationParams,
     f_grid,
     n_cycles: int = 100,
-    workers: int = 1,
     factory: Optional[PropagatorFactory] = None,
 ) -> SweepResult:
     """A_pi versus Stark strength for all four interaction kernels."""
@@ -401,7 +552,7 @@ def kernel_comparison(
         observable="a_pi",
         n_cycles=n_cycles,
     )
-    return run_sweep(spec, workers=workers, factory=factory)
+    return run_sweep(spec, factory=factory)
 
 
 @dataclass
@@ -415,7 +566,6 @@ def initial_state_comparison(
     states,
     f_values,
     n_cycles: int = 100,
-    workers: int = 1,
     factory: Optional[PropagatorFactory] = None,
 ) -> InitialStateComparison:
     """C(nT) series and spectra for each (initial state, Stark strength) pair."""
@@ -429,7 +579,7 @@ def initial_state_comparison(
         observable="series",
         n_cycles=n_cycles,
     )
-    series_result = run_sweep(spec, workers=workers, factory=factory)
+    series_result = run_sweep(spec, factory=factory)
 
     spectra_values = []
     for record, coords in zip(series_result.values, series_result.coords):

@@ -121,6 +121,29 @@ def test_sweep_command_with_resume(tmp_path):
     assert (out / "sweep.csv").read_bytes() == first
 
 
+def test_sweep_csv_identical_across_thread_settings(tmp_path):
+    # --threads is accepted and validated, but never changes the output bytes
+    data = {
+        "command": "sweep",
+        "params": {"L": 4, "VT1": 0.1},
+        "sweep": {
+            "axes": [
+                {"name": "epsilon", "values": [0.1, 0.2]},
+                {"name": "F_T2", "values": [0.0, 0.1, 0.2, 0.3, 0.4]},
+            ],
+            "observable": "a_pi",
+            "n_cycles": 20,
+        },
+    }
+    cfg = write_config(tmp_path, data)
+    blobs = []
+    for threads in (1, 2):
+        out = tmp_path / f"threads{threads}"
+        assert main(["--config", str(cfg), "--out", str(out), "--threads", str(threads)]) == 0
+        blobs.append((out / "sweep.csv").read_bytes())
+    assert blobs[0] == blobs[1]
+
+
 def test_exit_code_config_errors(tmp_path, capsys):
     assert main(["--out", str(tmp_path)]) == 2  # neither --config nor --figure
     bad = tmp_path / "bad.json"

@@ -1,7 +1,12 @@
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import starkdtc.sweep as sweep_module
 from starkdtc import (
     ConfigError,
     PropagatorFactory,
@@ -14,8 +19,14 @@ from starkdtc import (
     initial_state_comparison,
     kernel_comparison,
     run_sweep,
+    build_h2_diagonal,
+    propagator_u2,
     z_product_state,
 )
+from starkdtc.hilbert import sigma_z_stack
+from starkdtc.sweep import _block_series
+
+from _oracles import expm_multiply_series
 
 BASE = SimulationParams(L=4, omega=np.pi / 2, epsilon=0.2, v=0.1, t1=1.0, t2=10.0)
 
@@ -103,16 +114,6 @@ def test_sweep_matches_direct_evaluation():
         assert record["a_pi"] == pytest.approx(fourier_spectrum(series).a_pi, abs=1e-12)
 
 
-def test_sweep_deterministic_across_worker_counts(tmp_path):
-    spec = small_spec()
-    results = [run_sweep(spec, workers=w) for w in (1, 2, 3)]
-    paths = []
-    for i, result in enumerate(results):
-        paths.append(result.to_csv(tmp_path / f"sweep_{i}.csv"))
-    blobs = [p.read_bytes() for p in paths]
-    assert blobs[0] == blobs[1] == blobs[2]
-
-
 def test_sweep_point_independence():
     # removing a grid point does not change any other point's value
     full = run_sweep(small_spec())
@@ -144,6 +145,31 @@ def test_sweep_journal_and_resume(tmp_path):
 
     lines_after = journal.read_text().splitlines()
     assert len(lines_after) == 1 + spec.grid_size()
+
+
+def test_sweep_resume_after_torn_journal_line(tmp_path):
+    # three points per stage-1 key, so the resumed points run as a block
+    spec = small_spec(axes=(SweepAxis("epsilon", (0.0, 0.1)), SweepAxis("F_T2", (0.0, 0.1, 0.25))))
+    journal = tmp_path / "journal.jsonl"
+    fresh = run_sweep(spec, journal_path=journal).to_csv(tmp_path / "fresh.csv").read_bytes()
+
+    blob = journal.read_bytes()
+    journal.write_bytes(blob[:-20])  # an interruption in the middle of the last write
+    resumed = run_sweep(spec, journal_path=journal, resume=True)
+    assert resumed.to_csv(tmp_path / "resumed.csv").read_bytes() == fresh
+    lines = journal.read_text().splitlines()
+    assert len(lines) == 1 + spec.grid_size()
+    assert sorted(json.loads(line)["index"] for line in lines[1:]) == list(range(spec.grid_size()))
+
+
+def test_sweep_resume_rejects_corrupt_inner_journal_line(tmp_path):
+    journal = tmp_path / "journal.jsonl"
+    run_sweep(small_spec(), journal_path=journal)
+    lines = journal.read_text().splitlines()
+    lines[2] = lines[2][:-20]
+    journal.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match="line 3"):
+        run_sweep(small_spec(), journal_path=journal, resume=True)
 
 
 def test_sweep_resume_rejects_mismatched_spec(tmp_path):
@@ -259,3 +285,61 @@ def test_initial_state_comparison_tables_keyed_by_state():
         assert fourier_spectrum(series).a_pi == pytest.approx(spectra_rec["a_pi"], abs=1e-15)
     with pytest.raises(ValueError):
         initial_state_comparison(base, ("111",), (0.0,))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    L=st.integers(2, 6),
+    epsilon=st.floats(0.0, 0.5),
+    width=st.integers(1, 9),
+    data=st.data(),
+)
+def test_block_column_bits_independent_of_block(L, epsilon, width, data):
+    # a point's C(n) is bitwise the same alone and at any position of any block
+    position = data.draw(st.integers(0, width - 1))
+    f_values = data.draw(st.lists(st.floats(0.0, 0.5), min_size=width, max_size=width))
+    starts = data.draw(st.lists(st.integers(0, (1 << L) - 1), min_size=width, max_size=width))
+    base = SimulationParams(L=L, omega=np.pi / 2, epsilon=epsilon, v=0.1)
+    _, _, u1 = PropagatorFactory().stage1(base)
+    sz = sigma_z_stack(base.basis)
+    columns = [(base.with_f_t2(f), start) for f, start in zip(f_values, starts)]
+    block, errors = _block_series(u1, columns, sz, 30, pad=True)
+    alone, alone_errors = _block_series(u1, [columns[position]], sz, 30, pad=True)
+    assert errors == [None] * width and alone_errors == [None]
+    assert np.array_equal(block[:, position], alone[:, 0])
+
+
+def test_sweep_failure_stays_in_its_column(monkeypatch):
+    spec = small_spec(axes=(SweepAxis("F_T2", (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)),))
+    clean = run_sweep(spec)
+    bad_index = 2
+    bad_h2 = build_h2_diagonal(spec.point_inputs({"F_T2": 0.2})[0])
+
+    def skewed_phase(h2, t2):
+        phase = propagator_u2(h2, t2)
+        return phase * 1.001 if np.array_equal(h2, bad_h2) else phase
+
+    monkeypatch.setattr(sweep_module, "propagator_u2", skewed_phase)
+    broken = run_sweep(spec)
+    assert broken.values[bad_index] is None
+    assert broken.errors[bad_index].startswith("NumericError: state norm drifted")
+    for index in range(spec.grid_size()):
+        if index != bad_index:
+            assert broken.errors[index] is None
+            assert broken.values[index] == clean.values[index]
+
+
+def test_grouped_sweep_matches_expm_multiply_oracle_at_l10():
+    base = SimulationParams(L=10, omega=np.pi / 2, epsilon=0.3, v=0.1, t1=1.0, t2=10.0)
+    spec = SweepSpec(
+        axes=(SweepAxis("F_T2", (0.0, 0.2, 0.4)),), base=base, observable="series", n_cycles=40
+    )
+    result = run_sweep(spec)
+    for coords, record, error in zip(result.coords, result.values, result.errors):
+        assert error is None
+        params, bits = spec.point_inputs(coords)
+        reference = expm_multiply_series(
+            params.L, params.omega, params.epsilon, params.v, params.f,
+            params.t1, params.t2, bits, spec.n_cycles, params.kernel,
+        )
+        assert np.max(np.abs(np.asarray(record["c"]) - reference)) < 1e-9
