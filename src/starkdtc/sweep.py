@@ -10,9 +10,10 @@ point.  The overlap table needs each point's quasi-spectrum and keeps a
 per-point propagator.
 
 Evaluation runs on the calling thread (BLAS already uses every core) and is
-deterministic: a point's value does not depend on which other points share
-its block, results are gathered by grid index, and every evaluated point is
-journaled to disk for resumability.
+deterministic: every block is padded to full zgemm panels (see _PANEL), so a
+point's value does not depend on which other points share its block; results
+are gathered by grid index, and every evaluated point is journaled to disk
+for resumability.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from itertools import product
 from pathlib import Path
@@ -70,11 +71,9 @@ _CACHE_BYTE_BUDGET = 1_500_000_000
 # zgemm evaluates full 4-column panels in one fixed order, so a block padded
 # to a multiple of 4 columns gives every column the same bits at any width
 # and position; narrower products fall to gemv or edge kernels that round
-# differently
+# differently.  Verified only with OpenBLAS 0.3.31 (SkylakeX kernels on an
+# AVX-512 Xeon): other BLAS builds or CPUs may use other panel widths
 _PANEL = 4
-# keys with fewer grid points evolve each point as a lone vector: one gemv
-# takes ~0.4 ms at L=10 against ~1.1 ms for a 4-column gemm
-_MIN_BLOCK_POINTS = 3
 # caps the block's memory at large L; per-column cost is flat beyond ~16
 _MAX_BLOCK_COLUMNS = 64
 
@@ -304,19 +303,19 @@ def _series_record(spec: SweepSpec, values: np.ndarray) -> dict:
     }
 
 
-def _block_series(u1: np.ndarray, columns, sz: np.ndarray, n_cycles: int, pad: bool):
+def _block_series(u1: np.ndarray, columns, sz: np.ndarray, n_cycles: int):
     """C(n) of z-product states evolved together by Psi <- Phi * (U1 Psi).
 
     `columns` holds one (params, basis index) pair per state; all share the
-    stage-1 propagator `u1`.  With `pad` the block is widened with zero
-    columns to a multiple of 4, which keeps each column's bits independent
-    of the rest of the block; without it the block must hold one column.
+    stage-1 propagator `u1`.  The block is widened with zero columns to a
+    multiple of 4, which keeps each column's bits independent of the rest of
+    the block, a lone point included.
     Returns the (n_cycles + 1, k) series and one error marker (or None) per
     column.  A failed column (stage-2 build, norm drift, |C| > 1) is zeroed
     and no longer checked, so it cannot touch the others.
     """
     count = len(columns)
-    width = -(-count // _PANEL) * _PANEL if pad else count
+    width = -(-count // _PANEL) * _PANEL
     dim = u1.shape[0]
     psi = np.zeros((dim, width), dtype=complex, order="F")
     phi = np.zeros((dim, width), dtype=complex, order="F")
@@ -357,12 +356,11 @@ def _block_series(u1: np.ndarray, columns, sz: np.ndarray, n_cycles: int, pad: b
     return values, errors
 
 
-def _evaluate_group(spec: SweepSpec, members, factory: PropagatorFactory, blocked: bool):
+def _evaluate_group(spec: SweepSpec, members, factory: PropagatorFactory):
     """(index, coords, value, error) for the points of one stage-1 key.
 
-    `members` are (index, coords, params, bits) tuples.  With `blocked` they
-    are evolved in padded blocks of up to _MAX_BLOCK_COLUMNS columns,
-    otherwise one lone vector at a time.
+    `members` are (index, coords, params, bits) tuples, evolved in padded
+    blocks of up to _MAX_BLOCK_COLUMNS columns.
     """
     n_cycles = spec.n_max if spec.observable == "lifetime" else spec.n_cycles
     try:
@@ -373,14 +371,13 @@ def _evaluate_group(spec: SweepSpec, members, factory: PropagatorFactory, blocke
         for index, coords, _, _ in members:
             yield index, coords, None, _marker(exc)
         return
-    step = _MAX_BLOCK_COLUMNS if blocked else 1
-    for at in range(0, len(members), step):
-        chunk = members[at:at + step]
+    for at in range(0, len(members), _MAX_BLOCK_COLUMNS):
+        chunk = members[at:at + _MAX_BLOCK_COLUMNS]
         columns = [
             (params, z_product_state(bits, params.basis).product_state_index())
             for _, _, params, bits in chunk
         ]
-        values, errors = _block_series(u1, columns, sz, n_cycles, pad=blocked)
+        values, errors = _block_series(u1, columns, sz, n_cycles)
         for col, (index, coords, _, _) in enumerate(chunk):
             value, error = None, errors[col]
             if error is None:
@@ -391,32 +388,18 @@ def _evaluate_group(spec: SweepSpec, members, factory: PropagatorFactory, blocke
             yield index, coords, value, error
 
 
-def _evaluate_grouped(spec: SweepSpec, points, pending, factory: PropagatorFactory):
-    """(index, coords, value, error) for the pending points, key by key.
-
-    Whether a key runs as a block or as lone vectors follows its point count
-    in the whole grid, not in `pending`, so a resumed sweep evaluates every
-    point exactly as a fresh one does.
-    """
-    resolved = {}
-    for index, coords in points:
-        try:
-            resolved[index] = _resolve(spec, coords)
-        except Exception as exc:  # reported as the point's error marker
-            resolved[index] = exc
-    grid_counts = Counter(
-        PropagatorFactory.key(item[0]) for item in resolved.values() if not isinstance(item, Exception)
-    )
+def _evaluate_grouped(spec: SweepSpec, pending, factory: PropagatorFactory):
+    """(index, coords, value, error) for the pending points, key by key."""
     groups = {}
     for index, coords in pending:
-        item = resolved[index]
-        if isinstance(item, Exception):
-            yield index, coords, None, _marker(item)
+        try:
+            params, bits = _resolve(spec, coords)
+        except Exception as exc:  # reported as the point's error marker
+            yield index, coords, None, _marker(exc)
             continue
-        params, bits = item
         groups.setdefault(PropagatorFactory.key(params), []).append((index, coords, params, bits))
-    for key, members in groups.items():
-        yield from _evaluate_group(spec, members, factory, grid_counts[key] >= _MIN_BLOCK_POINTS)
+    for members in groups.values():
+        yield from _evaluate_group(spec, members, factory)
 
 
 class _Journal:
@@ -522,7 +505,7 @@ def run_sweep(
     if spec.observable == "overlap_table":
         outcomes = (_overlap_outcome(spec, index, coords, factory) for index, coords in pending)
     else:
-        outcomes = _evaluate_grouped(spec, points, pending, factory)
+        outcomes = _evaluate_grouped(spec, pending, factory)
     for index, coords, value, error in outcomes:
         values[index] = value
         errors[index] = error

@@ -128,6 +128,13 @@ def test_sweep_point_independence():
     for coords, record in zip(reduced.coords, reduced.values):
         assert record["a_pi"] == kept[(coords["epsilon"], coords["F_T2"])]
 
+    # three points per stage-1 key in the full grid, two after the cut
+    wide = run_sweep(small_spec(axes=(SweepAxis("epsilon", (0.0, 0.1)), SweepAxis("F_T2", (0.0, 0.1, 0.25)))))
+    narrow = run_sweep(small_spec(axes=(SweepAxis("epsilon", (0.0, 0.1)), SweepAxis("F_T2", (0.0, 0.25)))))
+    kept = {(c["epsilon"], c["F_T2"]): v["a_pi"] for c, v in zip(wide.coords, wide.values)}
+    for coords, record in zip(narrow.coords, narrow.values):
+        assert record["a_pi"] == kept[(coords["epsilon"], coords["F_T2"])]
+
 
 def test_sweep_journal_and_resume(tmp_path):
     spec = small_spec()
@@ -303,8 +310,8 @@ def test_block_column_bits_independent_of_block(L, epsilon, width, data):
     _, _, u1 = PropagatorFactory().stage1(base)
     sz = sigma_z_stack(base.basis)
     columns = [(base.with_f_t2(f), start) for f, start in zip(f_values, starts)]
-    block, errors = _block_series(u1, columns, sz, 30, pad=True)
-    alone, alone_errors = _block_series(u1, [columns[position]], sz, 30, pad=True)
+    block, errors = _block_series(u1, columns, sz, 30)
+    alone, alone_errors = _block_series(u1, [columns[position]], sz, 30)
     assert errors == [None] * width and alone_errors == [None]
     assert np.array_equal(block[:, position], alone[:, 0])
 
