@@ -9,19 +9,14 @@ from .exceptions import ConfigError, NumericError, ResourceLimitError
 from .hilbert import (
     BasisConfig,
     StateVector,
-    occupation_diagonal,
-    sigma_x_expectation,
-    sigma_z_diagonal,
     state_from_amplitudes,
     z_product_state,
 )
 from .hamiltonian import (
     InteractionKernel,
     SimulationParams,
-    StageHamiltonians,
     build_h1,
     build_h2_diagonal,
-    build_stage_hamiltonians,
     interaction_diagonal,
     stark_diagonal,
 )
@@ -32,9 +27,7 @@ from .floquet import (
     QuasiSpectrum,
     find_pi_pair,
     floquet_operator,
-    floquet_operator_from_stages,
     overlaps,
-    propagator_u1,
     propagator_u2,
     quasi_spectrum,
 )
@@ -46,7 +39,6 @@ from .observables import (
     fourier_spectrum,
     lifetime,
     reversal_analysis,
-    subharmonic_amplitude,
 )
 from .sweep import (
     PropagatorFactory,
@@ -67,17 +59,12 @@ __all__ = [
     "ResourceLimitError",
     "BasisConfig",
     "StateVector",
-    "occupation_diagonal",
-    "sigma_x_expectation",
-    "sigma_z_diagonal",
     "state_from_amplitudes",
     "z_product_state",
     "InteractionKernel",
     "SimulationParams",
-    "StageHamiltonians",
     "build_h1",
     "build_h2_diagonal",
-    "build_stage_hamiltonians",
     "interaction_diagonal",
     "stark_diagonal",
     "FloquetPropagator",
@@ -86,9 +73,7 @@ __all__ = [
     "QuasiSpectrum",
     "find_pi_pair",
     "floquet_operator",
-    "floquet_operator_from_stages",
     "overlaps",
-    "propagator_u1",
     "propagator_u2",
     "quasi_spectrum",
     "AutocorrelatorSeries",
@@ -98,7 +83,6 @@ __all__ = [
     "fourier_spectrum",
     "lifetime",
     "reversal_analysis",
-    "subharmonic_amplitude",
     "PropagatorFactory",
     "SweepAxis",
     "SweepResult",

@@ -19,7 +19,7 @@ Schema (defaults in parentheses):
     sweep: {axes: [{name, values | start/stop/step | start/stop/num}],
             observable, grid_cap (10000)}
     figure: fig2 | fig3a | fig3b | fig3c | fig3d | fig4a | fig4b | fig5
-    threads (1), seed: accepted but unused, kept for schema stability
+    threads (1): accepted but unused, kept for schema stability
 """
 
 from __future__ import annotations
@@ -90,7 +90,6 @@ class RunConfig:
     figure: Optional[str] = None
     out_format: str = "csv"
     threads: int = 1
-    seed: Optional[int] = None
     raw: dict = field(default_factory=dict)
 
     def initial_bits(self) -> str:
@@ -238,7 +237,7 @@ def parse_config(source: str) -> RunConfig:
         raise ConfigError("config: expected a JSON object at top level")
     known = {
         "command", "params", "initial_state", "n_cycles", "n_max",
-        "sweep", "figure", "output", "threads", "seed",
+        "sweep", "figure", "output", "threads",
     }
     unknown = sorted(set(data) - known)
     if unknown:
@@ -308,6 +307,5 @@ def parse_config(source: str) -> RunConfig:
         figure=figure,
         out_format=out_format,
         threads=threads,
-        seed=data.get("seed"),
         raw=data,
     )

@@ -1,25 +1,26 @@
 """One-period Floquet propagator, quasi-spectrum and initial-state overlaps.
 
-The period is U_F = U2 U1 with U1 = exp(-i H1 T1) from the Hermitian
-eigendecomposition of H1 and U2 = exp(-i H2 T2) kept as a phase vector, so
-composing the stages is a row scaling instead of a dense matmul.
+The period is U_F = U2 U1.  U1 = exp(-i H1 T1) is assembled from the
+eigendecomposition of the real symmetric H1 and checked for unitarity; the
+eigensystem is dropped once U1 exists.  U2 = exp(-i H2 T2) is diagonal and
+kept as a phase vector Phi, so one period is a product with U1 followed by a
+row scaling, and every observable needs only U1 and Phi.
 
-The quasi-spectrum exploits the two-stage structure: conjugating U_F by the
-square root of the diagonal stage gives a complex symmetric unitary X + iY
-whose real and imaginary parts are commuting real symmetric matrices, so one
-real eigendecomposition of X plus small per-cluster diagonalizations of Y
-yields an orthonormal Floquet eigenbasis several times faster than a complex
-Schur decomposition at dimension 4096.  A Schur-based path covers propagators
-without stage structure.
+The quasi-spectrum exploits the two-stage structure: with D^1/2 =
+exp(-i H2 T2 / 2), conjugating U_F gives the complex symmetric unitary
+D^1/2 U1 D^1/2 = X + iY, whose real and imaginary parts are commuting real
+symmetric matrices, so one real eigendecomposition of X plus small
+per-cluster diagonalizations of Y yields an orthonormal Floquet eigenbasis
+several times faster than a complex Schur decomposition at dimension 4096.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import NumericError
 from .hamiltonian import SimulationParams, build_h1, build_h2_diagonal
@@ -27,18 +28,10 @@ from .hilbert import StateVector
 
 UNITARITY_TOL = 1e-10
 RESIDUAL_TOL = 1e-8
-HERMITICITY_TOL = 1e-10
 # eigenvalues of the real part closer than this are treated as one cluster;
 # large enough that eigenvector mixing across a cluster gap stays ~1e-11
 COS_CLUSTER_TOL = 1e-5
 PI_PAIR_TOL = 0.05
-
-
-def propagator_u1(h1: np.ndarray, t1: float) -> np.ndarray:
-    """U1 = exp(-i h1 t1) via the Hermitian eigendecomposition of h1."""
-    _check_hermitian(h1)
-    eigs, vecs = np.linalg.eigh(h1)
-    return u1_from_eigensystem(eigs, vecs, t1)
 
 
 def propagator_u2(h2_diagonal: np.ndarray, t2: float) -> np.ndarray:
@@ -49,81 +42,12 @@ def propagator_u2(h2_diagonal: np.ndarray, t2: float) -> np.ndarray:
     return np.exp(-1j * diag * t2)
 
 
-def _check_hermitian(h1: np.ndarray) -> None:
-    h1 = np.asarray(h1)
-    if h1.ndim != 2 or h1.shape[0] != h1.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {h1.shape}")
-    dev = np.max(np.abs(h1 - h1.conj().T))
-    if dev > HERMITICITY_TOL:
-        raise ValueError(f"matrix deviates from Hermitian by {dev:.2e}")
-
-
 def u1_from_eigensystem(eigs: np.ndarray, vecs: np.ndarray, t1: float) -> np.ndarray:
-    # real eigenvectors allow two real gemms instead of one complex one
-    if not np.iscomplexobj(vecs):
-        theta = eigs * t1
-        real = (vecs * np.cos(theta)) @ vecs.T
-        imag = (vecs * np.sin(theta)) @ vecs.T
-        return real - 1j * imag
-    return (vecs * np.exp(-1j * eigs * t1)) @ vecs.conj().T
-
-
-class FloquetPropagator:
-    """One-period unitary with the stage factorization it was built from.
-
-    `u_f` is the dense matrix U2 U1.  When built through `floquet_operator`
-    the H1 eigensystem and the stage-2 diagonal are retained; they drive the
-    fast quasi-spectrum path and stage-level consistency checks.  Instances
-    are immutable after construction apart from the lazily cached spectrum.
-    """
-
-    def __init__(
-        self,
-        u_f: np.ndarray,
-        params: Optional[SimulationParams] = None,
-        h1_eigenvalues: Optional[np.ndarray] = None,
-        h1_eigenvectors: Optional[np.ndarray] = None,
-        h2_diagonal: Optional[np.ndarray] = None,
-        phase2: Optional[np.ndarray] = None,
-        validate: bool = True,
-    ):
-        self.u_f = u_f
-        self.params = params
-        self.h1_eigenvalues = h1_eigenvalues
-        self.h1_eigenvectors = h1_eigenvectors
-        self.h2_diagonal = h2_diagonal
-        self.phase2 = phase2
-        self._spectrum: Optional[QuasiSpectrum] = None
-        if validate:
-            self._check_unitarity()
-
-    @property
-    def dimension(self) -> int:
-        return self.u_f.shape[0]
-
-    @property
-    def has_stage_factorization(self) -> bool:
-        return (
-            self.h1_eigenvalues is not None
-            and self.h1_eigenvectors is not None
-            and self.h2_diagonal is not None
-            and not np.iscomplexobj(self.h1_eigenvectors)
-        )
-
-    def apply(self, state: np.ndarray) -> np.ndarray:
-        """Advance amplitudes (vector or stacked columns) by one period."""
-        return self.u_f @ state
-
-    def spectrum(self, validate: bool = True) -> "QuasiSpectrum":
-        """Quasi-spectrum, computed once and cached."""
-        if self._spectrum is None:
-            self._spectrum = quasi_spectrum(self, validate=validate)
-        return self._spectrum
-
-    def _check_unitarity(self) -> None:
-        dev = unitarity_deviation(self.u_f)
-        if dev > UNITARITY_TOL:
-            raise NumericError(f"propagator deviates from unitarity by {dev:.2e}")
+    """W exp(-i eigs t1) W^T for real orthogonal W, as two real gemms."""
+    theta = eigs * t1
+    real = (vecs * np.cos(theta)) @ vecs.T
+    imag = (vecs * np.sin(theta)) @ vecs.T
+    return real - 1j * imag
 
 
 def unitarity_deviation(matrix: np.ndarray) -> float:
@@ -139,38 +63,65 @@ def unitarity_deviation(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(gram_cols - eye_cols)))
 
 
-def floquet_operator(params: SimulationParams, validate: bool = True) -> FloquetPropagator:
-    """Build U_F = U2 U1 for one parameter point; U1 acts first in time."""
-    h1 = build_h1(params)
-    eigs, vecs = np.linalg.eigh(h1)
-    h2 = build_h2_diagonal(params)
-    return floquet_operator_from_stages(params, eigs, vecs, h2, validate=validate)
+def stage1_unitary(params: SimulationParams) -> np.ndarray:
+    """U1 = exp(-i H1 T1) of one parameter point, checked for unitarity.
 
-
-def floquet_operator_from_stages(
-    params: SimulationParams,
-    h1_eigenvalues: np.ndarray,
-    h1_eigenvectors: np.ndarray,
-    h2_diagonal: np.ndarray,
-    validate: bool = True,
-) -> FloquetPropagator:
-    """Assemble the propagator from a precomputed H1 eigensystem.
-
-    Sweeps varying only the Stark strength reuse the eigensystem and pay just
-    the O(dim^2) row scaling here.
+    H1 is real symmetric, so its eigenvectors are real; the eigensystem does
+    not outlive the assembly.
     """
-    u1 = u1_from_eigensystem(h1_eigenvalues, h1_eigenvectors, params.t1)
-    phase2 = propagator_u2(h2_diagonal, params.t2)
-    u_f = phase2[:, None] * u1
-    return FloquetPropagator(
-        u_f,
-        params=params,
-        h1_eigenvalues=h1_eigenvalues,
-        h1_eigenvectors=h1_eigenvectors,
-        h2_diagonal=h2_diagonal,
-        phase2=phase2,
-        validate=validate,
-    )
+    eigs, vecs = np.linalg.eigh(build_h1(params))
+    u1 = u1_from_eigensystem(eigs, vecs, params.t1)
+    del eigs, vecs
+    dev = unitarity_deviation(u1)
+    if dev > UNITARITY_TOL:
+        raise NumericError(f"stage-1 propagator deviates from unitarity by {dev:.2e}")
+    return u1
+
+
+class FloquetPropagator:
+    """One period U_F = U2 U1 of one parameter point, kept as its two stages.
+
+    `u1` is the dense stage-1 unitary, already checked by `stage1_unitary`;
+    `phase2` is the stage-2 phase vector derived from `h2_diagonal`.  `apply`
+    advances states by Phi * (U1 psi).  The dense U_F is formed only when
+    `u_f` is read, which no library path does.  The quasi-spectrum is
+    computed once and cached.
+    """
+
+    def __init__(self, params: SimulationParams, u1: np.ndarray, h2_diagonal: np.ndarray):
+        self.params = params
+        self.u1 = u1
+        self.h2_diagonal = h2_diagonal
+        self.phase2 = propagator_u2(h2_diagonal, params.t2)
+        self._spectrum: Optional[QuasiSpectrum] = None
+
+    @property
+    def dimension(self) -> int:
+        return self.u1.shape[0]
+
+    @cached_property
+    def u_f(self) -> np.ndarray:
+        """Dense U_F = diag(Phi) U1, built on first read."""
+        return self.phase2[:, None] * self.u1
+
+    def apply(self, state: np.ndarray) -> np.ndarray:
+        """Advance amplitudes (vector or stacked columns) by one period."""
+        out = self.u1 @ state
+        # in place: a second dim x dim temporary would double the peak memory
+        # of validating an L=12 quasi-spectrum
+        out *= self.phase2 if out.ndim == 1 else self.phase2[:, None]
+        return out
+
+    def spectrum(self) -> "QuasiSpectrum":
+        """Quasi-spectrum, computed once and cached."""
+        if self._spectrum is None:
+            self._spectrum = quasi_spectrum(self)
+        return self._spectrum
+
+
+def floquet_operator(params: SimulationParams) -> FloquetPropagator:
+    """The propagator of one parameter point; U1 acts first in time."""
+    return FloquetPropagator(params, stage1_unitary(params), build_h2_diagonal(params))
 
 
 @dataclass(frozen=True)
@@ -197,23 +148,11 @@ def _fold_quasi_energies(eigenvalues: np.ndarray) -> np.ndarray:
     return np.where(energies <= -np.pi, energies + 2.0 * np.pi, energies)
 
 
-def quasi_spectrum(
-    prop: FloquetPropagator,
-    validate: bool = True,
-    cluster_tol: float = COS_CLUSTER_TOL,
-) -> QuasiSpectrum:
-    """Full eigendecomposition of the unitary U_F.
-
-    Uses the commuting-real-parts path when the stage factorization is
-    available, otherwise a complex Schur decomposition (exact for normal
-    matrices).  Both give orthonormal eigenvectors by construction.
-    """
-    if prop.has_stage_factorization:
-        eigenvalues, eigenstates = _spectrum_from_stages(prop, cluster_tol)
-    else:
-        t_mat, q_mat = scipy.linalg.schur(prop.u_f, output="complex")
-        eigenvalues = np.diag(t_mat).copy()
-        eigenstates = q_mat
+def quasi_spectrum(prop: FloquetPropagator) -> QuasiSpectrum:
+    """Full eigendecomposition of U_F from its stages, with orthonormal
+    eigenvectors by construction; the eigenpair residual and the
+    orthonormality of the basis are checked on every call."""
+    eigenvalues, eigenstates = _spectrum_from_stages(prop)
     mod_dev = np.max(np.abs(np.abs(eigenvalues) - 1.0))
     if mod_dev > UNITARITY_TOL:
         raise NumericError(f"quasi-spectrum eigenvalue moduli deviate from 1 by {mod_dev:.2e}")
@@ -222,39 +161,40 @@ def quasi_spectrum(
     energies = energies[order]
     eigenstates = eigenstates[:, order]
     spectrum = QuasiSpectrum(quasi_energies=energies, eigenstates=eigenstates)
-    if validate:
-        _validate_spectrum(prop, spectrum)
+    _validate_spectrum(prop, spectrum)
     return spectrum
 
 
-def _spectrum_from_stages(prop: FloquetPropagator, cluster_tol: float):
+def _spectrum_from_stages(prop: FloquetPropagator):
     """Joint real diagonalization of the conjugated symmetric unitary.
 
     With U_F = D U1, D = diag(exp(-i beta)) and U1 = W exp(-i lam T1) W^T for
-    real orthogonal W, the conjugation D^{-1/2} U_F D^{1/2} = M E M^T with
-    M = D^{1/2} W unitary is complex symmetric, so its real and imaginary
-    parts X, Y are real symmetric and commute (X^2 + Y^2 = 1).  Eigenvectors
-    of U_F are D^{1/2} times the joint real eigenbasis of (X, Y); clusters of
-    nearly equal X-eigenvalues (the cos of the quasi-energy is two-to-one)
-    are resolved by diagonalizing Y inside the cluster.
+    real orthogonal W, the conjugation D^{-1/2} U_F D^{1/2} = D^{1/2} U1 D^{1/2}
+    is unitary and complex symmetric, so its real and imaginary parts X, Y
+    are real symmetric and commute (X^2 + Y^2 = 1).  Eigenvectors of U_F are
+    D^{1/2} times the joint real eigenbasis of (X, Y); clusters of nearly
+    equal X-eigenvalues (the cos of the quasi-energy is two-to-one) are
+    resolved by diagonalizing Y inside the cluster.
     """
-    params = prop.params
-    beta = prop.h2_diagonal * params.t2
+    beta = prop.h2_diagonal * prop.params.t2
     half = np.exp(-0.5j * beta)
-    m_mat = half[:, None] * prop.h1_eigenvectors
-    sym_unitary = (m_mat * np.exp(-1j * prop.h1_eigenvalues * params.t1)) @ m_mat.T
-    x_mat = sym_unitary.real
-    x_mat = (x_mat + x_mat.T) * 0.5
-    y_mat = sym_unitary.imag
-    y_mat = (y_mat + y_mat.T) * 0.5
+    sym_unitary = prop.u1 * half[:, None]
+    sym_unitary *= half
+    x_mat = sym_unitary.real + sym_unitary.real.T
+    x_mat *= 0.5
+    y_mat = sym_unitary.imag + sym_unitary.imag.T
+    y_mat *= 0.5
+    del sym_unitary
 
     cos_vals, basis = np.linalg.eigh(x_mat)
+    del x_mat
     y_basis = y_mat @ basis
+    del y_mat
 
     dim = cos_vals.size
     sin_vals = np.empty(dim)
     cos_out = cos_vals.copy()
-    boundaries = np.flatnonzero(np.diff(cos_vals) > cluster_tol) + 1
+    boundaries = np.flatnonzero(np.diff(cos_vals) > COS_CLUSTER_TOL) + 1
     start = 0
     for stop in list(boundaries) + [dim]:
         idx = slice(start, stop)
@@ -276,7 +216,8 @@ def _spectrum_from_stages(prop: FloquetPropagator, cluster_tol: float):
 
 
 def _validate_spectrum(prop: FloquetPropagator, spectrum: QuasiSpectrum) -> None:
-    residual_matrix = prop.u_f @ spectrum.eigenstates - spectrum.eigenstates * spectrum.eigenvalues()
+    residual_matrix = prop.apply(spectrum.eigenstates)
+    residual_matrix -= spectrum.eigenstates * spectrum.eigenvalues()
     residual = np.max(np.linalg.norm(residual_matrix, axis=0))
     if residual > RESIDUAL_TOL:
         raise NumericError(f"quasi-spectrum eigenpair residual {residual:.2e} exceeds {RESIDUAL_TOL}")

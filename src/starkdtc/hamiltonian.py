@@ -136,14 +136,6 @@ class SimulationParams:
         }
 
 
-@dataclass(frozen=True)
-class StageHamiltonians:
-    """H1 as a dense real symmetric matrix, H2 as its z-basis diagonal."""
-
-    h1: np.ndarray
-    h2_diagonal: np.ndarray
-
-
 def _guard_dimension(params: SimulationParams) -> None:
     if params.L > MAX_DENSE_SITES:
         raise ResourceLimitError(
@@ -198,7 +190,3 @@ def build_h1(params: SimulationParams) -> np.ndarray:
 def build_h2_diagonal(params: SimulationParams) -> np.ndarray:
     """Stage-2 diagonal: interaction plus Stark potential."""
     return interaction_diagonal(params) + stark_diagonal(params)
-
-
-def build_stage_hamiltonians(params: SimulationParams) -> StageHamiltonians:
-    return StageHamiltonians(h1=build_h1(params), h2_diagonal=build_h2_diagonal(params))

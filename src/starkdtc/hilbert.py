@@ -76,11 +76,6 @@ class StateVector:
         return None
 
 
-def _check_site(j: int, basis: BasisConfig) -> None:
-    if not 1 <= j <= basis.L:
-        raise ValueError(f"site index {j} out of range 1..{basis.L}")
-
-
 def z_product_state(bits: str, basis: BasisConfig) -> StateVector:
     """Computational basis state from a bit string, leftmost character = site 1.
 
@@ -122,26 +117,6 @@ def state_from_amplitudes(triples, basis: BasisConfig) -> StateVector:
     return StateVector(amps / norm, basis, label="amplitudes")
 
 
-def occupation_diagonal(j: int, basis: BasisConfig) -> np.ndarray:
-    """Diagonal of n_j = |r>_j<r|: d[b] = bit j-1 of b."""
-    _check_site(j, basis)
-    b = np.arange(basis.dimension, dtype=np.int64)
-    return ((b >> (j - 1)) & 1).astype(float)
-
-
-def sigma_z_diagonal(j: int, basis: BasisConfig) -> np.ndarray:
-    """Diagonal of sigma^z_j = |r>_j<r| - |g>_j<g| = 2 n_j - 1."""
-    return 2.0 * occupation_diagonal(j, basis) - 1.0
-
-
 def sigma_z_stack(basis: BasisConfig) -> np.ndarray:
     """(L, 2^L) array of all sigma^z_j diagonals."""
     return 2.0 * basis.occupations() - 1.0
-
-
-def sigma_x_expectation(state: StateVector, j: int) -> float:
-    """<psi| sigma^x_j |psi>, pairing amplitudes that differ only in bit j-1."""
-    _check_site(j, state.basis)
-    flipped = np.arange(state.dimension, dtype=np.int64) ^ (1 << (j - 1))
-    value = np.vdot(state.amplitudes, state.amplitudes[flipped])
-    return float(value.real)

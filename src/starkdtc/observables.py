@@ -26,8 +26,6 @@ NORM_DRIFT_TOL = 1e-8
 MAGNITUDE_TOL = 1e-9
 REALNESS_TOL = 1e-10
 REVERSAL_ZERO_ATOL = 1e-12
-SPECTRAL_CROSSCHECK_TOL = 1e-8
-SPECTRAL_EVOLUTION_THRESHOLD = 10_000
 
 
 @dataclass(frozen=True)
@@ -99,33 +97,19 @@ def _check_norm(psi: np.ndarray) -> None:
         raise NumericError(f"state norm drifted by {drift:.2e} during evolution")
 
 
-def _spectral_evolver(prop: FloquetPropagator, psi0: np.ndarray):
-    """psi(n) via phase powering in the Floquet eigenbasis."""
-    spectrum = prop.spectrum()
-    coeff = spectrum.eigenstates.conj().T @ psi0
-    eigenvalues = spectrum.eigenvalues()
-
-    def step(n: int) -> np.ndarray:
-        return spectrum.eigenstates @ (eigenvalues**n * coeff)
-
-    return step
-
-
 def autocorrelator_series(
     prop: FloquetPropagator,
     psi0: StateVector,
     n_cycles: int,
     method: str = "auto",
-    evolution: str = "matvec",
 ) -> AutocorrelatorSeries:
     """Stroboscopic autocorrelator over n_cycles Floquet periods.
 
-    `method` picks the evaluation path: "fast" evolves a single vector and is
-    valid only for z-product initial states (sigma^z psi0 = s_j psi0),
-    "general" co-evolves sigma^z_j psi0 for every site, "auto" selects by
-    inspecting psi0.  `evolution` is "matvec" (repeated dense products) or
-    "spectral" (diagonalize U_F once and power the phases), the latter
-    cross-validated against matvec over the first 100 cycles.
+    Every cycle is one `prop.apply`, Phi * (U1 psi), followed by the norm
+    check.  `method` picks the evaluation path: "fast" evolves a single
+    vector and is valid only for z-product initial states (sigma^z psi0 =
+    s_j psi0), "general" co-evolves sigma^z_j psi0 for every site, "auto"
+    selects by inspecting psi0.
     """
     if n_cycles < 1:
         raise ValueError(f"cycle count must be >= 1, got {n_cycles}")
@@ -135,8 +119,6 @@ def autocorrelator_series(
         )
     if method not in ("auto", "fast", "general"):
         raise ValueError(f"unknown method {method!r}")
-    if evolution not in ("matvec", "spectral"):
-        raise ValueError(f"unknown evolution {evolution!r}")
 
     product_index = psi0.product_state_index()
     if method == "auto":
@@ -148,7 +130,7 @@ def autocorrelator_series(
     sz = sigma_z_stack(basis)
 
     if method == "fast":
-        values = _series_fast(prop, psi0, sz, product_index, n_cycles, evolution)
+        values = _series_fast(prop, psi0, sz, product_index, n_cycles)
     else:
         values = _series_general(prop, psi0, sz, n_cycles)
 
@@ -162,28 +144,10 @@ def autocorrelator_series(
     )
 
 
-def _series_fast(prop, psi0, sz, product_index, n_cycles, evolution):
+def _series_fast(prop, psi0, sz, product_index, n_cycles):
     signs = sz[:, product_index]
     values = np.empty(n_cycles + 1)
     values[0] = 1.0
-
-    if evolution == "spectral":
-        step = _spectral_evolver(prop, psi0.amplitudes)
-        check_upto = min(100, n_cycles)
-        psi_check = psi0.amplitudes.copy()
-        for n in range(1, n_cycles + 1):
-            psi = step(n)
-            _check_norm(psi)
-            values[n] = signs @ (sz @ (np.abs(psi) ** 2)) / len(signs)
-            if n <= check_upto:
-                psi_check = prop.apply(psi_check)
-                ref = signs @ (sz @ (np.abs(psi_check) ** 2)) / len(signs)
-                if abs(ref - values[n]) > SPECTRAL_CROSSCHECK_TOL:
-                    raise NumericError(
-                        f"spectral evolution deviates from matvec by {abs(ref - values[n]):.2e} at cycle {n}"
-                    )
-        return values
-
     psi = psi0.amplitudes.copy()
     for n in range(1, n_cycles + 1):
         psi = prop.apply(psi)
@@ -232,15 +196,6 @@ def fourier_spectrum(series: AutocorrelatorSeries) -> SpectralResult:
     )
 
 
-def subharmonic_amplitude(series: AutocorrelatorSeries) -> float:
-    """A_pi shortcut: single-bin evaluation at omega = pi."""
-    if series.n_cycles % 2 != 0:
-        raise ValueError(f"cycle count must be even for an exact omega=pi bin, got {series.n_cycles}")
-    n = np.arange(1, series.n_cycles + 1)
-    bin_value = np.sum(series.values[1:] * np.exp(-1j * np.pi * n))
-    return float(np.abs(bin_value) / series.n_cycles)
-
-
 def reversal_analysis(values: np.ndarray, zero_atol: float = REVERSAL_ZERO_ATOL) -> LifetimeResult:
     """Sign-reversal analysis of a stroboscopic series C[0..n_max].
 
@@ -274,19 +229,10 @@ def lifetime(
     psi0: StateVector,
     n_max: int,
     zero_atol: float = REVERSAL_ZERO_ATOL,
-    evolution: str = "auto",
 ) -> LifetimeResult:
-    """DTC lifetime from the autocorrelator over up to n_max cycles.
-
-    evolution="auto" switches to spectral phase powering beyond 10^4 cycles:
-    one quasi-spectrum, then a dense O(dim^2) product with the Floquet
-    eigenbasis per cycle, no cheaper than the matvec path.
-    """
+    """DTC lifetime from the autocorrelator over up to n_max cycles, each
+    cycle one `prop.apply`; see `reversal_analysis` for the definitions."""
     if n_max < 2:
         raise ValueError(f"cycle cap must be >= 2, got {n_max}")
-    if evolution == "auto":
-        evolution = "spectral" if (
-            n_max > SPECTRAL_EVOLUTION_THRESHOLD and prop.has_stage_factorization
-        ) else "matvec"
-    series = autocorrelator_series(prop, psi0, n_max, method="auto", evolution=evolution)
+    series = autocorrelator_series(prop, psi0, n_max, method="auto")
     return reversal_analysis(series.values, zero_atol=zero_atol)

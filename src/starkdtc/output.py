@@ -3,13 +3,17 @@
 Data files are plain UTF-8 CSV (header row, '.' decimal separator, no
 thousands separators) with byte-deterministic float formatting; everything
 needed to re-run a computation bit-identically goes into a JSON sidecar next
-to the data file, so timestamps never perturb the data bytes.
+to the data file, so timestamps never perturb the data bytes.  Every file is
+written to a temp file in its directory and renamed into place, so an
+interrupted write leaves the previous file as it was.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import os
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -28,24 +32,39 @@ def format_cell(value) -> str:
     return str(value)
 
 
-def write_csv(path, header, rows) -> Path:
+@contextmanager
+def atomic_open(path):
+    """Text handle on `path`.tmp, renamed over `path` when the block succeeds.
+
+    A write that fails part-way leaves the previous `path` byte-identical and
+    removes the temp file.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    scratch = path.with_name(path.name + ".tmp")
+    try:
+        with open(scratch, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+        os.replace(scratch, path)
+    except BaseException:
+        scratch.unlink(missing_ok=True)
+        raise
+
+
+def write_csv(path, header, rows) -> Path:
+    with atomic_open(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([format_cell(cell) for cell in row])
-    return path
+    return Path(path)
 
 
 def write_json(path, payload) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
+    return Path(path)
 
 
 def write_sidecar(data_path, metadata: dict) -> Path:

@@ -3,11 +3,10 @@
 A sweep evaluates one observable on a 1- or 2-axis grid around a base
 parameter set.  Points sharing a stage-1 key (L, Omega, epsilon, V, kernel,
 T1) differ only by the diagonal stage-2 phase Phi = exp(-i H2 T2).  The sweep
-therefore fetches the H1 eigensystem and U1 once per key and evolves the
-key's z-product initial states together as the columns of one block,
-Psi <- Phi * (U1 Psi): one gemm per cycle for the group, and no dense U_F per
-point.  The overlap table needs each point's quasi-spectrum and keeps a
-per-point propagator.
+therefore fetches U1 once per key and evolves the key's z-product initial
+states together as the columns of one block, Psi <- Phi * (U1 Psi): one gemm
+per cycle for the group, and no dense U_F per point.  The overlap table
+needs each point's quasi-spectrum and keeps a per-point propagator.
 
 Evaluation runs on the calling thread (BLAS already uses every core) and is
 deterministic: every block is padded to full zgemm panels (see _PANEL), so a
@@ -20,7 +19,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from itertools import product
@@ -30,14 +28,8 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import ConfigError, NumericError
-from .floquet import (
-    FloquetPropagator,
-    u1_from_eigensystem,
-    overlaps,
-    propagator_u2,
-    unitarity_deviation,
-)
-from .hamiltonian import KERNEL_VARIANTS, SimulationParams, build_h1, build_h2_diagonal
+from .floquet import FloquetPropagator, overlaps, propagator_u2, stage1_unitary
+from .hamiltonian import KERNEL_VARIANTS, SimulationParams, build_h2_diagonal
 from .hilbert import sigma_z_stack, z_product_state
 from .observables import (
     MAGNITUDE_TOL,
@@ -46,7 +38,7 @@ from .observables import (
     fourier_spectrum,
     reversal_analysis,
 )
-from .output import params_metadata, write_csv, write_sidecar
+from .output import atomic_open, params_metadata, write_csv, write_sidecar
 
 AXIS_NAMES = ("epsilon", "F_T2", "V", "L", "kernel", "initial_state")
 OBSERVABLES = ("a_pi", "lifetime", "series", "spectrum", "overlap_table")
@@ -65,7 +57,7 @@ ALL_ONES = "all_ones"
 
 JOURNAL_KIND = "starkdtc-sweep-journal"
 
-# rough cap on cached eigensystems (~1.5 GB of stage-1 data)
+# rough cap on the cached stage-1 unitaries (~1.5 GB)
 _CACHE_BYTE_BUDGET = 1_500_000_000
 
 # zgemm evaluates full 4-column panels in one fixed order, so a block padded
@@ -164,12 +156,12 @@ class SweepSpec:
 class PropagatorFactory:
     """Stage-1 propagators cached per key, under a byte budget.
 
-    `stage1` returns the H1 eigensystem and U1 for the key (L, Omega,
-    epsilon, V, kernel, T1), computing them on a miss; unitarity is validated
-    once per cached U1.  The grouped sweep applies U1 and the stage-2 phase
-    to a block of states directly; `get` assembles the dense U_F of one
-    point, whose row scaling by the diagonal stage preserves unitarity
-    exactly.  Not thread-safe: sweeps run on the calling thread.
+    `stage1` returns U1 for the key (L, Omega, epsilon, V, kernel, T1),
+    building it with `floquet.stage1_unitary` (which checks its unitarity)
+    on a miss.  The grouped sweep applies U1 and the stage-2 phase to a
+    block of states directly; `get` wraps the cached U1 and one point's
+    stage-2 diagonal in a propagator.  Not thread-safe: sweeps run on the
+    calling thread.
     """
 
     def __init__(self, byte_budget: int = _CACHE_BYTE_BUDGET):
@@ -180,45 +172,20 @@ class PropagatorFactory:
     def key(params: SimulationParams):
         return (params.L, params.omega, params.epsilon, params.v, params.kernel, params.t1)
 
-    def stage1(self, params: SimulationParams):
-        """(eigs, vecs, U1) of the point's stage-1 key."""
+    def stage1(self, params: SimulationParams) -> np.ndarray:
+        """U1 of the point's stage-1 key."""
         key = self.key(params)
         if key in self._cache:
             self._cache.move_to_end(key)
             return self._cache[key]
-        h1 = build_h1(params)
-        eigs, vecs = np.linalg.eigh(h1)
-        del h1
-        u1 = u1_from_eigensystem(eigs, vecs, params.t1)
-        dev = unitarity_deviation(u1)
-        if dev > 1e-10:
-            raise NumericError(f"cached stage-1 propagator deviates from unitarity by {dev:.2e}")
-        entry = (eigs, vecs, u1)
-        self._cache[key] = entry
-        self._evict()
-        return entry
-
-    def _evict(self):
-        def entry_bytes(item):
-            eigs, vecs, u1 = item
-            return eigs.nbytes + vecs.nbytes + u1.nbytes
-
-        while len(self._cache) > 1 and sum(entry_bytes(v) for v in self._cache.values()) > self._byte_budget:
+        u1 = stage1_unitary(params)
+        self._cache[key] = u1
+        while len(self._cache) > 1 and sum(u.nbytes for u in self._cache.values()) > self._byte_budget:
             self._cache.popitem(last=False)
+        return u1
 
     def get(self, params: SimulationParams) -> FloquetPropagator:
-        eigs, vecs, u1 = self.stage1(params)
-        h2 = build_h2_diagonal(params)
-        phase2 = propagator_u2(h2, params.t2)
-        return FloquetPropagator(
-            phase2[:, None] * u1,
-            params=params,
-            h1_eigenvalues=eigs,
-            h1_eigenvectors=vecs,
-            h2_diagonal=h2,
-            phase2=phase2,
-            validate=False,
-        )
+        return FloquetPropagator(params, self.stage1(params), build_h2_diagonal(params))
 
 
 @dataclass
@@ -365,7 +332,7 @@ def _evaluate_group(spec: SweepSpec, members, factory: PropagatorFactory):
     n_cycles = spec.n_max if spec.observable == "lifetime" else spec.n_cycles
     try:
         first = members[0][2]
-        _, _, u1 = factory.stage1(first)
+        u1 = factory.stage1(first)
         sz = sigma_z_stack(first.basis)
     except Exception as exc:  # a failed stage 1 fails every point of its key
         for index, coords, _, _ in members:
@@ -411,9 +378,8 @@ class _Journal:
         if resume and self.path.exists():
             self._load(fingerprint)
         else:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
             header = {"kind": JOURNAL_KIND, "fingerprint": fingerprint}
-            with open(self.path, "w", encoding="utf-8") as fh:
+            with atomic_open(self.path) as fh:
                 fh.write(json.dumps(header, sort_keys=True) + "\n")
 
     def _load(self, fingerprint: str):
@@ -444,9 +410,8 @@ class _Journal:
         if intact != text:
             # drop the torn tail before appending, via a rename so a second
             # interruption cannot lose the intact lines
-            scratch = self.path.with_name(self.path.name + ".tmp")
-            scratch.write_text(intact, encoding="utf-8")
-            os.replace(scratch, self.path)
+            with atomic_open(self.path) as fh:
+                fh.write(intact)
 
     def record(self, index: int, coords: dict, value, error):
         entry = {"index": index, "coords": coords}
@@ -478,8 +443,8 @@ def run_sweep(
     """Evaluate the observable at every grid point, on the calling thread.
 
     For the a_pi, series, spectrum and lifetime observables the pending
-    points are grouped by stage-1 key; each group fetches (eigs, vecs, U1)
-    once from `factory` and evolves its initial states as one column block.
+    points are grouped by stage-1 key; each group fetches U1 once from
+    `factory` and evolves its initial states as one column block.
     overlap_table evaluates each point's quasi-spectrum.  Per-point numeric
     failures are recorded in place as error markers; the whole sweep fails
     only on an invalid spec or journal.  With `journal_path` set every
@@ -563,36 +528,14 @@ def initial_state_comparison(
         n_cycles=n_cycles,
     )
     series_result = run_sweep(spec, factory=factory)
-
-    spectra_values = []
-    for record, coords in zip(series_result.values, series_result.coords):
-        if record is None:
-            spectra_values.append(None)
-            continue
-        series = AutocorrelatorSeries(
-            values=np.asarray(record["c"]),
-            n_cycles=n_cycles,
-            params=None,
-            initial_state=str(coords.get("initial_state", "")),
-        )
-        spectral = fourier_spectrum(series)
-        spectra_values.append(
-            {
-                "omega": spectral.frequencies.tolist(),
-                "magnitude": spectral.magnitudes.tolist(),
-                "a_pi": spectral.a_pi,
-            }
-        )
-    spectra_spec = SweepSpec(
-        axes=spec.axes,
-        base=base,
-        observable="spectrum",
-        n_cycles=n_cycles,
-    )
+    spectra_spec = SweepSpec(axes=spec.axes, base=base, observable="spectrum", n_cycles=n_cycles)
     spectra_result = SweepResult(
         spec=spectra_spec,
         coords=list(series_result.coords),
-        values=spectra_values,
+        values=[
+            None if record is None else _series_record(spectra_spec, np.asarray(record["c"]))
+            for record in series_result.values
+        ],
         errors=list(series_result.errors),
     )
     return InitialStateComparison(series=series_result, spectra=spectra_result)

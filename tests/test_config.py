@@ -159,10 +159,11 @@ def test_parse_config_num_range():
 
 
 def test_parse_config_output_and_threads():
-    cfg = parse_config(make_config(output={"format": "json"}, threads=4, seed=7))
+    cfg = parse_config(make_config(output={"format": "json"}, threads=4))
     assert cfg.out_format == "json"
     assert cfg.threads == 4
-    assert cfg.seed == 7  # accepted, unused
+    with pytest.raises(ConfigError, match="seed"):
+        parse_config(make_config(seed=7))  # no longer a config key
     with pytest.raises(ConfigError, match="format"):
         parse_config(make_config(output={"format": "xml"}))
     with pytest.raises(ConfigError, match="threads"):

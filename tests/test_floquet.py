@@ -3,7 +3,6 @@ import pytest
 import scipy.linalg
 
 from starkdtc import (
-    FloquetPropagator,
     NumericError,
     OverlapTable,
     SimulationParams,
@@ -12,12 +11,13 @@ from starkdtc import (
     find_pi_pair,
     floquet_operator,
     overlaps,
-    propagator_u1,
     propagator_u2,
     quasi_spectrum,
     z_product_state,
 )
+import starkdtc.floquet as floquet
 from starkdtc.floquet import circular_gap, unitarity_deviation
+from starkdtc.sweep import PropagatorFactory
 from _oracles import trotter_floquet
 
 
@@ -32,27 +32,6 @@ def random_params(rng, l_max=6):
         t2=10.0,
         kernel=str(rng.choice(["NN", "NNN", "NNNN", "ALL"])),
     )
-
-
-def test_propagator_u1_single_qubit_closed_form():
-    h1 = build_h1(SimulationParams(L=1, omega=np.pi / 2, epsilon=0.0))
-    u1 = propagator_u1(h1, 1.0)
-    assert np.allclose(u1, [[0, -1j], [-1j, 0]], atol=1e-14)
-
-
-def test_propagator_u1_zero_hamiltonian():
-    u1 = propagator_u1(np.zeros((8, 8)), 1.7)
-    assert np.allclose(u1, np.eye(8), atol=1e-15)
-
-
-def test_propagator_u1_unitary_complex_hermitian():
-    rng = np.random.default_rng(5)
-    a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-    h = (a + a.conj().T) / 2
-    u1 = propagator_u1(h, 2.3)
-    assert np.max(np.abs(u1 @ u1.conj().T - np.eye(16))) < 1e-10
-    with pytest.raises(ValueError):
-        propagator_u1(a, 1.0)  # not Hermitian
 
 
 def test_propagator_u2():
@@ -103,7 +82,7 @@ def test_composition_consistency():
     rng = np.random.default_rng(9)
     p = SimulationParams(L=6, omega=np.pi / 2, epsilon=0.21, v=0.1, f=0.02)
     prop = floquet_operator(p)
-    u1 = propagator_u1(build_h1(p), p.t1)
+    u1 = scipy.linalg.expm(-1j * p.t1 * build_h1(p))
     phase2 = propagator_u2(build_h2_diagonal(p), p.t2)
     for _ in range(50):
         psi = rng.normal(size=64) + 1j * rng.normal(size=64)
@@ -168,18 +147,28 @@ def test_quasi_spectrum_against_schur_oracle():
         assert np.max(np.abs(got - ref)) < 1e-9
 
 
-def test_quasi_spectrum_generic_path_matches_stage_path():
-    p = SimulationParams(L=5, omega=np.pi / 2, epsilon=0.3, v=0.1, f=0.025)
+def test_quasi_spectrum_against_schur_and_powers_at_l10():
+    # figure scale: the quasi-energies match an independent complex Schur
+    # decomposition of the dense U_F, and the spectral sum
+    # sum_a w_a exp(-i n E_a) reproduces <psi0|U_F^n psi0> from repeated
+    # applies, which holds however a near-degenerate pair is rotated
+    p = SimulationParams(L=10, omega=np.pi / 2, epsilon=0.3, v=0.1).with_f_t2(0.25)
     prop = floquet_operator(p)
-    bare = FloquetPropagator(prop.u_f.copy(), params=p)
-    assert not bare.has_stage_factorization
-    spec_fast = quasi_spectrum(prop)
-    spec_generic = quasi_spectrum(bare)
-    assert np.max(np.abs(spec_fast.quasi_energies - spec_generic.quasi_energies)) < 1e-9
-    psi0 = z_product_state("10101", p.basis)
-    w_fast = overlaps(spec_fast, psi0).overlaps
-    w_generic = overlaps(spec_generic, psi0).overlaps
-    assert np.max(np.abs(w_fast - w_generic)) < 1e-9
+    spec = quasi_spectrum(prop)
+    t_mat, _ = scipy.linalg.schur(prop.u_f, output="complex")
+    ref = np.sort(np.angle(np.diag(t_mat)))
+    got = np.sort(np.angle(spec.eigenvalues()))
+    assert np.max(np.abs(got - ref)) < 1e-9
+
+    psi0 = z_product_state("1" * p.L, p.basis)
+    amplitudes = spec.eigenstates.conj().T @ psi0.amplitudes
+    weights = np.abs(amplitudes) ** 2
+    psi = psi0.amplitudes.copy()
+    for n in range(1, 41):
+        psi = prop.apply(psi)
+        direct = np.vdot(psi0.amplitudes, psi)
+        spectral = np.sum(weights * np.exp(-1j * n * spec.quasi_energies))
+        assert abs(spectral - direct) < 1e-9
 
 
 def test_spectrum_cache_returns_same_object():
@@ -257,9 +246,15 @@ def test_overlap_table_completeness_guard():
         OverlapTable(quasi_energies=np.array([0.0, 1.0]), overlaps=np.array([0.5, 0.4]))
 
 
-def test_unitarity_deviation_detects_failure():
+def test_unitarity_deviation_detects_failure(monkeypatch):
     bad = np.eye(4, dtype=complex)
     bad[0, 0] = 1.5
     assert unitarity_deviation(bad) > 0.1
-    with pytest.raises(NumericError):
-        FloquetPropagator(bad)
+    # a non-unitary U1 is rejected on both paths that build one
+    real_u1 = floquet.u1_from_eigensystem
+    monkeypatch.setattr(floquet, "u1_from_eigensystem", lambda *args: 1.5 * real_u1(*args))
+    p = SimulationParams(L=3, omega=np.pi / 2, epsilon=0.1, v=0.1, f=0.02)
+    with pytest.raises(NumericError, match="unitarity"):
+        floquet_operator(p)
+    with pytest.raises(NumericError, match="unitarity"):
+        PropagatorFactory().stage1(p)

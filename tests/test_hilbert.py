@@ -4,12 +4,10 @@ import pytest
 from starkdtc import (
     BasisConfig,
     StateVector,
-    occupation_diagonal,
-    sigma_x_expectation,
-    sigma_z_diagonal,
     state_from_amplitudes,
     z_product_state,
 )
+from starkdtc.hilbert import sigma_z_stack
 
 
 def test_basis_dimension_and_validation():
@@ -62,43 +60,27 @@ def test_z_product_state_rejects_bad_input():
 
 
 def test_occupation_diagonal_examples():
-    assert occupation_diagonal(1, BasisConfig(1)).tolist() == [0, 1]
-    assert occupation_diagonal(2, BasisConfig(2)).tolist() == [0, 0, 1, 1]
-    assert occupation_diagonal(1, BasisConfig(2)).tolist() == [0, 1, 0, 1]
-
-
-def test_occupation_diagonal_site_range():
-    basis = BasisConfig(4)
-    for j in (0, 5, -1):
-        with pytest.raises(ValueError):
-            occupation_diagonal(j, basis)
+    # row j-1 of BasisConfig.occupations() is the diagonal of n_j
+    assert BasisConfig(1).occupations()[0].tolist() == [0, 1]
+    assert BasisConfig(2).occupations()[1].tolist() == [0, 0, 1, 1]
+    assert BasisConfig(2).occupations()[0].tolist() == [0, 1, 0, 1]
 
 
 def test_occupation_sum_is_popcount():
     basis = BasisConfig(6)
-    total = sum(occupation_diagonal(j, basis) for j in range(1, 7))
+    total = basis.occupations().sum(axis=0)
     expected = [bin(b).count("1") for b in range(basis.dimension)]
     assert total.tolist() == expected
 
 
 def test_sigma_z_diagonal():
-    assert sigma_z_diagonal(1, BasisConfig(1)).tolist() == [-1, 1]
-    assert sigma_z_diagonal(1, BasisConfig(2)).tolist() == [-1, 1, -1, 1]
+    # row j-1 of sigma_z_stack is the diagonal of sigma^z_j = 2 n_j - 1
+    assert sigma_z_stack(BasisConfig(1)).tolist() == [[-1, 1]]
+    assert sigma_z_stack(BasisConfig(2))[0].tolist() == [-1, 1, -1, 1]
     basis = BasisConfig(5)
-    for j in range(1, 6):
-        d = sigma_z_diagonal(j, basis)
-        assert np.array_equal(d, 2 * occupation_diagonal(j, basis) - 1)
-        assert np.array_equal(d**2, np.ones(basis.dimension))
-
-
-def test_sigma_x_expectation_eigenstates():
-    basis = BasisConfig(1)
-    z1 = z_product_state("1", basis)
-    assert sigma_x_expectation(z1, 1) == pytest.approx(0.0, abs=1e-14)
-    plus = StateVector(np.array([1, 1]) / np.sqrt(2), basis)
-    minus = StateVector(np.array([1, -1]) / np.sqrt(2), basis)
-    assert sigma_x_expectation(plus, 1) == pytest.approx(1.0, abs=1e-14)
-    assert sigma_x_expectation(minus, 1) == pytest.approx(-1.0, abs=1e-14)
+    d = sigma_z_stack(basis)
+    assert np.array_equal(d, 2 * basis.occupations() - 1)
+    assert np.array_equal(d**2, np.ones((5, basis.dimension)))
 
 
 def test_state_vector_norm_guard():

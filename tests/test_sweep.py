@@ -241,7 +241,7 @@ def test_propagator_factory_cache_reuse():
     prop1 = factory.get(p1)
     prop2 = factory.get(p2)
     # stage-1 data shared, diagonal stage rebuilt
-    assert prop1.h1_eigenvectors is prop2.h1_eigenvectors
+    assert prop1.u1 is prop2.u1
     assert not np.array_equal(prop1.phase2, prop2.phase2)
     direct = floquet_operator(p2)
     assert np.max(np.abs(prop2.u_f - direct.u_f)) < 1e-12
@@ -307,7 +307,7 @@ def test_block_column_bits_independent_of_block(L, epsilon, width, data):
     f_values = data.draw(st.lists(st.floats(0.0, 0.5), min_size=width, max_size=width))
     starts = data.draw(st.lists(st.integers(0, (1 << L) - 1), min_size=width, max_size=width))
     base = SimulationParams(L=L, omega=np.pi / 2, epsilon=epsilon, v=0.1)
-    _, _, u1 = PropagatorFactory().stage1(base)
+    u1 = PropagatorFactory().stage1(base)
     sz = sigma_z_stack(base.basis)
     columns = [(base.with_f_t2(f), start) for f, start in zip(f_values, starts)]
     block, errors = _block_series(u1, columns, sz, 30)
