@@ -58,10 +58,8 @@ def _load_config(args) -> RunConfig:
         cfg.figure = args.figure
     if args.format is not None:
         cfg.out_format = args.format
-    if args.threads is not None:
-        if args.threads < 1:
-            raise ConfigError(f"--threads: expected a positive integer, got {args.threads}")
-        cfg.threads = args.threads
+    if args.threads is not None and args.threads < 1:
+        raise ConfigError(f"--threads: expected a positive integer, got {args.threads}")
     return cfg
 
 
@@ -94,67 +92,35 @@ def _write_table(out_dir: Path, name: str, fmt: str, header, rows, metadata: dic
     return path
 
 
-def _run_series(cfg: RunConfig, out_dir: Path) -> list:
+def _run_point(cfg: RunConfig, out_dir: Path) -> list:
+    """The series, spectrum, overlaps or lifetime table of one parameter point."""
     prop = floquet_operator(cfg.params)
     psi0 = _initial_state(cfg)
-    series = autocorrelator_series(prop, psi0, cfg.n_cycles)
     metadata = {
-        "command": "series",
+        "command": cfg.command,
         "params": params_metadata(cfg.params),
         "initial_state": psi0.label,
-        "n_cycles": cfg.n_cycles,
     }
-    return [_write_table(out_dir, "series", cfg.out_format, ["n", "c"], series.rows(), metadata)]
-
-
-def _run_spectrum(cfg: RunConfig, out_dir: Path) -> list:
-    prop = floquet_operator(cfg.params)
-    psi0 = _initial_state(cfg)
-    series = autocorrelator_series(prop, psi0, cfg.n_cycles)
-    spectral = fourier_spectrum(series)
-    metadata = {
-        "command": "spectrum",
-        "params": params_metadata(cfg.params),
-        "initial_state": psi0.label,
-        "n_cycles": cfg.n_cycles,
-        "a_pi": spectral.a_pi,
-    }
-    return [
-        _write_table(out_dir, "spectrum", cfg.out_format, ["omega", "magnitude"], spectral.rows(), metadata)
-    ]
-
-
-def _run_overlaps(cfg: RunConfig, out_dir: Path) -> list:
-    prop = floquet_operator(cfg.params)
-    psi0 = _initial_state(cfg)
-    table = overlaps(prop.spectrum(), psi0)
-    pair = find_pi_pair(table)
-    metadata = {
-        "command": "overlaps",
-        "params": params_metadata(cfg.params),
-        "initial_state": psi0.label,
-        "pi_pair": None
-        if pair is None
-        else {"gap": pair.gap, "combined_overlap": pair.combined_overlap},
-    }
-    return [
-        _write_table(
-            out_dir, "overlaps", cfg.out_format, ["quasi_energy", "overlap"], table.rows(), metadata
+    if cfg.command == "lifetime":
+        metadata.update(lifetime(prop, psi0, cfg.n_max).record())
+        return [write_json(out_dir / "lifetime.json", metadata)]
+    if cfg.command == "overlaps":
+        table = overlaps(prop.spectrum(), psi0)
+        pair = find_pi_pair(table)
+        metadata["pi_pair"] = (
+            None if pair is None else {"gap": pair.gap, "combined_overlap": pair.combined_overlap}
         )
-    ]
-
-
-def _run_lifetime(cfg: RunConfig, out_dir: Path) -> list:
-    prop = floquet_operator(cfg.params)
-    psi0 = _initial_state(cfg)
-    result = lifetime(prop, psi0, cfg.n_max)
-    record = {
-        "command": "lifetime",
-        "params": params_metadata(cfg.params),
-        "initial_state": psi0.label,
-    }
-    record.update(result.record())
-    return [write_json(out_dir / "lifetime.json", record)]
+        header, rows = ["quasi_energy", "overlap"], table.rows()
+    else:
+        series = autocorrelator_series(prop, psi0, cfg.n_cycles)
+        metadata["n_cycles"] = cfg.n_cycles
+        if cfg.command == "series":
+            header, rows = ["n", "c"], series.rows()
+        else:
+            spectral = fourier_spectrum(series)
+            metadata["a_pi"] = spectral.a_pi
+            header, rows = ["omega", "magnitude"], spectral.rows()
+    return [_write_table(out_dir, cfg.command, cfg.out_format, header, rows, metadata)]
 
 
 def _run_sweep_command(cfg: RunConfig, out_dir: Path, resume: bool) -> list:
@@ -177,18 +143,10 @@ def main(argv=None) -> int:
     try:
         if cfg.command == "figure":
             files = figure_command(cfg.figure, out_dir)
-        elif cfg.command == "series":
-            files = _run_series(cfg, out_dir)
-        elif cfg.command == "spectrum":
-            files = _run_spectrum(cfg, out_dir)
-        elif cfg.command == "overlaps":
-            files = _run_overlaps(cfg, out_dir)
-        elif cfg.command == "lifetime":
-            files = _run_lifetime(cfg, out_dir)
         elif cfg.command == "sweep":
             files = _run_sweep_command(cfg, out_dir, args.resume)
-        else:  # unreachable after config validation
-            raise ConfigError(f"unknown command {cfg.command!r}")
+        else:
+            files = _run_point(cfg, out_dir)
     except (ConfigError, ResourceLimitError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

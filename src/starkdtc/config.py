@@ -19,7 +19,6 @@ Schema (defaults in parentheses):
     sweep: {axes: [{name, values | start/stop/step | start/stop/num}],
             observable, grid_cap (10000)}
     figure: fig2 | fig3a | fig3b | fig3c | fig3d | fig4a | fig4b | fig5
-    threads (1): accepted but unused, kept for schema stability
 """
 
 from __future__ import annotations
@@ -89,7 +88,6 @@ class RunConfig:
     sweep: Optional[SweepSpec] = None
     figure: Optional[str] = None
     out_format: str = "csv"
-    threads: int = 1
     raw: dict = field(default_factory=dict)
 
     def initial_bits(self) -> str:
@@ -237,7 +235,7 @@ def parse_config(source: str) -> RunConfig:
         raise ConfigError("config: expected a JSON object at top level")
     known = {
         "command", "params", "initial_state", "n_cycles", "n_max",
-        "sweep", "figure", "output", "threads",
+        "sweep", "figure", "output",
     }
     unknown = sorted(set(data) - known)
     if unknown:
@@ -284,10 +282,6 @@ def parse_config(source: str) -> RunConfig:
     if out_format not in ("csv", "json"):
         raise ConfigError(f"output.format: expected 'csv' or 'json', got {out_format!r}")
 
-    threads = data.get("threads", 1)
-    if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
-        raise ConfigError(f"threads: expected a positive integer, got {threads!r}")
-
     sweep_spec = None
     if command == "sweep":
         if "sweep" not in data:
@@ -306,6 +300,5 @@ def parse_config(source: str) -> RunConfig:
         sweep=sweep_spec,
         figure=figure,
         out_format=out_format,
-        threads=threads,
         raw=data,
     )

@@ -91,10 +91,16 @@ class LifetimeResult:
         }
 
 
-def _check_norm(psi: np.ndarray) -> None:
+def _check_norm(psi: np.ndarray, cycle: int) -> None:
     drift = abs(np.linalg.norm(psi) - 1.0)
     if drift > NORM_DRIFT_TOL:
-        raise NumericError(f"state norm drifted by {drift:.2e} during evolution")
+        raise NumericError(f"state norm drifted by {drift:.2e} at cycle {cycle}")
+
+
+def _magnitude_error(values: np.ndarray) -> Optional[NumericError]:
+    if (np.abs(values) <= 1.0 + MAGNITUDE_TOL).all():
+        return None
+    return NumericError("autocorrelator magnitude exceeded 1 beyond tolerance")
 
 
 def autocorrelator_series(
@@ -105,11 +111,12 @@ def autocorrelator_series(
 ) -> AutocorrelatorSeries:
     """Stroboscopic autocorrelator over n_cycles Floquet periods.
 
-    Every cycle is one `prop.apply`, Phi * (U1 psi), followed by the norm
-    check.  `method` picks the evaluation path: "fast" evolves a single
-    vector and is valid only for z-product initial states (sigma^z psi0 =
-    s_j psi0), "general" co-evolves sigma^z_j psi0 for every site, "auto"
-    selects by inspecting psi0.
+    Every cycle advances the state by Phi * (U1 psi) and checks its norm.
+    `method` picks the evaluation path: "fast" is valid only for z-product
+    initial states (sigma^z psi0 = s_j psi0) and runs them through the
+    sweep's block loop as a one-column block, "general" co-evolves
+    sigma^z_j psi0 for every site with `prop.apply`, "auto" selects by
+    inspecting psi0.  A failed check raises `NumericError` naming the cycle.
     """
     if n_cycles < 1:
         raise ValueError(f"cycle count must be >= 1, got {n_cycles}")
@@ -130,12 +137,13 @@ def autocorrelator_series(
     sz = sigma_z_stack(basis)
 
     if method == "fast":
-        values = _series_fast(prop, psi0, sz, product_index, n_cycles)
+        block, (error,) = _evolve_block(prop.u1, prop.phase2[:, None], [product_index], sz, n_cycles)
+        values = block[:, 0]
     else:
         values = _series_general(prop, psi0, sz, n_cycles)
-
-    if not (np.abs(values) <= 1.0 + MAGNITUDE_TOL).all():
-        raise NumericError("autocorrelator magnitude exceeded 1 beyond tolerance")
+        error = _magnitude_error(values)
+    if error is not None:
+        raise error
     return AutocorrelatorSeries(
         values=values,
         n_cycles=n_cycles,
@@ -144,16 +152,46 @@ def autocorrelator_series(
     )
 
 
-def _series_fast(prop, psi0, sz, product_index, n_cycles):
-    signs = sz[:, product_index]
-    values = np.empty(n_cycles + 1)
+def _evolve_block(u1, phi, starts, sz, n_cycles):
+    """C(n) of z-product states evolved together by Psi <- Phi * (U1 Psi).
+
+    `phi` is an F-order (dim, width) block holding the stage-2 phase column
+    of each state, in the order of `starts` (their basis indices), then zero
+    columns as padding.  Returns the (n_cycles + 1, len(starts)) series and
+    one `NumericError` (or None) per state.  A state whose norm drifts is
+    zeroed and no longer checked, so it cannot touch the others; the loop
+    stops once every state has failed.
+    """
+    count = len(starts)
+    dim, width = phi.shape
+    psi = np.zeros((dim, width), dtype=complex, order="F")
+    psi[starts, np.arange(count)] = 1.0
+    work = np.empty_like(psi)
+    errors = [None] * count
+    live = list(range(count))
+    signs = [sz[:, start] for start in starts]
+    length = sz.shape[0]
+
+    values = np.zeros((n_cycles + 1, count), order="F")
     values[0] = 1.0
-    psi = psi0.amplitudes.copy()
     for n in range(1, n_cycles + 1):
-        psi = prop.apply(psi)
-        _check_norm(psi)
-        values[n] = signs @ (sz @ (np.abs(psi) ** 2)) / len(signs)
-    return values
+        if not live:
+            break
+        np.matmul(u1, psi, out=work)
+        np.multiply(phi, work, out=psi)
+        prob = np.abs(psi) ** 2
+        drift = np.abs(np.sqrt(prob.sum(axis=0)) - 1.0)
+        for col in list(live):
+            if drift[col] > NORM_DRIFT_TOL:
+                errors[col] = NumericError(f"state norm drifted by {drift[col]:.2e} at cycle {n}")
+                psi[:, col] = 0.0
+                live.remove(col)
+                continue
+            # per column: a block-wide sz @ prob would round by block width
+            values[n, col] = signs[col] @ (sz @ prob[:, col]) / length
+    for col in live:
+        errors[col] = _magnitude_error(values[:, col])
+    return values, errors
 
 
 def _series_general(prop, psi0, sz, n_cycles):
@@ -166,7 +204,7 @@ def _series_general(prop, psi0, sz, n_cycles):
     for n in range(1, n_cycles + 1):
         psi = prop.apply(psi)
         chi = prop.apply(chi)
-        _check_norm(psi)
+        _check_norm(psi, n)
         correlator = np.einsum("jb,bj->", sz, chi.conj() * psi[:, None]) / length
         if abs(correlator.imag) > REALNESS_TOL:
             raise NumericError(

@@ -2,11 +2,12 @@
 
 A sweep evaluates one observable on a 1- or 2-axis grid around a base
 parameter set.  Points sharing a stage-1 key (L, Omega, epsilon, V, kernel,
-T1) differ only by the diagonal stage-2 phase Phi = exp(-i H2 T2).  The sweep
-therefore fetches U1 once per key and evolves the key's z-product initial
-states together as the columns of one block, Psi <- Phi * (U1 Psi): one gemm
-per cycle for the group, and no dense U_F per point.  The overlap table
-needs each point's quasi-spectrum and keeps a per-point propagator.
+T1) differ only by the diagonal stage-2 phase Phi = exp(-i H2 T2).  Every
+observable therefore runs key by key: the sweep builds U1 once per key, then
+either evolves the key's z-product initial states together as the columns
+of one block, Psi <- Phi * (U1 Psi) (one gemm per cycle for the group, and
+no dense U_F per point), or, for the overlap table, wraps U1 and each
+point's stage-2 diagonal in a propagator for its quasi-spectrum.
 
 Evaluation runs on the calling thread (BLAS already uses every core) and is
 deterministic: every block is padded to full zgemm panels (see _PANEL), so a
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from itertools import product
 from pathlib import Path
@@ -31,13 +31,7 @@ from .exceptions import ConfigError, NumericError
 from .floquet import FloquetPropagator, overlaps, propagator_u2, stage1_unitary
 from .hamiltonian import KERNEL_VARIANTS, SimulationParams, build_h2_diagonal
 from .hilbert import sigma_z_stack, z_product_state
-from .observables import (
-    MAGNITUDE_TOL,
-    NORM_DRIFT_TOL,
-    AutocorrelatorSeries,
-    fourier_spectrum,
-    reversal_analysis,
-)
+from .observables import AutocorrelatorSeries, _evolve_block, fourier_spectrum, reversal_analysis
 from .output import atomic_open, params_metadata, write_csv, write_sidecar
 
 AXIS_NAMES = ("epsilon", "F_T2", "V", "L", "kernel", "initial_state")
@@ -56,9 +50,6 @@ DEFAULT_GRID_CAP = 10_000
 ALL_ONES = "all_ones"
 
 JOURNAL_KIND = "starkdtc-sweep-journal"
-
-# rough cap on the cached stage-1 unitaries (~1.5 GB)
-_CACHE_BYTE_BUDGET = 1_500_000_000
 
 # zgemm evaluates full 4-column panels in one fixed order, so a block padded
 # to a multiple of 4 columns gives every column the same bits at any width
@@ -154,19 +145,20 @@ class SweepSpec:
 
 
 class PropagatorFactory:
-    """Stage-1 propagators cached per key, under a byte budget.
+    """The stage-1 unitary of the last key asked for.
 
     `stage1` returns U1 for the key (L, Omega, epsilon, V, kernel, T1),
     building it with `floquet.stage1_unitary` (which checks its unitarity)
-    on a miss.  The grouped sweep applies U1 and the stage-2 phase to a
-    block of states directly; `get` wraps the cached U1 and one point's
-    stage-2 diagonal in a propagator.  Not thread-safe: sweeps run on the
-    calling thread.
+    when the key differs from the last one; the previous U1 is released
+    first, so at most one is held.  Every caller reads its keys back to
+    back (the grouped sweep once per key), so one entry serves them all.
+    `get` wraps U1 and one point's stage-2 diagonal in a propagator.  Not
+    thread-safe: sweeps run on the calling thread.
     """
 
-    def __init__(self, byte_budget: int = _CACHE_BYTE_BUDGET):
-        self._cache: OrderedDict = OrderedDict()
-        self._byte_budget = byte_budget
+    def __init__(self):
+        self._key = None
+        self._u1 = None
 
     @staticmethod
     def key(params: SimulationParams):
@@ -175,14 +167,12 @@ class PropagatorFactory:
     def stage1(self, params: SimulationParams) -> np.ndarray:
         """U1 of the point's stage-1 key."""
         key = self.key(params)
-        if key in self._cache:
-            self._cache.move_to_end(key)
-            return self._cache[key]
-        u1 = stage1_unitary(params)
-        self._cache[key] = u1
-        while len(self._cache) > 1 and sum(u.nbytes for u in self._cache.values()) > self._byte_budget:
-            self._cache.popitem(last=False)
-        return u1
+        if key != self._key:
+            # drop the old U1 before building: two at once would double the peak
+            self._key = self._u1 = None
+            self._u1 = stage1_unitary(params)
+            self._key = key
+        return self._u1
 
     def get(self, params: SimulationParams) -> FloquetPropagator:
         return FloquetPropagator(params, self.stage1(params), build_h2_diagonal(params))
@@ -271,73 +261,62 @@ def _series_record(spec: SweepSpec, values: np.ndarray) -> dict:
 
 
 def _block_series(u1: np.ndarray, columns, sz: np.ndarray, n_cycles: int):
-    """C(n) of z-product states evolved together by Psi <- Phi * (U1 Psi).
+    """C(n) of the z-product states of one stage-1 key, as one column block.
 
     `columns` holds one (params, basis index) pair per state; all share the
     stage-1 propagator `u1`.  The block is widened with zero columns to a
     multiple of 4, which keeps each column's bits independent of the rest of
     the block, a lone point included.
     Returns the (n_cycles + 1, k) series and one error marker (or None) per
-    column.  A failed column (stage-2 build, norm drift, |C| > 1) is zeroed
-    and no longer checked, so it cannot touch the others.
+    column.
     """
     count = len(columns)
     width = -(-count // _PANEL) * _PANEL
-    dim = u1.shape[0]
-    psi = np.zeros((dim, width), dtype=complex, order="F")
-    phi = np.zeros((dim, width), dtype=complex, order="F")
-    work = np.empty((dim, width), dtype=complex, order="F")
+    phi = np.zeros((u1.shape[0], width), dtype=complex, order="F")
     errors = [None] * count
-    for col, (params, start) in enumerate(columns):
+    for col, (params, _) in enumerate(columns):
         try:
             phi[:, col] = propagator_u2(build_h2_diagonal(params), params.t2)
         except Exception as exc:  # a bad stage 2 fails its own point only
             errors[col] = _marker(exc)
-            continue
-        psi[start, col] = 1.0
-    live = [col for col in range(count) if errors[col] is None]
-    signs = [sz[:, start] for _, start in columns]
-    length = sz.shape[0]
-
-    values = np.zeros((n_cycles + 1, count), order="F")
-    values[0] = 1.0
-    for n in range(1, n_cycles + 1):
-        np.matmul(u1, psi, out=work)
-        np.multiply(phi, work, out=psi)
-        prob = np.abs(psi) ** 2
-        drift = np.abs(np.sqrt(prob.sum(axis=0)) - 1.0)
-        for col in list(live):
-            if drift[col] > NORM_DRIFT_TOL:
-                errors[col] = _marker(
-                    NumericError(f"state norm drifted by {drift[col]:.2e} at cycle {n}")
-                )
-                psi[:, col] = 0.0
-                phi[:, col] = 0.0
-                live.remove(col)
-                continue
-            # per column: a block-wide sz @ prob would round by block width
-            values[n, col] = signs[col] @ (sz @ prob[:, col]) / length
-    for col in live:
-        if not (np.abs(values[:, col]) <= 1.0 + MAGNITUDE_TOL).all():
-            errors[col] = _marker(NumericError("autocorrelator magnitude exceeded 1 beyond tolerance"))
+    # a column left at zero phase loses its norm in cycle 1 and drops out
+    values, faults = _evolve_block(u1, phi, [start for _, start in columns], sz, n_cycles)
+    for col, fault in enumerate(faults):
+        if errors[col] is None and fault is not None:
+            errors[col] = _marker(fault)
     return values, errors
+
+
+def _overlap_record(u1: np.ndarray, params: SimulationParams, bits: str) -> dict:
+    """One point's overlap table, its quasi-spectrum released on return."""
+    spectrum = FloquetPropagator(params, u1, build_h2_diagonal(params)).spectrum()
+    table = overlaps(spectrum, z_product_state(bits, params.basis))
+    return {"quasi_energy": table.quasi_energies.tolist(), "overlap": table.overlaps.tolist()}
 
 
 def _evaluate_group(spec: SweepSpec, members, factory: PropagatorFactory):
     """(index, coords, value, error) for the points of one stage-1 key.
 
-    `members` are (index, coords, params, bits) tuples, evolved in padded
-    blocks of up to _MAX_BLOCK_COLUMNS columns.
+    `members` are (index, coords, params, bits) tuples.  Overlap-table
+    points each take their quasi-spectrum from the shared U1; the others are
+    evolved in padded blocks of up to _MAX_BLOCK_COLUMNS columns.
     """
-    n_cycles = spec.n_max if spec.observable == "lifetime" else spec.n_cycles
     try:
-        first = members[0][2]
-        u1 = factory.stage1(first)
-        sz = sigma_z_stack(first.basis)
+        u1 = factory.stage1(members[0][2])
     except Exception as exc:  # a failed stage 1 fails every point of its key
         for index, coords, _, _ in members:
             yield index, coords, None, _marker(exc)
         return
+    if spec.observable == "overlap_table":
+        for index, coords, params, bits in members:
+            try:
+                value, error = _overlap_record(u1, params, bits), None
+            except Exception as exc:  # per-point failures stay local to the point
+                value, error = None, _marker(exc)
+            yield index, coords, value, error
+        return
+    n_cycles = spec.n_max if spec.observable == "lifetime" else spec.n_cycles
+    sz = sigma_z_stack(members[0][2].basis)
     for at in range(0, len(members), _MAX_BLOCK_COLUMNS):
         chunk = members[at:at + _MAX_BLOCK_COLUMNS]
         columns = [
@@ -423,17 +402,6 @@ class _Journal:
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
 
 
-def _overlap_outcome(spec: SweepSpec, index: int, coords: dict, factory: PropagatorFactory):
-    """(index, coords, value, error) of one overlap-table point."""
-    try:
-        params, bits = _resolve(spec, coords)
-        table = overlaps(factory.get(params).spectrum(), z_product_state(bits, params.basis))
-    except Exception as exc:  # per-point failures stay local to the point
-        return index, coords, None, _marker(exc)
-    value = {"quasi_energy": table.quasi_energies.tolist(), "overlap": table.overlaps.tolist()}
-    return index, coords, value, None
-
-
 def run_sweep(
     spec: SweepSpec,
     journal_path=None,
@@ -442,10 +410,10 @@ def run_sweep(
 ) -> SweepResult:
     """Evaluate the observable at every grid point, on the calling thread.
 
-    For the a_pi, series, spectrum and lifetime observables the pending
-    points are grouped by stage-1 key; each group fetches U1 once from
-    `factory` and evolves its initial states as one column block.
-    overlap_table evaluates each point's quasi-spectrum.  Per-point numeric
+    The pending points are grouped by stage-1 key and each group fetches U1
+    once from `factory`.  A group evolves its initial states as one column
+    block, or, for overlap_table, computes each point's quasi-spectrum from
+    that U1.  Per-point numeric
     failures are recorded in place as error markers; the whole sweep fails
     only on an invalid spec or journal.  With `journal_path` set every
     evaluated point is appended to a JSON-lines journal, and `resume=True`
@@ -467,11 +435,7 @@ def run_sweep(
         else:
             pending.append((index, coords))
 
-    if spec.observable == "overlap_table":
-        outcomes = (_overlap_outcome(spec, index, coords, factory) for index, coords in pending)
-    else:
-        outcomes = _evaluate_grouped(spec, pending, factory)
-    for index, coords, value, error in outcomes:
+    for index, coords, value, error in _evaluate_grouped(spec, pending, factory):
         values[index] = value
         errors[index] = error
         if journal:

@@ -75,7 +75,7 @@ def test_parse_config_minimal_series():
     assert cfg.n_cycles == 10
     assert cfg.initial_bits() == "111"
     assert cfg.out_format == "csv"
-    assert cfg.threads == 1
+    assert not hasattr(cfg, "threads")  # --threads is a CLI flag only
 
 
 def test_parse_config_initial_state_forms():
@@ -159,11 +159,11 @@ def test_parse_config_num_range():
 
 
 def test_parse_config_output_and_threads():
-    cfg = parse_config(make_config(output={"format": "json"}, threads=4))
+    cfg = parse_config(make_config(output={"format": "json"}))
     assert cfg.out_format == "json"
-    assert cfg.threads == 4
-    with pytest.raises(ConfigError, match="seed"):
-        parse_config(make_config(seed=7))  # no longer a config key
+    for key in ("seed", "threads"):  # no longer config keys
+        with pytest.raises(ConfigError, match=key):
+            parse_config(make_config(**{key: 4}))
     with pytest.raises(ConfigError, match="format"):
         parse_config(make_config(output={"format": "xml"}))
     with pytest.raises(ConfigError, match="threads"):

@@ -3,6 +3,7 @@ import pytest
 
 from starkdtc import (
     AutocorrelatorSeries,
+    NumericError,
     SimulationParams,
     StateVector,
     autocorrelator_series,
@@ -12,7 +13,7 @@ from starkdtc import (
     reversal_analysis,
     z_product_state,
 )
-from _oracles import dft_magnitudes
+from _oracles import dft_magnitudes, expm_multiply_series
 
 
 def perfect_flip_params(L):
@@ -52,6 +53,24 @@ def test_general_path_matches_fast_path():
         fast = autocorrelator_series(prop, psi0, 50, method="fast")
         general = autocorrelator_series(prop, psi0, 50, method="general")
         assert np.max(np.abs(fast.values - general.values)) < 1e-10
+
+
+@pytest.mark.parametrize("method", ["fast", "general"])
+def test_single_point_paths_match_expm_multiply_oracle_at_l10(method):
+    p = SimulationParams(L=10, omega=np.pi / 2, epsilon=0.3, v=0.1, t1=1.0, t2=10.0).with_f_t2(0.2)
+    bits = "1101001110"
+    series = autocorrelator_series(floquet_operator(p), z_product_state(bits, p.basis), 40, method=method)
+    reference = expm_multiply_series(p.L, p.omega, p.epsilon, p.v, p.f, p.t1, p.t2, bits, 40, p.kernel)
+    assert np.max(np.abs(series.values - reference)) < 1e-9
+
+
+@pytest.mark.parametrize("method", ["fast", "general"])
+def test_single_point_norm_failure_names_the_cycle(method):
+    p = SimulationParams(L=4, omega=np.pi / 2, epsilon=0.2, v=0.1, f=0.02)
+    prop = floquet_operator(p)
+    prop.phase2 = prop.phase2 * 1.001  # pushed off the unit circle
+    with pytest.raises(NumericError, match="state norm drifted by .* at cycle 1$"):
+        autocorrelator_series(prop, z_product_state("1111", p.basis), 30, method=method)
 
 
 def test_general_path_enforces_realness_contract():

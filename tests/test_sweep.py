@@ -1,5 +1,6 @@
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -234,7 +235,21 @@ def test_series_and_overlap_observables_roundtrip(tmp_path):
         assert fresh == again
 
 
-def test_propagator_factory_cache_reuse():
+def counting_stage1(monkeypatch):
+    """Epsilon of every stage-1 build the sweep module makes, in call order."""
+    built = []
+
+    def stage1_unitary(params):
+        built.append(params.epsilon)
+        return real_stage1(params)
+
+    real_stage1 = sweep_module.stage1_unitary
+    monkeypatch.setattr(sweep_module, "stage1_unitary", stage1_unitary)
+    return built
+
+
+def test_propagator_factory_cache_reuse(monkeypatch):
+    built = counting_stage1(monkeypatch)
     factory = PropagatorFactory()
     p1 = BASE.with_f_t2(0.1)
     p2 = BASE.with_f_t2(0.3)
@@ -245,6 +260,26 @@ def test_propagator_factory_cache_reuse():
     assert not np.array_equal(prop1.phase2, prop2.phase2)
     direct = floquet_operator(p2)
     assert np.max(np.abs(prop2.u_f - direct.u_f)) < 1e-12
+    # only the last key is kept: A, B, A builds three times
+    other = replace(BASE, epsilon=0.3)
+    factory.stage1(other)
+    assert factory.stage1(p1) is not prop1.u1
+    assert built == [BASE.epsilon, other.epsilon, BASE.epsilon]
+
+
+@pytest.mark.parametrize("observable", ["a_pi", "overlap_table"])
+def test_key_alternating_grid_builds_each_key_once(monkeypatch, observable):
+    eps, f_t2 = (0.0, 0.1, 0.2), (0.0, 0.1, 0.25)
+    rows = run_sweep(small_spec(observable, axes=(SweepAxis("epsilon", eps), SweepAxis("F_T2", f_t2))))
+    built = counting_stage1(monkeypatch)
+    # epsilon on the inner axis: consecutive points alternate stage-1 keys
+    spec = small_spec(observable, axes=(SweepAxis("F_T2", f_t2), SweepAxis("epsilon", eps)))
+    alternating = run_sweep(spec)
+    assert sorted(built) == list(eps)
+    by_coords = {(c["epsilon"], c["F_T2"]): v for c, v in zip(rows.coords, rows.values)}
+    assert all(error is None for error in alternating.errors)
+    for coords, value in zip(alternating.coords, alternating.values):
+        assert value == by_coords[coords["epsilon"], coords["F_T2"]]
 
 
 def test_kernel_comparison_coincides_at_zero_v():
