@@ -15,7 +15,7 @@ Schema (defaults in parentheses):
         Omega | OmegaT1 ("pi/2"), epsilon | epsT1 (0),
         V | VT1 | VT2 (0), F | FT2 (0)
     initial_state: bit string, or [[index, re, im], ...]  (all ones)
-    n_cycles (100), n_max (5000)
+    n_cycles (100; even for spectrum and a_pi), n_max (5000; >= 2 for lifetime)
     sweep: {axes: [{name, values | start/stop/step | start/stop/num}],
             observable, grid_cap (10000)}
     figure: fig2 | fig3a | fig3b | fig3c | fig3d | fig4a | fig4b | fig5
@@ -274,6 +274,13 @@ def parse_config(source: str) -> RunConfig:
     for name, value in (("n_cycles", n_cycles), ("n_max", n_max)):
         if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise ConfigError(f"{name}: expected a positive integer, got {value!r}")
+    # checked before the run, which would compute the whole series first
+    if command == "spectrum" and n_cycles % 2:
+        raise ConfigError(
+            f"n_cycles: the spectrum needs an even count for an exact omega=pi bin, got {n_cycles}"
+        )
+    if command == "lifetime" and n_max < 2:
+        raise ConfigError(f"n_max: lifetime needs at least 2 cycles, got {n_max}")
 
     output = data.get("output", {})
     if not isinstance(output, dict):

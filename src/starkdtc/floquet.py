@@ -1,10 +1,14 @@
 """One-period Floquet propagator, quasi-spectrum and initial-state overlaps.
 
-The period is U_F = U2 U1.  U1 = exp(-i H1 T1) is assembled from the
-eigendecomposition of the real symmetric H1 and checked for unitarity; the
-eigensystem is dropped once U1 exists.  U2 = exp(-i H2 T2) is diagonal and
-kept as a phase vector Phi, so one period is a product with U1 followed by a
-row scaling, and every observable needs only U1 and Phi.
+The period is U_F = U2 U1.  H1 depends on site distances only, so it
+commutes with the site reflection R: j -> L+1-j and U1 = exp(-i H1 T1)
+splits into an even and an odd reflection sector of about half the
+dimension each.  `stage1_unitary` projects H1 onto both sectors, assembles
+each block from the eigendecomposition of its real symmetric projection
+and checks it for unitarity; U1 is kept only as those two blocks
+(`SectorUnitary`).  U2 = exp(-i H2 T2) is diagonal and kept as a phase
+vector Phi; the Stark ramp breaks the reflection, so one period is a
+sector product with U1, back in the z-basis, followed by a row scaling.
 
 The quasi-spectrum exploits the two-stage structure: with D^1/2 =
 exp(-i H2 T2 / 2), conjugating U_F gives the complex symmetric unitary
@@ -12,10 +16,12 @@ D^1/2 U1 D^1/2 = X + iY, whose real and imaginary parts are commuting real
 symmetric matrices, so one real eigendecomposition of X plus small
 per-cluster diagonalizations of Y yields an orthonormal Floquet eigenbasis
 several times faster than a complex Schur decomposition at dimension 4096.
+It is the one place the dense U1 is formed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -32,6 +38,10 @@ RESIDUAL_TOL = 1e-8
 # large enough that eigenvector mixing across a cluster gap stays ~1e-11
 COS_CLUSTER_TOL = 1e-5
 PI_PAIR_TOL = 0.05
+# eigenpair residuals are formed this many columns at a time, so validating
+# an L=12 quasi-spectrum holds no second dim x dim complex temporary
+RESIDUAL_PANEL = 256
+SQRT_HALF = math.sqrt(0.5)
 
 
 def propagator_u2(h2_diagonal: np.ndarray, t2: float) -> np.ndarray:
@@ -63,32 +73,132 @@ def unitarity_deviation(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(gram_cols - eye_cols)))
 
 
-def stage1_unitary(params: SimulationParams) -> np.ndarray:
-    """U1 = exp(-i H1 T1) of one parameter point, checked for unitarity.
+def _to_sectors(x: np.ndarray, fixed, lo, hi):
+    """Sector components of x (rows = basis states): the even part holds
+    x[fixed] then (x[lo] + x[hi])/sqrt 2, the odd part (x[lo] - x[hi])/sqrt 2.
+    Both come back in F order with the columns of x."""
+    tail = x.shape[1:]
+    nf = fixed.size
+    even = np.empty((nf + lo.size,) + tail, dtype=x.dtype, order="F")
+    odd = np.empty((lo.size,) + tail, dtype=x.dtype, order="F")
+    x_lo, x_hi = x[lo], x[hi]
+    even[:nf] = x[fixed]
+    np.add(x_lo, x_hi, out=even[nf:])
+    even[nf:] *= SQRT_HALF
+    np.subtract(x_lo, x_hi, out=odd)
+    odd *= SQRT_HALF
+    return even, odd
 
-    H1 is real symmetric, so its eigenvectors are real; the eigensystem does
-    not outlive the assembly.
+
+def _from_sectors(even: np.ndarray, odd: np.ndarray, fixed, lo, hi) -> np.ndarray:
+    """Inverse of `_to_sectors`: z-basis rows, in F order."""
+    nf = fixed.size
+    out = np.empty((nf + 2 * lo.size,) + even.shape[1:], dtype=even.dtype, order="F")
+    out[fixed] = even[:nf]
+    paired = even[nf:]
+    out[lo] = (paired + odd) * SQRT_HALF
+    out[hi] = (paired - odd) * SQRT_HALF
+    return out
+
+
+class SectorUnitary:
+    """U1 kept as its even and odd reflection-sector blocks.
+
+    `fixed`, `lo` and `hi` are the reflection orbits of the basis (see
+    `BasisConfig.reflection_orbits`); the even block acts on the fixed
+    states and the symmetric pair combinations, the odd block on the
+    antisymmetric ones (empty at L=1).
     """
-    eigs, vecs = np.linalg.eigh(build_h1(params))
-    u1 = u1_from_eigensystem(eigs, vecs, params.t1)
-    del eigs, vecs
-    dev = unitarity_deviation(u1)
-    if dev > UNITARITY_TOL:
-        raise NumericError(f"stage-1 propagator deviates from unitarity by {dev:.2e}")
-    return u1
+
+    def __init__(self, even: np.ndarray, odd: np.ndarray, fixed, lo, hi):
+        self.even = even
+        self.odd = odd
+        self.fixed, self.lo, self.hi = fixed, lo, hi
+
+    @property
+    def dimension(self) -> int:
+        return self.fixed.size + 2 * self.lo.size
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """U1 x for a vector or a column block; one product per sector.
+
+        The products are written in F order, as the sweep's padded blocks
+        need for column-independent bits (see `sweep._PANEL`).
+        """
+        x_even, x_odd = _to_sectors(x, self.fixed, self.lo, self.hi)
+        y_even = np.empty(x_even.shape, dtype=complex, order="F")
+        y_odd = np.empty(x_odd.shape, dtype=complex, order="F")
+        np.matmul(self.even, x_even, out=y_even)
+        np.matmul(self.odd, x_odd, out=y_odd)
+        return _from_sectors(y_even, y_odd, self.fixed, self.lo, self.hi)
+
+    def dense(self) -> np.ndarray:
+        """The full U1 in the z-basis, for the quasi-spectrum and checks."""
+        fixed, lo, hi = self.fixed, self.lo, self.hi
+        nf = fixed.size
+        out = np.empty((self.dimension, self.dimension), dtype=complex)
+        out[np.ix_(fixed, fixed)] = self.even[:nf, :nf]
+        rows = self.even[:nf, nf:] * SQRT_HALF
+        out[np.ix_(fixed, lo)] = rows
+        out[np.ix_(fixed, hi)] = rows
+        cols = self.even[nf:, :nf] * SQRT_HALF
+        out[np.ix_(lo, fixed)] = cols
+        out[np.ix_(hi, fixed)] = cols
+        paired = self.even[nf:, nf:]
+        same = (paired + self.odd) * 0.5
+        out[np.ix_(lo, lo)] = same
+        out[np.ix_(hi, hi)] = same
+        del same
+        cross = (paired - self.odd) * 0.5
+        out[np.ix_(lo, hi)] = cross
+        out[np.ix_(hi, lo)] = cross
+        return out
+
+
+def stage1_unitary(params: SimulationParams) -> SectorUnitary:
+    """U1 = exp(-i H1 T1) of one parameter point, as its two sector blocks.
+
+    H1 is projected onto the even and odd reflection sectors; each real
+    symmetric projection is diagonalized, its block assembled and checked
+    for unitarity.  The sector transform is orthogonal, so the two checks
+    together check U1.  No eigensystem outlives the assembly.
+    """
+    orbits = params.basis.reflection_orbits()
+    h1 = build_h1(params)
+    rows = _to_sectors(h1, *orbits)
+    del h1
+    # H1 is symmetric: the sector rows, transposed, are H1 S; project again
+    projections = [_to_sectors(block.T, *orbits)[sector] for sector, block in enumerate(rows)]
+    del rows
+    blocks = []
+    for name, h in zip(("even", "odd"), projections):
+        if h.size == 0:
+            blocks.append(np.zeros(h.shape, dtype=complex))
+            continue
+        eigs, vecs = np.linalg.eigh(h)
+        block = u1_from_eigensystem(eigs, vecs, params.t1)
+        del eigs, vecs
+        dev = unitarity_deviation(block)
+        if dev > UNITARITY_TOL:
+            raise NumericError(
+                f"stage-1 propagator ({name} sector) deviates from unitarity by {dev:.2e}"
+            )
+        blocks.append(block)
+    return SectorUnitary(*blocks, *orbits)
 
 
 class FloquetPropagator:
     """One period U_F = U2 U1 of one parameter point, kept as its two stages.
 
-    `u1` is the dense stage-1 unitary, already checked by `stage1_unitary`;
-    `phase2` is the stage-2 phase vector derived from `h2_diagonal`.  `apply`
-    advances states by Phi * (U1 psi).  The dense U_F is formed only when
-    `u_f` is read, which no library path does.  The quasi-spectrum is
-    computed once and cached.
+    `u1` is the stage-1 unitary as its two reflection-sector blocks
+    (`SectorUnitary`), already checked by `stage1_unitary`; `phase2` is the
+    stage-2 phase vector derived from `h2_diagonal`.  `apply` advances
+    states by Phi * (U1 psi).  The dense U_F is formed only when `u_f` is
+    read, which no library path does.  The quasi-spectrum is computed once
+    and cached.
     """
 
-    def __init__(self, params: SimulationParams, u1: np.ndarray, h2_diagonal: np.ndarray):
+    def __init__(self, params: SimulationParams, u1: SectorUnitary, h2_diagonal: np.ndarray):
         self.params = params
         self.u1 = u1
         self.h2_diagonal = h2_diagonal
@@ -97,18 +207,18 @@ class FloquetPropagator:
 
     @property
     def dimension(self) -> int:
-        return self.u1.shape[0]
+        return self.u1.dimension
 
     @cached_property
     def u_f(self) -> np.ndarray:
         """Dense U_F = diag(Phi) U1, built on first read."""
-        return self.phase2[:, None] * self.u1
+        u_f = self.u1.dense()
+        u_f *= self.phase2[:, None]
+        return u_f
 
     def apply(self, state: np.ndarray) -> np.ndarray:
         """Advance amplitudes (vector or stacked columns) by one period."""
-        out = self.u1 @ state
-        # in place: a second dim x dim temporary would double the peak memory
-        # of validating an L=12 quasi-spectrum
+        out = self.u1.apply(state)
         out *= self.phase2 if out.ndim == 1 else self.phase2[:, None]
         return out
 
@@ -178,7 +288,9 @@ def _spectrum_from_stages(prop: FloquetPropagator):
     """
     beta = prop.h2_diagonal * prop.params.t2
     half = np.exp(-0.5j * beta)
-    sym_unitary = prop.u1 * half[:, None]
+    # in place: the dense U1 is the largest array held here
+    sym_unitary = prop.u1.dense()
+    sym_unitary *= half[:, None]
     sym_unitary *= half
     x_mat = sym_unitary.real + sym_unitary.real.T
     x_mat *= 0.5
@@ -216,9 +328,13 @@ def _spectrum_from_stages(prop: FloquetPropagator):
 
 
 def _validate_spectrum(prop: FloquetPropagator, spectrum: QuasiSpectrum) -> None:
-    residual_matrix = prop.apply(spectrum.eigenstates)
-    residual_matrix -= spectrum.eigenstates * spectrum.eigenvalues()
-    residual = np.max(np.linalg.norm(residual_matrix, axis=0))
+    eigenvalues = spectrum.eigenvalues()
+    residual = 0.0
+    for at in range(0, spectrum.dimension, RESIDUAL_PANEL):
+        cols = slice(at, at + RESIDUAL_PANEL)
+        panel = prop.apply(spectrum.eigenstates[:, cols])
+        panel -= spectrum.eigenstates[:, cols] * eigenvalues[cols]
+        residual = max(residual, np.max(np.linalg.norm(panel, axis=0)))
     if residual > RESIDUAL_TOL:
         raise NumericError(f"quasi-spectrum eigenpair residual {residual:.2e} exceeds {RESIDUAL_TOL}")
     # orthonormality on a sample of Gram columns (exact by construction up to roundoff)

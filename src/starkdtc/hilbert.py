@@ -37,6 +37,20 @@ class BasisConfig:
         b = np.arange(self.dimension, dtype=np.int64)
         return np.stack([(b >> (j - 1)) & 1 for j in range(1, self.L + 1)]).astype(float)
 
+    def reflection_orbits(self):
+        """Orbits of the site reflection R: j -> L+1-j on the basis integers.
+
+        Returns (fixed, lo, hi): the states with R(b) = b, and the pairs
+        (lo[k], hi[k] = R(lo[k])) with lo[k] < hi[k], each ascending in its
+        first member.  Together they hold every basis state exactly once.
+        """
+        b = np.arange(self.dimension, dtype=np.int64)
+        mirrored = np.zeros_like(b)
+        for k in range(self.L):
+            mirrored |= ((b >> k) & 1) << (self.L - 1 - k)
+        pair = b < mirrored
+        return b[b == mirrored], b[pair], mirrored[pair]
+
     def index_to_bits(self, index: int) -> str:
         """Bit string (leftmost character = site 1) for a basis integer."""
         if not 0 <= index < self.dimension:

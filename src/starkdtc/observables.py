@@ -155,9 +155,9 @@ def autocorrelator_series(
 def _evolve_block(u1, phi, starts, sz, n_cycles):
     """C(n) of z-product states evolved together by Psi <- Phi * (U1 Psi).
 
-    `phi` is an F-order (dim, width) block holding the stage-2 phase column
-    of each state, in the order of `starts` (their basis indices), then zero
-    columns as padding.  Returns the (n_cycles + 1, len(starts)) series and
+    `u1` is the stage-1 `SectorUnitary`; `phi` is an F-order (dim, width)
+    block holding the stage-2 phase column of each state, in the order of
+    `starts` (their basis indices), then zero columns as padding.  Returns the (n_cycles + 1, len(starts)) series and
     one `NumericError` (or None) per state.  A state whose norm drifts is
     zeroed and no longer checked, so it cannot touch the others; the loop
     stops once every state has failed.
@@ -166,7 +166,6 @@ def _evolve_block(u1, phi, starts, sz, n_cycles):
     dim, width = phi.shape
     psi = np.zeros((dim, width), dtype=complex, order="F")
     psi[starts, np.arange(count)] = 1.0
-    work = np.empty_like(psi)
     errors = [None] * count
     live = list(range(count))
     signs = [sz[:, start] for start in starts]
@@ -177,8 +176,7 @@ def _evolve_block(u1, phi, starts, sz, n_cycles):
     for n in range(1, n_cycles + 1):
         if not live:
             break
-        np.matmul(u1, psi, out=work)
-        np.multiply(phi, work, out=psi)
+        np.multiply(phi, u1.apply(psi), out=psi)
         prob = np.abs(psi) ** 2
         drift = np.abs(np.sqrt(prob.sum(axis=0)) - 1.0)
         for col in list(live):
@@ -268,8 +266,9 @@ def lifetime(
     n_max: int,
     zero_atol: float = REVERSAL_ZERO_ATOL,
 ) -> LifetimeResult:
-    """DTC lifetime from the autocorrelator over up to n_max cycles, each
-    cycle one `prop.apply`; see `reversal_analysis` for the definitions."""
+    """DTC lifetime from the autocorrelator over up to n_max cycles, evolved
+    as in `autocorrelator_series` (a z-product state as a one-column block);
+    see `reversal_analysis` for the definitions."""
     if n_max < 2:
         raise ValueError(f"cycle cap must be >= 2, got {n_max}")
     series = autocorrelator_series(prop, psi0, n_max, method="auto")

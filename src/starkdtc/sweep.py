@@ -5,9 +5,10 @@ parameter set.  Points sharing a stage-1 key (L, Omega, epsilon, V, kernel,
 T1) differ only by the diagonal stage-2 phase Phi = exp(-i H2 T2).  Every
 observable therefore runs key by key: the sweep builds U1 once per key, then
 either evolves the key's z-product initial states together as the columns
-of one block, Psi <- Phi * (U1 Psi) (one gemm per cycle for the group, and
-no dense U_F per point), or, for the overlap table, wraps U1 and each
-point's stage-2 diagonal in a propagator for its quasi-spectrum.
+of one block, Psi <- Phi * (U1 Psi) (one gemm per reflection sector and
+cycle for the group, and no dense U_F per point), or, for the overlap
+table, wraps U1 and each point's stage-2 diagonal in a propagator for its
+quasi-spectrum.
 
 Evaluation runs on the calling thread (BLAS already uses every core) and is
 deterministic: every block is padded to full zgemm panels (see _PANEL), so a
@@ -28,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import ConfigError, NumericError
-from .floquet import FloquetPropagator, overlaps, propagator_u2, stage1_unitary
+from .floquet import FloquetPropagator, SectorUnitary, overlaps, propagator_u2, stage1_unitary
 from .hamiltonian import KERNEL_VARIANTS, SimulationParams, build_h2_diagonal
 from .hilbert import sigma_z_stack, z_product_state
 from .observables import AutocorrelatorSeries, _evolve_block, fourier_spectrum, reversal_analysis
@@ -53,9 +54,11 @@ JOURNAL_KIND = "starkdtc-sweep-journal"
 
 # zgemm evaluates full 4-column panels in one fixed order, so a block padded
 # to a multiple of 4 columns gives every column the same bits at any width
-# and position; narrower products fall to gemv or edge kernels that round
-# differently.  Verified only with OpenBLAS 0.3.31 (SkylakeX kernels on an
-# AVX-512 Xeon): other BLAS builds or CPUs may use other panel widths
+# and position (the sector gather and scatter around the two U1 gemms are
+# elementwise per column); narrower products fall to gemv or edge kernels
+# that round differently.  Verified only with OpenBLAS 0.3.31 (SkylakeX
+# kernels on an AVX-512 Xeon): other BLAS builds or CPUs may use other panel
+# widths
 _PANEL = 4
 # caps the block's memory at large L; per-column cost is flat beyond ~16
 _MAX_BLOCK_COLUMNS = 64
@@ -95,6 +98,13 @@ class SweepSpec:
             raise ValueError(f"unknown observable {self.observable!r}, expected one of {OBSERVABLES}")
         if self.n_cycles < 1 or self.n_max < 1:
             raise ValueError(f"cycle counts must be >= 1, got n_cycles={self.n_cycles}, n_max={self.n_max}")
+        # rejected here, before any point is evaluated, not as a marker per point
+        if self.observable in ("a_pi", "spectrum") and self.n_cycles % 2:
+            raise ValueError(
+                f"{self.observable} needs an even n_cycles for an exact omega=pi bin, got {self.n_cycles}"
+            )
+        if self.observable == "lifetime" and self.n_max < 2:
+            raise ValueError(f"lifetime needs n_max >= 2, got {self.n_max}")
         size = self.grid_size()
         if size > self.grid_cap:
             raise ValueError(f"grid of {size} points exceeds the cap of {self.grid_cap}")
@@ -147,8 +157,9 @@ class SweepSpec:
 class PropagatorFactory:
     """The stage-1 unitary of the last key asked for.
 
-    `stage1` returns U1 for the key (L, Omega, epsilon, V, kernel, T1),
-    building it with `floquet.stage1_unitary` (which checks its unitarity)
+    `stage1` returns U1 for the key (L, Omega, epsilon, V, kernel, T1) as
+    its two reflection-sector blocks (`floquet.SectorUnitary`), building it
+    with `floquet.stage1_unitary` (which checks each block's unitarity)
     when the key differs from the last one; the previous U1 is released
     first, so at most one is held.  Every caller reads its keys back to
     back (the grouped sweep once per key), so one entry serves them all.
@@ -164,8 +175,8 @@ class PropagatorFactory:
     def key(params: SimulationParams):
         return (params.L, params.omega, params.epsilon, params.v, params.kernel, params.t1)
 
-    def stage1(self, params: SimulationParams) -> np.ndarray:
-        """U1 of the point's stage-1 key."""
+    def stage1(self, params: SimulationParams) -> SectorUnitary:
+        """U1 of the point's stage-1 key, as its reflection-sector blocks."""
         key = self.key(params)
         if key != self._key:
             # drop the old U1 before building: two at once would double the peak
@@ -260,7 +271,7 @@ def _series_record(spec: SweepSpec, values: np.ndarray) -> dict:
     }
 
 
-def _block_series(u1: np.ndarray, columns, sz: np.ndarray, n_cycles: int):
+def _block_series(u1: SectorUnitary, columns, sz: np.ndarray, n_cycles: int):
     """C(n) of the z-product states of one stage-1 key, as one column block.
 
     `columns` holds one (params, basis index) pair per state; all share the
@@ -272,7 +283,7 @@ def _block_series(u1: np.ndarray, columns, sz: np.ndarray, n_cycles: int):
     """
     count = len(columns)
     width = -(-count // _PANEL) * _PANEL
-    phi = np.zeros((u1.shape[0], width), dtype=complex, order="F")
+    phi = np.zeros((u1.dimension, width), dtype=complex, order="F")
     errors = [None] * count
     for col, (params, _) in enumerate(columns):
         try:
@@ -287,7 +298,7 @@ def _block_series(u1: np.ndarray, columns, sz: np.ndarray, n_cycles: int):
     return values, errors
 
 
-def _overlap_record(u1: np.ndarray, params: SimulationParams, bits: str) -> dict:
+def _overlap_record(u1: SectorUnitary, params: SimulationParams, bits: str) -> dict:
     """One point's overlap table, its quasi-spectrum released on return."""
     spectrum = FloquetPropagator(params, u1, build_h2_diagonal(params)).spectrum()
     table = overlaps(spectrum, z_product_state(bits, params.basis))

@@ -4,6 +4,8 @@ import json
 import numpy as np
 import pytest
 
+import starkdtc.floquet as floquet_module
+import starkdtc.sweep as sweep_module
 from starkdtc.cli import main
 from starkdtc.figures import FIGURE_IDS, figure_parameters
 
@@ -187,3 +189,27 @@ def test_figure_command_rerun_is_byte_identical(tmp_path):
     assert manifest["parameters"]["base"]["epsilon"] == pytest.approx(0.25)
     record = json.loads((out1 / "fig4a_lifetime.json").read_text())
     assert record["n_max"] == 5000
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"command": "spectrum", "n_cycles": 101},
+        {"command": "lifetime", "n_max": 1},
+        {"command": "sweep", "sweep": {"axes": [{"name": "F_T2", "values": [0.0, 0.1]}],
+                                       "observable": "a_pi", "n_cycles": 101}},
+        {"command": "sweep", "sweep": {"axes": [{"name": "F_T2", "values": [0.0, 0.1]}],
+                                       "observable": "lifetime", "n_max": 1}},
+    ],
+)
+def test_unusable_cycle_counts_exit_2_before_computing(tmp_path, monkeypatch, capsys, data):
+    def no_stage1(params):
+        raise AssertionError("stage 1 computed before the config was rejected")
+
+    monkeypatch.setattr(floquet_module, "stage1_unitary", no_stage1)
+    monkeypatch.setattr(sweep_module, "stage1_unitary", no_stage1)
+    cfg = write_config(tmp_path, dict(data, params={"L": 4, "VT1": 0.1}))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())

@@ -170,3 +170,14 @@ def test_parse_config_output_and_threads():
         parse_config(make_config(threads=0))
     with pytest.raises(ConfigError, match="n_cycles"):
         parse_config(make_config(n_cycles=-5))
+
+
+def test_parse_config_rejects_unusable_cycle_counts():
+    with pytest.raises(ConfigError, match="n_cycles.*even"):
+        parse_config(json.dumps({"command": "spectrum", "params": {"L": 2}, "n_cycles": 101}))
+    with pytest.raises(ConfigError, match="n_max"):
+        parse_config(json.dumps({"command": "lifetime", "params": {"L": 2}, "n_max": 1}))
+    sweep = {"axes": [{"name": "F_T2", "values": [0.0]}], "observable": "a_pi", "n_cycles": 101}
+    with pytest.raises(ConfigError, match="even"):
+        parse_config(json.dumps({"command": "sweep", "params": {"L": 2}, "sweep": sweep}))
+    assert parse_config(json.dumps({"command": "series", "params": {"L": 2}, "n_cycles": 101})).n_cycles == 101

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starkdtc import (
     NumericError,
@@ -258,3 +260,38 @@ def test_unitarity_deviation_detects_failure(monkeypatch):
         floquet_operator(p)
     with pytest.raises(NumericError, match="unitarity"):
         PropagatorFactory().stage1(p)
+
+
+def test_unitarity_check_covers_each_sector(monkeypatch):
+    # L=4: even block 10 x 10, odd block 6 x 6; spoil one block at a time
+    p = SimulationParams(L=4, omega=np.pi / 2, epsilon=0.1, v=0.1)
+    real_u1 = floquet.u1_from_eigensystem
+    for size, name in ((10, "even"), (6, "odd")):
+        monkeypatch.setattr(
+            floquet,
+            "u1_from_eigensystem",
+            lambda eigs, vecs, t1, size=size: (1.5 if eigs.size == size else 1.0) * real_u1(eigs, vecs, t1),
+        )
+        with pytest.raises(NumericError, match=f"{name} sector"):
+            floquet.stage1_unitary(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    L=st.integers(1, 7),
+    kernel=st.sampled_from(["NN", "NNN", "NNNN", "ALL"]),
+    omega=st.floats(-3.0, 3.0),
+    epsilon=st.floats(-1.0, 1.0),
+    v=st.floats(-2.0, 2.0),
+    width=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sector_unitary_against_expm(L, kernel, omega, epsilon, v, width, seed):
+    p = SimulationParams(L=L, omega=omega, epsilon=epsilon, v=v, kernel=kernel)
+    u1 = floquet.stage1_unitary(p)
+    dense = u1.dense()
+    assert np.max(np.abs(dense - scipy.linalg.expm(-1j * p.t1 * build_h1(p)))) < 1e-12
+    rng = np.random.default_rng(seed)
+    block = rng.normal(size=(p.dimension, width)) + 1j * rng.normal(size=(p.dimension, width))
+    assert np.max(np.abs(u1.apply(block) - dense @ block)) < 1e-12
+    assert np.max(np.abs(u1.apply(block[:, 0]) - dense @ block[:, 0])) < 1e-12

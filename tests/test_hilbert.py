@@ -109,3 +109,24 @@ def test_state_from_amplitudes():
         state_from_amplitudes([(0, a, 0.0), (0, a, 0.0)], basis)
     with pytest.raises(ValueError):
         state_from_amplitudes([(4, 1.0, 0.0)], basis)
+
+
+@pytest.mark.parametrize("L", range(1, 13))
+def test_reflection_orbits_partition_the_basis(L):
+    basis = BasisConfig(L)
+    fixed, lo, hi = basis.reflection_orbits()
+    dim = basis.dimension
+    assert np.array_equal(np.sort(np.concatenate([fixed, lo, hi])), np.arange(dim))
+    assert np.all(lo < hi)
+    # the map the orbits define is the site reflection, an involution
+    mirror = np.arange(dim)
+    mirror[lo], mirror[hi] = hi, lo
+    assert np.array_equal(mirror[mirror], np.arange(dim))
+    for b in range(dim):
+        assert basis.index_to_bits(int(mirror[b])) == basis.index_to_bits(b)[::-1]
+    # sector sizes (2^L +- 2^ceil(L/2)) / 2
+    half = 1 << ((L + 1) // 2)
+    assert (fixed.size + lo.size, lo.size) == ((dim + half) // 2, (dim - half) // 2)
+    known = {1: (2, 0), 10: (528, 496), 12: (2080, 2016)}
+    if L in known:
+        assert (fixed.size + lo.size, lo.size) == known[L]

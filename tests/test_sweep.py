@@ -385,3 +385,40 @@ def test_grouped_sweep_matches_expm_multiply_oracle_at_l10():
             params.t1, params.t2, bits, spec.n_cycles, params.kernel,
         )
         assert np.max(np.abs(np.asarray(record["c"]) - reference)) < 1e-9
+
+
+def test_grouped_sweep_and_fast_point_match_expm_multiply_oracle_at_l12():
+    base = SimulationParams(L=12, omega=np.pi / 2, epsilon=0.3, v=0.1, t1=1.0, t2=10.0)
+    spec = SweepSpec(
+        axes=(SweepAxis("F_T2", (0.0, 0.2, 0.4)),), base=base, observable="series", n_cycles=20
+    )
+    factory = PropagatorFactory()
+    result = run_sweep(spec, factory=factory)
+
+    def oracle(params, bits):
+        return expm_multiply_series(
+            params.L, params.omega, params.epsilon, params.v, params.f,
+            params.t1, params.t2, bits, spec.n_cycles, params.kernel,
+        )
+
+    for coords, record, error in zip(result.coords, result.values, result.errors):
+        assert error is None
+        params, bits = spec.point_inputs(coords)
+        assert np.max(np.abs(np.asarray(record["c"]) - oracle(params, bits))) < 1e-9
+    # the single-point fast path, on the U1 the sweep built
+    params, bits = base.with_f_t2(0.2), "110100111001"
+    series = autocorrelator_series(
+        factory.get(params), z_product_state(bits, params.basis), spec.n_cycles, method="fast"
+    )
+    assert np.max(np.abs(series.values - oracle(params, bits))) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "observable, counts",
+    [("a_pi", {"n_cycles": 101}), ("spectrum", {"n_cycles": 7}), ("lifetime", {"n_max": 1})],
+)
+def test_sweep_spec_rejects_unusable_cycle_counts(observable, counts):
+    with pytest.raises(ValueError):
+        small_spec(observable, **counts)
+    # a series takes any count, and the other observable's count is not checked
+    small_spec("series", n_cycles=101, n_max=1)
