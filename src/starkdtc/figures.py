@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-from .floquet import overlaps
+from .floquet import check_quasi_spectrum_memory, overlaps
 from .hamiltonian import SimulationParams
 from .hilbert import z_product_state
 from .observables import autocorrelator_series, fourier_spectrum, lifetime
@@ -56,6 +56,7 @@ def _series_and_spectrum(prop, bits, n_cycles):
 
 
 def _build_fig2(out_dir: Path) -> list:
+    check_quasi_spectrum_memory(FIG2_PARAMS.L)
     factory = PropagatorFactory()
     files = []
     for label, f_t2 in (("0", 0.0), ("0.25", 0.25)):

@@ -3,20 +3,25 @@
 The period is U_F = U2 U1.  H1 depends on site distances only, so it
 commutes with the site reflection R: j -> L+1-j and U1 = exp(-i H1 T1)
 splits into an even and an odd reflection sector of about half the
-dimension each.  `stage1_unitary` projects H1 onto both sectors, assembles
-each block from the eigendecomposition of its real symmetric projection
-and checks it for unitarity; U1 is kept only as those two blocks
-(`SectorUnitary`).  U2 = exp(-i H2 T2) is diagonal and kept as a phase
-vector Phi; the Stark ramp breaks the reflection, so one period is a
-sector product with U1, back in the z-basis, followed by a row scaling.
+dimension each.  Internally the basis is kept in reflection-orbit order
+(fixed states, then the lower and the upper member of each pair), where the
+transform into sector components is slice arithmetic on contiguous rows.
+`stage1_unitary` permutes H1 into that order once, projects it onto both
+sectors, assembles each block from the eigendecomposition of its real
+symmetric projection and checks it for unitarity; U1 is kept only as those
+two blocks (`SectorUnitary`).  U2 = exp(-i H2 T2) is diagonal and kept as a
+phase vector Phi; the Stark ramp breaks the reflection, so one period is a
+sector product with U1 followed by a row scaling.
 
 The quasi-spectrum exploits the two-stage structure: with D^1/2 =
 exp(-i H2 T2 / 2), conjugating U_F gives the complex symmetric unitary
 D^1/2 U1 D^1/2 = X + iY, whose real and imaginary parts are commuting real
-symmetric matrices, so one real eigendecomposition of X plus small
-per-cluster diagonalizations of Y yields an orthonormal Floquet eigenbasis
-several times faster than a complex Schur decomposition at dimension 4096.
-It is the one place the dense U1 is formed.
+symmetric matrices.  Only X is formed and diagonalized; one pass of the
+true U_F over its eigenvectors then yields Y on them (which resolves the
+sign of each quasi-energy and rotates clusters of nearly equal cos) and the
+eigenpair residual that validates the result.  At dimension 4096 this is
+several times faster than a complex Schur decomposition.  It is the one
+place the dense U1 is formed.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .exceptions import NumericError
+from .exceptions import NumericError, ResourceLimitError
 from .hamiltonian import SimulationParams, build_h1, build_h2_diagonal
 from .hilbert import StateVector
 
@@ -38,10 +43,16 @@ RESIDUAL_TOL = 1e-8
 # large enough that eigenvector mixing across a cluster gap stays ~1e-11
 COS_CLUSTER_TOL = 1e-5
 PI_PAIR_TOL = 0.05
-# eigenpair residuals are formed this many columns at a time, so validating
-# an L=12 quasi-spectrum holds no second dim x dim complex temporary
+# the quasi-spectrum applies U_F to at most this many eigenvectors at a
+# time, so its one pass holds no second dim x dim complex temporary
 RESIDUAL_PANEL = 256
 SQRT_HALF = math.sqrt(0.5)
+# peak memory of stage 1 plus one quasi-spectrum above the process baseline:
+# at the eigh(X) peak the sector blocks of U1, X, eigh's copy of X and its
+# eigenvectors take 8 bytes per 4^L each and eigh's workspace 16, plus BLAS
+# buffers; measured 70 / 250 / 815 MiB for `overlaps` at L=10 / 11 / 12
+QUASI_SPECTRUM_BYTES_PER_4L = 48
+QUASI_SPECTRUM_BASE_BYTES = 64 << 20
 
 
 def propagator_u2(h2_diagonal: np.ndarray, t2: float) -> np.ndarray:
@@ -73,103 +84,182 @@ def unitarity_deviation(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(gram_cols - eye_cols)))
 
 
-def _to_sectors(x: np.ndarray, fixed, lo, hi):
-    """Sector components of x (rows = basis states): the even part holds
-    x[fixed] then (x[lo] + x[hi])/sqrt 2, the odd part (x[lo] - x[hi])/sqrt 2.
-    Both come back in F order with the columns of x."""
-    tail = x.shape[1:]
-    nf = fixed.size
-    even = np.empty((nf + lo.size,) + tail, dtype=x.dtype, order="F")
-    odd = np.empty((lo.size,) + tail, dtype=x.dtype, order="F")
-    x_lo, x_hi = x[lo], x[hi]
-    even[:nf] = x[fixed]
-    np.add(x_lo, x_hi, out=even[nf:])
-    even[nf:] *= SQRT_HALF
+def _split(x: np.ndarray, n_fixed: int, even: np.ndarray, odd: np.ndarray) -> None:
+    """Sector components of orbit-ordered rows x (`fixed || lo || hi`):
+    `even` gets x_f, then (x_lo + x_hi)/sqrt 2, `odd` gets (x_lo - x_hi)/sqrt 2."""
+    n_pairs = odd.shape[0]
+    x_lo, x_hi = x[n_fixed:n_fixed + n_pairs], x[n_fixed + n_pairs:]
+    even[:n_fixed] = x[:n_fixed]
+    paired = even[n_fixed:]
+    np.add(x_lo, x_hi, out=paired)
+    paired *= SQRT_HALF
     np.subtract(x_lo, x_hi, out=odd)
     odd *= SQRT_HALF
-    return even, odd
 
 
-def _from_sectors(even: np.ndarray, odd: np.ndarray, fixed, lo, hi) -> np.ndarray:
-    """Inverse of `_to_sectors`: z-basis rows, in F order."""
-    nf = fixed.size
-    out = np.empty((nf + 2 * lo.size,) + even.shape[1:], dtype=even.dtype, order="F")
-    out[fixed] = even[:nf]
-    paired = even[nf:]
-    out[lo] = (paired + odd) * SQRT_HALF
-    out[hi] = (paired - odd) * SQRT_HALF
+def _merge(even: np.ndarray, odd: np.ndarray, n_fixed: int, out: np.ndarray) -> np.ndarray:
+    """Inverse of `_split`: orbit-ordered rows, written to `out`."""
+    n_pairs = odd.shape[0]
+    out[:n_fixed] = even[:n_fixed]
+    paired = even[n_fixed:]
+    out_lo, out_hi = out[n_fixed:n_fixed + n_pairs], out[n_fixed + n_pairs:]
+    np.add(paired, odd, out=out_lo)
+    out_lo *= SQRT_HALF
+    np.subtract(paired, odd, out=out_hi)
+    out_hi *= SQRT_HALF
     return out
+
+
+def _project(h: np.ndarray, n_fixed: int):
+    """Even and odd sector blocks of a real symmetric matrix h in orbit
+    order, from contiguous blocks; the same bits as `_split` on the rows of
+    h and then on the columns, without the intermediate sector rows.  With
+    s = 1/sqrt 2: even = [[h_ff, s (h_fl + h_fh)], [s (h_lf + h_hf),
+    s (s (h_ll + h_lh) + s (h_hl + h_hh))]] and odd = s (s (h_ll - h_lh) -
+    s (h_hl - h_hh))."""
+    n_pairs = (h.shape[0] - n_fixed) // 2
+    f, lo, hi = slice(0, n_fixed), slice(n_fixed, n_fixed + n_pairs), slice(n_fixed + n_pairs, None)
+    even = np.empty((n_fixed + n_pairs,) * 2)
+    odd = np.empty((n_pairs,) * 2)
+    even[f, f] = h[f, f]
+    for out, a, b in ((even[f, n_fixed:], h[f, lo], h[f, hi]), (even[n_fixed:, f], h[lo, f], h[hi, f])):
+        np.add(a, b, out=out)
+        out *= SQRT_HALF
+    for out, op in ((even[n_fixed:, n_fixed:], np.add), (odd, np.subtract)):
+        upper = op(h[lo, lo], h[lo, hi])
+        upper *= SQRT_HALF
+        lower = op(h[hi, lo], h[hi, hi])
+        lower *= SQRT_HALF
+        op(upper, lower, out=out)
+        out *= SQRT_HALF
+    return even, odd
 
 
 class SectorUnitary:
     """U1 kept as its even and odd reflection-sector blocks.
 
-    `fixed`, `lo` and `hi` are the reflection orbits of the basis (see
-    `BasisConfig.reflection_orbits`); the even block acts on the fixed
-    states and the symmetric pair combinations, the odd block on the
-    antisymmetric ones (empty at L=1).
+    The blocks act on the basis in reflection-orbit order `fixed || lo ||
+    hi` (see `BasisConfig.reflection_orbits`); `order` maps each orbit
+    position to its z-basis index and `inverse` maps back.  The even block
+    acts on the fixed states and the symmetric pair combinations, the odd
+    block on the antisymmetric ones (empty at L=1).  In orbit order the
+    sector transform is slice arithmetic on contiguous rows (`_split`,
+    `_merge`); `product` is U1 on orbit-ordered rows, and `apply` and
+    `dense` are the z-basis views, one row permutation in and one out.
     """
 
     def __init__(self, even: np.ndarray, odd: np.ndarray, fixed, lo, hi):
         self.even = even
         self.odd = odd
-        self.fixed, self.lo, self.hi = fixed, lo, hi
+        self.order = np.concatenate((fixed, lo, hi))
+        self.inverse = np.argsort(self.order)
+        self.n_fixed = fixed.size
 
     @property
     def dimension(self) -> int:
-        return self.fixed.size + 2 * self.lo.size
+        return self.order.size
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """U1 x for a vector or a column block; one product per sector.
+    def workspace(self, tail=()):
+        """Empty complex F-order sector buffers (x_even, x_odd, y_even,
+        y_odd) for `product`, with trailing shape `tail`."""
+        shapes = ((self.even.shape[0],) + tuple(tail), (self.odd.shape[0],) + tuple(tail))
+        return tuple(np.empty(shape, dtype=complex, order="F") for shape in shapes * 2)
 
+    def product(self, x: np.ndarray, out: np.ndarray, work) -> np.ndarray:
+        """U1 x on orbit-ordered rows, one product per sector, into `out`
+        (which may be x itself).  `work` comes from `workspace(x.shape[1:])`.
         The products are written in F order, as the sweep's padded blocks
-        need for column-independent bits (see `sweep._PANEL`).
-        """
-        x_even, x_odd = _to_sectors(x, self.fixed, self.lo, self.hi)
-        y_even = np.empty(x_even.shape, dtype=complex, order="F")
-        y_odd = np.empty(x_odd.shape, dtype=complex, order="F")
+        need for column-independent bits (see `sweep._PANEL`)."""
+        x_even, x_odd, y_even, y_odd = work
+        _split(x, self.n_fixed, x_even, x_odd)
         np.matmul(self.even, x_even, out=y_even)
         np.matmul(self.odd, x_odd, out=y_odd)
-        return _from_sectors(y_even, y_odd, self.fixed, self.lo, self.hi)
+        return _merge(y_even, y_odd, self.n_fixed, out)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """U1 x in the z-basis, for a vector or a column block."""
+        ordered = np.asarray(x, dtype=complex)[self.order]
+        self.product(ordered, ordered, self.workspace(ordered.shape[1:]))
+        return ordered[self.inverse]
+
+    def dense_ordered(self) -> np.ndarray:
+        """The full U1, rows and columns in orbit order, from contiguous
+        blocks: with E and O the sector blocks, [f, f] = E_ff, [f, lo] =
+        [f, hi] = E_fp/sqrt 2, [lo, f] = [hi, f] = E_pf/sqrt 2, [lo, lo] =
+        [hi, hi] = (E_pp + O)/2 and [lo, hi] = [hi, lo] = (E_pp - O)/2."""
+        nf, n_pairs = self.n_fixed, self.odd.shape[0]
+        lo, hi = slice(nf, nf + n_pairs), slice(nf + n_pairs, None)
+        out = np.empty((self.dimension, self.dimension), dtype=complex)
+        out[:nf, :nf] = self.even[:nf, :nf]
+        np.multiply(self.even[:nf, nf:], SQRT_HALF, out=out[:nf, lo])
+        out[:nf, hi] = out[:nf, lo]
+        np.multiply(self.even[nf:, :nf], SQRT_HALF, out=out[lo, :nf])
+        out[hi, :nf] = out[lo, :nf]
+        paired = self.even[nf:, nf:]
+        same, cross = out[lo, lo], out[lo, hi]
+        np.add(paired, self.odd, out=same)
+        same *= 0.5
+        out[hi, hi] = same
+        np.subtract(paired, self.odd, out=cross)
+        cross *= 0.5
+        out[hi, lo] = cross
+        return out
 
     def dense(self) -> np.ndarray:
-        """The full U1 in the z-basis, for the quasi-spectrum and checks."""
-        fixed, lo, hi = self.fixed, self.lo, self.hi
-        nf = fixed.size
-        out = np.empty((self.dimension, self.dimension), dtype=complex)
-        out[np.ix_(fixed, fixed)] = self.even[:nf, :nf]
-        rows = self.even[:nf, nf:] * SQRT_HALF
-        out[np.ix_(fixed, lo)] = rows
-        out[np.ix_(fixed, hi)] = rows
-        cols = self.even[nf:, :nf] * SQRT_HALF
-        out[np.ix_(lo, fixed)] = cols
-        out[np.ix_(hi, fixed)] = cols
-        paired = self.even[nf:, nf:]
-        same = (paired + self.odd) * 0.5
-        out[np.ix_(lo, lo)] = same
-        out[np.ix_(hi, hi)] = same
-        del same
-        cross = (paired - self.odd) * 0.5
-        out[np.ix_(lo, hi)] = cross
-        out[np.ix_(hi, lo)] = cross
-        return out
+        """The full U1 in the z-basis, for checks."""
+        return self.dense_ordered().take(self.inverse, axis=0).take(self.inverse, axis=1)
+
+
+def _available_memory() -> Optional[int]:
+    """MemAvailable from /proc/meminfo in bytes, or None if it cannot be read."""
+    try:
+        with open("/proc/meminfo", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        return None
+    return None
+
+
+def check_quasi_spectrum_memory(L: int) -> None:
+    """Raise `ResourceLimitError` when stage 1 plus a quasi-spectrum at L
+    sites would not fit in the available memory; skipped when that cannot
+    be read.  Called before stage 1, so nothing is allocated or written."""
+    need = QUASI_SPECTRUM_BYTES_PER_4L * 4 ** L + QUASI_SPECTRUM_BASE_BYTES
+    available = _available_memory()
+    if available is not None and need > available:
+        raise ResourceLimitError(
+            f"a quasi-spectrum at L={L} needs about {need / 2**30:.1f} GiB, "
+            f"but only {available / 2**30:.1f} GiB of memory is available"
+        )
+
+
+def _key_text(params: SimulationParams) -> str:
+    """The stage-1 key of a point, for error messages."""
+    return (
+        f"L={params.L}, Omega={params.omega!r}, epsilon={params.epsilon!r}, "
+        f"V={params.v!r}, kernel={params.kernel}, T1={params.t1!r}"
+    )
+
+
+def _point_text(params: SimulationParams) -> str:
+    """The full parameter point, for error messages."""
+    return f"{_key_text(params)}, T2={params.t2!r}, F*T2={params.f_t2!r}"
 
 
 def stage1_unitary(params: SimulationParams) -> SectorUnitary:
     """U1 = exp(-i H1 T1) of one parameter point, as its two sector blocks.
 
-    H1 is projected onto the even and odd reflection sectors; each real
-    symmetric projection is diagonalized, its block assembled and checked
-    for unitarity.  The sector transform is orthogonal, so the two checks
+    H1 is permuted into reflection-orbit order once and projected onto the
+    even and odd reflection sectors (`_project`); each real symmetric
+    projection is diagonalized, its block assembled and checked for
+    unitarity.  The sector transform is orthogonal, so the two checks
     together check U1.  No eigensystem outlives the assembly.
     """
-    orbits = params.basis.reflection_orbits()
-    h1 = build_h1(params)
-    rows = _to_sectors(h1, *orbits)
-    del h1
-    # H1 is symmetric: the sector rows, transposed, are H1 S; project again
-    projections = [_to_sectors(block.T, *orbits)[sector] for sector, block in enumerate(rows)]
-    del rows
+    fixed, lo, hi = params.basis.reflection_orbits()
+    order = np.concatenate((fixed, lo, hi))
+    projections = _project(build_h1(params)[np.ix_(order, order)], fixed.size)
     blocks = []
     for name, h in zip(("even", "odd"), projections):
         if h.size == 0:
@@ -181,10 +271,11 @@ def stage1_unitary(params: SimulationParams) -> SectorUnitary:
         dev = unitarity_deviation(block)
         if dev > UNITARITY_TOL:
             raise NumericError(
-                f"stage-1 propagator ({name} sector) deviates from unitarity by {dev:.2e}"
+                f"stage-1 propagator ({name} sector) at key ({_key_text(params)}) deviates "
+                f"from unitarity by {dev:.2e}, tolerance {UNITARITY_TOL:.0e}"
             )
         blocks.append(block)
-    return SectorUnitary(*blocks, *orbits)
+    return SectorUnitary(*blocks, fixed, lo, hi)
 
 
 class FloquetPropagator:
@@ -260,92 +351,124 @@ def _fold_quasi_energies(eigenvalues: np.ndarray) -> np.ndarray:
 
 def quasi_spectrum(prop: FloquetPropagator) -> QuasiSpectrum:
     """Full eigendecomposition of U_F from its stages, with orthonormal
-    eigenvectors by construction; the eigenpair residual and the
-    orthonormality of the basis are checked on every call."""
-    eigenvalues, eigenstates = _spectrum_from_stages(prop)
-    mod_dev = np.max(np.abs(np.abs(eigenvalues) - 1.0))
-    if mod_dev > UNITARITY_TOL:
-        raise NumericError(f"quasi-spectrum eigenvalue moduli deviate from 1 by {mod_dev:.2e}")
-    energies = _fold_quasi_energies(eigenvalues)
-    order = np.argsort(energies, kind="stable")
-    energies = energies[order]
-    eigenstates = eigenstates[:, order]
-    spectrum = QuasiSpectrum(quasi_energies=energies, eigenstates=eigenstates)
-    _validate_spectrum(prop, spectrum)
-    return spectrum
+    eigenvectors by construction.
 
-
-def _spectrum_from_stages(prop: FloquetPropagator):
-    """Joint real diagonalization of the conjugated symmetric unitary.
-
-    With U_F = D U1, D = diag(exp(-i beta)) and U1 = W exp(-i lam T1) W^T for
-    real orthogonal W, the conjugation D^{-1/2} U_F D^{1/2} = D^{1/2} U1 D^{1/2}
-    is unitary and complex symmetric, so its real and imaginary parts X, Y
-    are real symmetric and commute (X^2 + Y^2 = 1).  Eigenvectors of U_F are
-    D^{1/2} times the joint real eigenbasis of (X, Y); clusters of nearly
-    equal X-eigenvalues (the cos of the quasi-energy is two-to-one) are
-    resolved by diagonalizing Y inside the cluster.
+    With U_F = Phi U1, D^1/2 = diag(exp(-i beta/2)) for the stage-2 phases
+    Phi = exp(-i beta), and U1 = W exp(-i lam T1) W^T for real orthogonal W,
+    the conjugation D^-1/2 U_F D^1/2 = D^1/2 U1 D^1/2 = X + iY is unitary and
+    complex symmetric, so X and Y are real symmetric and commute.  Only X is
+    formed: cos, B = eigh(X).  The true U_F is then applied to the
+    eigenvectors psi = D^1/2 B once, a panel of at most `RESIDUAL_PANEL`
+    columns at a time with the cuts on cluster boundaries.  That one pass
+    gives Y B = Im(D^-1/2 U_F psi), hence sin = b.(Y b) for an isolated
+    cos and, inside a cluster of nearly equal cos (the cos of a quasi-energy
+    is two-to-one), the rotation that diagonalizes B^T Y B; it also gives
+    the eigenpair residual |U_F psi - lambda psi|.  The eigenvalue moduli,
+    the largest residual and the orthonormality of a 16-column sample are
+    checked on every call.  Rows stay in reflection-orbit order until the
+    eigenvectors are returned in the z-basis, sorted by quasi-energy.
     """
-    beta = prop.h2_diagonal * prop.params.t2
-    half = np.exp(-0.5j * beta)
+    u1, params = prop.u1, prop.params
+    half = np.exp(-0.5j * (prop.h2_diagonal * params.t2))[u1.order]
+    phase = prop.phase2[u1.order]
     # in place: the dense U1 is the largest array held here
-    sym_unitary = prop.u1.dense()
+    sym_unitary = u1.dense_ordered()
     sym_unitary *= half[:, None]
     sym_unitary *= half
-    x_mat = sym_unitary.real + sym_unitary.real.T
-    x_mat *= 0.5
-    y_mat = sym_unitary.imag + sym_unitary.imag.T
-    y_mat *= 0.5
+    # symmetric up to roundoff; eigh reads one triangle
+    x_mat = sym_unitary.real.copy()
     del sym_unitary
-
     cos_vals, basis = np.linalg.eigh(x_mat)
     del x_mat
-    y_basis = y_mat @ basis
-    del y_mat
 
     dim = cos_vals.size
-    sin_vals = np.empty(dim)
-    cos_out = cos_vals.copy()
-    boundaries = np.flatnonzero(np.diff(cos_vals) > COS_CLUSTER_TOL) + 1
-    start = 0
-    for stop in list(boundaries) + [dim]:
-        idx = slice(start, stop)
-        size = stop - start
-        if size == 1:
-            sin_vals[start] = basis[:, start] @ y_basis[:, start]
-        else:
-            block = basis[:, idx].T @ y_basis[:, idx]
-            block = (block + block.T) * 0.5
-            sy, rot = np.linalg.eigh(block)
-            basis[:, idx] = basis[:, idx] @ rot
-            sin_vals[idx] = sy
-            cos_out[idx] = ((cos_vals[idx][:, None] * rot) * rot).sum(axis=0)
-        start = stop
-
-    eigenvalues = cos_out + 1j * sin_vals
-    eigenstates = half[:, None] * basis
-    return eigenvalues, eigenstates
-
-
-def _validate_spectrum(prop: FloquetPropagator, spectrum: QuasiSpectrum) -> None:
-    eigenvalues = spectrum.eigenvalues()
+    states = np.empty((dim, dim), dtype=complex, order="F")
+    eigenvalues = np.empty(dim, dtype=complex)
     residual = 0.0
-    for at in range(0, spectrum.dimension, RESIDUAL_PANEL):
-        cols = slice(at, at + RESIDUAL_PANEL)
-        panel = prop.apply(spectrum.eigenstates[:, cols])
-        panel -= spectrum.eigenstates[:, cols] * eigenvalues[cols]
-        residual = max(residual, np.max(np.linalg.norm(panel, axis=0)))
+    for at, stop, clusters in _panels(cos_vals):
+        cols = slice(at, stop)
+        eigenvalues[cols], panel, panel_residual = _resolve_panel(
+            u1, half, phase, cos_vals[cols], basis[:, cols], clusters
+        )
+        states[:, cols] = panel[u1.inverse]
+        residual = max(residual, panel_residual)
+    del basis
+
+    point = _point_text(params)
+    mod_dev = np.max(np.abs(np.abs(eigenvalues) - 1.0))
+    if mod_dev > UNITARITY_TOL:
+        raise NumericError(
+            f"quasi-spectrum at ({point}): eigenvalue moduli deviate from 1 by {mod_dev:.2e}, "
+            f"tolerance {UNITARITY_TOL:.0e}"
+        )
     if residual > RESIDUAL_TOL:
-        raise NumericError(f"quasi-spectrum eigenpair residual {residual:.2e} exceeds {RESIDUAL_TOL}")
-    # orthonormality on a sample of Gram columns (exact by construction up to roundoff)
-    dim = spectrum.dimension
-    cols = np.linspace(0, dim - 1, min(dim, 16)).astype(int)
-    gram_cols = spectrum.eigenstates.conj().T @ spectrum.eigenstates[:, cols]
-    eye_cols = np.zeros((dim, cols.size))
-    eye_cols[cols, np.arange(cols.size)] = 1.0
-    dev = np.max(np.abs(gram_cols - eye_cols))
+        raise NumericError(
+            f"quasi-spectrum at ({point}): eigenpair residual {residual:.2e} exceeds "
+            f"tolerance {RESIDUAL_TOL:.0e}"
+        )
+    # orthonormality on a sample of Gram rows (exact by construction up to roundoff)
+    sample = np.linspace(0, dim - 1, min(dim, 16)).astype(int)
+    gram_rows = states[:, sample].conj().T @ states
+    gram_rows[np.arange(sample.size), sample] -= 1.0
+    dev = np.max(np.abs(gram_rows))
     if dev > RESIDUAL_TOL:
-        raise NumericError(f"quasi-spectrum eigenbasis deviates from orthonormal by {dev:.2e}")
+        raise NumericError(
+            f"quasi-spectrum at ({point}): eigenbasis deviates from orthonormal by {dev:.2e}, "
+            f"tolerance {RESIDUAL_TOL:.0e}"
+        )
+    energies = _fold_quasi_energies(eigenvalues)
+    ranking = np.argsort(energies, kind="stable")
+    return QuasiSpectrum(
+        quasi_energies=energies[ranking],
+        eigenstates=states[:, ranking],
+    )
+
+
+def _panels(cos_vals: np.ndarray):
+    """(start, stop, clusters) column panels of at most `RESIDUAL_PANEL`
+    columns, cut only where neighbouring cos differ by more than
+    `COS_CLUSTER_TOL`; a wider cluster is a panel of its own.  `clusters`
+    lists the (start, stop) of each cluster of two or more columns,
+    relative to the panel."""
+    dim = cos_vals.size
+    ends = np.append(np.flatnonzero(np.diff(cos_vals) > COS_CLUSTER_TOL) + 1, dim)
+    at = 0
+    while at < dim:
+        first = np.searchsorted(ends, at, side="right")
+        last = np.searchsorted(ends, at + RESIDUAL_PANEL, side="right") - 1
+        cuts = ends[first:max(first, last) + 1]
+        starts = np.concatenate(([at], cuts[:-1]))
+        stop = int(cuts[-1])
+        clusters = [(int(s) - at, int(e) - at) for s, e in zip(starts, cuts) if e - s > 1]
+        yield at, stop, clusters
+        at = stop
+
+
+def _resolve_panel(u1, half, phase, cos_vals, basis, clusters):
+    """Eigenvalues, eigenvectors and the largest eigenpair residual of one
+    panel of eigenvectors of X (`basis`, orbit-ordered rows, eigenvalues
+    `cos_vals`).  The eigenvectors D^1/2 B, rotated inside each cluster,
+    come back in orbit order."""
+    basis = np.asfortranarray(basis)
+    states = half[:, None] * basis
+    image = u1.product(states, np.empty_like(states), u1.workspace(states.shape[1:]))
+    image *= phase[:, None]
+    # D^-1/2 U_F psi = (X + iY) b
+    y_basis = np.asfortranarray((half.conj()[:, None] * image).imag)
+    sin_vals = np.einsum("ij,ij->j", basis, y_basis)
+    cos_out = cos_vals.copy()
+    for start, stop in clusters:
+        idx = slice(start, stop)
+        block = basis[:, idx].T @ y_basis[:, idx]
+        block = (block + block.T) * 0.5
+        sy, rot = np.linalg.eigh(block)
+        states[:, idx] = states[:, idx] @ rot
+        image[:, idx] = image[:, idx] @ rot
+        sin_vals[idx] = sy
+        cos_out[idx] = ((cos_vals[idx][:, None] * rot) * rot).sum(axis=0)
+    eigenvalues = cos_out + 1j * sin_vals
+    image -= states * eigenvalues
+    return eigenvalues, states, float(np.max(np.linalg.norm(image, axis=0)))
 
 
 @dataclass(frozen=True)
@@ -384,8 +507,8 @@ def overlaps(spectrum: QuasiSpectrum, psi0: StateVector) -> OverlapTable:
         raise ValueError(
             f"state dimension {psi0.dimension} does not match spectrum dimension {spectrum.dimension}"
         )
-    amplitudes = spectrum.eigenstates.conj().T @ psi0.amplitudes
-    weight = np.abs(amplitudes) ** 2
+    # conj(psi0)^T V is the conjugate of V^dag psi0; no conjugate copy of V
+    weight = np.abs(psi0.amplitudes.conj() @ spectrum.eigenstates) ** 2
     return OverlapTable(quasi_energies=spectrum.quasi_energies.copy(), overlaps=weight)
 
 

@@ -157,18 +157,24 @@ def _evolve_block(u1, phi, starts, sz, n_cycles):
 
     `u1` is the stage-1 `SectorUnitary`; `phi` is an F-order (dim, width)
     block holding the stage-2 phase column of each state, in the order of
-    `starts` (their basis indices), then zero columns as padding.  Returns the (n_cycles + 1, len(starts)) series and
-    one `NumericError` (or None) per state.  A state whose norm drifts is
-    zeroed and no longer checked, so it cannot touch the others; the loop
-    stops once every state has failed.
+    `starts` (their basis indices), then zero columns as padding.  Rows are
+    permuted into reflection-orbit order once, so every cycle is one
+    `u1.product` on preallocated buffers.  Returns the (n_cycles + 1,
+    len(starts)) series and one `NumericError` (or None) per state.  A state
+    whose norm drifts is zeroed and no longer checked, so it cannot touch the
+    others; the loop stops once every state has failed.
     """
     count = len(starts)
     dim, width = phi.shape
+    phi = np.asfortranarray(phi[u1.order])
+    sz = sz[:, u1.order]
+    rows = u1.inverse[starts]
     psi = np.zeros((dim, width), dtype=complex, order="F")
-    psi[starts, np.arange(count)] = 1.0
+    psi[rows, np.arange(count)] = 1.0
+    work = u1.workspace((width,))
     errors = [None] * count
     live = list(range(count))
-    signs = [sz[:, start] for start in starts]
+    signs = [sz[:, row] for row in rows]
     length = sz.shape[0]
 
     values = np.zeros((n_cycles + 1, count), order="F")
@@ -176,7 +182,7 @@ def _evolve_block(u1, phi, starts, sz, n_cycles):
     for n in range(1, n_cycles + 1):
         if not live:
             break
-        np.multiply(phi, u1.apply(psi), out=psi)
+        np.multiply(phi, u1.product(psi, psi, work), out=psi)
         prob = np.abs(psi) ** 2
         drift = np.abs(np.sqrt(prob.sum(axis=0)) - 1.0)
         for col in list(live):

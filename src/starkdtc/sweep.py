@@ -29,7 +29,14 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import ConfigError, NumericError
-from .floquet import FloquetPropagator, SectorUnitary, overlaps, propagator_u2, stage1_unitary
+from .floquet import (
+    FloquetPropagator,
+    SectorUnitary,
+    check_quasi_spectrum_memory,
+    overlaps,
+    propagator_u2,
+    stage1_unitary,
+)
 from .hamiltonian import KERNEL_VARIANTS, SimulationParams, build_h2_diagonal
 from .hilbert import sigma_z_stack, z_product_state
 from .observables import AutocorrelatorSeries, _evolve_block, fourier_spectrum, reversal_analysis
@@ -54,7 +61,7 @@ JOURNAL_KIND = "starkdtc-sweep-journal"
 
 # zgemm evaluates full 4-column panels in one fixed order, so a block padded
 # to a multiple of 4 columns gives every column the same bits at any width
-# and position (the sector gather and scatter around the two U1 gemms are
+# and position (the sector transform around the two U1 gemms is
 # elementwise per column); narrower products fall to gemv or edge kernels
 # that round differently.  Verified only with OpenBLAS 0.3.31 (SkylakeX
 # kernels on an AVX-512 Xeon): other BLAS builds or CPUs may use other panel
@@ -429,8 +436,13 @@ def run_sweep(
     only on an invalid spec or journal.  With `journal_path` set every
     evaluated point is appended to a JSON-lines journal, and `resume=True`
     skips points already present in a journal for the identical spec (a
-    torn last line is dropped and its point recomputed).
+    torn last line is dropped and its point recomputed).  An overlap_table
+    sweep first checks that a quasi-spectrum at the grid's largest L fits
+    in memory (`floquet.check_quasi_spectrum_memory`).
     """
+    if spec.observable == "overlap_table":
+        sizes = [int(value) for axis in spec.axes if axis.name == "L" for value in axis.values]
+        check_quasi_spectrum_memory(max(sizes, default=spec.base.L))
     factory = factory or PropagatorFactory()
     points = list(spec.grid_points())
     journal = _Journal(journal_path, spec.fingerprint(), resume) if journal_path else None

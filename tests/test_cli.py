@@ -213,3 +213,27 @@ def test_unusable_cycle_counts_exit_2_before_computing(tmp_path, monkeypatch, ca
     assert main(["--config", str(cfg), "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "data, largest_l",
+    [
+        (dict(SERIES_CONFIG, command="overlaps"), 3),
+        ({"command": "sweep", "params": {"L": 3, "VT1": 0.1},
+          "sweep": {"axes": [{"name": "L", "values": [3, 5, 4]}], "observable": "overlap_table"}}, 5),
+        ({"command": "figure", "figure": "fig2"}, 12),
+    ],
+)
+def test_quasi_spectrum_commands_exit_2_when_memory_is_short(tmp_path, monkeypatch, capsys, data, largest_l):
+    # the estimate is checked before stage 1: no compute, no file
+    def no_stage1(params):
+        raise AssertionError("stage 1 computed before the memory check")
+
+    monkeypatch.setattr(floquet_module, "_available_memory", lambda: 1000)
+    monkeypatch.setattr(floquet_module, "stage1_unitary", no_stage1)
+    monkeypatch.setattr(sweep_module, "stage1_unitary", no_stage1)
+    cfg = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 2
+    assert f"quasi-spectrum at L={largest_l} needs" in capsys.readouterr().err
+    assert not any(out.iterdir())

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from starkdtc import (
     NumericError,
     OverlapTable,
+    ResourceLimitError,
     SimulationParams,
     build_h1,
     build_h2_diagonal,
@@ -295,3 +298,110 @@ def test_sector_unitary_against_expm(L, kernel, omega, epsilon, v, width, seed):
     block = rng.normal(size=(p.dimension, width)) + 1j * rng.normal(size=(p.dimension, width))
     assert np.max(np.abs(u1.apply(block) - dense @ block)) < 1e-12
     assert np.max(np.abs(u1.apply(block[:, 0]) - dense @ block[:, 0])) < 1e-12
+
+
+def test_stage1_unitarity_error_names_key_and_tolerance(monkeypatch):
+    real_u1 = floquet.u1_from_eigensystem
+    monkeypatch.setattr(floquet, "u1_from_eigensystem", lambda *args: 1.5 * real_u1(*args))
+    p = SimulationParams(L=3, omega=1.25, epsilon=0.125, v=0.5, kernel="NNN", t1=2.0)
+    key = "L=3, Omega=1.25, epsilon=0.125, V=0.5, kernel=NNN, T1=2.0"
+    with pytest.raises(NumericError, match=re.escape(key) + r".*tolerance 1e-10"):
+        floquet.stage1_unitary(p)
+
+
+def patch_first_eigh(monkeypatch, dim, change):
+    """Pass the first eigh(X) of dimension `dim` through `change`."""
+    real_eigh = np.linalg.eigh
+    calls = []
+
+    def eigh(a, *args, **kwargs):
+        vals, vecs = real_eigh(a, *args, **kwargs)
+        if a.shape == (dim, dim) and not calls:
+            calls.append(dim)
+            return change(vals, vecs)
+        return vals, vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+
+
+ERROR_POINT = SimulationParams(L=4, omega=np.pi / 2, epsilon=0.1, v=0.2, kernel="NNN").with_f_t2(0.25)
+
+
+def point_pattern(p):
+    return re.escape(f"L={p.L}, Omega={p.omega!r}") + ".*" + re.escape(f"F*T2={p.f_t2!r}")
+
+
+def test_quasi_spectrum_moduli_error_names_point(monkeypatch):
+    # shifted cos values leave sin as it was, so |lambda| != 1
+    prop = floquet_operator(ERROR_POINT)
+    patch_first_eigh(monkeypatch, prop.dimension, lambda vals, vecs: (vals + 0.5, vecs))
+    with pytest.raises(NumericError, match=point_pattern(ERROR_POINT) + ".*moduli.*tolerance"):
+        quasi_spectrum(prop)
+
+
+def test_quasi_spectrum_residual_error_names_point(monkeypatch):
+    # cos -> -cos keeps every |lambda| = 1 but no eigenpair
+    prop = floquet_operator(ERROR_POINT)
+    patch_first_eigh(monkeypatch, prop.dimension, lambda vals, vecs: (-vals[::-1], vecs[:, ::-1]))
+    with pytest.raises(NumericError, match=point_pattern(ERROR_POINT) + ".*residual.*tolerance"):
+        quasi_spectrum(prop)
+
+
+def test_quasi_spectrum_orthonormality_error_names_point(monkeypatch):
+    # U_F = 1 here, so a skewed basis still holds exact eigenpairs
+    p = SimulationParams(L=2, omega=0.0)
+    prop = floquet_operator(p)
+    skewed = np.eye(4)
+    skewed[0, 1] = 0.5
+    patch_first_eigh(monkeypatch, 4, lambda vals, vecs: (vals, skewed))
+    with pytest.raises(NumericError, match=point_pattern(p) + ".*orthonormal.*tolerance"):
+        quasi_spectrum(prop)
+
+
+def circular_match(a, b):
+    """Largest distance on the circle from an entry of either set to the other set."""
+    dist = np.abs(np.angle(np.exp(-1j * (a[:, None] - b[None, :]))))
+    return max(dist.min(axis=0).max(), dist.min(axis=1).max())
+
+
+def rate_or_zero(low, high):
+    return st.one_of(st.just(0.0), st.floats(low, high))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    L=st.integers(1, 7),
+    kernel=st.sampled_from(["NN", "NNN", "NNNN", "ALL"]),
+    omega=rate_or_zero(-3.0, 3.0),
+    epsilon=rate_or_zero(-1.0, 1.0),
+    v=rate_or_zero(-2.0, 2.0),
+    f_t2=rate_or_zero(-2.0, 2.0),
+    panel=st.sampled_from([1, 2, 3]),
+)
+def test_quasi_spectrum_narrow_panels(L, kernel, omega, epsilon, v, f_t2, panel):
+    # panels of 1-3 columns make clusters straddle the nominal panel edges
+    p = SimulationParams(L=L, omega=omega, epsilon=epsilon, v=v, kernel=kernel).with_f_t2(f_t2)
+    prop = floquet_operator(p)
+    reference = quasi_spectrum(prop)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(floquet, "RESIDUAL_PANEL", panel)
+        spec = quasi_spectrum(prop)
+    assert circular_match(spec.quasi_energies, reference.quasi_energies) < 1e-12
+    resid = prop.u_f @ spec.eigenstates - spec.eigenstates * spec.eigenvalues()
+    assert np.max(np.linalg.norm(resid, axis=0)) < 1e-8
+    gram = spec.eigenstates.conj().T @ spec.eigenstates
+    assert np.max(np.abs(gram - np.eye(prop.dimension))) < 1e-8
+
+
+def test_quasi_spectrum_memory_estimate(monkeypatch):
+    available = floquet._available_memory()
+    assert available is None or available > 0
+    # a 7.7 GB machine runs L=12 and L=13 but refuses L=14
+    monkeypatch.setattr(floquet, "_available_memory", lambda: int(7.7e9))
+    floquet.check_quasi_spectrum_memory(12)
+    floquet.check_quasi_spectrum_memory(13)
+    with pytest.raises(ResourceLimitError, match="L=14"):
+        floquet.check_quasi_spectrum_memory(14)
+    # an unreadable MemAvailable skips the check
+    monkeypatch.setattr(floquet, "_available_memory", lambda: None)
+    floquet.check_quasi_spectrum_memory(14)
