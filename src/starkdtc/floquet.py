@@ -16,12 +16,15 @@ sector product with U1 followed by a row scaling.
 The quasi-spectrum exploits the two-stage structure: with D^1/2 =
 exp(-i H2 T2 / 2), conjugating U_F gives the complex symmetric unitary
 D^1/2 U1 D^1/2 = X + iY, whose real and imaginary parts are commuting real
-symmetric matrices.  Only X is formed and diagonalized; one pass of the
-true U_F over its eigenvectors then yields Y on them (which resolves the
-sign of each quasi-energy and rotates clusters of nearly equal cos) and the
-eigenpair residual that validates the result.  At dimension 4096 this is
-several times faster than a complex Schur decomposition.  It is the one
-place the dense U1 is formed.
+symmetric matrices.  Only X is formed and diagonalized, in place inside
+the buffer that becomes the eigenstates (LAPACK dsyevd through scipy, which
+is imported only there); one pass of the true U_F over its eigenvectors
+then yields Y on them (which resolves the sign of each quasi-energy and
+rotates clusters of nearly equal cos) and the eigenpair residual that
+validates the result, and writes the eigenstates back over the
+eigenvectors they came from.  At dimension 4096 this is several times
+faster than a complex Schur decomposition.  It is the one place the dense
+U1 is formed.
 """
 
 from __future__ import annotations
@@ -48,11 +51,11 @@ PI_PAIR_TOL = 0.05
 RESIDUAL_PANEL = 256
 SQRT_HALF = math.sqrt(0.5)
 # peak memory of stage 1 plus one quasi-spectrum above the process baseline:
-# at the eigh(X) peak the sector blocks of U1, X, eigh's copy of X and its
-# eigenvectors take 8 bytes per 4^L each and eigh's workspace 16, plus BLAS
-# buffers; measured 70 / 250 / 815 MiB for `overlaps` at L=10 / 11 / 12
-QUASI_SPECTRUM_BYTES_PER_4L = 48
-QUASI_SPECTRUM_BASE_BYTES = 64 << 20
+# the sector blocks of U1 and X take 8 bytes per 4^L each and the scratch
+# beside them (the complex dense U1, then dsyevd's workspace) 16, plus BLAS
+# buffers; measured 79 / 218 / 584 MiB for `overlaps` at L=10 / 11 / 12
+QUASI_SPECTRUM_BYTES_PER_4L = 36
+QUASI_SPECTRUM_BASE_BYTES = 96 << 20
 
 
 def propagator_u2(h2_diagonal: np.ndarray, t2: float) -> np.ndarray:
@@ -222,11 +225,17 @@ def _available_memory() -> Optional[int]:
     return None
 
 
+def quasi_spectrum_bytes(L: int) -> int:
+    """Estimated peak memory of stage 1 plus a quasi-spectrum at L sites,
+    above the process baseline."""
+    return QUASI_SPECTRUM_BYTES_PER_4L * 4 ** L + QUASI_SPECTRUM_BASE_BYTES
+
+
 def check_quasi_spectrum_memory(L: int) -> None:
     """Raise `ResourceLimitError` when stage 1 plus a quasi-spectrum at L
     sites would not fit in the available memory; skipped when that cannot
     be read.  Called before stage 1, so nothing is allocated or written."""
-    need = QUASI_SPECTRUM_BYTES_PER_4L * 4 ** L + QUASI_SPECTRUM_BASE_BYTES
+    need = quasi_spectrum_bytes(L)
     available = _available_memory()
     if available is not None and need > available:
         raise ResourceLimitError(
@@ -357,44 +366,56 @@ def quasi_spectrum(prop: FloquetPropagator) -> QuasiSpectrum:
     Phi = exp(-i beta), and U1 = W exp(-i lam T1) W^T for real orthogonal W,
     the conjugation D^-1/2 U_F D^1/2 = D^1/2 U1 D^1/2 = X + iY is unitary and
     complex symmetric, so X and Y are real symmetric and commute.  Only X is
-    formed: cos, B = eigh(X).  The true U_F is then applied to the
+    formed, in the first half of the complex buffer that is returned as the
+    eigenstates, and diagonalized there: cos, B = eigh(X) with B
+    overwriting X (`_eigh_in_place`).  The true U_F is then applied to the
     eigenvectors psi = D^1/2 B once, a panel of at most `RESIDUAL_PANEL`
-    columns at a time with the cuts on cluster boundaries.  That one pass
+    columns at a time with the cuts on cluster boundaries, last panel
+    first, and each panel's psi is written back over the columns of B it
+    came from.  That one pass
     gives Y B = Im(D^-1/2 U_F psi), hence sin = b.(Y b) for an isolated
     cos and, inside a cluster of nearly equal cos (the cos of a quasi-energy
     is two-to-one), the rotation that diagonalizes B^T Y B; it also gives
     the eigenpair residual |U_F psi - lambda psi|.  The eigenvalue moduli,
     the largest residual and the orthonormality of a 16-column sample are
     checked on every call.  Rows stay in reflection-orbit order until the
-    eigenvectors are returned in the z-basis, sorted by quasi-energy.
+    eigenvectors are written back in the z-basis; they are then sorted by
+    quasi-energy in place.  At its peak the call holds U1's two blocks, X
+    and 2 dim^2 doubles of scratch: the complex dense U1 while X is formed,
+    then the eigensolver's workspace.
     """
     u1, params = prop.u1, prop.params
+    point = _point_text(params)
     half = np.exp(-0.5j * (prop.h2_diagonal * params.t2))[u1.order]
     phase = prop.phase2[u1.order]
-    # in place: the dense U1 is the largest array held here
+    dim = u1.dimension
+    states = np.empty((dim, dim), dtype=complex, order="F")
+    # X in the first dim^2 doubles of `states`, then its eigenvectors B over it
+    basis = states.ravel(order="F").view(float)[:dim * dim].reshape((dim, dim), order="F")
     sym_unitary = u1.dense_ordered()
     sym_unitary *= half[:, None]
     sym_unitary *= half
-    # symmetric up to roundoff; eigh reads one triangle
-    x_mat = sym_unitary.real.copy()
+    # symmetric up to roundoff; the eigensolver reads the lower triangle
+    basis[...] = sym_unitary.real
     del sym_unitary
-    cos_vals, basis = np.linalg.eigh(x_mat)
-    del x_mat
+    cos_vals, info = _eigh_in_place(basis)
+    if info != 0:
+        raise NumericError(f"quasi-spectrum at ({point}): LAPACK dsyevd failed with info={info}")
 
-    dim = cos_vals.size
-    states = np.empty((dim, dim), dtype=complex, order="F")
     eigenvalues = np.empty(dim, dtype=complex)
     residual = 0.0
-    for at, stop, clusters in _panels(cos_vals):
+    # complex column j starts at double 2 j dim, so writing a panel [at, stop)
+    # touches no real column < at: walked last first, every panel is read
+    # before a write reaches it, and _resolve_panel has consumed the panel's
+    # own real columns before they are overwritten by its eigenvectors
+    for at, stop, clusters in reversed(list(_panels(cos_vals))):
         cols = slice(at, stop)
         eigenvalues[cols], panel, panel_residual = _resolve_panel(
             u1, half, phase, cos_vals[cols], basis[:, cols], clusters
         )
         states[:, cols] = panel[u1.inverse]
         residual = max(residual, panel_residual)
-    del basis
 
-    point = _point_text(params)
     mod_dev = np.max(np.abs(np.abs(eigenvalues) - 1.0))
     if mod_dev > UNITARITY_TOL:
         raise NumericError(
@@ -418,10 +439,38 @@ def quasi_spectrum(prop: FloquetPropagator) -> QuasiSpectrum:
         )
     energies = _fold_quasi_energies(eigenvalues)
     ranking = np.argsort(energies, kind="stable")
-    return QuasiSpectrum(
-        quasi_energies=energies[ranking],
-        eigenstates=states[:, ranking],
-    )
+    _permute_columns(states, ranking)
+    return QuasiSpectrum(quasi_energies=energies[ranking], eigenstates=states)
+
+
+def _eigh_in_place(x: np.ndarray):
+    """Eigenvalues (ascending) of the real symmetric matrix x, from its
+    lower triangle, and LAPACK's info.  The eigenvectors overwrite x, which
+    must be F-contiguous float64 (otherwise f2py would diagonalize a copy)."""
+    # scipy is imported here, not at module top: it costs ~0.3 s and ~20 MB,
+    # and only the quasi-spectrum needs it
+    from scipy.linalg.lapack import dsyevd
+
+    vals, _, info = dsyevd(x, lower=1, overwrite_a=1)
+    return vals, info
+
+
+def _permute_columns(a: np.ndarray, order: np.ndarray) -> None:
+    """a[:, order] in place: each cycle of the permutation is followed with
+    one column of scratch."""
+    scratch = np.empty(a.shape[0], dtype=a.dtype)
+    done = np.zeros(order.size, dtype=bool)
+    for start in range(order.size):
+        if done[start] or order[start] == start:
+            continue
+        scratch[:] = a[:, start]
+        j = start
+        while order[j] != start:
+            done[j] = True
+            a[:, j] = a[:, order[j]]
+            j = order[j]
+        done[j] = True
+        a[:, j] = scratch
 
 
 def _panels(cos_vals: np.ndarray):

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import NumericError
-from .floquet import FloquetPropagator
+from .floquet import FloquetPropagator, _point_text
 from .hamiltonian import SimulationParams
 from .hilbert import StateVector, sigma_z_stack
 
@@ -91,16 +91,28 @@ class LifetimeResult:
         }
 
 
-def _check_norm(psi: np.ndarray, cycle: int) -> None:
+def _drift_error(drift: float, params: SimulationParams, cycle: int) -> NumericError:
+    return NumericError(
+        f"state norm drifted by {drift:.2e} (tolerance {NORM_DRIFT_TOL:.0e}) "
+        f"for ({_point_text(params)}) at cycle {cycle}"
+    )
+
+
+def _check_norm(psi: np.ndarray, params: SimulationParams, cycle: int) -> None:
     drift = abs(np.linalg.norm(psi) - 1.0)
     if drift > NORM_DRIFT_TOL:
-        raise NumericError(f"state norm drifted by {drift:.2e} at cycle {cycle}")
+        raise _drift_error(drift, params, cycle)
 
 
-def _magnitude_error(values: np.ndarray) -> Optional[NumericError]:
-    if (np.abs(values) <= 1.0 + MAGNITUDE_TOL).all():
+def _magnitude_error(values: np.ndarray, params: SimulationParams) -> Optional[NumericError]:
+    magnitude = np.abs(values)
+    cycle = int(np.argmax(magnitude))
+    if magnitude[cycle] <= 1.0 + MAGNITUDE_TOL:
         return None
-    return NumericError("autocorrelator magnitude exceeded 1 beyond tolerance")
+    return NumericError(
+        f"autocorrelator magnitude exceeded 1 by {magnitude[cycle] - 1.0:.2e} "
+        f"(tolerance {MAGNITUDE_TOL:.0e}) for ({_point_text(params)}) at cycle {cycle}"
+    )
 
 
 def autocorrelator_series(
@@ -116,7 +128,8 @@ def autocorrelator_series(
     initial states (sigma^z psi0 = s_j psi0) and runs them through the
     sweep's block loop as a one-column block, "general" co-evolves
     sigma^z_j psi0 for every site with `prop.apply`, "auto" selects by
-    inspecting psi0.  A failed check raises `NumericError` naming the cycle.
+    inspecting psi0.  A failed check raises `NumericError` naming the
+    parameter point, the tolerance and the cycle.
     """
     if n_cycles < 1:
         raise ValueError(f"cycle count must be >= 1, got {n_cycles}")
@@ -137,11 +150,12 @@ def autocorrelator_series(
     sz = sigma_z_stack(basis)
 
     if method == "fast":
-        block, (error,) = _evolve_block(prop.u1, prop.phase2[:, None], [product_index], sz, n_cycles)
+        column = (prop.params, product_index)
+        block, (error,) = _evolve_block(prop.u1, prop.phase2[:, None], [column], sz, n_cycles)
         values = block[:, 0]
     else:
         values = _series_general(prop, psi0, sz, n_cycles)
-        error = _magnitude_error(values)
+        error = _magnitude_error(values, prop.params)
     if error is not None:
         raise error
     return AutocorrelatorSeries(
@@ -152,23 +166,25 @@ def autocorrelator_series(
     )
 
 
-def _evolve_block(u1, phi, starts, sz, n_cycles):
+def _evolve_block(u1, phi, columns, sz, n_cycles):
     """C(n) of z-product states evolved together by Psi <- Phi * (U1 Psi).
 
     `u1` is the stage-1 `SectorUnitary`; `phi` is an F-order (dim, width)
     block holding the stage-2 phase column of each state, in the order of
-    `starts` (their basis indices), then zero columns as padding.  Rows are
+    `columns` (one (params, basis index) pair per state; the params name
+    the point in error messages), then zero columns as padding.  Rows are
     permuted into reflection-orbit order once, so every cycle is one
     `u1.product` on preallocated buffers.  Returns the (n_cycles + 1,
-    len(starts)) series and one `NumericError` (or None) per state.  A state
+    len(columns)) series and one `NumericError` (or None) per state.  A state
     whose norm drifts is zeroed and no longer checked, so it cannot touch the
     others; the loop stops once every state has failed.
     """
-    count = len(starts)
+    points, starts = zip(*columns)
+    count = len(columns)
     dim, width = phi.shape
     phi = np.asfortranarray(phi[u1.order])
     sz = sz[:, u1.order]
-    rows = u1.inverse[starts]
+    rows = u1.inverse[list(starts)]
     psi = np.zeros((dim, width), dtype=complex, order="F")
     psi[rows, np.arange(count)] = 1.0
     work = u1.workspace((width,))
@@ -187,14 +203,14 @@ def _evolve_block(u1, phi, starts, sz, n_cycles):
         drift = np.abs(np.sqrt(prob.sum(axis=0)) - 1.0)
         for col in list(live):
             if drift[col] > NORM_DRIFT_TOL:
-                errors[col] = NumericError(f"state norm drifted by {drift[col]:.2e} at cycle {n}")
+                errors[col] = _drift_error(drift[col], points[col], n)
                 psi[:, col] = 0.0
                 live.remove(col)
                 continue
             # per column: a block-wide sz @ prob would round by block width
             values[n, col] = signs[col] @ (sz @ prob[:, col]) / length
     for col in live:
-        errors[col] = _magnitude_error(values[:, col])
+        errors[col] = _magnitude_error(values[:, col], points[col])
     return values, errors
 
 
@@ -208,11 +224,12 @@ def _series_general(prop, psi0, sz, n_cycles):
     for n in range(1, n_cycles + 1):
         psi = prop.apply(psi)
         chi = prop.apply(chi)
-        _check_norm(psi, n)
+        _check_norm(psi, prop.params, n)
         correlator = np.einsum("jb,bj->", sz, chi.conj() * psi[:, None]) / length
         if abs(correlator.imag) > REALNESS_TOL:
             raise NumericError(
-                f"autocorrelator acquired imaginary part {correlator.imag:.2e} at cycle {n}"
+                f"autocorrelator acquired imaginary part {correlator.imag:.2e} (tolerance "
+                f"{REALNESS_TOL:.0e}) for ({_point_text(prop.params)}) at cycle {n}"
             )
         values[n] = correlator.real
     return values

@@ -298,7 +298,7 @@ def _block_series(u1: SectorUnitary, columns, sz: np.ndarray, n_cycles: int):
         except Exception as exc:  # a bad stage 2 fails its own point only
             errors[col] = _marker(exc)
     # a column left at zero phase loses its norm in cycle 1 and drops out
-    values, faults = _evolve_block(u1, phi, [start for _, start in columns], sz, n_cycles)
+    values, faults = _evolve_block(u1, phi, columns, sz, n_cycles)
     for col, fault in enumerate(faults):
         if errors[col] is None and fault is not None:
             errors[col] = _marker(fault)

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,18 @@ import starkdtc.floquet as floquet_module
 import starkdtc.sweep as sweep_module
 from starkdtc.cli import main
 from starkdtc.figures import FIGURE_IDS, figure_parameters
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(code, tmp_path):
+    """Run `code` in a fresh interpreter with the package's src on the path."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    return done.stdout
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -237,3 +253,45 @@ def test_quasi_spectrum_commands_exit_2_when_memory_is_short(tmp_path, monkeypat
     assert main(["--config", str(cfg), "--out", str(out)]) == 2
     assert f"quasi-spectrum at L={largest_l} needs" in capsys.readouterr().err
     assert not any(out.iterdir())
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+def test_overlaps_peak_memory_within_estimate(tmp_path):
+    # the peak above the post-import baseline of a fresh process; read as
+    # VmHWM, which starts afresh at exec, where ru_maxrss can carry over
+    # the peak of the process that started it
+    code = """
+import json, sys
+from pathlib import Path
+from starkdtc.cli import main
+
+def peak():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmHWM:"))
+
+tmp = Path(sys.argv[1])
+cfg = tmp / "config.json"
+cfg.write_text(json.dumps({"command": "overlaps",
+    "params": {"L": 10, "OmegaT1": "pi/2", "epsT1": 0.3, "VT1": 0.1, "FT2": 0.25}}))
+base = peak()
+assert main(["--config", str(cfg), "--out", str(tmp / "out")]) == 0
+print(peak() - base)
+"""
+    peak = int(run_python(code, tmp_path).split()[-1])
+    assert 0 < peak <= floquet_module.quasi_spectrum_bytes(10)
+
+
+def test_commands_without_quasi_spectrum_do_not_import_scipy(tmp_path):
+    # in a fresh process: the test oracles import scipy into this one
+    code = """
+import json, sys
+from pathlib import Path
+import starkdtc.cli
+tmp = Path(sys.argv[1])
+cfg = tmp / "config.json"
+cfg.write_text(json.dumps({"command": "series",
+    "params": {"L": 6, "OmegaT1": "pi/2", "epsT1": 0.1, "VT1": 0.1, "FT2": 0.2}, "n_cycles": 20}))
+assert starkdtc.cli.main(["--config", str(cfg), "--out", str(tmp / "out")]) == 0
+print("scipy" in sys.modules)
+"""
+    assert run_python(code, tmp_path).split()[-1] == "False"

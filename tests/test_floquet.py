@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -21,6 +22,7 @@ from starkdtc import (
     z_product_state,
 )
 import starkdtc.floquet as floquet
+from starkdtc.cli import main
 from starkdtc.floquet import circular_gap, unitarity_deviation
 from starkdtc.sweep import PropagatorFactory
 from _oracles import trotter_floquet
@@ -310,18 +312,20 @@ def test_stage1_unitarity_error_names_key_and_tolerance(monkeypatch):
 
 
 def patch_first_eigh(monkeypatch, dim, change):
-    """Pass the first eigh(X) of dimension `dim` through `change`."""
-    real_eigh = np.linalg.eigh
+    """Pass the first in-place eigh(X) of dimension `dim` through `change`;
+    the changed vectors overwrite X, as the real eigenvectors do."""
+    real_eigh = floquet._eigh_in_place
     calls = []
 
-    def eigh(a, *args, **kwargs):
-        vals, vecs = real_eigh(a, *args, **kwargs)
-        if a.shape == (dim, dim) and not calls:
+    def eigh(x):
+        vals, info = real_eigh(x)
+        if x.shape == (dim, dim) and not calls:
             calls.append(dim)
-            return change(vals, vecs)
-        return vals, vecs
+            vals, vecs = change(vals, x.copy())
+            x[...] = vecs
+        return vals, info
 
-    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    monkeypatch.setattr(floquet, "_eigh_in_place", eigh)
 
 
 ERROR_POINT = SimulationParams(L=4, omega=np.pi / 2, epsilon=0.1, v=0.2, kernel="NNN").with_f_t2(0.25)
@@ -356,6 +360,41 @@ def test_quasi_spectrum_orthonormality_error_names_point(monkeypatch):
     patch_first_eigh(monkeypatch, 4, lambda vals, vecs: (vals, skewed))
     with pytest.raises(NumericError, match=point_pattern(p) + ".*orthonormal.*tolerance"):
         quasi_spectrum(prop)
+
+
+def test_quasi_spectrum_eigensolver_failure_names_point(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(floquet, "_eigh_in_place", lambda x: (np.zeros(x.shape[0]), 1))
+    with pytest.raises(NumericError, match=point_pattern(ERROR_POINT) + ".*info=1"):
+        quasi_spectrum(floquet_operator(ERROR_POINT))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "command": "overlaps",
+        "params": {"L": 3, "OmegaT1": "pi/2", "epsT1": 0.1, "VT1": 0.1, "FT2": 0.2},
+    }))
+    assert main(["--config", str(config), "--out", str(tmp_path / "out")]) == 3
+    assert "info=1" in capsys.readouterr().err
+
+
+def test_eigh_in_place_overwrites_its_argument():
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((7, 7))
+    a = a + a.T
+    x = np.array(a, order="F")
+    vals, info = floquet._eigh_in_place(x)
+    ref_vals, ref_vecs = np.linalg.eigh(a)
+    assert info == 0
+    assert np.allclose(vals, ref_vals, atol=1e-12)
+    assert np.allclose(np.abs(x.T @ ref_vecs), np.eye(7), atol=1e-10)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7, 64])
+def test_permute_columns_matches_fancy_indexing(dim):
+    rng = np.random.default_rng(dim)
+    a = rng.standard_normal((3, dim)) + 1j * rng.standard_normal((3, dim))
+    order = rng.permutation(dim)
+    expected = a[:, order]
+    floquet._permute_columns(a, order)
+    assert np.array_equal(a, expected)
 
 
 def circular_match(a, b):

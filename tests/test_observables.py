@@ -13,7 +13,9 @@ from starkdtc import (
     reversal_analysis,
     z_product_state,
 )
+import starkdtc.observables as observables
 from _oracles import dft_magnitudes, expm_multiply_series
+from test_floquet import point_pattern
 
 
 def perfect_flip_params(L):
@@ -71,6 +73,25 @@ def test_single_point_norm_failure_names_the_cycle(method):
     prop.phase2 = prop.phase2 * 1.001  # pushed off the unit circle
     with pytest.raises(NumericError, match="state norm drifted by .* at cycle 1$"):
         autocorrelator_series(prop, z_product_state("1111", p.basis), 30, method=method)
+
+
+@pytest.mark.parametrize("method", ["fast", "general"])
+def test_single_point_norm_failure_names_point_and_tolerance(method):
+    p = SimulationParams(L=4, omega=np.pi / 2, epsilon=0.2, v=0.1, f=0.02)
+    prop = floquet_operator(p)
+    prop.phase2 = prop.phase2 * 1.001
+    with pytest.raises(NumericError, match=r"tolerance 1e-08\) for \(" + point_pattern(p)):
+        autocorrelator_series(prop, z_product_state("1111", p.basis), 30, method=method)
+
+
+@pytest.mark.parametrize("method", ["fast", "general"])
+def test_magnitude_failure_names_point_and_tolerance(monkeypatch, method):
+    # a negative tolerance makes |C(0)| = 1 a failure
+    monkeypatch.setattr(observables, "MAGNITUDE_TOL", -0.5)
+    p = SimulationParams(L=4, omega=np.pi / 2, epsilon=0.2, v=0.1, f=0.02)
+    pattern = r"magnitude exceeded 1 by .* \(tolerance -5e-01\) for \(" + point_pattern(p)
+    with pytest.raises(NumericError, match=pattern + r".* at cycle \d+$"):
+        autocorrelator_series(floquet_operator(p), z_product_state("1111", p.basis), 30, method=method)
 
 
 def test_general_path_enforces_realness_contract():

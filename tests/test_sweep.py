@@ -1,5 +1,6 @@
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -28,6 +29,7 @@ from starkdtc.hilbert import sigma_z_stack
 from starkdtc.sweep import _block_series
 
 from _oracles import expm_multiply_series
+from test_floquet import point_pattern
 
 BASE = SimulationParams(L=4, omega=np.pi / 2, epsilon=0.2, v=0.1, t1=1.0, t2=10.0)
 
@@ -369,6 +371,21 @@ def test_sweep_failure_stays_in_its_column(monkeypatch):
         if index != bad_index:
             assert broken.errors[index] is None
             assert broken.values[index] == clean.values[index]
+
+
+def test_sweep_failure_marker_names_point_and_tolerance(monkeypatch):
+    spec = small_spec(axes=(SweepAxis("F_T2", (0.0, 0.2)),))
+    bad_params = spec.point_inputs({"F_T2": 0.2})[0]
+    bad_h2 = build_h2_diagonal(bad_params)
+
+    def skewed_phase(h2, t2):
+        phase = propagator_u2(h2, t2)
+        return phase * 1.001 if np.array_equal(h2, bad_h2) else phase
+
+    monkeypatch.setattr(sweep_module, "propagator_u2", skewed_phase)
+    broken = run_sweep(spec)
+    assert broken.errors[0] is None
+    assert re.search(r"tolerance 1e-08\) for \(" + point_pattern(bad_params), broken.errors[1])
 
 
 def test_grouped_sweep_matches_expm_multiply_oracle_at_l10():
