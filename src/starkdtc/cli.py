@@ -58,6 +58,8 @@ def _load_config(args) -> RunConfig:
         cfg.figure = args.figure
     if args.format is not None:
         cfg.out_format = args.format
+    if cfg.out_format == "json" and cfg.command in ("sweep", "figure"):
+        raise ConfigError(f"format 'json': the {cfg.command} command writes CSV only")
     if args.threads is not None and args.threads < 1:
         raise ConfigError(f"--threads: expected a positive integer, got {args.threads}")
     return cfg

@@ -26,7 +26,7 @@ from __future__ import annotations
 import ast
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from .exceptions import ConfigError
@@ -76,6 +76,13 @@ def _eval_node(node, source: str, path: str) -> float:
     raise ConfigError(f"{path}: unsupported numeric expression {source!r}")
 
 
+def _positive_int(value, path: str) -> int:
+    """A count from JSON: booleans and non-integral numbers are rejected, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{path}: expected a positive integer, got {value!r}")
+    return value
+
+
 @dataclass
 class RunConfig:
     """Validated single-invocation configuration."""
@@ -88,7 +95,6 @@ class RunConfig:
     sweep: Optional[SweepSpec] = None
     figure: Optional[str] = None
     out_format: str = "csv"
-    raw: dict = field(default_factory=dict)
 
     def initial_bits(self) -> str:
         if self.initial_state is None:
@@ -131,11 +137,7 @@ def parse_params(section, path: str = "params") -> SimulationParams:
         raise ConfigError(f"{path}: unknown keys {unknown}")
     if "L" not in section:
         raise ConfigError(f"{path}.L: required")
-    L = section["L"]
-    if isinstance(L, bool) or not isinstance(L, int):
-        raise ConfigError(f"{path}.L: expected an integer, got {L!r}")
-    if L < 1:
-        raise ConfigError(f"{path}.L: must be >= 1, got {L}")
+    L = _positive_int(section["L"], f"{path}.L")
     t1 = parse_number(section.get("T1", 1.0), f"{path}.T1")
     t2 = parse_number(section.get("T2", 10.0), f"{path}.T2")
     if t1 <= 0 or t2 <= 0:
@@ -167,7 +169,7 @@ def _parse_axis(section, path: str) -> SweepAxis:
         if numeric_axis and name != "L":
             values = tuple(parse_number(v, f"{path}.values") for v in raw_values)
         elif name == "L":
-            values = tuple(int(v) for v in raw_values)
+            values = tuple(_positive_int(v, f"{path}.values") for v in raw_values)
         else:
             values = tuple(str(v) for v in raw_values)
     elif "start" in section and "stop" in section:
@@ -182,9 +184,7 @@ def _parse_axis(section, path: str) -> SweepAxis:
             count = int(math.floor((stop - start) / step + 1e-9)) + 1
             values = tuple(start + k * step for k in range(max(count, 1)))
         elif "num" in section:
-            num = section["num"]
-            if not isinstance(num, int) or num < 1:
-                raise ConfigError(f"{path}.num: expected a positive integer")
+            num = _positive_int(section["num"], f"{path}.num")
             values = tuple(
                 start + (stop - start) * k / (num - 1) if num > 1 else start for k in range(num)
             )
@@ -211,15 +211,18 @@ def parse_sweep(section, base: SimulationParams, defaults: dict, path: str = "sw
     observable = section.get("observable")
     if observable not in OBSERVABLES:
         raise ConfigError(f"{path}.observable: expected one of {OBSERVABLES}, got {observable!r}")
+    counts = {"n_cycles": defaults.get("n_cycles", 100), "n_max": defaults.get("n_max", 5000),
+              "grid_cap": DEFAULT_GRID_CAP}
+    for key in counts:
+        if key in section:
+            counts[key] = _positive_int(section[key], f"{path}.{key}")
     try:
         return SweepSpec(
             axes=axes,
             base=base,
             observable=observable,
-            n_cycles=int(section.get("n_cycles", defaults.get("n_cycles", 100))),
-            n_max=int(section.get("n_max", defaults.get("n_max", 5000))),
             initial_state=section.get("initial_state", defaults.get("initial_state", "all_ones")),
-            grid_cap=int(section.get("grid_cap", DEFAULT_GRID_CAP)),
+            **counts,
         )
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}")
@@ -272,8 +275,7 @@ def parse_config(source: str) -> RunConfig:
     n_cycles = data.get("n_cycles", 100)
     n_max = data.get("n_max", 5000)
     for name, value in (("n_cycles", n_cycles), ("n_max", n_max)):
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ConfigError(f"{name}: expected a positive integer, got {value!r}")
+        _positive_int(value, name)
     # checked before the run, which would compute the whole series first
     if command == "spectrum" and n_cycles % 2:
         raise ConfigError(
@@ -307,5 +309,4 @@ def parse_config(source: str) -> RunConfig:
         sweep=sweep_spec,
         figure=figure,
         out_format=out_format,
-        raw=data,
     )

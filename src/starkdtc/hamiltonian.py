@@ -97,10 +97,6 @@ class SimulationParams:
         return 1 << self.L
 
     @property
-    def period(self) -> float:
-        return self.t1 + self.t2
-
-    @property
     def omega_t1(self) -> float:
         return self.omega * self.t1
 

@@ -65,12 +65,12 @@ class LifetimeResult:
 
     `first_reversal` is the first cycle n >= 3 whose parity subsequence sign
     (even n against sign C[2], odd n against sign C[1]) is reversed, counting
-    |C[n]| below `zero_atol` as reversed.  `n_c` is the DTC lifetime: the
-    cycle of deepest reversed amplitude reached after `first_reversal`, i.e.
-    the clearest point of the subharmonic phase slip.  On a slowly beating
-    envelope the raw first flip lands on a node where the amplitude is near
-    zero, so it is reported separately.  Both are None when no reversal
-    occurs within n_max.
+    |C[n]| below `REVERSAL_ZERO_ATOL` as reversed.  `n_c` is the DTC
+    lifetime: the cycle of deepest reversed amplitude reached after
+    `first_reversal`, i.e. the clearest point of the subharmonic phase slip.
+    On a slowly beating envelope the raw first flip lands on a node where the
+    amplitude is near zero, so it is reported separately.  Both are None when
+    no reversal occurs within n_max.
     """
 
     n_max: int
@@ -255,7 +255,7 @@ def fourier_spectrum(series: AutocorrelatorSeries) -> SpectralResult:
     )
 
 
-def reversal_analysis(values: np.ndarray, zero_atol: float = REVERSAL_ZERO_ATOL) -> LifetimeResult:
+def reversal_analysis(values: np.ndarray) -> LifetimeResult:
     """Sign-reversal analysis of a stroboscopic series C[0..n_max].
 
     Reference signs are taken from C[1] (odd cycles) and C[2] (even cycles)
@@ -268,7 +268,7 @@ def reversal_analysis(values: np.ndarray, zero_atol: float = REVERSAL_ZERO_ATOL)
     n = np.arange(n_max + 1)
     reference = np.where(n % 2 == 0, np.sign(values[2]), np.sign(values[1]))
     aligned = reference * values
-    reversed_mask = (aligned < 0) | (np.abs(values) < zero_atol)
+    reversed_mask = (aligned < 0) | (np.abs(values) < REVERSAL_ZERO_ATOL)
     reversed_mask[:3] = False
     hits = np.flatnonzero(reversed_mask)
     if hits.size == 0:
@@ -283,16 +283,11 @@ def reversal_analysis(values: np.ndarray, zero_atol: float = REVERSAL_ZERO_ATOL)
     )
 
 
-def lifetime(
-    prop: FloquetPropagator,
-    psi0: StateVector,
-    n_max: int,
-    zero_atol: float = REVERSAL_ZERO_ATOL,
-) -> LifetimeResult:
+def lifetime(prop: FloquetPropagator, psi0: StateVector, n_max: int) -> LifetimeResult:
     """DTC lifetime from the autocorrelator over up to n_max cycles, evolved
     as in `autocorrelator_series` (a z-product state as a one-column block);
     see `reversal_analysis` for the definitions."""
     if n_max < 2:
         raise ValueError(f"cycle cap must be >= 2, got {n_max}")
     series = autocorrelator_series(prop, psi0, n_max, method="auto")
-    return reversal_analysis(series.values, zero_atol=zero_atol)
+    return reversal_analysis(series.values)

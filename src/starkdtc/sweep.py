@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import product
 from pathlib import Path
 from typing import Optional
@@ -204,7 +204,6 @@ class SweepResult:
     coords: list
     values: list
     errors: list
-    metadata: dict = field(default_factory=dict)
 
     def axis_names(self):
         return [axis.name for axis in self.spec.axes]
@@ -230,7 +229,7 @@ class SweepResult:
                 rows.append(base + scalars + [None])
         return header, rows
 
-    def to_csv(self, path, metadata: Optional[dict] = None) -> Path:
+    def to_csv(self, path) -> Path:
         header, rows = self.rows()
         out = write_csv(path, header, rows)
         sidecar = {
@@ -242,9 +241,6 @@ class SweepResult:
             "initial_state": self.spec.initial_state,
             "fingerprint": self.spec.fingerprint(),
         }
-        sidecar.update(self.metadata)
-        if metadata:
-            sidecar.update(metadata)
         write_sidecar(out, sidecar)
         return out
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import starkdtc.floquet as floquet_module
+import starkdtc.observables as observables_module
 import starkdtc.sweep as sweep_module
 from starkdtc.cli import main
 from starkdtc.figures import FIGURE_IDS, figure_parameters
@@ -192,11 +193,21 @@ def test_figure_registry_covers_all_ids():
         figure_parameters("fig9")
 
 
-def test_figure_command_rerun_is_byte_identical(tmp_path):
+def test_figure_command_rerun_is_byte_identical(tmp_path, monkeypatch):
     # fig4a is the cheapest figure with real dynamics content
+    evolutions = []
+    evolve_block = observables_module._evolve_block
+
+    def counted(*args):
+        evolutions.append(args[-1])
+        return evolve_block(*args)
+
+    monkeypatch.setattr(observables_module, "_evolve_block", counted)
     out1 = tmp_path / "run1"
     out2 = tmp_path / "run2"
     assert main(["--figure", "fig4a", "--out", str(out1)]) == 0
+    # the lifetime record is read off the series, not a second 5000-cycle evolution
+    assert evolutions == [5000]
     assert main(["--figure", "fig4a", "--out", str(out2)]) == 0
     for name in ("fig4a_series.csv", "fig4a_lifetime.json", "fig4a_manifest.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
@@ -205,6 +216,61 @@ def test_figure_command_rerun_is_byte_identical(tmp_path):
     assert manifest["parameters"]["base"]["epsilon"] == pytest.approx(0.25)
     record = json.loads((out1 / "fig4a_lifetime.json").read_text())
     assert record["n_max"] == 5000
+
+
+def test_figure_manifest_states_what_ran(tmp_path):
+    # the sweep sidecars record the grids that ran; the manifest must match them
+    entry_keys = {"kernel": "kernels", "initial_state": "initial_states"}
+    for figure_id in ("fig3d", "fig5"):
+        assert main(["--figure", figure_id, "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / f"{figure_id}_manifest.json").read_text())
+        entry = figure_parameters(figure_id)
+        assert manifest["parameters"] == entry
+        for name in manifest["files"]:
+            sidecar = json.loads((tmp_path / f"{name}.meta.json").read_text())
+            assert sidecar["base_params"] == entry["base"]
+            declared = [[axis, entry[entry_keys.get(axis, axis)]] for axis, _ in sidecar["axes"]]
+            assert sidecar["axes"] == declared
+
+
+SWEEP_CONFIG = {
+    "command": "sweep",
+    "params": {"L": 4, "VT1": 0.1},
+    "sweep": {"axes": [{"name": "F_T2", "values": [0.0]}], "observable": "a_pi"},
+}
+
+
+def sweep_config(**fields):
+    return {**SWEEP_CONFIG, "sweep": {**SWEEP_CONFIG["sweep"], **fields}}
+
+
+@pytest.mark.parametrize(
+    "flags, data",
+    [
+        ([], sweep_config(n_cycles=20.9)),
+        ([], sweep_config(n_max=7.5)),
+        ([], sweep_config(grid_cap=True)),
+        ([], sweep_config(axes=[{"name": "L", "values": [3.7, True]}])),
+        ([], {**SWEEP_CONFIG, "output": {"format": "json"}}),
+        (["--format", "json"], SWEEP_CONFIG),
+        ([], {"command": "figure", "figure": "fig3d", "output": {"format": "json"}}),
+        (["--figure", "fig3d", "--format", "json"], None),
+    ],
+)
+def test_malformed_runs_exit_2_without_writing(tmp_path, monkeypatch, capsys, flags, data):
+    # non-integer counts would be truncated, and sweep and figure write CSV only
+    def no_stage1(params):
+        raise AssertionError("stage 1 computed before the config was rejected")
+
+    monkeypatch.setattr(floquet_module, "stage1_unitary", no_stage1)
+    monkeypatch.setattr(sweep_module, "stage1_unitary", no_stage1)
+    out = tmp_path / "out"
+    argv = ["--out", str(out), *flags]
+    if data is not None:
+        argv += ["--config", str(write_config(tmp_path, data))]
+    assert main(argv) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

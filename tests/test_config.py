@@ -181,3 +181,20 @@ def test_parse_config_rejects_unusable_cycle_counts():
     with pytest.raises(ConfigError, match="even"):
         parse_config(json.dumps({"command": "sweep", "params": {"L": 2}, "sweep": sweep}))
     assert parse_config(json.dumps({"command": "series", "params": {"L": 2}, "n_cycles": 101})).n_cycles == 101
+
+
+@pytest.mark.parametrize(
+    "sweep_fields, path",
+    [
+        ({"n_cycles": 20.9}, "sweep.n_cycles"),
+        ({"n_max": 7.5}, "sweep.n_max"),
+        ({"grid_cap": True}, "sweep.grid_cap"),
+        ({"axes": [{"name": "L", "values": [3.7, True]}]}, r"sweep.axes\[0\].values"),
+        ({"axes": [{"name": "L", "values": [3, True]}]}, r"sweep.axes\[0\].values"),
+    ],
+)
+def test_parse_sweep_rejects_non_integer_counts(sweep_fields, path):
+    # each would otherwise be truncated: 20.9 -> 20, 7.5 -> 7, true -> 1
+    sweep = {"axes": [{"name": "F_T2", "values": [0.0]}], "observable": "a_pi", **sweep_fields}
+    with pytest.raises(ConfigError, match=f"{path}: expected a positive integer"):
+        parse_config(json.dumps({"command": "sweep", "params": {"L": 2}, "sweep": sweep}))
