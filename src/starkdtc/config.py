@@ -17,7 +17,7 @@ Schema (defaults in parentheses):
     initial_state: bit string, or [[index, re, im], ...]  (all ones)
     n_cycles (100; even for spectrum and a_pi), n_max (5000; >= 2 for lifetime)
     sweep: {axes: [{name, values | start/stop/step | start/stop/num}],
-            observable, grid_cap (10000)}
+            observable, grid_cap (10000), initial_state (all_ones)}
     figure: fig2 | fig3a | fig3b | fig3c | fig3d | fig4a | fig4b | fig5
 """
 
@@ -31,7 +31,7 @@ from typing import Optional, Union
 
 from .exceptions import ConfigError
 from .hamiltonian import KERNEL_VARIANTS, SimulationParams
-from .sweep import AXIS_NAMES, DEFAULT_GRID_CAP, OBSERVABLES, SweepAxis, SweepSpec
+from .sweep import ALL_ONES, AXIS_NAMES, DEFAULT_GRID_CAP, OBSERVABLES, SweepAxis, SweepSpec
 
 COMMANDS = ("series", "spectrum", "overlaps", "lifetime", "sweep", "figure")
 
@@ -198,6 +198,17 @@ def _parse_axis(section, path: str) -> SweepAxis:
         raise ConfigError(f"{path}: {exc}")
 
 
+def _check_sweep_bits(bits, length: Optional[int], path: str) -> None:
+    """A sweep's initial state: 'all_ones', or a 0/1 string of `length`
+    characters (any length when L is swept and `length` is None)."""
+    if bits == ALL_ONES:
+        return
+    if not isinstance(bits, str) or not bits or any(ch not in "01" for ch in bits):
+        raise ConfigError(f"{path}: expected a bit string or {ALL_ONES!r}, got {bits!r}")
+    if length is not None and len(bits) != length:
+        raise ConfigError(f"{path}: {bits!r} is not a length-{length} bit string")
+
+
 def parse_sweep(section, base: SimulationParams, defaults: dict, path: str = "sweep") -> SweepSpec:
     if not isinstance(section, dict):
         raise ConfigError(f"{path}: expected an object")
@@ -208,6 +219,14 @@ def parse_sweep(section, base: SimulationParams, defaults: dict, path: str = "sw
     if not isinstance(axes_section, list) or not axes_section:
         raise ConfigError(f"{path}.axes: expected a non-empty list")
     axes = tuple(_parse_axis(axis, f"{path}.axes[{i}]") for i, axis in enumerate(axes_section))
+    # checked here: a bad state would only fail each point, leaving a CSV of error markers
+    length = None if any(axis.name == "L" for axis in axes) else base.L
+    if "initial_state" in section:
+        _check_sweep_bits(section["initial_state"], length, f"{path}.initial_state")
+    for i, axis in enumerate(axes):
+        if axis.name == "initial_state":
+            for bits in axis.values:
+                _check_sweep_bits(bits, length, f"{path}.axes[{i}].values")
     observable = section.get("observable")
     if observable not in OBSERVABLES:
         raise ConfigError(f"{path}.observable: expected one of {OBSERVABLES}, got {observable!r}")
@@ -221,7 +240,7 @@ def parse_sweep(section, base: SimulationParams, defaults: dict, path: str = "sw
             axes=axes,
             base=base,
             observable=observable,
-            initial_state=section.get("initial_state", defaults.get("initial_state", "all_ones")),
+            initial_state=section.get("initial_state", defaults.get("initial_state", ALL_ONES)),
             **counts,
         )
     except ValueError as exc:

@@ -46,6 +46,7 @@ RESIDUAL_TOL = 1e-8
 # large enough that eigenvector mixing across a cluster gap stays ~1e-11
 COS_CLUSTER_TOL = 1e-5
 PI_PAIR_TOL = 0.05
+COMPLETENESS_TOL = 1e-8
 # the quasi-spectrum applies U_F to at most this many eigenvectors at a
 # time, so its one pass holds no second dim x dim complex temporary
 RESIDUAL_PANEL = 256
@@ -162,17 +163,20 @@ class SectorUnitary:
     def dimension(self) -> int:
         return self.order.size
 
-    def workspace(self, tail=()):
-        """Empty complex F-order sector buffers (x_even, x_odd, y_even,
-        y_odd) for `product`, with trailing shape `tail`."""
-        shapes = ((self.even.shape[0],) + tuple(tail), (self.odd.shape[0],) + tuple(tail))
-        return tuple(np.empty(shape, dtype=complex, order="F") for shape in shapes * 2)
+    def workspace(self, x: np.ndarray):
+        """Empty complex sector buffers (x_even, x_odd, y_even, y_odd) for
+        `product` on x: its trailing shape and its memory order, so a
+        C-order block gets C-order products (the sweep's padded blocks need
+        them for column-independent bits, see `sweep._PANEL`) and an F-order
+        panel F-order ones."""
+        return tuple(
+            np.empty_like(x, dtype=complex, shape=(rows,) + x.shape[1:])
+            for rows in (self.even.shape[0], self.odd.shape[0]) * 2
+        )
 
     def product(self, x: np.ndarray, out: np.ndarray, work) -> np.ndarray:
         """U1 x on orbit-ordered rows, one product per sector, into `out`
-        (which may be x itself).  `work` comes from `workspace(x.shape[1:])`.
-        The products are written in F order, as the sweep's padded blocks
-        need for column-independent bits (see `sweep._PANEL`)."""
+        (which may be x itself).  `work` comes from `workspace(x)`."""
         x_even, x_odd, y_even, y_odd = work
         _split(x, self.n_fixed, x_even, x_odd)
         np.matmul(self.even, x_even, out=y_even)
@@ -182,7 +186,7 @@ class SectorUnitary:
     def apply(self, x: np.ndarray) -> np.ndarray:
         """U1 x in the z-basis, for a vector or a column block."""
         ordered = np.asarray(x, dtype=complex)[self.order]
-        self.product(ordered, ordered, self.workspace(ordered.shape[1:]))
+        self.product(ordered, ordered, self.workspace(ordered))
         return ordered[self.inverse]
 
     def dense_ordered(self) -> np.ndarray:
@@ -339,11 +343,12 @@ class QuasiSpectrum:
     """Floquet eigenpairs: U_F |psi_a> = exp(-i E_a) |psi_a>.
 
     Quasi-energies lie in (-pi, pi] and are sorted ascending; eigenvector
-    columns are orthonormal.
+    columns are orthonormal.  `params` names the point in error messages.
     """
 
     quasi_energies: np.ndarray
     eigenstates: np.ndarray
+    params: Optional[SimulationParams] = None
 
     @property
     def dimension(self) -> int:
@@ -440,7 +445,7 @@ def quasi_spectrum(prop: FloquetPropagator) -> QuasiSpectrum:
     energies = _fold_quasi_energies(eigenvalues)
     ranking = np.argsort(energies, kind="stable")
     _permute_columns(states, ranking)
-    return QuasiSpectrum(quasi_energies=energies[ranking], eigenstates=states)
+    return QuasiSpectrum(quasi_energies=energies[ranking], eigenstates=states, params=params)
 
 
 def _eigh_in_place(x: np.ndarray):
@@ -500,7 +505,7 @@ def _resolve_panel(u1, half, phase, cos_vals, basis, clusters):
     come back in orbit order."""
     basis = np.asfortranarray(basis)
     states = half[:, None] * basis
-    image = u1.product(states, np.empty_like(states), u1.workspace(states.shape[1:]))
+    image = u1.product(states, np.empty_like(states), u1.workspace(states))
     image *= phase[:, None]
     # D^-1/2 U_F psi = (X + iY) b
     y_basis = np.asfortranarray((half.conj()[:, None] * image).imag)
@@ -522,15 +527,24 @@ def _resolve_panel(u1, half, phase, cos_vals, basis, clusters):
 
 @dataclass(frozen=True)
 class OverlapTable:
-    """(quasi-energy, |<psi(0)|psi^F_a>|^2) pairs sorted by quasi-energy."""
+    """(quasi-energy, |<psi(0)|psi^F_a>|^2) pairs sorted by quasi-energy.
+
+    The overlaps must sum to 1 within `COMPLETENESS_TOL`; `params` names
+    the point in the error message.
+    """
 
     quasi_energies: np.ndarray
     overlaps: np.ndarray
+    params: Optional[SimulationParams] = None
 
     def __post_init__(self):
-        total = float(np.sum(self.overlaps))
-        if abs(total - 1.0) > 1e-8:
-            raise NumericError(f"overlap completeness sum {total!r} deviates from 1 beyond 1e-8")
+        dev = abs(float(np.sum(self.overlaps)) - 1.0)
+        if dev > COMPLETENESS_TOL:
+            where = "" if self.params is None else f" at ({_point_text(self.params)})"
+            raise NumericError(
+                f"overlaps{where}: completeness sum deviates from 1 by {dev:.2e}, "
+                f"tolerance {COMPLETENESS_TOL:.0e}"
+            )
 
     def __len__(self) -> int:
         return self.quasi_energies.size
@@ -558,7 +572,9 @@ def overlaps(spectrum: QuasiSpectrum, psi0: StateVector) -> OverlapTable:
         )
     # conj(psi0)^T V is the conjugate of V^dag psi0; no conjugate copy of V
     weight = np.abs(psi0.amplitudes.conj() @ spectrum.eigenstates) ** 2
-    return OverlapTable(quasi_energies=spectrum.quasi_energies.copy(), overlaps=weight)
+    return OverlapTable(
+        quasi_energies=spectrum.quasi_energies.copy(), overlaps=weight, params=spectrum.params
+    )
 
 
 def circular_gap(e1: float, e2: float) -> float:

@@ -169,29 +169,47 @@ def autocorrelator_series(
 def _evolve_block(u1, phi, columns, sz, n_cycles):
     """C(n) of z-product states evolved together by Psi <- Phi * (U1 Psi).
 
-    `u1` is the stage-1 `SectorUnitary`; `phi` is an F-order (dim, width)
-    block holding the stage-2 phase column of each state, in the order of
+    `u1` is the stage-1 `SectorUnitary`; `phi` is a (dim, width) block
+    holding the stage-2 phase column of each state, in the order of
     `columns` (one (params, basis index) pair per state; the params name
     the point in error messages), then zero columns as padding.  Rows are
-    permuted into reflection-orbit order once, so every cycle is one
-    `u1.product` on preallocated buffers.  Returns the (n_cycles + 1,
-    len(columns)) series and one `NumericError` (or None) per state.  A state
-    whose norm drifts is zeroed and no longer checked, so it cannot touch the
-    others; the loop stops once every state has failed.
+    permuted into reflection-orbit order once, and the state, the phase
+    block and the sector buffers are C-order.  A cycle is one `u1.product`
+    (two sector gemms) and a few passes over preallocated buffers:
+    |psi|^2 = re^2 + im^2, then one product per live column with the rows
+    (1, w_c), which reads its squared norm and C_c(n) = w_c . |psi_c|^2 at
+    once (w_c = (s_c . sigma^z) / L for the signs s_c of state c, formed
+    once), then one vectorized norm-drift comparison for the block.  All
+    but the gemms are per column, so a column's bits do not depend on the
+    rest of a block padded as in `sweep._block_series`.
+
+    Returns the (n_cycles + 1, len(columns)) series and one `NumericError`
+    (or None) per state.  A state whose norm drifts is zeroed and no longer
+    checked, so it cannot touch the others; the loop stops once every state
+    has failed.
     """
     points, starts = zip(*columns)
     count = len(columns)
     dim, width = phi.shape
-    phi = np.asfortranarray(phi[u1.order])
+    phi = np.ascontiguousarray(phi[u1.order])
     sz = sz[:, u1.order]
     rows = u1.inverse[list(starts)]
-    psi = np.zeros((dim, width), dtype=complex, order="F")
+    psi = np.zeros((dim, width), dtype=complex)
     psi[rows, np.arange(count)] = 1.0
-    work = u1.workspace((width,))
+    work = u1.workspace(psi)
+    squares = np.empty((dim, 2 * width))
+    prob = np.empty((dim, width))
+    readout = np.ones((count, 2, dim))
+    # sz entries are +-1, so the sums are exact integers
+    readout[:, 1] = sz[:, rows].T @ sz / sz.shape[0]
+    # per column (squared norm, C); rows of padding and failed states stay 0
+    sums = np.zeros((width, 2))
+    # the norm each column should keep: 1 while its state is live, 0 for
+    # padding and zeroed states, so only a live state can fail the check
+    expected = np.zeros(width)
+    expected[:count] = 1.0
     errors = [None] * count
     live = list(range(count))
-    signs = [sz[:, row] for row in rows]
-    length = sz.shape[0]
 
     values = np.zeros((n_cycles + 1, count), order="F")
     values[0] = 1.0
@@ -199,16 +217,19 @@ def _evolve_block(u1, phi, columns, sz, n_cycles):
         if not live:
             break
         np.multiply(phi, u1.product(psi, psi, work), out=psi)
-        prob = np.abs(psi) ** 2
-        drift = np.abs(np.sqrt(prob.sum(axis=0)) - 1.0)
-        for col in list(live):
-            if drift[col] > NORM_DRIFT_TOL:
-                errors[col] = _drift_error(drift[col], points[col], n)
-                psi[:, col] = 0.0
-                live.remove(col)
-                continue
-            # per column: a block-wide sz @ prob would round by block width
-            values[n, col] = signs[col] @ (sz @ prob[:, col]) / length
+        np.square(psi.view(float), out=squares)
+        np.add(squares[:, 0::2], squares[:, 1::2], out=prob)
+        for col in live:
+            np.matmul(readout[col], prob[:, col], out=sums[col])
+        drift = np.abs(np.sqrt(sums[:, 0]) - expected)
+        if drift.max() > NORM_DRIFT_TOL:
+            for col in list(live):
+                if drift[col] > NORM_DRIFT_TOL:
+                    errors[col] = _drift_error(drift[col], points[col], n)
+                    psi[:, col] = 0.0
+                    sums[col] = expected[col] = 0.0
+                    live.remove(col)
+        values[n] = sums[:count, 1]
     for col in live:
         errors[col] = _magnitude_error(values[:, col], points[col])
     return values, errors

@@ -59,13 +59,14 @@ ALL_ONES = "all_ones"
 
 JOURNAL_KIND = "starkdtc-sweep-journal"
 
-# zgemm evaluates full 4-column panels in one fixed order, so a block padded
-# to a multiple of 4 columns gives every column the same bits at any width
-# and position (the sector transform around the two U1 gemms is
-# elementwise per column); narrower products fall to gemv or edge kernels
-# that round differently.  Verified only with OpenBLAS 0.3.31 (SkylakeX
-# kernels on an AVX-512 Xeon): other BLAS builds or CPUs may use other panel
-# widths
+# with C-order states and products, zgemm evaluates a block padded to a
+# multiple of 4 columns in full panels, so every column gets the same bits
+# at any width and position (the rest of the evolution loop is per column);
+# narrower products fall to gemv or edge kernels that round differently.
+# tests/test_blas_kernels.py checks this under OpenBLAS 0.3.31's Haswell,
+# Zen, SandyBridge and (on AVX-512 CPUs) SkylakeX kernels; F-order products
+# do not hold it under the first three.  Other BLAS builds may use other
+# panels
 _PANEL = 4
 # caps the block's memory at large L; per-column cost is flat beyond ~16
 _MAX_BLOCK_COLUMNS = 64
@@ -286,7 +287,7 @@ def _block_series(u1: SectorUnitary, columns, sz: np.ndarray, n_cycles: int):
     """
     count = len(columns)
     width = -(-count // _PANEL) * _PANEL
-    phi = np.zeros((u1.dimension, width), dtype=complex, order="F")
+    phi = np.zeros((u1.dimension, width), dtype=complex)
     errors = [None] * count
     for col, (params, _) in enumerate(columns):
         try:

@@ -255,10 +255,13 @@ def sweep_config(**fields):
         (["--format", "json"], SWEEP_CONFIG),
         ([], {"command": "figure", "figure": "fig3d", "output": {"format": "json"}}),
         (["--figure", "fig3d", "--format", "json"], None),
+        ([], sweep_config(initial_state="10x")),
+        ([], sweep_config(initial_state="101")),
     ],
 )
 def test_malformed_runs_exit_2_without_writing(tmp_path, monkeypatch, capsys, flags, data):
-    # non-integer counts would be truncated, and sweep and figure write CSV only
+    # non-integer counts would be truncated, sweep and figure write CSV only, and a
+    # bad sweep initial state would fail every point
     def no_stage1(params):
         raise AssertionError("stage 1 computed before the config was rejected")
 

@@ -125,6 +125,30 @@ def test_parse_config_sweep():
     assert cfg.sweep.n_cycles == 10
 
 
+def test_parse_sweep_rejects_bad_initial_state():
+    # a bad state used to fail every point and still exit 0
+    def sweep_cfg(axes, **fields):
+        sweep = {"axes": axes, "observable": "a_pi", **fields}
+        return json.dumps({"command": "sweep", "params": {"L": 3}, "sweep": sweep})
+
+    f_axis = [{"name": "F_T2", "values": [0.0]}]
+    l_axis = [{"name": "L", "values": [2, 3]}]
+    with pytest.raises(ConfigError, match=r"sweep\.initial_state: expected a bit string"):
+        parse_config(sweep_cfg(f_axis, initial_state="10x"))
+    with pytest.raises(ConfigError, match=r"sweep\.initial_state: expected a bit string"):
+        parse_config(sweep_cfg(f_axis, initial_state=[1, 0, 1]))
+    with pytest.raises(ConfigError, match=r"sweep\.initial_state: '10' is not a length-3"):
+        parse_config(sweep_cfg(f_axis, initial_state="10"))
+    with pytest.raises(ConfigError, match=r"sweep\.initial_state: expected a bit string"):
+        parse_config(sweep_cfg(l_axis, initial_state="1x"))
+    with pytest.raises(ConfigError, match=r"sweep\.axes\[1\]\.values: expected a bit string"):
+        parse_config(sweep_cfg(f_axis + [{"name": "initial_state", "values": ["101", "1o1"]}]))
+    # the length is free when L is swept, and all_ones fits every L
+    assert parse_config(sweep_cfg(l_axis, initial_state="10")).sweep.initial_state == "10"
+    assert parse_config(sweep_cfg(f_axis, initial_state="all_ones")).sweep.initial_state == "all_ones"
+    assert parse_config(sweep_cfg(f_axis, initial_state="101")).sweep.initial_state == "101"
+
+
 def test_parse_config_sweep_axis_errors():
     base = {"command": "sweep", "params": {"L": 3}}
 

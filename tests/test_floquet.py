@@ -12,6 +12,7 @@ from starkdtc import (
     OverlapTable,
     ResourceLimitError,
     SimulationParams,
+    StateVector,
     build_h1,
     build_h2_diagonal,
     find_pi_pair,
@@ -444,3 +445,12 @@ def test_quasi_spectrum_memory_estimate(monkeypatch):
     # an unreadable MemAvailable skips the check
     monkeypatch.setattr(floquet, "_available_memory", lambda: None)
     floquet.check_quasi_spectrum_memory(14)
+
+
+def test_overlap_completeness_error_names_point_and_tolerance():
+    spectrum = floquet_operator(ERROR_POINT).spectrum()
+    psi0 = StateVector(spectrum.eigenstates[:, 3].copy(), ERROR_POINT.basis)
+    spectrum.eigenstates[:, 3] *= 1.01  # a skewed eigenstate column: overlap 1.0201
+    pattern = r"overlaps at \(" + point_pattern(ERROR_POINT) + r"\): completeness .* by 2\.01e-02, tolerance 1e-08"
+    with pytest.raises(NumericError, match=pattern):
+        overlaps(spectrum, psi0)
