@@ -15,7 +15,8 @@ from pathlib import Path
 from .config import RunConfig, parse_config
 from .exceptions import ConfigError, NumericError, ResourceLimitError
 from .figures import FIGURE_IDS, figure_command
-from .floquet import check_quasi_spectrum_memory, find_pi_pair, floquet_operator, overlaps
+from .floquet import (check_quasi_spectrum_memory, check_stage1_memory, find_pi_pair, floquet_operator,
+                      overlaps)
 from .hilbert import state_from_amplitudes, z_product_state
 from .observables import autocorrelator_series, fourier_spectrum, lifetime
 from .output import params_metadata, write_csv, write_json, write_sidecar
@@ -96,8 +97,8 @@ def _write_table(out_dir: Path, name: str, fmt: str, header, rows, metadata: dic
 
 def _run_point(cfg: RunConfig, out_dir: Path) -> list:
     """The series, spectrum, overlaps or lifetime table of one parameter point."""
-    if cfg.command == "overlaps":
-        check_quasi_spectrum_memory(cfg.params.L)
+    check = check_quasi_spectrum_memory if cfg.command == "overlaps" else check_stage1_memory
+    check(cfg.params.L)
     prop = floquet_operator(cfg.params)
     psi0 = _initial_state(cfg)
     metadata = {

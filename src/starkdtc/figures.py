@@ -17,7 +17,7 @@ import copy
 import math
 from pathlib import Path
 
-from .floquet import check_quasi_spectrum_memory, overlaps
+from .floquet import check_quasi_spectrum_memory, check_stage1_memory, overlaps
 from .hamiltonian import KERNEL_VARIANTS, SimulationParams
 from .hilbert import z_product_state
 from .observables import autocorrelator_series, fourier_spectrum, reversal_analysis
@@ -76,7 +76,6 @@ def _panel(path: Path, header, rows, params, **meta) -> Path:
 
 
 def _fig2(entry: dict, out_dir: Path) -> list:
-    check_quasi_spectrum_memory(entry["base"].L)
     factory = PropagatorFactory()
     n_cycles = entry["n_cycles"]
     files = []
@@ -128,6 +127,9 @@ def figure_command(figure_id: str, out_dir) -> list:
     """Write the figure's panel files and a manifest; returns written paths."""
     parameters = figure_parameters(figure_id)
     entry = FIGURES[figure_id]
+    # before stage 1 and before any file: fig2 builds quasi-spectra, the others only evolve
+    check = check_quasi_spectrum_memory if figure_id == "fig2" else check_stage1_memory
+    check(entry["base"].L)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if figure_id in _GRIDS:

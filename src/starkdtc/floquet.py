@@ -57,6 +57,12 @@ SQRT_HALF = math.sqrt(0.5)
 # buffers; measured 79 / 218 / 584 MiB for `overlaps` at L=10 / 11 / 12
 QUASI_SPECTRUM_BYTES_PER_4L = 36
 QUASI_SPECTRUM_BASE_BYTES = 96 << 20
+# peak memory of stage 1 and an evolution above the process baseline: the
+# dense H1 and its orbit-ordered copy take 8 bytes per 4^L each, more than
+# the assembly of either block; measured 25 / 77 / 256 MiB for `series`,
+# `spectrum`, `lifetime` and a sweep at L=10 / 11 / 12
+STAGE1_BYTES_PER_4L = 16
+STAGE1_BASE_BYTES = 24 << 20
 
 
 def propagator_u2(h2_diagonal: np.ndarray, t2: float) -> np.ndarray:
@@ -68,24 +74,36 @@ def propagator_u2(h2_diagonal: np.ndarray, t2: float) -> np.ndarray:
 
 
 def u1_from_eigensystem(eigs: np.ndarray, vecs: np.ndarray, t1: float) -> np.ndarray:
-    """W exp(-i eigs t1) W^T for real orthogonal W, as two real gemms."""
+    """W exp(-i eigs t1) W^T for real orthogonal W, as two real gemms.
+
+    Each product goes through one reused real buffer into its half of the
+    block, the imaginary half as 0 - sin product: the bits of `real - 1j *
+    imag` (signed zeros included, since a gemm sum is never -0) without its
+    three complex temporaries."""
     theta = eigs * t1
-    real = (vecs * np.cos(theta)) @ vecs.T
-    imag = (vecs * np.sin(theta)) @ vecs.T
-    return real - 1j * imag
+    block = np.empty(vecs.shape, dtype=complex)
+    part = np.empty(vecs.shape)
+    np.matmul(vecs * np.cos(theta), vecs.T, out=part)
+    np.copyto(block.real, part)
+    np.matmul(vecs * np.sin(theta), vecs.T, out=part)
+    np.subtract(0.0, part, out=block.imag)
+    return block
 
 
 def unitarity_deviation(matrix: np.ndarray) -> float:
-    """max |(U^dag U - I)| elementwise, sampled on 16 columns above dim 1024."""
+    """max |(U^dag U - I)| elementwise, on 16 sampled Gram rows above dim 1024
+    (the Gram matrix is Hermitian, so they hold the sampled columns' values).
+    The identity is subtracted in place, and only the sampled columns of U
+    are conjugated."""
     dim = matrix.shape[0]
     if dim <= 1024:
         gram = matrix.conj().T @ matrix
-        return float(np.max(np.abs(gram - np.eye(dim))))
-    cols = np.linspace(0, dim - 1, 16).astype(int)
-    gram_cols = matrix.conj().T @ matrix[:, cols]
-    eye_cols = np.zeros((dim, cols.size))
-    eye_cols[cols, np.arange(cols.size)] = 1.0
-    return float(np.max(np.abs(gram_cols - eye_cols)))
+        gram.flat[::dim + 1] -= 1.0
+    else:
+        cols = np.linspace(0, dim - 1, 16).astype(int)
+        gram = matrix[:, cols].conj().T @ matrix
+        gram[np.arange(cols.size), cols] -= 1.0
+    return float(np.max(np.abs(gram)))
 
 
 def _split(x: np.ndarray, n_fixed: int, even: np.ndarray, odd: np.ndarray) -> None:
@@ -129,12 +147,15 @@ def _project(h: np.ndarray, n_fixed: int):
     for out, a, b in ((even[f, n_fixed:], h[f, lo], h[f, hi]), (even[n_fixed:, f], h[lo, f], h[hi, f])):
         np.add(a, b, out=out)
         out *= SQRT_HALF
+    # the upper term is formed in the output block itself, the lower in one
+    # work block shared by both sectors
+    lower = np.empty_like(odd)
     for out, op in ((even[n_fixed:, n_fixed:], np.add), (odd, np.subtract)):
-        upper = op(h[lo, lo], h[lo, hi])
-        upper *= SQRT_HALF
-        lower = op(h[hi, lo], h[hi, hi])
+        op(h[lo, lo], h[lo, hi], out=out)
+        out *= SQRT_HALF
+        op(h[hi, lo], h[hi, hi], out=lower)
         lower *= SQRT_HALF
-        op(upper, lower, out=out)
+        op(out, lower, out=out)
         out *= SQRT_HALF
     return even, odd
 
@@ -235,17 +256,32 @@ def quasi_spectrum_bytes(L: int) -> int:
     return QUASI_SPECTRUM_BYTES_PER_4L * 4 ** L + QUASI_SPECTRUM_BASE_BYTES
 
 
+def stage1_bytes(L: int) -> int:
+    """Estimated peak memory of stage 1 and the evolution after it at L
+    sites, above the process baseline."""
+    return STAGE1_BYTES_PER_4L * 4 ** L + STAGE1_BASE_BYTES
+
+
+def _check_memory(what: str, need: int) -> None:
+    available = _available_memory()
+    if available is not None and need > available:
+        raise ResourceLimitError(
+            f"{what} needs about {need / 2**30:.1f} GiB, "
+            f"but only {available / 2**30:.1f} GiB of memory is available"
+        )
+
+
 def check_quasi_spectrum_memory(L: int) -> None:
     """Raise `ResourceLimitError` when stage 1 plus a quasi-spectrum at L
     sites would not fit in the available memory; skipped when that cannot
     be read.  Called before stage 1, so nothing is allocated or written."""
-    need = quasi_spectrum_bytes(L)
-    available = _available_memory()
-    if available is not None and need > available:
-        raise ResourceLimitError(
-            f"a quasi-spectrum at L={L} needs about {need / 2**30:.1f} GiB, "
-            f"but only {available / 2**30:.1f} GiB of memory is available"
-        )
+    _check_memory(f"a quasi-spectrum at L={L}", quasi_spectrum_bytes(L))
+
+
+def check_stage1_memory(L: int) -> None:
+    """`check_quasi_spectrum_memory` for the commands that only evolve
+    states: stage 1 at L sites and the evolution after it."""
+    _check_memory(f"stage 1 at L={L}", stage1_bytes(L))
 
 
 def _key_text(params: SimulationParams) -> str:
@@ -268,17 +304,22 @@ def stage1_unitary(params: SimulationParams) -> SectorUnitary:
     even and odd reflection sectors (`_project`); each real symmetric
     projection is diagonalized, its block assembled and checked for
     unitarity.  The sector transform is orthogonal, so the two checks
-    together check U1.  No eigensystem outlives the assembly.
+    together check U1.  No projection outlives its diagonalization and no
+    eigensystem its assembly, so the peak is the dense H1 beside its
+    orbit-ordered copy (`stage1_bytes`).
     """
     fixed, lo, hi = params.basis.reflection_orbits()
     order = np.concatenate((fixed, lo, hi))
-    projections = _project(build_h1(params)[np.ix_(order, order)], fixed.size)
+    projections = list(_project(build_h1(params)[np.ix_(order, order)], fixed.size))
     blocks = []
-    for name, h in zip(("even", "odd"), projections):
+    for name in ("even", "odd"):
+        # each projection is released once diagonalized
+        h = projections.pop(0)
         if h.size == 0:
             blocks.append(np.zeros(h.shape, dtype=complex))
             continue
         eigs, vecs = np.linalg.eigh(h)
+        del h
         block = u1_from_eigensystem(eigs, vecs, params.t1)
         del eigs, vecs
         dev = unitarity_deviation(block)

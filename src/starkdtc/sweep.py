@@ -33,6 +33,7 @@ from .floquet import (
     FloquetPropagator,
     SectorUnitary,
     check_quasi_spectrum_memory,
+    check_stage1_memory,
     overlaps,
     propagator_u2,
     stage1_unitary,
@@ -433,13 +434,14 @@ def run_sweep(
     only on an invalid spec or journal.  With `journal_path` set every
     evaluated point is appended to a JSON-lines journal, and `resume=True`
     skips points already present in a journal for the identical spec (a
-    torn last line is dropped and its point recomputed).  An overlap_table
-    sweep first checks that a quasi-spectrum at the grid's largest L fits
-    in memory (`floquet.check_quasi_spectrum_memory`).
+    torn last line is dropped and its point recomputed).  The sweep first
+    checks that stage 1 at the grid's largest L, and for overlap_table a
+    quasi-spectrum, fits in memory (`floquet.check_stage1_memory`,
+    `floquet.check_quasi_spectrum_memory`).
     """
-    if spec.observable == "overlap_table":
-        sizes = [int(value) for axis in spec.axes if axis.name == "L" for value in axis.values]
-        check_quasi_spectrum_memory(max(sizes, default=spec.base.L))
+    sizes = [int(value) for axis in spec.axes if axis.name == "L" for value in axis.values]
+    check = check_quasi_spectrum_memory if spec.observable == "overlap_table" else check_stage1_memory
+    check(max(sizes, default=spec.base.L))
     factory = factory or PropagatorFactory()
     points = list(spec.grid_points())
     journal = _Journal(journal_path, spec.fingerprint(), resume) if journal_path else None

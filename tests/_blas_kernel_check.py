@@ -8,7 +8,8 @@ the Haswell and Zen kernels: L=3, width 5, off from cycle 2), and that the
 grids of `test_sweep.py::test_sweep_point_independence` give every point
 the same bits with other points removed.  Prints one JSON line,
 {"core": <OpenBLAS core name or null>, "mismatches": [...]}, and exits 1
-on any mismatch.
+on any mismatch.  With `--core` it only prints the core name (`none` if it
+cannot be read), so a caller can skip a kernel the BLAS does not switch to.
 """
 
 import ctypes
@@ -102,6 +103,9 @@ def sweep_mismatches():
 
 
 def main():
+    if sys.argv[1:] == ["--core"]:
+        print(openblas_core() or "none")
+        return 0
     mismatches = list(block_mismatches()) + list(sweep_mismatches())
     print(json.dumps({"core": openblas_core(), "mismatches": mismatches}))
     return 1 if mismatches else 0

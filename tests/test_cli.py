@@ -324,6 +324,62 @@ def test_quasi_spectrum_commands_exit_2_when_memory_is_short(tmp_path, monkeypat
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize(
+    "data, largest_l",
+    [
+        (SERIES_CONFIG, 3),
+        (dict(SERIES_CONFIG, command="spectrum"), 3),
+        (dict(SERIES_CONFIG, command="lifetime"), 3),
+        *(({"command": "sweep", "params": {"L": 3, "VT1": 0.1},
+            "sweep": {"axes": [{"name": "L", "values": [3, 6, 4]}], "observable": observable}}, 6)
+          for observable in ("a_pi", "lifetime", "series", "spectrum")),
+        *(({"command": "figure", "figure": figure_id}, 10) for figure_id in FIGURE_IDS if figure_id != "fig2"),
+    ],
+)
+def test_evolving_commands_exit_2_when_memory_is_short(tmp_path, monkeypatch, capsys, data, largest_l):
+    # the stage-1 estimate is checked before stage 1: no compute, no file
+    def no_stage1(params):
+        raise AssertionError("stage 1 computed before the memory check")
+
+    monkeypatch.setattr(floquet_module, "_available_memory", lambda: 1000)
+    monkeypatch.setattr(floquet_module, "stage1_unitary", no_stage1)
+    monkeypatch.setattr(sweep_module, "stage1_unitary", no_stage1)
+    cfg = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 2
+    need = floquet_module.stage1_bytes(largest_l) / 2**30
+    assert f"stage 1 at L={largest_l} needs about {need:.1f} GiB, but only 0.0 GiB" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+def test_series_peak_memory_within_stage1_estimate(tmp_path):
+    # a fresh L=11 `series` peaks in stage 1: 77 MiB above the post-import
+    # baseline with its single work buffer, in-place Gram check and one
+    # projection temporary, against 113 MiB with the complex temporaries of
+    # `real - 1j * imag`, a whole conjugated block and `gram - eye`, which
+    # the 88 MiB estimate refuses
+    code = """
+import json, sys
+from pathlib import Path
+from starkdtc.cli import main
+
+def peak():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmHWM:"))
+
+tmp = Path(sys.argv[1])
+cfg = tmp / "config.json"
+cfg.write_text(json.dumps({"command": "series", "n_cycles": 20,
+    "params": {"L": 11, "OmegaT1": "pi/2", "epsT1": 0.3, "VT1": 0.1, "FT2": 0.25}}))
+base = peak()
+assert main(["--config", str(cfg), "--out", str(tmp / "out")]) == 0
+print(peak() - base)
+"""
+    peak = int(run_python(code, tmp_path).split()[-1])
+    assert 0 < peak <= floquet_module.stage1_bytes(11)
+
+
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
 def test_overlaps_peak_memory_within_estimate(tmp_path):
     # the peak above the post-import baseline of a fresh process; read as

@@ -2,9 +2,13 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from starkdtc import ConfigError, parse_config
+from starkdtc import ConfigError, SimulationParams, parse_config
 from starkdtc.config import parse_number, parse_params
+from starkdtc.hamiltonian import KERNEL_VARIANTS
+from starkdtc.output import params_metadata
 
 
 def test_parse_number_symbolic():
@@ -76,6 +80,38 @@ def test_parse_config_minimal_series():
     assert cfg.initial_bits() == "111"
     assert cfg.out_format == "csv"
     assert not hasattr(cfg, "threads")  # --threads is a CLI flag only
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    L=st.integers(1, 14),
+    kernel=st.sampled_from(KERNEL_VARIANTS),
+    rates=st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=4),
+    durations=st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=2),
+    data=st.data(),
+)
+def test_config_round_trips_sidecar_params(L, kernel, rates, durations, data):
+    # a sidecar's params, written back as a config in raw spellings, parse to
+    # the same point bit for bit, and in the dimensionless spellings to within
+    # the rounding of one division
+    omega, epsilon, v, f = rates
+    t1, t2 = durations
+    params = SimulationParams(L=L, omega=omega, epsilon=epsilon, v=v, f=f, t1=t1, t2=t2, kernel=kernel)
+    meta = json.loads(json.dumps(params_metadata(params)))
+    bits = data.draw(st.text(alphabet="01", min_size=L, max_size=L))
+    n_cycles = data.draw(st.integers(1, 10_000))
+    raw = {"L": meta["L"], "T1": meta["t1"], "T2": meta["t2"], "kernel": meta["kernel"],
+           "Omega": meta["omega"], "epsilon": meta["epsilon"], "V": meta["v"], "F": meta["f"]}
+    cfg = parse_config(json.dumps({"command": "series", "params": raw, "initial_state": bits,
+                                   "n_cycles": n_cycles}))
+    assert cfg.params == params
+    assert cfg.initial_bits() == bits and cfg.n_cycles == n_cycles
+    groups = meta["dimensionless"]
+    scaled = {"L": L, "T1": t1, "T2": t2, "kernel": kernel, "OmegaT1": groups["omega_t1"],
+              "epsT1": groups["epsilon_t1"], "VT2": groups["v_t2"], "FT2": groups["f_t2"]}
+    again = parse_params(scaled)
+    for name in ("omega", "epsilon", "v", "f"):
+        assert getattr(again, name) == pytest.approx(getattr(params, name), rel=1e-15, abs=1e-300)
 
 
 def test_parse_config_initial_state_forms():

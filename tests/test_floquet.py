@@ -303,6 +303,78 @@ def test_sector_unitary_against_expm(L, kernel, omega, epsilon, v, width, seed):
     assert np.max(np.abs(u1.apply(block[:, 0]) - dense @ block[:, 0])) < 1e-12
 
 
+def bits(a):
+    """The raw bits of a float or complex array, so -0.0 differs from 0.0."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def two_temporary_projection(h, n_fixed):
+    """`_project` as first written, with both halves of each paired block
+    as separate temporaries."""
+    s = floquet.SQRT_HALF
+    n_pairs = (h.shape[0] - n_fixed) // 2
+    f, lo, hi = slice(0, n_fixed), slice(n_fixed, n_fixed + n_pairs), slice(n_fixed + n_pairs, None)
+    even = np.empty((n_fixed + n_pairs,) * 2)
+    odd = np.empty((n_pairs,) * 2)
+    even[f, f] = h[f, f]
+    even[f, n_fixed:] = (h[f, lo] + h[f, hi]) * s
+    even[n_fixed:, f] = (h[lo, f] + h[hi, f]) * s
+    for out, op in ((even[n_fixed:, n_fixed:], np.add), (odd, np.subtract)):
+        out[...] = op(op(h[lo, lo], h[lo, hi]) * s, op(h[hi, lo], h[hi, hi]) * s) * s
+    return even, odd
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    L=st.integers(1, 10),
+    kernel=st.sampled_from(["NN", "NNN", "NNNN", "ALL"]),
+    omega=st.floats(-3.0, 3.0),
+    epsilon=st.floats(-1.0, 1.0),
+    v=st.floats(-2.0, 2.0),
+    t1=st.floats(0.01, 3.0),
+)
+def test_stage1_steps_keep_the_bits_of_their_temporary_forms(L, kernel, omega, epsilon, v, t1):
+    # stage 1 writes its products through one work buffer and subtracts the
+    # identity in place; every bit must equal the forms with temporaries
+    p = SimulationParams(L=L, omega=omega, epsilon=epsilon, v=v, kernel=kernel, t1=t1)
+    fixed, lo, hi = p.basis.reflection_orbits()
+    order = np.concatenate((fixed, lo, hi))
+    h = build_h1(p)[np.ix_(order, order)]
+    projections = floquet._project(h, fixed.size)
+    for h_sector, expected in zip(projections, two_temporary_projection(h, fixed.size)):
+        assert np.array_equal(bits(h_sector), bits(expected))
+        if h_sector.size == 0:
+            continue
+        eigs, vecs = np.linalg.eigh(h_sector)
+        block = floquet.u1_from_eigensystem(eigs, vecs, t1)
+        theta = eigs * t1
+        real = (vecs * np.cos(theta)) @ vecs.T
+        imag = (vecs * np.sin(theta)) @ vecs.T
+        assert np.array_equal(bits(block), bits(real - 1j * imag))
+        eye = np.eye(block.shape[0])
+        assert unitarity_deviation(block) == float(np.max(np.abs(block.conj().T @ block - eye)))
+
+
+def test_unitarity_deviation_samples_gram_rows_above_1024():
+    # above dimension 1024 the 16 sampled Gram rows stand for the columns:
+    # the Gram matrix is Hermitian, so both hold the same entries
+    rng = np.random.default_rng(7)
+    dim = 1100
+    unitary, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    cols = np.linspace(0, dim - 1, 16).astype(int)
+    eye_cols = np.zeros((dim, cols.size))
+    eye_cols[cols, np.arange(cols.size)] = 1.0
+
+    def column_form(u):
+        return float(np.max(np.abs(u.conj().T @ u[:, cols] - eye_cols)))
+
+    assert unitarity_deviation(unitary) < 1e-13
+    assert abs(unitarity_deviation(unitary) - column_form(unitary)) < 1e-14
+    unitary[:, cols[5]] *= 1.5  # one sampled column off: |1.5|^2 - 1 on the diagonal
+    assert abs(unitarity_deviation(unitary) - 1.25) < 1e-12
+    assert abs(unitarity_deviation(unitary) - column_form(unitary)) < 1e-12
+
+
 def test_stage1_unitarity_error_names_key_and_tolerance(monkeypatch):
     real_u1 = floquet.u1_from_eigensystem
     monkeypatch.setattr(floquet, "u1_from_eigensystem", lambda *args: 1.5 * real_u1(*args))
@@ -445,6 +517,18 @@ def test_quasi_spectrum_memory_estimate(monkeypatch):
     # an unreadable MemAvailable skips the check
     monkeypatch.setattr(floquet, "_available_memory", lambda: None)
     floquet.check_quasi_spectrum_memory(14)
+
+
+def test_stage1_memory_estimate(monkeypatch):
+    # stage 1 at L=14 (its dense H1 twice, 4 GiB) fits in 7.7 GB but not in 4 GB
+    monkeypatch.setattr(floquet, "_available_memory", lambda: int(7.7e9))
+    floquet.check_stage1_memory(14)
+    monkeypatch.setattr(floquet, "_available_memory", lambda: int(4e9))
+    floquet.check_stage1_memory(13)
+    with pytest.raises(ResourceLimitError, match=r"stage 1 at L=14 needs about 4\.0 GiB, but only 3\.7 GiB"):
+        floquet.check_stage1_memory(14)
+    monkeypatch.setattr(floquet, "_available_memory", lambda: None)
+    floquet.check_stage1_memory(14)
 
 
 def test_overlap_completeness_error_names_point_and_tolerance():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from starkdtc import (
     AutocorrelatorSeries,
@@ -22,13 +24,27 @@ def perfect_flip_params(L):
     return SimulationParams(L=L, omega=np.pi / 2, epsilon=0.0, v=0.0, f=0.0)
 
 
-def test_perfect_flip_alternation():
-    for L in (1, 3, 6):
-        p = perfect_flip_params(L)
-        prop = floquet_operator(p)
-        series = autocorrelator_series(prop, z_product_state("1" * L, p.basis), 40)
-        expected = (-1.0) ** np.arange(41)
-        assert np.max(np.abs(series.values - expected)) < 1e-10
+@settings(max_examples=40, deadline=None)
+@given(
+    L=st.integers(1, 8),
+    kernel=st.sampled_from(["NN", "NNN", "NNNN", "ALL"]),
+    f=st.floats(-2.0, 2.0),
+    t1=st.floats(0.1, 5.0),
+    t2=st.floats(0.1, 20.0),
+    state=st.integers(0, 255),
+)
+@example(L=1, kernel="NN", f=0.0, t1=1.0, t2=10.0, state=255)
+@example(L=3, kernel="NN", f=0.0, t1=1.0, t2=10.0, state=255)
+@example(L=6, kernel="NN", f=0.0, t1=1.0, t2=10.0, state=255)
+def test_perfect_flip_alternation(L, kernel, f, t1, t2, state):
+    # Omega T1 = pi/2 and epsilon = 0 flip every spin exactly, whatever the
+    # diagonal stage 2 does, so C(n) = (-1)^n from any z-product state; V
+    # stays 0 because H_int is part of H1 too and spoils the flip (3e-3 off
+    # by cycle 40 at L=4, V=0.1)
+    p = SimulationParams(L=L, omega=np.pi / 2 / t1, epsilon=0.0, v=0.0, f=f, t1=t1, t2=t2, kernel=kernel)
+    bits = p.basis.index_to_bits(state % p.dimension)
+    series = autocorrelator_series(floquet_operator(p), z_product_state(bits, p.basis), 40)
+    assert np.max(np.abs(series.values - (-1.0) ** np.arange(41))) < 1e-10
 
 
 def test_series_invariants_and_validation():
@@ -230,6 +246,42 @@ def test_lifetime_zero_counts_as_reversal():
     values[7] = 0.0
     result = reversal_analysis(values)
     assert result.first_reversal == 7
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n_max=st.integers(3, 300),
+    signs=st.tuples(st.sampled_from([-1.0, 1.0]), st.sampled_from([-1.0, 1.0])),
+    data=st.data(),
+)
+def test_reversal_analysis_finds_planted_reversals(n_max, signs, data):
+    # a series that keeps the signs of C[1] (odd cycles) and C[2] (even
+    # cycles) except at planted cycles >= 3, where it is reversed or zero
+    odd_sign, even_sign = signs
+    n = np.arange(n_max + 1)
+    magnitude = np.array(data.draw(st.lists(st.floats(1e-6, 1.0), min_size=n_max + 1, max_size=n_max + 1)))
+    planted = data.draw(st.sets(st.integers(3, n_max), max_size=8))
+    zeros = data.draw(st.sets(st.sampled_from(sorted(planted)), max_size=3)) if planted else set()
+    sign = np.where(n % 2 == 0, even_sign, odd_sign)
+    values = sign * magnitude
+    for cycle in planted:
+        values[cycle] = 0.0 if cycle in zeros else -values[cycle]
+    result = reversal_analysis(values)
+    assert result.n_max == n_max
+    if not planted:
+        assert result.first_reversal is None and result.n_c is None and not result.observed
+        return
+    first = min(planted)
+    assert result.first_reversal == first
+    # deepest reversal: the largest reversed magnitude, else the first zero
+    reversed_cycles = sorted(planted - zeros)
+    if reversed_cycles:
+        depths = [magnitude[c] for c in reversed_cycles]
+        expected = reversed_cycles[int(np.argmax(depths))]
+    else:
+        expected = first
+    assert result.n_c == expected
+    assert result.reversal_depth == (0.0 if expected in zeros else magnitude[expected])
 
 
 def test_lifetime_input_validation():
