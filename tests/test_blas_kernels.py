@@ -5,11 +5,11 @@ numpy's OpenBLAS is built for several CPU families at once, and
 case reruns the bit-equality checks of `_blas_kernel_check.py` in a child
 process under one kernel family, from a temporary directory and without
 bytecode files, so nothing is written into the checkout.  A kernel the CPU
-cannot run is skipped.  So is a kernel the BLAS does not switch to, read
-from the core it reports when asked for it (a quick probe at collection):
-under `OPENBLAS_CORETYPE=Zen`, numpy's OpenBLAS 0.3.31 runs its Haswell
-kernels, which is no Zen coverage, so that case is `[Zen-runs-Haswell]`
-and skipped.
+cannot run is skipped.  A case checks the kernels its `OPENBLAS_CORETYPE`
+selects, which the failure message names by the core the BLAS reports, and
+these need not be the family's own: under `OPENBLAS_CORETYPE=Zen`, numpy's
+OpenBLAS 0.3.31 runs its Haswell kernels, so there `[Zen]` repeats the
+Haswell check and is no Zen coverage.
 """
 
 import json
@@ -42,8 +42,8 @@ def cpu_flags() -> set:
     return set()
 
 
-def run_check(kernel: str, *args, cwd=None):
-    """`_blas_kernel_check.py` with `args` in a child process under `kernel`."""
+def run_check(kernel: str, cwd):
+    """`_blas_kernel_check.py` in a child process under `kernel`."""
     env = {
         **os.environ,
         "OPENBLAS_CORETYPE": kernel,
@@ -51,44 +51,20 @@ def run_check(kernel: str, *args, cwd=None):
         "PYTHONDONTWRITEBYTECODE": "1",
     }
     return subprocess.run(
-        [sys.executable, str(TESTS / "_blas_kernel_check.py"), *args],
+        [sys.executable, str(TESTS / "_blas_kernel_check.py")],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
     )
 
 
-def kernel_cases():
-    """One case per kernel family.  A family the CPU cannot run is skipped,
-    and so is one the BLAS runs other kernels for, under an id that names
-    the core that runs; a failed probe leaves the case to fail."""
-    for kernel in sorted(REQUIRED_FLAGS):
-        missing = REQUIRED_FLAGS[kernel] - cpu_flags()
-        if missing:
-            reason = f"this CPU lacks {sorted(missing)} for the {kernel} kernels"
-            yield pytest.param(kernel, marks=pytest.mark.skip(reason=reason))
-            continue
-        probe = run_check(kernel, "--core")
-        core = probe.stdout.strip()
-        # OpenBLAS spells some names in its own case (Sandybridge)
-        if probe.returncode != 0 or core.lower() == kernel.lower():
-            yield kernel
-            continue
-        if core == "none":
-            reason = "numpy's BLAS reports no OpenBLAS kernel"
-        else:
-            reason = f"OPENBLAS_CORETYPE={kernel} runs the {core} kernels"
-        yield pytest.param(kernel, id=f"{kernel}-runs-{core}", marks=pytest.mark.skip(reason=reason))
-
-
-def pytest_generate_tests(metafunc):
-    # the probes run when pytest collects the test, not when the module is imported
-    if "kernel" in metafunc.fixturenames:
-        metafunc.parametrize("kernel", list(kernel_cases()))
-
-
+@pytest.mark.parametrize("kernel", sorted(REQUIRED_FLAGS))
 def test_block_bits_independent_of_blas_kernel(kernel, tmp_path):
+    missing = REQUIRED_FLAGS[kernel] - cpu_flags()
+    if missing:
+        pytest.skip(f"this CPU lacks {sorted(missing)} for the {kernel} kernels")
     proc = run_check(kernel, cwd=tmp_path)
     assert proc.stdout, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
-    assert report["core"].lower() == kernel.lower()
-    assert report["mismatches"] == [], f"under the {report['core']} kernels"
+    assert report["mismatches"] == [], (
+        f"under OPENBLAS_CORETYPE={kernel}, which runs the {report['core']} kernels"
+    )
     assert proc.returncode == 0, proc.stderr
