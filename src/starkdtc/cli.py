@@ -97,10 +97,11 @@ def _write_table(out_dir: Path, name: str, fmt: str, header, rows, metadata: dic
 
 def _run_point(cfg: RunConfig, out_dir: Path) -> list:
     """The series, spectrum, overlaps or lifetime table of one parameter point."""
+    # a bad initial state is rejected before any memory is taken
+    psi0 = _initial_state(cfg)
     check = check_quasi_spectrum_memory if cfg.command == "overlaps" else check_stage1_memory
     check(cfg.params.L)
     prop = floquet_operator(cfg.params)
-    psi0 = _initial_state(cfg)
     metadata = {
         "command": cfg.command,
         "params": params_metadata(cfg.params),

@@ -169,8 +169,8 @@ class SectorUnitary:
     acts on the fixed states and the symmetric pair combinations, the odd
     block on the antisymmetric ones (empty at L=1).  In orbit order the
     sector transform is slice arithmetic on contiguous rows (`_split`,
-    `_merge`); `product` is U1 on orbit-ordered rows, and `apply` and
-    `dense` are the z-basis views, one row permutation in and one out.
+    `_merge`); `product` is U1 on orbit-ordered rows, and `dense` the
+    z-basis matrix, one row permutation in and one out.
     """
 
     def __init__(self, even: np.ndarray, odd: np.ndarray, fixed, lo, hi):
@@ -203,12 +203,6 @@ class SectorUnitary:
         np.matmul(self.even, x_even, out=y_even)
         np.matmul(self.odd, x_odd, out=y_odd)
         return _merge(y_even, y_odd, self.n_fixed, out)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """U1 x in the z-basis, for a vector or a column block."""
-        ordered = np.asarray(x, dtype=complex)[self.order]
-        self.product(ordered, ordered, self.workspace(ordered))
-        return ordered[self.inverse]
 
     def dense_ordered(self) -> np.ndarray:
         """The full U1, rows and columns in orbit order, from contiguous
@@ -338,9 +332,10 @@ class FloquetPropagator:
     `u1` is the stage-1 unitary as its two reflection-sector blocks
     (`SectorUnitary`), already checked by `stage1_unitary`; `phase2` is the
     stage-2 phase vector derived from `h2_diagonal`.  `apply` advances
-    states by Phi * (U1 psi).  The dense U_F is formed only when `u_f` is
-    read, which no library path does.  The quasi-spectrum is computed once
-    and cached.
+    z-basis states by Phi * (U1 psi), one period per call; the evolution
+    loops work in orbit order instead (`observables._evolve_block`).  The
+    dense U_F is formed only when `u_f` is read, which no library path
+    does.  The quasi-spectrum is computed once and cached.
     """
 
     def __init__(self, params: SimulationParams, u1: SectorUnitary, h2_diagonal: np.ndarray):
@@ -362,8 +357,11 @@ class FloquetPropagator:
         return u_f
 
     def apply(self, state: np.ndarray) -> np.ndarray:
-        """Advance amplitudes (vector or stacked columns) by one period."""
-        out = self.u1.apply(state)
+        """Advance z-basis amplitudes (vector or stacked columns) by one
+        period: into orbit order, `u1.product`, back, then the phase."""
+        u1 = self.u1
+        ordered = np.asarray(state, dtype=complex)[u1.order]
+        out = u1.product(ordered, ordered, u1.workspace(ordered))[u1.inverse]
         out *= self.phase2 if out.ndim == 1 else self.phase2[:, None]
         return out
 

@@ -74,7 +74,7 @@ class StateVector:
             )
         norm = np.linalg.norm(amps)
         if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"state vector norm {norm!r} deviates from 1 beyond {NORM_TOL}")
+            raise ValueError(f"state vector norm {float(norm)!r} deviates from 1 beyond {NORM_TOL}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -127,7 +127,7 @@ def state_from_amplitudes(triples, basis: BasisConfig) -> StateVector:
         amps[index] = float(re) + 1j * float(im)
     norm = np.linalg.norm(amps)
     if abs(norm - 1.0) > LOAD_NORM_TOL:
-        raise ValueError(f"amplitude list norm {norm!r} deviates from 1 beyond {LOAD_NORM_TOL}")
+        raise ValueError(f"amplitude list norm {float(norm)!r} deviates from 1 beyond {LOAD_NORM_TOL}")
     return StateVector(amps / norm, basis, label="amplitudes")
 
 

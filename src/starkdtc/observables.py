@@ -98,12 +98,6 @@ def _drift_error(drift: float, params: SimulationParams, cycle: int) -> NumericE
     )
 
 
-def _check_norm(psi: np.ndarray, params: SimulationParams, cycle: int) -> None:
-    drift = abs(np.linalg.norm(psi) - 1.0)
-    if drift > NORM_DRIFT_TOL:
-        raise _drift_error(drift, params, cycle)
-
-
 def _magnitude_error(values: np.ndarray, params: SimulationParams) -> Optional[NumericError]:
     magnitude = np.abs(values)
     cycle = int(np.argmax(magnitude))
@@ -119,17 +113,15 @@ def autocorrelator_series(
     prop: FloquetPropagator,
     psi0: StateVector,
     n_cycles: int,
-    method: str = "auto",
 ) -> AutocorrelatorSeries:
     """Stroboscopic autocorrelator over n_cycles Floquet periods.
 
-    Every cycle advances the state by Phi * (U1 psi) and checks its norm.
-    `method` picks the evaluation path: "fast" is valid only for z-product
-    initial states (sigma^z psi0 = s_j psi0) and runs them through the
-    sweep's block loop as a one-column block, "general" co-evolves
-    sigma^z_j psi0 for every site with `prop.apply`, "auto" selects by
-    inspecting psi0.  A failed check raises `NumericError` naming the
-    parameter point, the tolerance and the cycle.
+    Every cycle advances the states by Phi * (U1 psi) and checks the norm,
+    through the sweep's block loop (`_evolve_block`): a z-product initial
+    state (sigma^z psi0 = s_j psi0) as a one-column block, any other state
+    as the block [psi0, sigma^z_1 psi0, ..., sigma^z_L psi0].  A failed
+    check raises `NumericError` naming the parameter point, the tolerance
+    and the cycle.
     """
     if n_cycles < 1:
         raise ValueError(f"cycle count must be >= 1, got {n_cycles}")
@@ -137,29 +129,14 @@ def autocorrelator_series(
         raise ValueError(
             f"state dimension {psi0.dimension} does not match propagator dimension {prop.dimension}"
         )
-    if method not in ("auto", "fast", "general"):
-        raise ValueError(f"unknown method {method!r}")
-
-    product_index = psi0.product_state_index()
-    if method == "auto":
-        method = "fast" if product_index is not None else "general"
-    if method == "fast" and product_index is None:
-        raise ValueError("fast path requires a z-product initial state")
-
-    basis = psi0.basis
-    sz = sigma_z_stack(basis)
-
-    if method == "fast":
-        column = (prop.params, product_index)
-        block, (error,) = _evolve_block(prop.u1, prop.phase2[:, None], [column], sz, n_cycles)
-        values = block[:, 0]
-    else:
-        values = _series_general(prop, psi0, sz, n_cycles)
-        error = _magnitude_error(values, prop.params)
+    index = psi0.product_state_index()
+    column = (prop.params, psi0.amplitudes if index is None else index)
+    sz = sigma_z_stack(psi0.basis)
+    block, (error,) = _evolve_block(prop.u1, prop.phase2[:, None], [column], sz, n_cycles)
     if error is not None:
         raise error
     return AutocorrelatorSeries(
-        values=values,
+        values=block[:, 0],
         n_cycles=n_cycles,
         params=prop.params,
         initial_state=psi0.label or "custom",
@@ -167,21 +144,28 @@ def autocorrelator_series(
 
 
 def _evolve_block(u1, phi, columns, sz, n_cycles):
-    """C(n) of z-product states evolved together by Psi <- Phi * (U1 Psi).
+    """C(n) of states evolved together as one block by Psi <- Phi * (U1 Psi).
 
     `u1` is the stage-1 `SectorUnitary`; `phi` is a (dim, width) block
     holding the stage-2 phase column of each state, in the order of
-    `columns` (one (params, basis index) pair per state; the params name
-    the point in error messages), then zero columns as padding.  Rows are
-    permuted into reflection-orbit order once, and the state, the phase
-    block and the sector buffers are C-order.  A cycle is one `u1.product`
-    (two sector gemms) and a few passes over preallocated buffers:
-    |psi|^2 = re^2 + im^2, then one product per live column with the rows
-    (1, w_c), which reads its squared norm and C_c(n) = w_c . |psi_c|^2 at
-    once (w_c = (s_c . sigma^z) / L for the signs s_c of state c, formed
-    once), then one vectorized norm-drift comparison for the block.  All
-    but the gemms are per column, so a column's bits do not depend on the
-    rest of a block padded as in `sweep._block_series`.
+    `columns` (one (params, basis index) pair per z-product state; the
+    params name the point in error messages), then zero columns as padding.
+    Rows are permuted into reflection-orbit order once, and the state, the
+    phase block and the sector buffers are C-order.  A cycle is one
+    `u1.product` (two sector gemms) and a few passes over preallocated
+    buffers: |psi|^2 = re^2 + im^2, then one product per live column with
+    the rows (1, w_c), which reads its squared norm and C_c(n) = w_c .
+    |psi_c|^2 at once (w_c = (s_c . sigma^z) / L for the signs s_c of state
+    c, formed once), then one vectorized norm-drift comparison for the
+    block.  All but the gemms are per column, so a column's bits do not
+    depend on the rest of a block padded as in `sweep._block_series`.
+
+    A state that is not a z-product state is given alone, as (params,
+    z-basis amplitude vector), under its one phase column: the block is
+    then [psi, chi_1, ..., chi_L] from psi0 and chi_j = sigma^z_j psi0, and
+    the readout is C(n) = (1/L) sum_j <chi_j| sigma^z_j psi> beside |psi|^2.
+    That C(n) is complex in general; an imaginary part above
+    `REALNESS_TOL` fails the state.
 
     Returns the (n_cycles + 1, len(columns)) series and one `NumericError`
     (or None) per state.  A state whose norm drifts is zeroed and no longer
@@ -190,22 +174,31 @@ def _evolve_block(u1, phi, columns, sz, n_cycles):
     """
     points, starts = zip(*columns)
     count = len(columns)
-    dim, width = phi.shape
+    length, dim = sz.shape
     phi = np.ascontiguousarray(phi[u1.order])
     sz = sz[:, u1.order]
-    rows = u1.inverse[list(starts)]
-    psi = np.zeros((dim, width), dtype=complex)
-    psi[rows, np.arange(count)] = 1.0
+    superposed = isinstance(starts[0], np.ndarray)
+    if superposed:
+        width = length + 1
+        start = starts[0][u1.order]
+        psi = np.ascontiguousarray(np.vstack((start, sz * start)).T)
+        sz_t = np.ascontiguousarray(sz.T, dtype=complex)
+        weighted = np.empty(dim, dtype=complex)
+    else:
+        width = phi.shape[1]
+        rows = u1.inverse[list(starts)]
+        psi = np.zeros((dim, width), dtype=complex)
+        psi[rows, np.arange(count)] = 1.0
+        readout = np.ones((count, 2, dim))
+        # sz entries are +-1, so the sums are exact integers
+        readout[:, 1] = sz[:, rows].T @ sz / length
     work = u1.workspace(psi)
     squares = np.empty((dim, 2 * width))
     prob = np.empty((dim, width))
-    readout = np.ones((count, 2, dim))
-    # sz entries are +-1, so the sums are exact integers
-    readout[:, 1] = sz[:, rows].T @ sz / sz.shape[0]
     # per column (squared norm, C); rows of padding and failed states stay 0
     sums = np.zeros((width, 2))
     # the norm each column should keep: 1 while its state is live, 0 for
-    # padding and zeroed states, so only a live state can fail the check
+    # padding, chi columns and zeroed states, so only a live state can fail
     expected = np.zeros(width)
     expected[:count] = 1.0
     errors = [None] * count
@@ -219,8 +212,14 @@ def _evolve_block(u1, phi, columns, sz, n_cycles):
         np.multiply(phi, u1.product(psi, psi, work), out=psi)
         np.square(psi.view(float), out=squares)
         np.add(squares[:, 0::2], squares[:, 1::2], out=prob)
-        for col in live:
-            np.matmul(readout[col], prob[:, col], out=sums[col])
+        if superposed:
+            # y = sum_j sigma^z_j chi_j, so that C(n) = <y|psi> / L
+            np.einsum("bj,bj->b", sz_t, psi[:, 1:], out=weighted)
+            correlator = np.vdot(weighted, psi[:, 0]) / length
+            sums[0] = prob[:, 0].sum(), correlator.real
+        else:
+            for col in live:
+                np.matmul(readout[col], prob[:, col], out=sums[col])
         drift = np.abs(np.sqrt(sums[:, 0]) - expected)
         if drift.max() > NORM_DRIFT_TOL:
             for col in list(live):
@@ -229,31 +228,16 @@ def _evolve_block(u1, phi, columns, sz, n_cycles):
                     psi[:, col] = 0.0
                     sums[col] = expected[col] = 0.0
                     live.remove(col)
+        if superposed and live and abs(correlator.imag) > REALNESS_TOL:
+            errors[0] = NumericError(
+                f"autocorrelator acquired imaginary part {correlator.imag:.2e} (tolerance "
+                f"{REALNESS_TOL:.0e}) for ({_point_text(points[0])}) at cycle {n}"
+            )
+            live.clear()
         values[n] = sums[:count, 1]
     for col in live:
         errors[col] = _magnitude_error(values[:, col], points[col])
     return values, errors
-
-
-def _series_general(prop, psi0, sz, n_cycles):
-    length = sz.shape[0]
-    psi = psi0.amplitudes.copy()
-    # chi_j(n) = U^n sigma^z_j psi0, co-evolved as columns of one matrix
-    chi = (sz * psi0.amplitudes).T.copy()
-    values = np.empty(n_cycles + 1)
-    values[0] = 1.0
-    for n in range(1, n_cycles + 1):
-        psi = prop.apply(psi)
-        chi = prop.apply(chi)
-        _check_norm(psi, prop.params, n)
-        correlator = np.einsum("jb,bj->", sz, chi.conj() * psi[:, None]) / length
-        if abs(correlator.imag) > REALNESS_TOL:
-            raise NumericError(
-                f"autocorrelator acquired imaginary part {correlator.imag:.2e} (tolerance "
-                f"{REALNESS_TOL:.0e}) for ({_point_text(prop.params)}) at cycle {n}"
-            )
-        values[n] = correlator.real
-    return values
 
 
 def fourier_spectrum(series: AutocorrelatorSeries) -> SpectralResult:
@@ -310,5 +294,5 @@ def lifetime(prop: FloquetPropagator, psi0: StateVector, n_max: int) -> Lifetime
     see `reversal_analysis` for the definitions."""
     if n_max < 2:
         raise ValueError(f"cycle cap must be >= 2, got {n_max}")
-    series = autocorrelator_series(prop, psi0, n_max, method="auto")
+    series = autocorrelator_series(prop, psi0, n_max)
     return reversal_analysis(series.values)

@@ -24,7 +24,6 @@ import json
 from dataclasses import dataclass, replace
 from itertools import product
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -418,23 +417,18 @@ class _Journal:
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
 
 
-def run_sweep(
-    spec: SweepSpec,
-    journal_path=None,
-    resume: bool = False,
-    factory: Optional[PropagatorFactory] = None,
-) -> SweepResult:
+def run_sweep(spec: SweepSpec, journal_path=None, resume: bool = False) -> SweepResult:
     """Evaluate the observable at every grid point, on the calling thread.
 
-    The pending points are grouped by stage-1 key and each group fetches U1
-    once from `factory`.  A group evolves its initial states as one column
-    block, or, for overlap_table, computes each point's quasi-spectrum from
-    that U1.  Per-point numeric
-    failures are recorded in place as error markers; the whole sweep fails
-    only on an invalid spec or journal.  With `journal_path` set every
-    evaluated point is appended to a JSON-lines journal, and `resume=True`
-    skips points already present in a journal for the identical spec (a
-    torn last line is dropped and its point recomputed).  The sweep first
+    The pending points are grouped by stage-1 key and each group builds U1
+    once (`PropagatorFactory`).  A group evolves its initial states as one
+    column block, or, for overlap_table, computes each point's
+    quasi-spectrum from that U1.  Per-point numeric failures are recorded
+    in place as error markers; the whole sweep fails only on an invalid
+    spec or journal.  With `journal_path` set every evaluated point is
+    appended to a JSON-lines journal, and `resume=True` skips points
+    already present in a journal for the identical spec (a torn last line
+    is dropped and its point recomputed).  The sweep first
     checks that stage 1 at the grid's largest L, and for overlap_table a
     quasi-spectrum, fits in memory (`floquet.check_stage1_memory`,
     `floquet.check_quasi_spectrum_memory`).
@@ -442,7 +436,7 @@ def run_sweep(
     sizes = [int(value) for axis in spec.axes if axis.name == "L" for value in axis.values]
     check = check_quasi_spectrum_memory if spec.observable == "overlap_table" else check_stage1_memory
     check(max(sizes, default=spec.base.L))
-    factory = factory or PropagatorFactory()
+    factory = PropagatorFactory()
     points = list(spec.grid_points())
     journal = _Journal(journal_path, spec.fingerprint(), resume) if journal_path else None
 
@@ -471,12 +465,7 @@ def run_sweep(
     )
 
 
-def kernel_comparison(
-    base: SimulationParams,
-    f_grid,
-    n_cycles: int = 100,
-    factory: Optional[PropagatorFactory] = None,
-) -> SweepResult:
+def kernel_comparison(base: SimulationParams, f_grid, n_cycles: int = 100) -> SweepResult:
     """A_pi versus Stark strength for all four interaction kernels."""
     if base.L > 12:
         raise ValueError(f"kernel comparison supports L <= 12, got {base.L}")
@@ -486,7 +475,7 @@ def kernel_comparison(
         observable="a_pi",
         n_cycles=n_cycles,
     )
-    return run_sweep(spec, factory=factory)
+    return run_sweep(spec)
 
 
 @dataclass
@@ -496,11 +485,7 @@ class InitialStateComparison:
 
 
 def initial_state_comparison(
-    base: SimulationParams,
-    states,
-    f_values,
-    n_cycles: int = 100,
-    factory: Optional[PropagatorFactory] = None,
+    base: SimulationParams, states, f_values, n_cycles: int = 100
 ) -> InitialStateComparison:
     """C(nT) series and spectra for each (initial state, Stark strength) pair."""
     states = tuple(states)
@@ -513,7 +498,7 @@ def initial_state_comparison(
         observable="series",
         n_cycles=n_cycles,
     )
-    series_result = run_sweep(spec, factory=factory)
+    series_result = run_sweep(spec)
     spectra_spec = SweepSpec(axes=spec.axes, base=base, observable="spectrum", n_cycles=n_cycles)
     spectra_result = SweepResult(
         spec=spectra_spec,

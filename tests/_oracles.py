@@ -3,7 +3,9 @@
 Everything here is built from first principles (explicit loops over basis
 integers, Kronecker products of 2x2 blocks, Strang-split product formulas,
 scipy's expm_multiply on a sparse H1) and deliberately shares no code with
-the package paths it checks.
+the package paths it checks.  The one exception is `coevolution_series`,
+which steps with the package's public one-period `FloquetPropagator.apply`
+to check the evolution loop and readout of `autocorrelator_series`.
 """
 
 import numpy as np
@@ -80,14 +82,16 @@ def trotter_floquet(L, omega, epsilon, v, f, t1, t2, kernel="NN", n_steps=100_00
     return np.exp(-1j * h2 * t2)[:, None] * u1
 
 
-def expm_multiply_series(L, omega, epsilon, v, f, t1, t2, bits, n_cycles, kernel="NN"):
-    """C(n) of a z-product state, stage 1 propagated by `expm_multiply`.
+def sigma_z_rows(L: int) -> np.ndarray:
+    """(L, 2^L) sigma^z_j diagonals, by per-bit inspection."""
+    return np.array([[2.0 * occupation(b, j) - 1.0 for b in range(1 << L)] for j in range(1, L + 1)])
 
-    H1 = sum_j (omega + epsilon) sigma^x_j + H_int is assembled as a sparse
-    matrix from bit flips and the loop-built interaction diagonal, and each
-    period applies exp(-i H1 t1) to the state with the Al-Mohy & Higham
-    (2011) algorithm, then the diagonal stage-2 phase.  Never forms a dense
-    propagator or calls an eigensolver.
+
+def _expm_stages(L, omega, epsilon, v, f, t1, t2, kernel):
+    """The generator -i T1 H1 as a sparse matrix and the stage-2 phase vector.
+
+    H1 = sum_j (omega + epsilon) sigma^x_j + H_int is assembled from bit
+    flips and the loop-built interaction diagonal.
     """
     dim = 1 << L
     md = kernel_max_distance(kernel)
@@ -101,18 +105,62 @@ def expm_multiply_series(L, omega, epsilon, v, f, t1, t2, bits, n_cycles, kernel
         ),
         shape=(dim, dim),
     )
-    generator = (-1j * t1 * h1).tocsr()
-    phase2 = np.exp(-1j * h2_diagonal(L, v, f, kernel) * t2)
+    return (-1j * t1 * h1).tocsr(), np.exp(-1j * h2_diagonal(L, v, f, kernel) * t2)
 
+
+def expm_multiply_series(L, omega, epsilon, v, f, t1, t2, bits, n_cycles, kernel="NN"):
+    """C(n) of a z-product state, stage 1 propagated by `expm_multiply`.
+
+    Each period applies exp(-i H1 t1) to the state with the Al-Mohy &
+    Higham (2011) algorithm, then the diagonal stage-2 phase.  Never forms
+    a dense propagator or calls an eigensolver.
+    """
+    generator, phase2 = _expm_stages(L, omega, epsilon, v, f, t1, t2, kernel)
     start = sum(1 << (j - 1) for j, ch in enumerate(bits, start=1) if ch == "1")
-    z = np.array([[2.0 * occupation(b, j) - 1.0 for b in range(dim)] for j in range(1, L + 1)])
+    z = sigma_z_rows(L)
     signs = z[:, start]
-    psi = np.zeros(dim, dtype=complex)
+    psi = np.zeros(1 << L, dtype=complex)
     psi[start] = 1.0
     values = [1.0]
     for _ in range(n_cycles):
         psi = phase2 * expm_multiply(generator, psi)
         values.append(float(signs @ (z @ np.abs(psi) ** 2)) / L)
+    return np.array(values)
+
+
+def expm_multiply_coevolution(L, omega, epsilon, v, f, t1, t2, amplitudes, n_cycles, kernel="NN"):
+    """Complex C(n) of any state from its z-basis amplitudes, by `expm_multiply`.
+
+    psi = U_F^n psi0 and chi_j = U_F^n sigma^z_j psi0 are propagated as the
+    columns of one block, as in `expm_multiply_series`, and C(n) = (1/L)
+    sum_j <chi_j| sigma^z_j psi>.
+    """
+    generator, phase2 = _expm_stages(L, omega, epsilon, v, f, t1, t2, kernel)
+    z = sigma_z_rows(L)
+    psi0 = np.asarray(amplitudes, dtype=complex)
+    block = np.column_stack([psi0] + [row * psi0 for row in z])
+    values = [1.0 + 0j]
+    for _ in range(n_cycles):
+        block = phase2[:, None] * expm_multiply(generator, block)
+        values.append(np.sum(block[:, 1:].conj() * (z.T * block[:, :1])) / L)
+    return np.array(values)
+
+
+def coevolution_series(prop, psi0, n_cycles):
+    """Complex C(n) from two `prop.apply` calls per cycle.
+
+    psi = U_F^n psi0 and the columns chi_j = U_F^n sigma^z_j psi0 are
+    advanced separately, and C(n) = (1/L) sum_j <chi_j| sigma^z_j psi>,
+    for any initial `StateVector`.
+    """
+    z = sigma_z_rows(psi0.basis.L)
+    psi = psi0.amplitudes.copy()
+    chi = (z * psi0.amplitudes).T.copy()
+    values = [1.0 + 0j]
+    for _ in range(n_cycles):
+        psi = prop.apply(psi)
+        chi = prop.apply(chi)
+        values.append(np.einsum("jb,bj->", z, chi.conj() * psi[:, None]) / z.shape[0])
     return np.array(values)
 
 

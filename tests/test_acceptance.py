@@ -27,7 +27,7 @@ from starkdtc import (
     run_sweep,
     z_product_state,
 )
-from _oracles import trotter_floquet
+from _oracles import coevolution_series, trotter_floquet
 
 PI = np.pi
 
@@ -154,7 +154,7 @@ def test_criterion_4_lifetime_value(factory):
 
 # 5. Lifetime monotonicity in the Stark strength -------------------------------
 
-def test_criterion_5_lifetime_monotonicity(factory):
+def test_criterion_5_lifetime_monotonicity():
     start = time.perf_counter()
     spec = SweepSpec(
         axes=(SweepAxis("epsilon", (0.20, 0.25, 0.30)), SweepAxis("F_T2", (0.1, 0.2, 0.3, 0.4))),
@@ -162,7 +162,7 @@ def test_criterion_5_lifetime_monotonicity(factory):
         observable="lifetime",
         n_max=5000,
     )
-    result = run_sweep(spec, factory=factory)
+    result = run_sweep(spec)
     curves = {}
     for coords, record in zip(result.coords, result.values):
         value = record["n_c"]
@@ -184,11 +184,11 @@ def test_criterion_5_lifetime_monotonicity(factory):
 
 # 6. Kernel insensitivity -------------------------------------------------------
 
-def test_criterion_6_kernel_insensitivity(factory):
+def test_criterion_6_kernel_insensitivity():
     start = time.perf_counter()
     base = SimulationParams(L=10, omega=PI / 2, epsilon=0.3, v=0.1, t1=1.0, t2=10.0)
     f_grid = tuple(round(0.05 * k, 10) for k in range(11))
-    result = kernel_comparison(base, f_grid, n_cycles=100, factory=factory)
+    result = kernel_comparison(base, f_grid, n_cycles=100)
     a_pi = {}
     for coords, record in zip(result.coords, result.values):
         a_pi[(coords["kernel"], coords["F_T2"])] = record["a_pi"]
@@ -206,10 +206,10 @@ def test_criterion_6_kernel_insensitivity(factory):
 
 # 7. Initial-state independence -------------------------------------------------
 
-def test_criterion_7_initial_state_independence(factory):
+def test_criterion_7_initial_state_independence():
     start = time.perf_counter()
     comparison = initial_state_comparison(
-        FIG4_BASE, ("1111000000", "1111010010"), (0.0, 0.4), n_cycles=100, factory=factory
+        FIG4_BASE, ("1111000000", "1111010010"), (0.0, 0.4), n_cycles=100
     )
     a_pi = {}
     for coords, record in zip(comparison.spectra.coords, comparison.spectra.values):
@@ -295,9 +295,9 @@ def test_criterion_10_path_equivalence(factory):
     for _ in range(10):
         bits = "".join(rng.choice(["0", "1"], size=8))
         psi0 = z_product_state(bits, params.basis)
-        fast = autocorrelator_series(prop, psi0, 50, method="fast")
-        general = autocorrelator_series(prop, psi0, 50, method="general")
-        worst = max(worst, float(np.max(np.abs(fast.values - general.values))))
+        fast = autocorrelator_series(prop, psi0, 50)
+        general = coevolution_series(prop, psi0, 50)
+        worst = max(worst, float(np.max(np.abs(fast.values - general))))
     ok = worst < 1e-10
     report(
         "criterion 10 (path equivalence)",

@@ -277,6 +277,26 @@ def test_malformed_runs_exit_2_without_writing(tmp_path, monkeypatch, capsys, fl
 
 
 @pytest.mark.parametrize(
+    "initial_state, message",
+    [
+        ([[5000, 1.0, 0.0]], "amplitude index 5000 out of range for L=12"),
+        ([[0, 0.5, 0.0]], "amplitude list norm 0.5 deviates from 1"),
+    ],
+    ids=["index_out_of_range", "off_norm"],
+)
+def test_bad_initial_state_exits_2_before_stage1(tmp_path, monkeypatch, capsys, initial_state, message):
+    def no_stage1(params):
+        raise AssertionError("stage 1 computed before the initial state was checked")
+
+    monkeypatch.setattr(floquet_module, "stage1_unitary", no_stage1)
+    cfg = write_config(tmp_path, dict(SERIES_CONFIG, params={"L": 12}, initial_state=initial_state))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
     "data",
     [
         {"command": "spectrum", "n_cycles": 101},

@@ -85,7 +85,8 @@ def test_sigma_z_diagonal():
 
 def test_state_vector_norm_guard():
     basis = BasisConfig(2)
-    with pytest.raises(ValueError):
+    # the norm is printed as a plain float, not as a numpy repr
+    with pytest.raises(ValueError, match=r"^state vector norm 1\.414213562373\d* deviates"):
         StateVector(np.array([1.0, 1.0, 0, 0]), basis)
     state = z_product_state("01", basis)
     with pytest.raises(ValueError):
@@ -103,7 +104,7 @@ def test_state_from_amplitudes():
     # slightly off norm is renormalized, far off is rejected
     ok = state_from_amplitudes([(0, a * (1 + 1e-7), 0.0), (3, a, 0.0)], basis)
     assert np.linalg.norm(ok.amplitudes) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^amplitude list norm 0\.5 deviates"):
         state_from_amplitudes([(0, 0.5, 0.0)], basis)
     with pytest.raises(ValueError):
         state_from_amplitudes([(0, a, 0.0), (0, a, 0.0)], basis)

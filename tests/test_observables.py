@@ -13,10 +13,11 @@ from starkdtc import (
     fourier_spectrum,
     lifetime,
     reversal_analysis,
+    state_from_amplitudes,
     z_product_state,
 )
 import starkdtc.observables as observables
-from _oracles import dft_magnitudes, expm_multiply_series
+from _oracles import coevolution_series, dft_magnitudes, expm_multiply_coevolution, expm_multiply_series
 from test_floquet import point_pattern
 
 
@@ -61,71 +62,109 @@ def test_series_invariants_and_validation():
 
 
 def test_general_path_matches_fast_path():
-    # criterion-style cross-check on random product states
+    # criterion-style cross-check of the one-column block on random product
+    # states against the two-apply co-evolution reference
     rng = np.random.default_rng(101)
     p = SimulationParams(L=8, omega=np.pi / 2, epsilon=0.25, v=0.1, f=0.03)
     prop = floquet_operator(p)
     for _ in range(4):
         bits = "".join(rng.choice(["0", "1"], size=8))
         psi0 = z_product_state(bits, p.basis)
-        fast = autocorrelator_series(prop, psi0, 50, method="fast")
-        general = autocorrelator_series(prop, psi0, 50, method="general")
-        assert np.max(np.abs(fast.values - general.values)) < 1e-10
+        fast = autocorrelator_series(prop, psi0, 50)
+        general = coevolution_series(prop, psi0, 50)
+        assert np.max(np.abs(fast.values - general)) < 1e-10
 
 
-@pytest.mark.parametrize("method", ["fast", "general"])
-def test_single_point_paths_match_expm_multiply_oracle_at_l10(method):
-    p = SimulationParams(L=10, omega=np.pi / 2, epsilon=0.3, v=0.1, t1=1.0, t2=10.0).with_f_t2(0.2)
-    bits = "1101001110"
-    series = autocorrelator_series(floquet_operator(p), z_product_state(bits, p.basis), 40, method=method)
-    reference = expm_multiply_series(p.L, p.omega, p.epsilon, p.v, p.f, p.t1, p.t2, bits, 40, p.kernel)
+def superposition(basis):
+    """A complex superposition of three basis states, no two of which differ
+    in one site, so at V = 0 its C(n) is real (see the README)."""
+    triples = [(0b11, 0.6, 0.0), (0b1100, 0.0, 0.48), (basis.dimension - 1, -0.64, 0.0)]
+    return state_from_amplitudes(triples, basis)
+
+
+def path_case(path, bits, **params):
+    """The point and initial state of one evaluation path: "fast" runs the
+    z-product state `bits` as one column, "general" a superposition as the
+    L + 1 column block, at V = 0 where its C(n) is real."""
+    if path == "fast":
+        p = SimulationParams(**params)
+        return p, z_product_state(bits, p.basis)
+    p = SimulationParams(**dict(params, v=0.0))
+    return p, superposition(p.basis)
+
+
+@pytest.mark.parametrize("L", [8, 10])
+def test_superposition_matches_coevolution_reference(L):
+    p = SimulationParams(L=L, omega=np.pi / 2, epsilon=0.25, v=0.0, t1=1.0, t2=10.0).with_f_t2(0.2)
+    prop = floquet_operator(p)
+    psi0 = superposition(p.basis)
+    series = autocorrelator_series(prop, psi0, 200)
+    assert np.max(np.abs(series.values - coevolution_series(prop, psi0, 200))) < 1e-12
+
+
+@pytest.mark.parametrize("path", ["fast", "general"])
+def test_single_point_paths_match_expm_multiply_oracle_at_l10(path):
+    p, psi0 = path_case(path, "1101001110", L=10, omega=np.pi / 2, epsilon=0.3, v=0.1, t1=1.0, t2=10.0)
+    p = p.with_f_t2(0.2)
+    series = autocorrelator_series(floquet_operator(p), psi0, 40)
+    reference = expm_multiply_coevolution(
+        p.L, p.omega, p.epsilon, p.v, p.f, p.t1, p.t2, psi0.amplitudes, 40, p.kernel
+    )
     assert np.max(np.abs(series.values - reference)) < 1e-9
 
 
-@pytest.mark.parametrize("method", ["fast", "general"])
-def test_single_point_norm_failure_names_the_cycle(method):
-    p = SimulationParams(L=4, omega=np.pi / 2, epsilon=0.2, v=0.1, f=0.02)
+def test_product_state_oracles_agree():
+    # the co-evolution oracle reduces to the one-state readout on a z-product state
+    bits = "110100"
+    args = (6, np.pi / 2, 0.3, 0.1, 0.02, 1.0, 10.0)
+    amplitudes = z_product_state(bits, SimulationParams(L=6).basis).amplitudes
+    coevolved = expm_multiply_coevolution(*args, amplitudes, 20)
+    assert np.max(np.abs(coevolved - expm_multiply_series(*args, bits, 20))) < 1e-12
+
+
+@pytest.mark.parametrize("path", ["fast", "general"])
+def test_single_point_norm_failure_names_the_cycle(path):
+    p, psi0 = path_case(path, "1111", L=4, omega=np.pi / 2, epsilon=0.2, v=0.1, f=0.02)
     prop = floquet_operator(p)
     prop.phase2 = prop.phase2 * 1.001  # pushed off the unit circle
     with pytest.raises(NumericError, match="state norm drifted by .* at cycle 1$"):
-        autocorrelator_series(prop, z_product_state("1111", p.basis), 30, method=method)
+        autocorrelator_series(prop, psi0, 30)
 
 
-@pytest.mark.parametrize("method", ["fast", "general"])
-def test_single_point_norm_failure_names_point_and_tolerance(method):
-    p = SimulationParams(L=4, omega=np.pi / 2, epsilon=0.2, v=0.1, f=0.02)
+@pytest.mark.parametrize("path", ["fast", "general"])
+def test_single_point_norm_failure_names_point_and_tolerance(path):
+    p, psi0 = path_case(path, "1111", L=4, omega=np.pi / 2, epsilon=0.2, v=0.1, f=0.02)
     prop = floquet_operator(p)
     prop.phase2 = prop.phase2 * 1.001
     with pytest.raises(NumericError, match=r"tolerance 1e-08\) for \(" + point_pattern(p)):
-        autocorrelator_series(prop, z_product_state("1111", p.basis), 30, method=method)
+        autocorrelator_series(prop, psi0, 30)
 
 
-@pytest.mark.parametrize("method", ["fast", "general"])
-def test_magnitude_failure_names_point_and_tolerance(monkeypatch, method):
+@pytest.mark.parametrize("path", ["fast", "general"])
+def test_magnitude_failure_names_point_and_tolerance(monkeypatch, path):
     # a negative tolerance makes |C(0)| = 1 a failure
     monkeypatch.setattr(observables, "MAGNITUDE_TOL", -0.5)
-    p = SimulationParams(L=4, omega=np.pi / 2, epsilon=0.2, v=0.1, f=0.02)
+    p, psi0 = path_case(path, "1111", L=4, omega=np.pi / 2, epsilon=0.2, v=0.1, f=0.02)
     pattern = r"magnitude exceeded 1 by .* \(tolerance -5e-01\) for \(" + point_pattern(p)
     with pytest.raises(NumericError, match=pattern + r".* at cycle \d+$"):
-        autocorrelator_series(floquet_operator(p), z_product_state("1111", p.basis), 30, method=method)
+        autocorrelator_series(floquet_operator(p), psi0, 30)
 
 
 def test_general_path_enforces_realness_contract():
     # a GHZ-like superposition genuinely produces a complex correlator
     # (Im C(1T) ~ 1e-6, verified against a brute-force operator product),
     # which the realness invariant must reject rather than silently truncate
-    from starkdtc import NumericError
-
     p = SimulationParams(L=4, omega=np.pi / 2, epsilon=0.2, v=0.1, f=0.02)
     prop = floquet_operator(p)
     a = 1 / np.sqrt(2)
     amps = np.zeros(16, dtype=complex)
     amps[0b1111] = a
     amps[0b0000] = a
-    with pytest.raises(NumericError, match="imaginary"):
-        autocorrelator_series(prop, StateVector(amps, p.basis), 30)
-    with pytest.raises(ValueError):
-        autocorrelator_series(prop, StateVector(amps, p.basis), 10, method="fast")
+    psi0 = StateVector(amps, p.basis)
+    pattern = r"imaginary part .* \(tolerance 1e-10\) for \(" + point_pattern(p) + r".* at cycle 1$"
+    with pytest.raises(NumericError, match=pattern):
+        autocorrelator_series(prop, psi0, 30)
+    assert abs(coevolution_series(prop, psi0, 1)[1].imag) > 1e-10
 
 
 def test_fourier_perfect_alternation():

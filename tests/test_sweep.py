@@ -409,8 +409,7 @@ def test_grouped_sweep_and_fast_point_match_expm_multiply_oracle_at_l12():
     spec = SweepSpec(
         axes=(SweepAxis("F_T2", (0.0, 0.2, 0.4)),), base=base, observable="series", n_cycles=20
     )
-    factory = PropagatorFactory()
-    result = run_sweep(spec, factory=factory)
+    result = run_sweep(spec)
 
     def oracle(params, bits):
         return expm_multiply_series(
@@ -422,11 +421,9 @@ def test_grouped_sweep_and_fast_point_match_expm_multiply_oracle_at_l12():
         assert error is None
         params, bits = spec.point_inputs(coords)
         assert np.max(np.abs(np.asarray(record["c"]) - oracle(params, bits))) < 1e-9
-    # the single-point fast path, on the U1 the sweep built
+    # the single-point path of a z-product state
     params, bits = base.with_f_t2(0.2), "110100111001"
-    series = autocorrelator_series(
-        factory.get(params), z_product_state(bits, params.basis), spec.n_cycles, method="fast"
-    )
+    series = autocorrelator_series(floquet_operator(params), z_product_state(bits, params.basis), spec.n_cycles)
     assert np.max(np.abs(series.values - oracle(params, bits))) < 1e-9
 
 
