@@ -99,6 +99,12 @@ def _run_point(cfg: RunConfig, out_dir: Path) -> list:
     """The series, spectrum, overlaps or lifetime table of one parameter point."""
     # a bad initial state is rejected before any memory is taken
     psi0 = _initial_state(cfg)
+    if cfg.command != "overlaps" and cfg.params.v != 0 and psi0.product_state_index() is None:
+        # its C(nT) would turn complex within a few cycles and fail the realness check
+        raise ConfigError(
+            f"initial_state: a superposition has a complex C(nT) at V={cfg.params.v!r}; "
+            f"{cfg.command} takes one only at V = 0"
+        )
     check = check_quasi_spectrum_memory if cfg.command == "overlaps" else check_stage1_memory
     check(cfg.params.L)
     prop = floquet_operator(cfg.params)

@@ -11,7 +11,7 @@ Schema (defaults in parentheses):
 
     command: series | spectrum | overlaps | lifetime | sweep | figure
     params:
-        L (required), T1 (1), T2 (10), kernel ("NN")
+        L (required; 1 .. 14, also on an L axis), T1 (1), T2 (10), kernel ("NN")
         Omega | OmegaT1 ("pi/2"), epsilon | epsT1 (0),
         V | VT1 | VT2 (0), F | FT2 (0)
     initial_state: bit string, or [[index, re, im], ...]  (all ones)
@@ -96,13 +96,6 @@ class RunConfig:
     figure: Optional[str] = None
     out_format: str = "csv"
 
-    def initial_bits(self) -> str:
-        if self.initial_state is None:
-            return "1" * self.params.L
-        if isinstance(self.initial_state, str):
-            return self.initial_state
-        raise ConfigError("initial_state: amplitude lists have no bit-string form")
-
 
 def _resolve_rate(section: dict, path: str, raw_key: str, group_keys: dict, default: float) -> float:
     """One rate from exactly one of its raw/dimensionless spellings."""
@@ -181,8 +174,10 @@ def _parse_axis(section, path: str) -> SweepAxis:
             step = parse_number(section["step"], f"{path}.step")
             if step <= 0:
                 raise ConfigError(f"{path}.step: must be positive")
+            if stop < start:
+                raise ConfigError(f"{path}: a step range needs stop >= start, got {start!r} to {stop!r}")
             count = int(math.floor((stop - start) / step + 1e-9)) + 1
-            values = tuple(start + k * step for k in range(max(count, 1)))
+            values = tuple(start + k * step for k in range(count))
         elif "num" in section:
             num = _positive_int(section["num"], f"{path}.num")
             values = tuple(

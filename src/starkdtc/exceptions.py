@@ -14,5 +14,5 @@ class NumericError(RuntimeError):
 
 
 class ResourceLimitError(RuntimeError):
-    """Requested problem size exceeds the dense-simulation guard, or the
-    memory pre-flight finds that the run would not fit in available memory."""
+    """The memory pre-flight finds that the run would not fit in available
+    memory."""

@@ -12,7 +12,8 @@ and stage 2 applies the interaction together with a linear Stark potential,
 H_int is the pairwise van der Waals interaction sum_{i<j} V / |i-j|^6 n_i n_j
 restricted by the chosen kernel: NN keeps |i-j| < 2, NNN < 3, NNNN < 4 and ALL
 keeps every pair.  H2 is diagonal in the z-basis and is kept as a vector; H1
-is a dense real symmetric matrix.
+is a dense real symmetric matrix.  `SimulationParams` caps the chain at
+`MAX_DENSE_SITES` sites, so every builder here gets a size it can store.
 """
 
 from __future__ import annotations
@@ -22,40 +23,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exceptions import ResourceLimitError
 from .hilbert import BasisConfig
 
 KERNEL_VARIANTS = ("NN", "NNN", "NNNN", "ALL")
 
-# dense 2^L x 2^L storage beyond this is not worth supporting
+# dense 2^L x 2^L storage beyond this is not worth supporting; checked by
+# SimulationParams, which parse_params and SweepAxis build for every L
 MAX_DENSE_SITES = 14
-
-
-@dataclass(frozen=True)
-class InteractionKernel:
-    """Distance-truncated van der Waals pair couplings V / |i-j|^6."""
-
-    variant: str
-    v: float
-
-    def __post_init__(self):
-        if self.variant not in KERNEL_VARIANTS:
-            raise ValueError(f"unknown kernel variant {self.variant!r}, expected one of {KERNEL_VARIANTS}")
-
-    def includes(self, distance: int) -> bool:
-        if distance < 1:
-            return False
-        if self.variant == "ALL":
-            return True
-        max_distance = {"NN": 1, "NNN": 2, "NNNN": 3}[self.variant]
-        return distance <= max_distance
-
-    def coupling(self, i: int, j: int) -> float:
-        """Pair coupling V_ij; symmetric, zero on the diagonal."""
-        d = abs(i - j)
-        if d == 0 or not self.includes(d):
-            return 0.0
-        return self.v / d**6
 
 
 @dataclass(frozen=True)
@@ -79,6 +53,8 @@ class SimulationParams:
     def __post_init__(self):
         if not isinstance(self.L, (int, np.integer)) or self.L < 1:
             raise ValueError(f"site count must be a positive integer, got {self.L!r}")
+        if self.L > MAX_DENSE_SITES:
+            raise ValueError(f"L={self.L} exceeds the site cap of {MAX_DENSE_SITES} (MAX_DENSE_SITES)")
         for name in ("omega", "epsilon", "v", "f", "t1", "t2"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -97,61 +73,35 @@ class SimulationParams:
         return 1 << self.L
 
     @property
-    def omega_t1(self) -> float:
-        return self.omega * self.t1
-
-    @property
-    def epsilon_t1(self) -> float:
-        return self.epsilon * self.t1
-
-    @property
-    def v_t1(self) -> float:
-        return self.v * self.t1
-
-    @property
-    def v_t2(self) -> float:
-        return self.v * self.t2
-
-    @property
     def f_t2(self) -> float:
         return self.f * self.t2
-
-    def interaction_kernel(self) -> InteractionKernel:
-        return InteractionKernel(self.kernel, self.v)
 
     def with_f_t2(self, f_t2: float) -> "SimulationParams":
         return replace(self, f=f_t2 / self.t2)
 
     def dimensionless_groups(self) -> dict:
         return {
-            "omega_t1": self.omega_t1,
-            "epsilon_t1": self.epsilon_t1,
-            "v_t1": self.v_t1,
-            "v_t2": self.v_t2,
+            "omega_t1": self.omega * self.t1,
+            "epsilon_t1": self.epsilon * self.t1,
+            "v_t1": self.v * self.t1,
+            "v_t2": self.v * self.t2,
             "f_t2": self.f_t2,
         }
-
-
-def _guard_dimension(params: SimulationParams) -> None:
-    if params.L > MAX_DENSE_SITES:
-        raise ResourceLimitError(
-            f"L={params.L} exceeds the dense-simulation guard of {MAX_DENSE_SITES} sites"
-        )
 
 
 def interaction_diagonal(params: SimulationParams) -> np.ndarray:
     """Diagonal of the pairwise interaction: d[b] = sum_{i<j} V_ij n_i(b) n_j(b).
 
     Equivalent to the symmetric form (1/2) sum over ordered pairs i != j;
-    summing i < j once avoids double-counting bugs.
+    summing i < j once avoids double-counting bugs.  The kernel keeps the
+    pairs up to its largest distance, `reach`, each with V_ij = V / |i-j|^6.
     """
-    _guard_dimension(params)
-    kernel = params.interaction_kernel()
+    reach = {"NN": 1, "NNN": 2, "NNNN": 3}.get(params.kernel, params.L)
     occ = params.basis.occupations()
     diag = np.zeros(params.dimension)
     for i in range(1, params.L + 1):
-        for j in range(i + 1, params.L + 1):
-            coupling = kernel.coupling(i, j)
+        for j in range(i + 1, min(i + reach, params.L) + 1):
+            coupling = params.v / (j - i) ** 6
             if coupling != 0.0:
                 diag += coupling * occ[i - 1] * occ[j - 1]
     return diag
@@ -163,7 +113,6 @@ def stark_diagonal(params: SimulationParams) -> np.ndarray:
     The site index convention changes quasi-energies (it is not a global
     offset), so it is fixed here once and for all.
     """
-    _guard_dimension(params)
     occ = params.basis.occupations()
     sites = np.arange(1, params.L + 1, dtype=float)
     return params.f * (sites[:, None] * occ).sum(axis=0)
@@ -172,7 +121,6 @@ def stark_diagonal(params: SimulationParams) -> np.ndarray:
 def build_h1(params: SimulationParams) -> np.ndarray:
     """Dense stage-1 Hamiltonian: (Omega+epsilon) on single-bit-flip pairs plus
     the interaction diagonal.  Real symmetric by construction."""
-    _guard_dimension(params)
     dim = params.dimension
     h1 = np.zeros((dim, dim))
     drive = params.omega + params.epsilon

@@ -51,12 +51,6 @@ class BasisConfig:
         pair = b < mirrored
         return b[b == mirrored], b[pair], mirrored[pair]
 
-    def index_to_bits(self, index: int) -> str:
-        """Bit string (leftmost character = site 1) for a basis integer."""
-        if not 0 <= index < self.dimension:
-            raise ValueError(f"basis index {index} out of range for L={self.L}")
-        return "".join("1" if (index >> (j - 1)) & 1 else "0" for j in range(1, self.L + 1))
-
 
 @dataclass(frozen=True)
 class StateVector:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass, replace
 from itertools import product
 from pathlib import Path
@@ -82,6 +83,12 @@ class SweepAxis:
             raise ValueError(f"unknown axis {self.name!r}, expected one of {AXIS_NAMES}")
         if len(self.values) == 0:
             raise ValueError(f"axis {self.name!r} has no values")
+        if self.name == "L":
+            for value in self.values:
+                # a fractional L would be truncated to int(L) at its point
+                if not (isinstance(value, numbers.Real) and float(value).is_integer()):
+                    raise ValueError(f"L takes whole site counts, got {value!r}")
+                SimulationParams(L=int(value))  # checks the site cap
         object.__setattr__(self, "values", tuple(self.values))
 
 
@@ -467,8 +474,6 @@ def run_sweep(spec: SweepSpec, journal_path=None, resume: bool = False) -> Sweep
 
 def kernel_comparison(base: SimulationParams, f_grid, n_cycles: int = 100) -> SweepResult:
     """A_pi versus Stark strength for all four interaction kernels."""
-    if base.L > 12:
-        raise ValueError(f"kernel comparison supports L <= 12, got {base.L}")
     spec = SweepSpec(
         axes=(SweepAxis("kernel", KERNEL_VARIANTS), SweepAxis("F_T2", tuple(f_grid))),
         base=base,

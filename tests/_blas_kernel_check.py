@@ -18,9 +18,9 @@ import sys
 
 import numpy as np
 
-from starkdtc import PropagatorFactory, SimulationParams, SweepAxis, SweepSpec, run_sweep
+from starkdtc import SimulationParams, SweepAxis, SweepSpec, run_sweep
 from starkdtc.hilbert import sigma_z_stack
-from starkdtc.sweep import _block_series
+from starkdtc.sweep import PropagatorFactory, _block_series
 
 CYCLES = 30
 CORENAME_SYMBOLS = (

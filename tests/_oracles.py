@@ -18,6 +18,11 @@ def occupation(b: int, j: int) -> int:
     return (b >> (j - 1)) & 1
 
 
+def bits_of(b: int, L: int) -> str:
+    """Bit string of basis integer b, leftmost character = site 1."""
+    return "".join(str(occupation(b, j)) for j in range(1, L + 1))
+
+
 def interaction_energy(b: int, L: int, v: float, max_distance) -> float:
     """Pairwise vdW energy of one basis state by explicit double loop."""
     total = 0.0
@@ -36,6 +41,23 @@ def stark_energy(b: int, L: int, f: float) -> float:
 
 def kernel_max_distance(kernel: str):
     return {"NN": 1, "NNN": 2, "NNNN": 3, "ALL": None}[kernel]
+
+
+def kernel_class_diagonal(L: int, v: float, kernel: str) -> np.ndarray:
+    """The interaction diagonal as an `InteractionKernel` object once built
+    it: V_ij = 0 beyond the kernel's reach, else V / |i-j|^6, and every
+    nonzero pair added to a zero vector as V_ij n_i n_j, i < j ascending.
+    The same float operations in the same order, so the same bits."""
+    md = kernel_max_distance(kernel)
+    occ = ((np.arange(1 << L)[None, :] >> np.arange(L)[:, None]) & 1).astype(float)
+    diag = np.zeros(1 << L)
+    for i in range(1, L + 1):
+        for j in range(i + 1, L + 1):
+            d = abs(i - j)
+            coupling = 0.0 if md is not None and d > md else v / d**6
+            if coupling != 0.0:
+                diag += coupling * occ[i - 1] * occ[j - 1]
+    return diag
 
 
 def h2_diagonal(L: int, v: float, f: float, kernel: str = "NN") -> np.ndarray:

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from starkdtc import (
-    PropagatorFactory,
     SimulationParams,
     SweepAxis,
     SweepSpec,
@@ -20,13 +19,12 @@ from starkdtc import (
     find_pi_pair,
     floquet_operator,
     fourier_spectrum,
-    initial_state_comparison,
-    kernel_comparison,
     lifetime,
     overlaps,
     run_sweep,
     z_product_state,
 )
+from starkdtc.sweep import PropagatorFactory, initial_state_comparison, kernel_comparison
 from _oracles import coevolution_series, trotter_floquet
 
 PI = np.pi

@@ -104,6 +104,36 @@ def test_overlaps_entangled_initial_state(tmp_path):
     assert sum(weights) == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("command", ["series", "spectrum", "lifetime"])
+def test_superposition_at_nonzero_v_exits_2_before_stage1(tmp_path, monkeypatch, capsys, command):
+    # its C(nT) turns complex within a few cycles, so the run could only fail
+    def no_stage1(params):
+        raise AssertionError("stage 1 computed before the initial state was checked")
+
+    monkeypatch.setattr(floquet_module, "stage1_unitary", no_stage1)
+    a = 1 / np.sqrt(2)
+    data = dict(SERIES_CONFIG, command=command, initial_state=[[0, a, 0.0], [7, 0.0, a]])
+    out = tmp_path / "out"
+    assert main(["--config", str(write_config(tmp_path, data)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: initial_state: a superposition has a complex C(nT) at V=0.1" in err
+    assert not any(out.iterdir())
+
+
+def test_superposition_at_zero_v_runs(tmp_path):
+    # GHZ: its two basis states differ in every site, so C(nT) stays real at V = 0
+    a = 1 / np.sqrt(2)
+    data = dict(SERIES_CONFIG, params=dict(SERIES_CONFIG["params"], VT1=0.0),
+                initial_state=[[0, a, 0.0], [7, 0.0, a]])
+    out = tmp_path / "out"
+    assert main(["--config", str(write_config(tmp_path, data)), "--out", str(out)]) == 0
+    rows = read_csv(out / "series.csv")
+    assert len(rows) == SERIES_CONFIG["n_cycles"] + 2 and float(rows[1][1]) == 1.0
+    # an amplitude list holding one basis state is a z-product state, run at any V
+    one = dict(SERIES_CONFIG, initial_state=[[5, 0.0, 1.0]])
+    assert main(["--config", str(write_config(tmp_path, one)), "--out", str(out)]) == 0
+
+
 def test_lifetime_command(tmp_path):
     data = {
         "command": "lifetime",
@@ -294,6 +324,27 @@ def test_bad_initial_state_exits_2_before_stage1(tmp_path, monkeypatch, capsys, 
     assert main(["--config", str(cfg), "--out", str(out)]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        dict(SERIES_CONFIG, params={"L": 15}),
+        sweep_config(axes=[{"name": "L", "values": [3, 15]}]),
+        sweep_config(axes=[{"name": "L", "start": 13, "stop": 15, "step": 1}]),
+    ],
+    ids=["params", "axis_values", "axis_range"],
+)
+def test_site_cap_exits_2_at_parse_time(tmp_path, monkeypatch, capsys, data):
+    def no_stage1(params):
+        raise AssertionError("stage 1 entered above the site cap")
+
+    monkeypatch.setattr(floquet_module, "stage1_unitary", no_stage1)
+    monkeypatch.setattr(sweep_module, "stage1_unitary", no_stage1)
+    out = tmp_path / "out"
+    assert main(["--config", str(write_config(tmp_path, data)), "--out", str(out)]) == 2
+    assert "L=15 exceeds the site cap of 14" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starkdtc import ConfigError, SimulationParams, parse_config
+from starkdtc.cli import _initial_state
 from starkdtc.config import parse_number, parse_params
 from starkdtc.hamiltonian import KERNEL_VARIANTS
 from starkdtc.output import params_metadata
@@ -77,7 +78,7 @@ def test_parse_config_minimal_series():
     assert cfg.command == "series"
     assert cfg.params.L == 3
     assert cfg.n_cycles == 10
-    assert cfg.initial_bits() == "111"
+    assert cfg.initial_state is None and _initial_state(cfg).label == "111"  # all ones
     assert cfg.out_format == "csv"
     assert not hasattr(cfg, "threads")  # --threads is a CLI flag only
 
@@ -105,7 +106,7 @@ def test_config_round_trips_sidecar_params(L, kernel, rates, durations, data):
     cfg = parse_config(json.dumps({"command": "series", "params": raw, "initial_state": bits,
                                    "n_cycles": n_cycles}))
     assert cfg.params == params
-    assert cfg.initial_bits() == bits and cfg.n_cycles == n_cycles
+    assert cfg.initial_state == bits and cfg.n_cycles == n_cycles
     groups = meta["dimensionless"]
     scaled = {"L": L, "T1": t1, "T2": t2, "kernel": kernel, "OmegaT1": groups["omega_t1"],
               "epsT1": groups["epsilon_t1"], "VT2": groups["v_t2"], "FT2": groups["f_t2"]}
@@ -116,7 +117,7 @@ def test_config_round_trips_sidecar_params(L, kernel, rates, durations, data):
 
 def test_parse_config_initial_state_forms():
     cfg = parse_config(make_config(initial_state="101"))
-    assert cfg.initial_bits() == "101"
+    assert cfg.initial_state == "101" and _initial_state(cfg).product_state_index() == 0b101
     with pytest.raises(ConfigError):
         parse_config(make_config(initial_state="10"))
     with pytest.raises(ConfigError):
@@ -216,6 +217,41 @@ def test_parse_config_num_range():
     }
     cfg = parse_config(json.dumps(data))
     assert cfg.sweep.axes[0].values == (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
+
+
+def test_parse_config_l_ranges_give_whole_site_counts():
+    def l_axis(**axis):
+        return json.dumps({"command": "sweep", "params": {"L": 3},
+                           "sweep": {"axes": [{"name": "L", **axis}], "observable": "a_pi"}})
+
+    # a fractional L used to be truncated at its point: L = 2.5 ran at L = 2
+    with pytest.raises(ConfigError, match=r"sweep\.axes\[0\]: L takes whole site counts, got 2\.5"):
+        parse_config(l_axis(start=2, stop=3, step=0.5))
+    with pytest.raises(ConfigError, match=r"sweep\.axes\[0\]: L takes whole site counts"):
+        parse_config(l_axis(start=2, stop=3, num=3))
+    assert parse_config(l_axis(start=2, stop=4, step=1)).sweep.axes[0].values == (2.0, 3.0, 4.0)
+    assert parse_config(l_axis(start=4, stop=2, num=3)).sweep.axes[0].values == (4.0, 3.0, 2.0)
+
+
+def test_parse_config_rejects_reversed_step_range():
+    # stop < start used to give the one value `start`
+    data = {"command": "sweep", "params": {"L": 2},
+            "sweep": {"axes": [{"name": "epsilon", "start": 0.5, "stop": 0.0, "step": 0.1}],
+                      "observable": "a_pi"}}
+    with pytest.raises(ConfigError, match=r"sweep\.axes\[0\]: a step range needs stop >= start"):
+        parse_config(json.dumps(data))
+    data["sweep"]["axes"][0].update(start=0.5, stop=0.5)
+    assert parse_config(json.dumps(data)).sweep.axes[0].values == (0.5,)
+
+
+def test_site_cap_is_a_config_error():
+    with pytest.raises(ConfigError, match="params: L=15 exceeds the site cap of 14"):
+        parse_config(make_config(params={"L": 15}))
+    for axis in ({"name": "L", "values": [3, 15]}, {"name": "L", "start": 13, "stop": 15, "step": 1}):
+        data = {"command": "sweep", "params": {"L": 3}, "sweep": {"axes": [axis], "observable": "a_pi"}}
+        with pytest.raises(ConfigError, match=r"sweep\.axes\[0\]: L=15 exceeds the site cap of 14"):
+            parse_config(json.dumps(data))
+    assert parse_config(make_config(params={"L": 14}, n_cycles=2)).params.L == 14
 
 
 def test_parse_config_output_and_threads():

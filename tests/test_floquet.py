@@ -9,22 +9,18 @@ from hypothesis import strategies as st
 
 from starkdtc import (
     NumericError,
-    OverlapTable,
     ResourceLimitError,
     SimulationParams,
-    StateVector,
-    build_h1,
-    build_h2_diagonal,
     find_pi_pair,
     floquet_operator,
     overlaps,
-    propagator_u2,
-    quasi_spectrum,
     z_product_state,
 )
 import starkdtc.floquet as floquet
 from starkdtc.cli import main
-from starkdtc.floquet import circular_gap, unitarity_deviation
+from starkdtc.floquet import OverlapTable, circular_gap, propagator_u2, quasi_spectrum, unitarity_deviation
+from starkdtc.hamiltonian import build_h1, build_h2_diagonal
+from starkdtc.hilbert import StateVector
 from starkdtc.sweep import PropagatorFactory
 from _oracles import trotter_floquet
 
@@ -189,8 +185,6 @@ def test_overlaps_eigenvector_input():
     p = SimulationParams(L=4, omega=np.pi / 2, epsilon=0.2, v=0.1, f=0.03)
     prop = floquet_operator(p)
     spec = prop.spectrum()
-    from starkdtc import StateVector
-
     table = overlaps(spec, StateVector(spec.eigenstates[:, 5].copy(), p.basis))
     assert table.overlaps[5] == pytest.approx(1.0, abs=1e-10)
     assert np.sum(table.overlaps) == pytest.approx(1.0, abs=1e-10)
@@ -202,8 +196,6 @@ def test_overlaps_completeness_random_states():
     rng = np.random.default_rng(31)
     p = SimulationParams(L=5, omega=np.pi / 2, epsilon=0.3, v=0.1, f=0.025)
     spec = floquet_operator(p).spectrum()
-    from starkdtc import StateVector
-
     for _ in range(5):
         psi = rng.normal(size=32) + 1j * rng.normal(size=32)
         table = overlaps(spec, StateVector(psi / np.linalg.norm(psi), p.basis))

@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from starkdtc import (
-    InteractionKernel,
-    ResourceLimitError,
-    SimulationParams,
+from starkdtc import SimulationParams
+from starkdtc.hamiltonian import (
+    KERNEL_VARIANTS,
     build_h1,
     build_h2_diagonal,
     interaction_diagonal,
     stark_diagonal,
 )
-from _oracles import h2_diagonal, interaction_energy, kernel_max_distance
+from _oracles import h2_diagonal, interaction_energy, kernel_class_diagonal, kernel_max_distance
 
 
 def test_params_validation():
@@ -38,17 +39,31 @@ def test_dimensionless_groups():
 
 
 def test_kernel_coupling():
-    kernel = InteractionKernel("NN", 0.1)
-    assert kernel.coupling(3, 3) == 0.0
-    assert kernel.coupling(3, 4) == pytest.approx(0.1)
-    assert kernel.coupling(3, 5) == 0.0
-    nnn = InteractionKernel("NNN", 0.1)
-    assert nnn.coupling(3, 5) == pytest.approx(0.1 / 2**6)
-    assert nnn.coupling(5, 3) == nnn.coupling(3, 5)
-    alk = InteractionKernel("ALL", 0.1)
-    assert alk.coupling(1, 8) == pytest.approx(0.1 / 7**6)
+    # a state with exactly sites i and j occupied has energy V_ij
+    def pair_energy(L, i, j, kernel):
+        return interaction_diagonal(SimulationParams(L=L, v=0.1, kernel=kernel))[(1 << (i - 1)) | (1 << (j - 1))]
+
+    assert interaction_diagonal(SimulationParams(L=5, v=0.1))[1 << 2] == 0.0
+    assert pair_energy(5, 3, 4, "NN") == pytest.approx(0.1)
+    assert pair_energy(5, 3, 5, "NN") == 0.0
+    assert pair_energy(5, 3, 5, "NNN") == pytest.approx(0.1 / 2**6)
+    assert pair_energy(5, 2, 5, "NNN") == 0.0
+    assert pair_energy(8, 1, 8, "ALL") == pytest.approx(0.1 / 7**6)
     with pytest.raises(ValueError):
-        InteractionKernel("XY", 0.1)
+        SimulationParams(L=5, v=0.1, kernel="XY")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    L=st.integers(1, 12),
+    kernel=st.sampled_from(KERNEL_VARIANTS),
+    v=st.one_of(st.floats(-10, 10, allow_nan=False), st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 0.1])),
+)
+def test_interaction_diagonal_bits_match_kernel_class(L, kernel, v):
+    # the coupling rule moved from InteractionKernel into interaction_diagonal
+    # with the same float operations in the same order
+    diag = interaction_diagonal(SimulationParams(L=L, v=v, kernel=kernel))
+    assert np.array_equal(diag.view(np.uint64), kernel_class_diagonal(L, v, kernel).view(np.uint64))
 
 
 def test_interaction_diagonal_examples():
@@ -149,5 +164,7 @@ def test_build_h2_diagonal_against_oracle():
 
 
 def test_dense_guard():
-    with pytest.raises(ResourceLimitError):
-        build_h1(SimulationParams(L=15))
+    # the site cap is checked once, where a parameter point is made
+    with pytest.raises(ValueError, match="L=15 exceeds the site cap of 14"):
+        SimulationParams(L=15)
+    assert SimulationParams(L=14).dimension == 1 << 14

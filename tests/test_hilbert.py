@@ -1,13 +1,9 @@
 import numpy as np
 import pytest
 
-from starkdtc import (
-    BasisConfig,
-    StateVector,
-    state_from_amplitudes,
-    z_product_state,
-)
-from starkdtc.hilbert import sigma_z_stack
+from starkdtc import state_from_amplitudes, z_product_state
+from starkdtc.hilbert import BasisConfig, StateVector, sigma_z_stack
+from _oracles import bits_of
 
 
 def test_basis_dimension_and_validation():
@@ -48,7 +44,7 @@ def test_z_product_state_round_trip():
     for _ in range(20):
         bits = "".join(rng.choice(["0", "1"], size=7))
         state = z_product_state(bits, basis)
-        assert basis.index_to_bits(state.product_state_index()) == bits
+        assert bits_of(state.product_state_index(), 7) == bits
 
 
 def test_z_product_state_rejects_bad_input():
@@ -124,7 +120,7 @@ def test_reflection_orbits_partition_the_basis(L):
     mirror[lo], mirror[hi] = hi, lo
     assert np.array_equal(mirror[mirror], np.arange(dim))
     for b in range(dim):
-        assert basis.index_to_bits(int(mirror[b])) == basis.index_to_bits(b)[::-1]
+        assert bits_of(int(mirror[b]), L) == bits_of(b, L)[::-1]
     # sector sizes (2^L +- 2^ceil(L/2)) / 2
     half = 1 << ((L + 1) // 2)
     assert (fixed.size + lo.size, lo.size) == ((dim + half) // 2, (dim - half) // 2)

@@ -4,20 +4,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from starkdtc import (
-    AutocorrelatorSeries,
     NumericError,
     SimulationParams,
-    StateVector,
     autocorrelator_series,
     floquet_operator,
     fourier_spectrum,
     lifetime,
-    reversal_analysis,
     state_from_amplitudes,
     z_product_state,
 )
 import starkdtc.observables as observables
-from _oracles import coevolution_series, dft_magnitudes, expm_multiply_coevolution, expm_multiply_series
+from starkdtc.hilbert import StateVector
+from starkdtc.observables import AutocorrelatorSeries, reversal_analysis
+from _oracles import bits_of, coevolution_series, dft_magnitudes, expm_multiply_coevolution, expm_multiply_series
 from test_floquet import point_pattern
 
 
@@ -43,7 +42,7 @@ def test_perfect_flip_alternation(L, kernel, f, t1, t2, state):
     # stays 0 because H_int is part of H1 too and spoils the flip (3e-3 off
     # by cycle 40 at L=4, V=0.1)
     p = SimulationParams(L=L, omega=np.pi / 2 / t1, epsilon=0.0, v=0.0, f=f, t1=t1, t2=t2, kernel=kernel)
-    bits = p.basis.index_to_bits(state % p.dimension)
+    bits = bits_of(state % p.dimension, L)
     series = autocorrelator_series(floquet_operator(p), z_product_state(bits, p.basis), 40)
     assert np.max(np.abs(series.values - (-1.0) ** np.arange(41))) < 1e-10
 

@@ -11,22 +11,20 @@ from hypothesis import strategies as st
 import starkdtc.sweep as sweep_module
 from starkdtc import (
     ConfigError,
-    PropagatorFactory,
     SimulationParams,
     SweepAxis,
     SweepSpec,
     autocorrelator_series,
     floquet_operator,
     fourier_spectrum,
-    initial_state_comparison,
-    kernel_comparison,
     run_sweep,
-    build_h2_diagonal,
-    propagator_u2,
     z_product_state,
 )
+from starkdtc.floquet import propagator_u2
+from starkdtc.hamiltonian import build_h2_diagonal
 from starkdtc.hilbert import sigma_z_stack
-from starkdtc.sweep import _block_series
+from starkdtc.observables import AutocorrelatorSeries
+from starkdtc.sweep import PropagatorFactory, _block_series, initial_state_comparison, kernel_comparison
 
 from _oracles import expm_multiply_series
 from test_floquet import point_pattern
@@ -67,6 +65,17 @@ def test_spec_validation():
         SweepAxis("epsilon", ())
     with pytest.raises(ValueError):
         small_spec(grid_cap=3)
+
+
+def test_l_axis_takes_whole_site_counts_up_to_the_cap():
+    # L = 2.5 used to run at L = 2, and L = 15 to pass the axis
+    with pytest.raises(ValueError, match="L takes whole site counts, got 2.5"):
+        SweepAxis("L", (2, 2.5))
+    with pytest.raises(ValueError, match="L=15 exceeds the site cap of 14"):
+        SweepAxis("L", (3, 15))
+    with pytest.raises(ValueError, match="positive integer"):
+        SweepAxis("L", (0,))
+    assert SweepAxis("L", (2.0, 3)).values == (2.0, 3)
 
 
 def test_grid_enumeration_row_major():
@@ -300,8 +309,6 @@ def test_kernel_comparison_emits_kernel_column():
     header, rows = result.rows()
     assert header[0] == "kernel"
     assert {row[0] for row in rows} == {"NN", "NNN", "NNNN", "ALL"}
-    with pytest.raises(ValueError):
-        kernel_comparison(SimulationParams(L=13), (0.0,))
 
 
 def test_initial_state_comparison_single_site_symmetry():
@@ -321,8 +328,6 @@ def test_initial_state_comparison_tables_keyed_by_state():
     assert labels == {"1111", "1010"}
     # spectra derive from the series without recomputation
     for series_rec, spectra_rec in zip(comparison.series.values, comparison.spectra.values):
-        from starkdtc import AutocorrelatorSeries
-
         series = AutocorrelatorSeries(
             values=np.asarray(series_rec["c"]), n_cycles=10, params=None
         )
