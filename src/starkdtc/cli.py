@@ -78,12 +78,20 @@ def _check_writable(out_dir: Path) -> None:
 
 
 def _initial_state(cfg: RunConfig):
+    """The point command's initial state, checked before any directory or memory is taken."""
     basis = cfg.params.basis
     if cfg.initial_state is None:
         return z_product_state("1" * cfg.params.L, basis)
     if isinstance(cfg.initial_state, str):
         return z_product_state(cfg.initial_state, basis)
-    return state_from_amplitudes(cfg.initial_state, basis)
+    psi0 = state_from_amplitudes(cfg.initial_state, basis)
+    if cfg.command != "overlaps" and cfg.params.v != 0 and psi0.product_state_index() is None:
+        # its C(nT) would turn complex within a few cycles and fail the realness check
+        raise ConfigError(
+            f"initial_state: a superposition has a complex C(nT) at V={cfg.params.v!r}; "
+            f"{cfg.command} takes one only at V = 0"
+        )
+    return psi0
 
 
 def _write_table(out_dir: Path, name: str, fmt: str, header, rows, metadata: dict) -> Path:
@@ -95,16 +103,8 @@ def _write_table(out_dir: Path, name: str, fmt: str, header, rows, metadata: dic
     return path
 
 
-def _run_point(cfg: RunConfig, out_dir: Path) -> list:
+def _run_point(cfg: RunConfig, psi0, out_dir: Path) -> list:
     """The series, spectrum, overlaps or lifetime table of one parameter point."""
-    # a bad initial state is rejected before any memory is taken
-    psi0 = _initial_state(cfg)
-    if cfg.command != "overlaps" and cfg.params.v != 0 and psi0.product_state_index() is None:
-        # its C(nT) would turn complex within a few cycles and fail the realness check
-        raise ConfigError(
-            f"initial_state: a superposition has a complex C(nT) at V={cfg.params.v!r}; "
-            f"{cfg.command} takes one only at V = 0"
-        )
     check = check_quasi_spectrum_memory if cfg.command == "overlaps" else check_stage1_memory
     check(cfg.params.L)
     prop = floquet_operator(cfg.params)
@@ -146,6 +146,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
+        psi0 = None if cfg.command in ("sweep", "figure") else _initial_state(cfg)
         out_dir = args.out
         _check_writable(out_dir)
     except (ConfigError, ValueError) as exc:
@@ -158,7 +159,7 @@ def main(argv=None) -> int:
         elif cfg.command == "sweep":
             files = _run_sweep_command(cfg, out_dir, args.resume)
         else:
-            files = _run_point(cfg, out_dir)
+            files = _run_point(cfg, psi0, out_dir)
     except (ConfigError, ResourceLimitError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

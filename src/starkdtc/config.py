@@ -50,7 +50,13 @@ def parse_number(value, path: str) -> float:
         tree = ast.parse(value, mode="eval")
     except SyntaxError:
         raise ConfigError(f"{path}: cannot parse numeric expression {value!r}")
-    return _eval_node(tree.body, value, path)
+    try:
+        number = _eval_node(tree.body, value, path)
+    except ArithmeticError as exc:  # division by zero, overflow
+        raise ConfigError(f"{path}: cannot evaluate {value!r}: {exc}")
+    if not isinstance(number, float):  # a negative base to a fractional power
+        raise ConfigError(f"{path}: {value!r} is not a real number")
+    return number
 
 
 def _eval_node(node, source: str, path: str) -> float:
@@ -164,7 +170,7 @@ def _parse_axis(section, path: str) -> SweepAxis:
         elif name == "L":
             values = tuple(_positive_int(v, f"{path}.values") for v in raw_values)
         else:
-            values = tuple(str(v) for v in raw_values)
+            values = tuple(raw_values)  # checked by SweepAxis
     elif "start" in section and "stop" in section:
         if not numeric_axis:
             raise ConfigError(f"{path}: ranges are only valid for numeric axes")

@@ -15,15 +15,17 @@ from __future__ import annotations
 
 import copy
 import math
+from dataclasses import replace
 from pathlib import Path
 
-from .floquet import check_quasi_spectrum_memory, check_stage1_memory, overlaps
+import numpy as np
+
+from .floquet import check_quasi_spectrum_memory, check_stage1_memory, floquet_operator, overlaps
 from .hamiltonian import KERNEL_VARIANTS, SimulationParams
 from .hilbert import z_product_state
 from .observables import autocorrelator_series, fourier_spectrum, reversal_analysis
 from .output import params_metadata, write_csv, write_json, write_sidecar
-from .sweep import (PropagatorFactory, SweepAxis, SweepSpec, initial_state_comparison,
-                    kernel_comparison, run_sweep)
+from .sweep import PropagatorFactory, SweepAxis, SweepResult, SweepSpec, _series_record, run_sweep
 
 FIG2_PARAMS = SimulationParams(L=12, omega=math.pi / 2, epsilon=0.3, v=0.1, t1=1.0, t2=10.0)
 FIG3_PARAMS = SimulationParams(L=10, omega=math.pi / 2, epsilon=0.3, v=0.1, t1=1.0, t2=10.0)
@@ -49,24 +51,35 @@ FIGURES = {
 }
 FIGURE_IDS = tuple(FIGURES)
 
-# the grid figures: output file and the entry keys swept as its axes
+# the grid figures: output file, observable and (sweep axis, entry key) pairs
 _GRIDS = {
-    "fig3a": ("fig3a_api_map.csv", ("epsilon", "F_T2")),
-    "fig3b": ("fig3b_api_vs_epsilon.csv", ("epsilon", "F_T2")),
-    "fig3c": ("fig3c_api_vs_ft2.csv", ("V", "F_T2")),
-    "fig4b": ("fig4b_lifetime_grid.csv", ("epsilon", "F_T2")),
+    "fig3a": ("fig3a_api_map.csv", "a_pi", (("epsilon", "epsilon"), ("F_T2", "F_T2"))),
+    "fig3b": ("fig3b_api_vs_epsilon.csv", "a_pi", (("epsilon", "epsilon"), ("F_T2", "F_T2"))),
+    "fig3c": ("fig3c_api_vs_ft2.csv", "a_pi", (("V", "V"), ("F_T2", "F_T2"))),
+    "fig3d": ("fig3d_api_kernels.csv", "a_pi", (("kernel", "kernels"), ("F_T2", "F_T2"))),
+    "fig4b": ("fig4b_lifetime_grid.csv", "lifetime", (("epsilon", "epsilon"), ("F_T2", "F_T2"))),
+    "fig5": ("fig5_series.csv", "series", (("initial_state", "initial_states"), ("F_T2", "F_T2"))),
 }
 
 
 def _grid(figure_id: str, entry: dict, out_dir: Path) -> list:
-    name, axes = _GRIDS[figure_id]
+    name, observable, axes = _GRIDS[figure_id]
     spec = SweepSpec(
-        axes=tuple(SweepAxis(axis, entry[axis]) for axis in axes),
+        axes=tuple(SweepAxis(axis, entry[key]) for axis, key in axes),
         base=entry["base"],
-        observable="lifetime" if "n_max" in entry else "a_pi",
+        observable=observable,
         **{key: entry[key] for key in ("n_cycles", "n_max") if key in entry},
     )
-    return [run_sweep(spec).to_csv(out_dir / name)]
+    result = run_sweep(spec)
+    files = [result.to_csv(out_dir / name)]
+    if observable == "series":
+        # the spectra are read off the series just evolved, not a second evolution
+        spectra = replace(spec, observable="spectrum")
+        values = [None if record is None else _series_record(spectra, np.asarray(record["c"]))
+                  for record in result.values]
+        spectra_result = SweepResult(spectra, result.coords, values, result.errors)
+        files.append(spectra_result.to_csv(out_dir / f"{figure_id}_spectra.csv"))
+    return files
 
 
 def _panel(path: Path, header, rows, params, **meta) -> Path:
@@ -103,8 +116,7 @@ def _fig4a(entry: dict, out_dir: Path) -> list:
     params = entry["base"].with_f_t2(entry["F_T2"][0])
     n_max = entry["n_max"]
     bits = "1" * params.L
-    prop = PropagatorFactory().get(params)
-    series = autocorrelator_series(prop, z_product_state(bits, params.basis), n_max)
+    series = autocorrelator_series(floquet_operator(params), z_product_state(bits, params.basis), n_max)
     path = _panel(out_dir / "fig4a_series.csv", ["n", "c"], series.rows(), params,
                   panel="series", initial_state=bits, n_cycles=n_max)
     # the lifetime is read off the series just evolved, not a second evolution
@@ -134,17 +146,6 @@ def figure_command(figure_id: str, out_dir) -> list:
     out_dir.mkdir(parents=True, exist_ok=True)
     if figure_id in _GRIDS:
         files = _grid(figure_id, entry, out_dir)
-    elif figure_id == "fig3d":
-        result = kernel_comparison(entry["base"], entry["F_T2"], n_cycles=entry["n_cycles"])
-        files = [result.to_csv(out_dir / "fig3d_api_kernels.csv")]
-    elif figure_id == "fig5":
-        comparison = initial_state_comparison(
-            entry["base"], entry["initial_states"], entry["F_T2"], n_cycles=entry["n_cycles"]
-        )
-        files = [
-            comparison.series.to_csv(out_dir / "fig5_series.csv"),
-            comparison.spectra.to_csv(out_dir / "fig5_spectra.csv"),
-        ]
     elif figure_id == "fig2":
         files = _fig2(entry, out_dir)
     else:

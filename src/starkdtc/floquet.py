@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -169,8 +168,7 @@ class SectorUnitary:
     acts on the fixed states and the symmetric pair combinations, the odd
     block on the antisymmetric ones (empty at L=1).  In orbit order the
     sector transform is slice arithmetic on contiguous rows (`_split`,
-    `_merge`); `product` is U1 on orbit-ordered rows, and `dense` the
-    z-basis matrix, one row permutation in and one out.
+    `_merge`); `product` is U1 on orbit-ordered rows.
     """
 
     def __init__(self, even: np.ndarray, odd: np.ndarray, fixed, lo, hi):
@@ -226,10 +224,6 @@ class SectorUnitary:
         cross *= 0.5
         out[hi, lo] = cross
         return out
-
-    def dense(self) -> np.ndarray:
-        """The full U1 in the z-basis, for checks."""
-        return self.dense_ordered().take(self.inverse, axis=0).take(self.inverse, axis=1)
 
 
 def _available_memory() -> Optional[int]:
@@ -333,9 +327,9 @@ class FloquetPropagator:
     (`SectorUnitary`), already checked by `stage1_unitary`; `phase2` is the
     stage-2 phase vector derived from `h2_diagonal`.  `apply` advances
     z-basis states by Phi * (U1 psi), one period per call; the evolution
-    loops work in orbit order instead (`observables._evolve_block`).  The
-    dense U_F is formed only when `u_f` is read, which no library path
-    does.  The quasi-spectrum is computed once and cached.
+    loops work in orbit order instead (`observables._evolve_block`).  No
+    dense U_F is ever formed.  The quasi-spectrum is computed once and
+    cached.
     """
 
     def __init__(self, params: SimulationParams, u1: SectorUnitary, h2_diagonal: np.ndarray):
@@ -348,13 +342,6 @@ class FloquetPropagator:
     @property
     def dimension(self) -> int:
         return self.u1.dimension
-
-    @cached_property
-    def u_f(self) -> np.ndarray:
-        """Dense U_F = diag(Phi) U1, built on first read."""
-        u_f = self.u1.dense()
-        u_f *= self.phase2[:, None]
-        return u_f
 
     def apply(self, state: np.ndarray) -> np.ndarray:
         """Advance z-basis amplitudes (vector or stacked columns) by one

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .exceptions import ConfigError, NumericError
+from .exceptions import ConfigError
 from .floquet import (
     FloquetPropagator,
     SectorUnitary,
@@ -83,12 +83,17 @@ class SweepAxis:
             raise ValueError(f"unknown axis {self.name!r}, expected one of {AXIS_NAMES}")
         if len(self.values) == 0:
             raise ValueError(f"axis {self.name!r} has no values")
-        if self.name == "L":
-            for value in self.values:
+        # checked here, not per point: a bad value would only fill its rows with error markers
+        for value in self.values:
+            if self.name == "L":
                 # a fractional L would be truncated to int(L) at its point
                 if not (isinstance(value, numbers.Real) and float(value).is_integer()):
                     raise ValueError(f"L takes whole site counts, got {value!r}")
                 SimulationParams(L=int(value))  # checks the site cap
+            elif self.name == "kernel" and value not in KERNEL_VARIANTS:
+                raise ValueError(f"unknown kernel variant {value!r}, expected one of {KERNEL_VARIANTS}")
+            elif self.name == "initial_state" and not isinstance(value, str):
+                raise ValueError(f"initial_state takes bit strings, got {value!r}")
         object.__setattr__(self, "values", tuple(self.values))
 
 
@@ -470,48 +475,3 @@ def run_sweep(spec: SweepSpec, journal_path=None, resume: bool = False) -> Sweep
         values=values,
         errors=errors,
     )
-
-
-def kernel_comparison(base: SimulationParams, f_grid, n_cycles: int = 100) -> SweepResult:
-    """A_pi versus Stark strength for all four interaction kernels."""
-    spec = SweepSpec(
-        axes=(SweepAxis("kernel", KERNEL_VARIANTS), SweepAxis("F_T2", tuple(f_grid))),
-        base=base,
-        observable="a_pi",
-        n_cycles=n_cycles,
-    )
-    return run_sweep(spec)
-
-
-@dataclass
-class InitialStateComparison:
-    series: SweepResult
-    spectra: SweepResult
-
-
-def initial_state_comparison(
-    base: SimulationParams, states, f_values, n_cycles: int = 100
-) -> InitialStateComparison:
-    """C(nT) series and spectra for each (initial state, Stark strength) pair."""
-    states = tuple(states)
-    for bits in states:
-        if len(bits) != base.L or any(ch not in "01" for ch in bits):
-            raise ValueError(f"initial state {bits!r} incompatible with L={base.L}")
-    spec = SweepSpec(
-        axes=(SweepAxis("initial_state", states), SweepAxis("F_T2", tuple(f_values))),
-        base=base,
-        observable="series",
-        n_cycles=n_cycles,
-    )
-    series_result = run_sweep(spec)
-    spectra_spec = SweepSpec(axes=spec.axes, base=base, observable="spectrum", n_cycles=n_cycles)
-    spectra_result = SweepResult(
-        spec=spectra_spec,
-        coords=list(series_result.coords),
-        values=[
-            None if record is None else _series_record(spectra_spec, np.asarray(record["c"]))
-            for record in series_result.values
-        ],
-        errors=list(series_result.errors),
-    )
-    return InitialStateComparison(series=series_result, spectra=spectra_result)

@@ -3,9 +3,11 @@
 Everything here is built from first principles (explicit loops over basis
 integers, Kronecker products of 2x2 blocks, Strang-split product formulas,
 scipy's expm_multiply on a sparse H1) and deliberately shares no code with
-the package paths it checks.  The one exception is `coevolution_series`,
-which steps with the package's public one-period `FloquetPropagator.apply`
-to check the evolution loop and readout of `autocorrelator_series`.
+the package paths it checks.  Two helpers step with the package's public
+one-period `FloquetPropagator.apply` instead: `coevolution_series` checks
+the evolution loop and readout of `autocorrelator_series`, and `dense_u_f`
+gives the dense U_F that the package never forms, for checks against the
+independent propagators here.
 """
 
 import numpy as np
@@ -166,6 +168,11 @@ def expm_multiply_coevolution(L, omega, epsilon, v, f, t1, t2, amplitudes, n_cyc
         block = phase2[:, None] * expm_multiply(generator, block)
         values.append(np.sum(block[:, 1:].conj() * (z.T * block[:, :1])) / L)
     return np.array(values)
+
+
+def dense_u_f(prop) -> np.ndarray:
+    """The dense U_F of a `FloquetPropagator`: one period applied to the identity."""
+    return prop.apply(np.eye(prop.dimension, dtype=complex))
 
 
 def coevolution_series(prop, psi0, n_cycles):

@@ -24,8 +24,9 @@ from starkdtc import (
     run_sweep,
     z_product_state,
 )
-from starkdtc.sweep import PropagatorFactory, initial_state_comparison, kernel_comparison
-from _oracles import coevolution_series, trotter_floquet
+from starkdtc.hamiltonian import KERNEL_VARIANTS
+from starkdtc.sweep import PropagatorFactory
+from _oracles import coevolution_series, dense_u_f, trotter_floquet
 
 PI = np.pi
 
@@ -186,7 +187,13 @@ def test_criterion_6_kernel_insensitivity():
     start = time.perf_counter()
     base = SimulationParams(L=10, omega=PI / 2, epsilon=0.3, v=0.1, t1=1.0, t2=10.0)
     f_grid = tuple(round(0.05 * k, 10) for k in range(11))
-    result = kernel_comparison(base, f_grid, n_cycles=100)
+    spec = SweepSpec(
+        axes=(SweepAxis("kernel", KERNEL_VARIANTS), SweepAxis("F_T2", f_grid)),
+        base=base,
+        observable="a_pi",
+        n_cycles=100,
+    )
+    result = run_sweep(spec)
     a_pi = {}
     for coords, record in zip(result.coords, result.values):
         a_pi[(coords["kernel"], coords["F_T2"])] = record["a_pi"]
@@ -206,11 +213,15 @@ def test_criterion_6_kernel_insensitivity():
 
 def test_criterion_7_initial_state_independence():
     start = time.perf_counter()
-    comparison = initial_state_comparison(
-        FIG4_BASE, ("1111000000", "1111010010"), (0.0, 0.4), n_cycles=100
+    spec = SweepSpec(
+        axes=(SweepAxis("initial_state", ("1111000000", "1111010010")), SweepAxis("F_T2", (0.0, 0.4))),
+        base=FIG4_BASE,
+        observable="a_pi",
+        n_cycles=100,
     )
+    result = run_sweep(spec)
     a_pi = {}
-    for coords, record in zip(comparison.spectra.coords, comparison.spectra.values):
+    for coords, record in zip(result.coords, result.values):
         a_pi[(coords["initial_state"], coords["F_T2"])] = record["a_pi"]
     ratios = {
         state: a_pi[(state, 0.4)] / a_pi[(state, 0.0)]
@@ -241,8 +252,8 @@ def test_criterion_8_trotter_oracle(factory):
             t2=10.0,
             kernel=str(rng.choice(["NN", "NNN", "NNNN", "ALL"])),
         )
-        prop = floquet_operator(params)
-        gram = prop.u_f.conj().T @ prop.u_f
+        u_f = dense_u_f(floquet_operator(params))
+        gram = u_f.conj().T @ u_f
         worst_unitarity = max(
             worst_unitarity, float(np.max(np.abs(gram - np.eye(params.dimension))))
         )
@@ -250,7 +261,7 @@ def test_criterion_8_trotter_oracle(factory):
             params.L, params.omega, params.epsilon, params.v, params.f,
             params.t1, params.t2, params.kernel,
         )
-        worst_trotter = max(worst_trotter, float(np.max(np.abs(prop.u_f - u_ref))))
+        worst_trotter = max(worst_trotter, float(np.max(np.abs(u_f - u_ref))))
     ok = worst_trotter < 1e-6 and worst_unitarity < 1e-10
     report(
         "criterion 8 (Trotter oracle equivalence)",

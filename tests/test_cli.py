@@ -117,7 +117,7 @@ def test_superposition_at_nonzero_v_exits_2_before_stage1(tmp_path, monkeypatch,
     assert main(["--config", str(write_config(tmp_path, data)), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "config error: initial_state: a superposition has a complex C(nT) at V=0.1" in err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_superposition_at_zero_v_runs(tmp_path):
@@ -248,6 +248,25 @@ def test_figure_command_rerun_is_byte_identical(tmp_path, monkeypatch):
     assert record["n_max"] == 5000
 
 
+def test_fig5_evolves_once(tmp_path, monkeypatch):
+    # the spectra are read off the series just evolved: one block of four columns
+    evolutions = []
+    evolve_block = observables_module._evolve_block
+
+    def counted(*args):
+        evolutions.append(len(args[2]))
+        return evolve_block(*args)
+
+    for module in (observables_module, sweep_module):
+        monkeypatch.setattr(module, "_evolve_block", counted)
+    assert main(["--figure", "fig5", "--out", str(tmp_path)]) == 0
+    assert evolutions == [4]
+    series = read_csv(tmp_path / "fig5_series.csv")
+    spectra = read_csv(tmp_path / "fig5_spectra.csv")
+    assert series[0][:2] == spectra[0][:2] == ["initial_state", "F_T2"]
+    assert len(spectra) == 1 + 4 * 100
+
+
 def test_figure_manifest_states_what_ran(tmp_path):
     # the sweep sidecars record the grids that ran; the manifest must match them
     entry_keys = {"kernel": "kernels", "initial_state": "initial_states"}
@@ -306,6 +325,45 @@ def test_malformed_runs_exit_2_without_writing(tmp_path, monkeypatch, capsys, fl
     assert not out.exists()
 
 
+@pytest.mark.parametrize("expression", ["1/0", "10**400", "(-1)**0.5"],
+                         ids=["zero_division", "overflow", "complex"])
+@pytest.mark.parametrize(
+    "place, path",
+    [("params", "params.FT2"), ("axis", "sweep.axes[0].values")],
+)
+def test_number_expression_errors_exit_2(tmp_path, capsys, expression, place, path):
+    # each used to end in a traceback with exit 1
+    if place == "params":
+        data = dict(SERIES_CONFIG, params=dict(SERIES_CONFIG["params"], FT2=expression))
+    else:
+        data = sweep_config(axes=[{"name": "F_T2", "values": [0.0, expression]}])
+    out = tmp_path / "out"
+    assert main(["--config", str(write_config(tmp_path, data)), "--out", str(out)]) == 2
+    assert f"config error: {path}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "axis, message",
+    [
+        ({"name": "kernel", "values": ["NN", "XX"]}, "unknown kernel variant 'XX'"),
+        ({"name": "initial_state", "values": [1111, 1010]}, "initial_state takes bit strings, got 1111"),
+    ],
+    ids=["kernel", "initial_state"],
+)
+def test_bad_axis_values_exit_2_at_parse_time(tmp_path, monkeypatch, capsys, axis, message):
+    # an unknown kernel used to exit 0 with error rows, numbers to run as bit strings
+    def no_stage1(params):
+        raise AssertionError("stage 1 computed before the axis was checked")
+
+    monkeypatch.setattr(sweep_module, "stage1_unitary", no_stage1)
+    out = tmp_path / "out"
+    data = sweep_config(axes=[axis, {"name": "F_T2", "values": [0.0]}])
+    assert main(["--config", str(write_config(tmp_path, data)), "--out", str(out)]) == 2
+    assert f"config error: sweep.axes[0]: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "initial_state, message",
     [
@@ -323,7 +381,7 @@ def test_bad_initial_state_exits_2_before_stage1(tmp_path, monkeypatch, capsys, 
     out = tmp_path / "out"
     assert main(["--config", str(cfg), "--out", str(out)]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import re
 
@@ -22,7 +23,8 @@ from starkdtc.floquet import OverlapTable, circular_gap, propagator_u2, quasi_sp
 from starkdtc.hamiltonian import build_h1, build_h2_diagonal
 from starkdtc.hilbert import StateVector
 from starkdtc.sweep import PropagatorFactory
-from _oracles import trotter_floquet
+from _oracles import dense_u_f, trotter_floquet
+from test_trace_bindings import load_tracer
 
 
 def random_params(rng, l_max=6):
@@ -49,16 +51,16 @@ def test_propagator_u2():
 
 def test_floquet_operator_single_site_examples():
     p = SimulationParams(L=1, omega=np.pi / 2, epsilon=0.0, v=0.0, f=0.0)
-    assert np.allclose(floquet_operator(p).u_f, [[0, -1j], [-1j, 0]], atol=1e-14)
+    assert np.allclose(dense_u_f(floquet_operator(p)), [[0, -1j], [-1j, 0]], atol=1e-14)
 
     p = SimulationParams(L=1, omega=np.pi / 2, f=0.1, t2=10.0)
     expected = np.array([[0, -1j], [-1j * np.exp(-1j), 0]])
-    assert np.allclose(floquet_operator(p).u_f, expected, atol=1e-14)
+    assert np.allclose(dense_u_f(floquet_operator(p)), expected, atol=1e-14)
 
 
 def test_floquet_operator_diagonal_when_drive_off():
     p = SimulationParams(L=3, omega=1.1, epsilon=-1.1, v=0.2, f=0.05)
-    u_f = floquet_operator(p).u_f
+    u_f = dense_u_f(floquet_operator(p))
     off = u_f - np.diag(np.diag(u_f))
     assert np.max(np.abs(off)) < 1e-12
 
@@ -66,9 +68,9 @@ def test_floquet_operator_diagonal_when_drive_off():
 def test_unitarity_of_random_propagators():
     rng = np.random.default_rng(7)
     for _ in range(10):
-        prop = floquet_operator(random_params(rng))
-        gram = prop.u_f.conj().T @ prop.u_f
-        assert np.max(np.abs(gram - np.eye(prop.dimension))) < 1e-10
+        u_f = dense_u_f(floquet_operator(random_params(rng)))
+        gram = u_f.conj().T @ u_f
+        assert np.max(np.abs(gram - np.eye(u_f.shape[0]))) < 1e-10
 
 
 def test_trotter_oracle_agreement():
@@ -77,12 +79,12 @@ def test_trotter_oracle_agreement():
     for _ in range(5):
         p = random_params(rng, l_max=5)
         u_ref = trotter_floquet(p.L, p.omega, p.epsilon, p.v, p.f, p.t1, p.t2, p.kernel)
-        u_pkg = floquet_operator(p).u_f
+        u_pkg = dense_u_f(floquet_operator(p))
         assert np.max(np.abs(u_pkg - u_ref)) < 1e-6
 
 
 def test_composition_consistency():
-    # applying U1 then U2 stagewise agrees with the dense U_F
+    # one period of the package agrees with U1 then U2 applied stagewise
     rng = np.random.default_rng(9)
     p = SimulationParams(L=6, omega=np.pi / 2, epsilon=0.21, v=0.1, f=0.02)
     prop = floquet_operator(p)
@@ -91,7 +93,20 @@ def test_composition_consistency():
     for _ in range(50):
         psi = rng.normal(size=64) + 1j * rng.normal(size=64)
         psi /= np.linalg.norm(psi)
-        assert np.max(np.abs(prop.u_f @ psi - phase2 * (u1 @ psi))) < 1e-10
+        assert np.max(np.abs(prop.apply(psi) - phase2 * (u1 @ psi))) < 1e-10
+
+
+def test_traced_apply_builds_no_dense_u_f():
+    # the benchmark tracer sizes each traced `apply` from `prop.u_f`, which
+    # used to build and cache a dense U_F (1 MiB at L=8, 268 MB at L=12)
+    p = SimulationParams(L=8, omega=np.pi / 2, epsilon=0.3, v=0.1).with_f_t2(0.25)
+    prop = floquet_operator(p)
+    psi = z_product_state("1" * p.L, p.basis).amplitudes
+    result = prop.apply(psi)
+    with contextlib.suppress(AttributeError):  # the tracer drops an attribute it cannot read
+        load_tracer()._apply_attrs((prop, psi), {}, result)
+    held = {**vars(prop), **vars(prop.u1)}
+    assert [name for name, value in held.items() if np.shape(value) == (p.dimension,) * 2] == []
 
 
 def test_stark_echo_two_periods():
@@ -133,7 +148,7 @@ def test_quasi_spectrum_folding_and_moduli():
         assert (spec.quasi_energies <= np.pi).all()
         assert np.max(np.abs(np.abs(spec.eigenvalues()) - 1.0)) < 1e-10
         # residual and orthonormality
-        resid = prop.u_f @ spec.eigenstates - spec.eigenstates * spec.eigenvalues()
+        resid = dense_u_f(prop) @ spec.eigenstates - spec.eigenstates * spec.eigenvalues()
         assert np.max(np.linalg.norm(resid, axis=0)) < 1e-8
         gram = spec.eigenstates.conj().T @ spec.eigenstates
         assert np.max(np.abs(gram - np.eye(prop.dimension))) < 1e-8
@@ -145,7 +160,7 @@ def test_quasi_spectrum_against_schur_oracle():
     for _ in range(6):
         prop = floquet_operator(random_params(rng))
         spec = quasi_spectrum(prop)
-        t_mat, _ = scipy.linalg.schur(prop.u_f, output="complex")
+        t_mat, _ = scipy.linalg.schur(dense_u_f(prop), output="complex")
         ref = np.sort(np.angle(np.diag(t_mat)))
         got = np.sort(np.angle(np.exp(-1j * spec.quasi_energies)))
         assert np.max(np.abs(got - ref)) < 1e-9
@@ -159,7 +174,7 @@ def test_quasi_spectrum_against_schur_and_powers_at_l10():
     p = SimulationParams(L=10, omega=np.pi / 2, epsilon=0.3, v=0.1).with_f_t2(0.25)
     prop = floquet_operator(p)
     spec = quasi_spectrum(prop)
-    t_mat, _ = scipy.linalg.schur(prop.u_f, output="complex")
+    t_mat, _ = scipy.linalg.schur(dense_u_f(prop), output="complex")
     ref = np.sort(np.angle(np.diag(t_mat)))
     got = np.sort(np.angle(spec.eigenvalues()))
     assert np.max(np.abs(got - ref)) < 1e-9
@@ -287,12 +302,15 @@ def test_unitarity_check_covers_each_sector(monkeypatch):
 def test_sector_unitary_against_expm(L, kernel, omega, epsilon, v, width, seed):
     p = SimulationParams(L=L, omega=omega, epsilon=epsilon, v=v, kernel=kernel)
     u1 = floquet.stage1_unitary(p)
-    dense = u1.dense()
-    assert np.max(np.abs(dense - scipy.linalg.expm(-1j * p.t1 * build_h1(p)))) < 1e-12
+    expected = scipy.linalg.expm(-1j * p.t1 * build_h1(p))
+    # the orbit-ordered dense U1 the quasi-spectrum forms, back in the z-basis
+    dense = u1.dense_ordered()[np.ix_(u1.inverse, u1.inverse)]
+    assert np.max(np.abs(dense - expected)) < 1e-12
     rng = np.random.default_rng(seed)
     block = rng.normal(size=(p.dimension, width)) + 1j * rng.normal(size=(p.dimension, width))
     # with a zero stage-2 diagonal, one period is U1
     prop = floquet.FloquetPropagator(p, u1, np.zeros(p.dimension))
+    assert np.max(np.abs(dense_u_f(prop) - expected)) < 1e-12
     assert np.max(np.abs(prop.apply(block) - dense @ block)) < 1e-12
     assert np.max(np.abs(prop.apply(block[:, 0]) - dense @ block[:, 0])) < 1e-12
 
@@ -493,7 +511,7 @@ def test_quasi_spectrum_narrow_panels(L, kernel, omega, epsilon, v, f_t2, panel)
         patch.setattr(floquet, "RESIDUAL_PANEL", panel)
         spec = quasi_spectrum(prop)
     assert circular_match(spec.quasi_energies, reference.quasi_energies) < 1e-12
-    resid = prop.u_f @ spec.eigenstates - spec.eigenstates * spec.eigenvalues()
+    resid = dense_u_f(prop) @ spec.eigenstates - spec.eigenstates * spec.eigenvalues()
     assert np.max(np.linalg.norm(resid, axis=0)) < 1e-8
     gram = spec.eigenstates.conj().T @ spec.eigenstates
     assert np.max(np.abs(gram - np.eye(prop.dimension))) < 1e-8

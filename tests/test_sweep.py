@@ -21,12 +21,11 @@ from starkdtc import (
     z_product_state,
 )
 from starkdtc.floquet import propagator_u2
-from starkdtc.hamiltonian import build_h2_diagonal
+from starkdtc.hamiltonian import KERNEL_VARIANTS, build_h2_diagonal
 from starkdtc.hilbert import sigma_z_stack
-from starkdtc.observables import AutocorrelatorSeries
-from starkdtc.sweep import PropagatorFactory, _block_series, initial_state_comparison, kernel_comparison
+from starkdtc.sweep import PropagatorFactory, _block_series, _series_record
 
-from _oracles import expm_multiply_series
+from _oracles import dense_u_f, expm_multiply_series
 from test_floquet import point_pattern
 
 BASE = SimulationParams(L=4, omega=np.pi / 2, epsilon=0.2, v=0.1, t1=1.0, t2=10.0)
@@ -76,6 +75,15 @@ def test_l_axis_takes_whole_site_counts_up_to_the_cap():
     with pytest.raises(ValueError, match="positive integer"):
         SweepAxis("L", (0,))
     assert SweepAxis("L", (2.0, 3)).values == (2.0, 3)
+
+
+def test_kernel_and_initial_state_axes_check_their_values():
+    # "XX" used to run and fill its rows with error markers, 1111 to run as "1111"
+    with pytest.raises(ValueError, match="unknown kernel variant 'XX'"):
+        SweepAxis("kernel", ("NN", "XX"))
+    with pytest.raises(ValueError, match="initial_state takes bit strings, got 1111"):
+        SweepAxis("initial_state", (1111, "1010"))
+    assert SweepAxis("kernel", ["ALL"]).values == ("ALL",)
 
 
 def test_grid_enumeration_row_major():
@@ -270,7 +278,7 @@ def test_propagator_factory_cache_reuse(monkeypatch):
     assert prop1.u1 is prop2.u1
     assert not np.array_equal(prop1.phase2, prop2.phase2)
     direct = floquet_operator(p2)
-    assert np.max(np.abs(prop2.u_f - direct.u_f)) < 1e-12
+    assert np.max(np.abs(dense_u_f(prop2) - dense_u_f(direct))) < 1e-12
     # only the last key is kept: A, B, A builds three times
     other = replace(BASE, epsilon=0.3)
     factory.stage1(other)
@@ -293,9 +301,15 @@ def test_key_alternating_grid_builds_each_key_once(monkeypatch, observable):
         assert value == by_coords[coords["epsilon"], coords["F_T2"]]
 
 
+def kernel_grid(base, f_grid, n_cycles):
+    """A_pi of every interaction kernel against F*T2, as fig3d runs it."""
+    axes = (SweepAxis("kernel", KERNEL_VARIANTS), SweepAxis("F_T2", f_grid))
+    return run_sweep(SweepSpec(axes=axes, base=base, observable="a_pi", n_cycles=n_cycles))
+
+
 def test_kernel_comparison_coincides_at_zero_v():
     base = SimulationParams(L=4, omega=np.pi / 2, epsilon=0.2, v=0.0)
-    result = kernel_comparison(base, (0.0, 0.2), n_cycles=20)
+    result = kernel_grid(base, (0.0, 0.2), n_cycles=20)
     by_kernel = {}
     for coords, record in zip(result.coords, result.values):
         by_kernel.setdefault(coords["F_T2"], []).append(record["a_pi"])
@@ -305,35 +319,38 @@ def test_kernel_comparison_coincides_at_zero_v():
 
 def test_kernel_comparison_emits_kernel_column():
     base = SimulationParams(L=3, omega=np.pi / 2, epsilon=0.1, v=0.1)
-    result = kernel_comparison(base, (0.0,), n_cycles=10)
+    result = kernel_grid(base, (0.0,), n_cycles=10)
     header, rows = result.rows()
     assert header[0] == "kernel"
     assert {row[0] for row in rows} == {"NN", "NNN", "NNNN", "ALL"}
 
 
+def state_grid(base, states, f_values, n_cycles, observable="series"):
+    """C(nT) (or another observable) per (initial state, F*T2), as fig5 runs it."""
+    axes = (SweepAxis("initial_state", states), SweepAxis("F_T2", f_values))
+    return run_sweep(SweepSpec(axes=axes, base=base, observable=observable, n_cycles=n_cycles))
+
+
 def test_initial_state_comparison_single_site_symmetry():
     # sigma^x symmetry: |0> and |1> give identical a_pi for a single site
     base = SimulationParams(L=1, omega=np.pi / 2, epsilon=0.1)
-    comparison = initial_state_comparison(base, ("0", "1"), (0.0,), n_cycles=20)
-    api = [rec["a_pi"] for rec in comparison.spectra.values]
+    api = [rec["a_pi"] for rec in state_grid(base, ("0", "1"), (0.0,), 20, "a_pi").values]
     assert api[0] == pytest.approx(api[1], abs=1e-12)
 
 
 def test_initial_state_comparison_tables_keyed_by_state():
     base = SimulationParams(L=4, omega=np.pi / 2, epsilon=0.2, v=0.1)
-    comparison = initial_state_comparison(base, ("1111", "1010"), (0.0, 0.4), n_cycles=10)
-    assert len(comparison.series.values) == 4
-    assert len(comparison.spectra.values) == 4
-    labels = {c["initial_state"] for c in comparison.series.coords}
-    assert labels == {"1111", "1010"}
-    # spectra derive from the series without recomputation
-    for series_rec, spectra_rec in zip(comparison.series.values, comparison.spectra.values):
-        series = AutocorrelatorSeries(
-            values=np.asarray(series_rec["c"]), n_cycles=10, params=None
-        )
-        assert fourier_spectrum(series).a_pi == pytest.approx(spectra_rec["a_pi"], abs=1e-15)
-    with pytest.raises(ValueError):
-        initial_state_comparison(base, ("111",), (0.0,))
+    series = state_grid(base, ("1111", "1010"), (0.0, 0.4), 10)
+    spectra = state_grid(base, ("1111", "1010"), (0.0, 0.4), 10, "spectrum")
+    assert len(series.values) == len(spectra.values) == 4
+    assert {c["initial_state"] for c in series.coords} == {"1111", "1010"}
+    # a spectrum read off an evolved series equals the spectrum sweep's record
+    for series_rec, spectra_rec in zip(series.values, spectra.values):
+        assert _series_record(spectra.spec, np.asarray(series_rec["c"])) == spectra_rec
+    # a state of the wrong length fails its own points only
+    mismatched = state_grid(base, ("111",), (0.0,), 10)
+    assert mismatched.values == [None]
+    assert "incompatible with L=4" in mismatched.errors[0]
 
 
 @settings(max_examples=40, deadline=None)
