@@ -176,10 +176,12 @@ def _parse_axis(section, path: str) -> SweepAxis:
             raise ConfigError(f"{path}: ranges are only valid for numeric axes")
         start = parse_number(section["start"], f"{path}.start")
         stop = parse_number(section["stop"], f"{path}.stop")
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise ConfigError(f"{path}: a range needs finite bounds, got {start!r} to {stop!r}")
         if "step" in section:
             step = parse_number(section["step"], f"{path}.step")
-            if step <= 0:
-                raise ConfigError(f"{path}.step: must be positive")
+            if not math.isfinite(step) or step <= 0:
+                raise ConfigError(f"{path}.step: must be finite and positive, got {step!r}")
             if stop < start:
                 raise ConfigError(f"{path}: a step range needs stop >= start, got {start!r} to {stop!r}")
             count = int(math.floor((stop - start) / step + 1e-9)) + 1

@@ -16,15 +16,15 @@ sector product with U1 followed by a row scaling.
 The quasi-spectrum exploits the two-stage structure: with D^1/2 =
 exp(-i H2 T2 / 2), conjugating U_F gives the complex symmetric unitary
 D^1/2 U1 D^1/2 = X + iY, whose real and imaginary parts are commuting real
-symmetric matrices.  Only X is formed and diagonalized, in place inside
-the buffer that becomes the eigenstates (LAPACK dsyevd through scipy, which
-is imported only there); one pass of the true U_F over its eigenvectors
-then yields Y on them (which resolves the sign of each quasi-energy and
-rotates clusters of nearly equal cos) and the eigenpair residual that
-validates the result, and writes the eigenstates back over the
-eigenvectors they came from.  At dimension 4096 this is several times
-faster than a complex Schur decomposition.  It is the one place the dense
-U1 is formed.
+symmetric matrices.  Only X is formed, a tile of columns at a time from
+U1's two sector blocks straight into the buffer that becomes the
+eigenstates, and diagonalized there (LAPACK dsyevr through scipy, which is
+imported only there); one pass of the true U_F over its eigenvectors then
+yields Y on them (which resolves the sign of each quasi-energy and rotates
+clusters of nearly equal cos) and the eigenpair residual that validates
+the result, and writes the eigenstates back over the eigenvectors they
+came from.  At dimension 4096 this is several times faster than a complex
+Schur decomposition.  No dense U1 is ever formed.
 """
 
 from __future__ import annotations
@@ -48,14 +48,17 @@ PI_PAIR_TOL = 0.05
 COMPLETENESS_TOL = 1e-8
 # the quasi-spectrum applies U_F to at most this many eigenvectors at a
 # time, so its one pass holds no second dim x dim complex temporary
-RESIDUAL_PANEL = 256
+RESIDUAL_PANEL = 128
+# X is formed this many columns at a time, through one complex tile
+X_TILE = 64
 SQRT_HALF = math.sqrt(0.5)
 # peak memory of stage 1 plus one quasi-spectrum above the process baseline:
-# the sector blocks of U1 and X take 8 bytes per 4^L each and the scratch
-# beside them (the complex dense U1, then dsyevd's workspace) 16, plus BLAS
-# buffers; measured 79 / 218 / 584 MiB for `overlaps` at L=10 / 11 / 12
-QUASI_SPECTRUM_BYTES_PER_4L = 36
-QUASI_SPECTRUM_BASE_BYTES = 96 << 20
+# the sector blocks of U1, X and the eigenvectors dsyevr writes beside it
+# take 8 bytes per 4^L each, and at the end the eigenstates 16 beside U1,
+# plus the U_F pass's panels and BLAS buffers; measured 67 / 162 / 468 MiB
+# for `overlaps` at L=10 / 11 / 12
+QUASI_SPECTRUM_BYTES_PER_4L = 26
+QUASI_SPECTRUM_BASE_BYTES = 72 << 20
 # peak memory of stage 1 and an evolution above the process baseline: the
 # dense H1 and its orbit-ordered copy take 8 bytes per 4^L each, more than
 # the assembly of either block; measured 25 / 77 / 256 MiB for `series`,
@@ -201,29 +204,6 @@ class SectorUnitary:
         np.matmul(self.even, x_even, out=y_even)
         np.matmul(self.odd, x_odd, out=y_odd)
         return _merge(y_even, y_odd, self.n_fixed, out)
-
-    def dense_ordered(self) -> np.ndarray:
-        """The full U1, rows and columns in orbit order, from contiguous
-        blocks: with E and O the sector blocks, [f, f] = E_ff, [f, lo] =
-        [f, hi] = E_fp/sqrt 2, [lo, f] = [hi, f] = E_pf/sqrt 2, [lo, lo] =
-        [hi, hi] = (E_pp + O)/2 and [lo, hi] = [hi, lo] = (E_pp - O)/2."""
-        nf, n_pairs = self.n_fixed, self.odd.shape[0]
-        lo, hi = slice(nf, nf + n_pairs), slice(nf + n_pairs, None)
-        out = np.empty((self.dimension, self.dimension), dtype=complex)
-        out[:nf, :nf] = self.even[:nf, :nf]
-        np.multiply(self.even[:nf, nf:], SQRT_HALF, out=out[:nf, lo])
-        out[:nf, hi] = out[:nf, lo]
-        np.multiply(self.even[nf:, :nf], SQRT_HALF, out=out[lo, :nf])
-        out[hi, :nf] = out[lo, :nf]
-        paired = self.even[nf:, nf:]
-        same, cross = out[lo, lo], out[lo, hi]
-        np.add(paired, self.odd, out=same)
-        same *= 0.5
-        out[hi, hi] = same
-        np.subtract(paired, self.odd, out=cross)
-        cross *= 0.5
-        out[hi, lo] = cross
-        return out
 
 
 def _available_memory() -> Optional[int]:
@@ -411,9 +391,9 @@ def quasi_spectrum(prop: FloquetPropagator) -> QuasiSpectrum:
     the largest residual and the orthonormality of a 16-column sample are
     checked on every call.  Rows stay in reflection-orbit order until the
     eigenvectors are written back in the z-basis; they are then sorted by
-    quasi-energy in place.  At its peak the call holds U1's two blocks, X
-    and 2 dim^2 doubles of scratch: the complex dense U1 while X is formed,
-    then the eigensolver's workspace.
+    quasi-energy in place.  At its peak the call holds U1's two blocks and
+    2 dim^2 doubles: X and the eigenvectors dsyevr writes beside it before
+    they are copied over X, later the complex eigenstates and one panel.
     """
     u1, params = prop.u1, prop.params
     point = _point_text(params)
@@ -423,15 +403,10 @@ def quasi_spectrum(prop: FloquetPropagator) -> QuasiSpectrum:
     states = np.empty((dim, dim), dtype=complex, order="F")
     # X in the first dim^2 doubles of `states`, then its eigenvectors B over it
     basis = states.ravel(order="F").view(float)[:dim * dim].reshape((dim, dim), order="F")
-    sym_unitary = u1.dense_ordered()
-    sym_unitary *= half[:, None]
-    sym_unitary *= half
-    # symmetric up to roundoff; the eigensolver reads the lower triangle
-    basis[...] = sym_unitary.real
-    del sym_unitary
+    _form_x(u1, half, basis)
     cos_vals, info = _eigh_in_place(basis)
     if info != 0:
-        raise NumericError(f"quasi-spectrum at ({point}): LAPACK dsyevd failed with info={info}")
+        raise NumericError(f"quasi-spectrum at ({point}): LAPACK dsyevr failed with info={info}")
 
     eigenvalues = np.empty(dim, dtype=complex)
     residual = 0.0
@@ -444,7 +419,10 @@ def quasi_spectrum(prop: FloquetPropagator) -> QuasiSpectrum:
         eigenvalues[cols], panel, panel_residual = _resolve_panel(
             u1, half, phase, cos_vals[cols], basis[:, cols], clusters
         )
-        states[:, cols] = panel[u1.inverse]
+        for k in range(stop - at):
+            # the column gathered into the z-basis, with no dim x panel
+            # temporary; the indices are valid, and mode "raise" would buffer
+            np.take(panel[:, k], u1.inverse, out=states[:, at + k], mode="clip")
         residual = max(residual, panel_residual)
 
     mod_dev = np.max(np.abs(np.abs(eigenvalues) - 1.0))
@@ -474,15 +452,58 @@ def quasi_spectrum(prop: FloquetPropagator) -> QuasiSpectrum:
     return QuasiSpectrum(quasi_energies=energies[ranking], eigenstates=states, params=params)
 
 
+def _form_x(u1: SectorUnitary, half: np.ndarray, x: np.ndarray, tile: int = X_TILE) -> None:
+    """X = Re(D^1/2 U1 D^1/2) in orbit order, written into x `tile` columns at
+    a time through one complex tile.  With E and O the sector blocks, U1's
+    column in the fixed run is [E_ff; E_pf/sqrt 2; E_pf/sqrt 2] and its
+    column in the lo (hi) run is [E_fp/sqrt 2; (E_pp +- O)/2; (E_pp -+ O)/2];
+    each tile is then scaled by `half` on its rows and on its columns.
+    X is symmetric up to roundoff."""
+    nf, n_pairs, dim = u1.n_fixed, u1.odd.shape[0], u1.dimension
+    even, odd = u1.even, u1.odd
+    fixed_rows, paired = even[:nf, nf:], even[nf:, nf:]
+    f, lo, hi = slice(0, nf), slice(nf, nf + n_pairs), slice(nf + n_pairs, None)
+    # the first column of the fixed, lo and hi runs, and the end
+    bounds = (0, nf, nf + n_pairs, dim)
+    buf = np.empty((dim, min(tile, dim)), dtype=complex, order="F")
+    for at in range(0, dim, tile):
+        stop = min(at + tile, dim)
+        t = buf[:, :stop - at]
+        for run in range(3):
+            c0, c1 = max(at, bounds[run]), min(stop, bounds[run + 1])
+            if c0 >= c1:
+                continue
+            k = slice(c0 - at, c1 - at)
+            if run == 0:
+                t[f, k] = even[:nf, c0:c1]
+                np.multiply(even[nf:, c0:c1], SQRT_HALF, out=t[lo, k])
+                t[hi, k] = t[lo, k]
+                continue
+            p = slice(c0 - bounds[run], c1 - bounds[run])
+            np.multiply(fixed_rows[:, p], SQRT_HALF, out=t[f, k])
+            same, cross = (t[lo, k], t[hi, k]) if run == 1 else (t[hi, k], t[lo, k])
+            np.add(paired[:, p], odd[:, p], out=same)
+            same *= 0.5
+            np.subtract(paired[:, p], odd[:, p], out=cross)
+            cross *= 0.5
+        t *= half[:, None]
+        t *= half[at:stop]
+        x[:, at:stop] = t.real
+
+
 def _eigh_in_place(x: np.ndarray):
     """Eigenvalues (ascending) of the real symmetric matrix x, from its
     lower triangle, and LAPACK's info.  The eigenvectors overwrite x, which
-    must be F-contiguous float64 (otherwise f2py would diagonalize a copy)."""
+    must be F-contiguous float64 (otherwise f2py would diagonalize a copy).
+    dsyevr (MRRR) needs only its dim x dim eigenvector output and O(dim)
+    workspace beside x, where dsyevd needs 1 + 6 dim + 2 dim^2 doubles."""
     # scipy is imported here, not at module top: it costs ~0.3 s and ~20 MB,
     # and only the quasi-spectrum needs it
-    from scipy.linalg.lapack import dsyevd
+    from scipy.linalg.lapack import dsyevr, dsyevr_lwork
 
-    vals, _, info = dsyevd(x, lower=1, overwrite_a=1)
+    lwork, liwork, _ = dsyevr_lwork(x.shape[0], lower=1)
+    vals, vecs, _, _, info = dsyevr(x, lower=1, lwork=int(lwork), liwork=liwork, overwrite_a=1)
+    x[...] = vecs
     return vals, info
 
 

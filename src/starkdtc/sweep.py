@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import numbers
 from dataclasses import dataclass, replace
 from itertools import product
@@ -94,6 +95,11 @@ class SweepAxis:
                 raise ValueError(f"unknown kernel variant {value!r}, expected one of {KERNEL_VARIANTS}")
             elif self.name == "initial_state" and not isinstance(value, str):
                 raise ValueError(f"initial_state takes bit strings, got {value!r}")
+            elif self.name in ("epsilon", "F_T2", "V") and not (
+                isinstance(value, numbers.Real) and math.isfinite(value)
+            ):
+                # the same value in `params` is refused by SimulationParams
+                raise ValueError(f"{self.name} takes finite numbers, got {value!r}")
         object.__setattr__(self, "values", tuple(self.values))
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -17,11 +18,12 @@ from starkdtc.figures import FIGURE_IDS, figure_parameters
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_python(code, tmp_path):
-    """Run `code` in a fresh interpreter with the package's src on the path."""
+def run_python(code, tmp_path, *args):
+    """Run `code` in a fresh interpreter with the package's src on the path;
+    its arguments are `tmp_path` and `args`."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run(
-        [sys.executable, "-c", code, str(tmp_path)],
+        [sys.executable, "-c", code, str(tmp_path), *args],
         env=env, capture_output=True, text=True, timeout=300, check=True,
     )
     return done.stdout
@@ -348,17 +350,24 @@ def test_number_expression_errors_exit_2(tmp_path, capsys, expression, place, pa
     [
         ({"name": "kernel", "values": ["NN", "XX"]}, "unknown kernel variant 'XX'"),
         ({"name": "initial_state", "values": [1111, 1010]}, "initial_state takes bit strings, got 1111"),
+        ({"name": "epsilon", "values": [0.1, math.nan]}, "epsilon takes finite numbers, got nan"),
+        ({"name": "F_T2", "values": [0.1, "1e400"]}, "F_T2 takes finite numbers, got inf"),
+        ({"name": "V", "values": ["-1e400"]}, "V takes finite numbers, got -inf"),
+        ({"name": "epsilon", "start": 0.0, "stop": "1e400", "step": 0.1},
+         "a range needs finite bounds, got 0.0 to inf"),
     ],
-    ids=["kernel", "initial_state"],
+    ids=["kernel", "initial_state", "epsilon_nan", "F_T2_overflow", "V_minus_inf", "range_inf"],
 )
 def test_bad_axis_values_exit_2_at_parse_time(tmp_path, monkeypatch, capsys, axis, message):
-    # an unknown kernel used to exit 0 with error rows, numbers to run as bit strings
+    # an unknown kernel used to exit 0 with error rows, numbers to run as bit
+    # strings, and a non-finite epsilon, F*T2 or V to exit 0 with error rows
     def no_stage1(params):
         raise AssertionError("stage 1 computed before the axis was checked")
 
     monkeypatch.setattr(sweep_module, "stage1_unitary", no_stage1)
     out = tmp_path / "out"
-    data = sweep_config(axes=[axis, {"name": "F_T2", "values": [0.0]}])
+    other = {"name": "epsilon" if axis["name"] == "F_T2" else "F_T2", "values": [0.0]}
+    data = sweep_config(axes=[axis, other])
     assert main(["--config", str(write_config(tmp_path, data)), "--out", str(out)]) == 2
     assert f"config error: sweep.axes[0]: {message}" in capsys.readouterr().err
     assert not out.exists()
@@ -523,16 +532,19 @@ def peak():
     with open("/proc/self/status") as fh:
         return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmHWM:"))
 
-tmp = Path(sys.argv[1])
+tmp, L = Path(sys.argv[1]), int(sys.argv[2])
 cfg = tmp / "config.json"
 cfg.write_text(json.dumps({"command": "overlaps",
-    "params": {"L": 10, "OmegaT1": "pi/2", "epsT1": 0.3, "VT1": 0.1, "FT2": 0.25}}))
+    "params": {"L": L, "OmegaT1": "pi/2", "epsT1": 0.3, "VT1": 0.1, "FT2": 0.25}}))
 base = peak()
 assert main(["--config", str(cfg), "--out", str(tmp / "out")]) == 0
 print(peak() - base)
 """
-    peak = int(run_python(code, tmp_path).split()[-1])
-    assert 0 < peak <= floquet_module.quasi_spectrum_bytes(10)
+    # at L=10 the base of the estimate dominates, at L=11 its 4^L term
+    for L in (10, 11):
+        (tmp_path / f"L{L}").mkdir()
+        peak = int(run_python(code, tmp_path / f"L{L}", str(L)).split()[-1])
+        assert 0 < peak <= floquet_module.quasi_spectrum_bytes(L)
 
 
 def test_commands_without_quasi_spectrum_do_not_import_scipy(tmp_path):

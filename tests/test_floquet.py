@@ -303,16 +303,25 @@ def test_sector_unitary_against_expm(L, kernel, omega, epsilon, v, width, seed):
     p = SimulationParams(L=L, omega=omega, epsilon=epsilon, v=v, kernel=kernel)
     u1 = floquet.stage1_unitary(p)
     expected = scipy.linalg.expm(-1j * p.t1 * build_h1(p))
-    # the orbit-ordered dense U1 the quasi-spectrum forms, back in the z-basis
-    dense = u1.dense_ordered()[np.ix_(u1.inverse, u1.inverse)]
-    assert np.max(np.abs(dense - expected)) < 1e-12
     rng = np.random.default_rng(seed)
+    # X = Re(D^1/2 U1 D^1/2) in orbit order, as the quasi-spectrum forms it
+    # from the sector blocks; tiles of 1 and 7 columns straddle the
+    # fixed / lo / hi boundaries, and every tile width gives the same bits
+    half = np.exp(-0.5j * rng.uniform(-np.pi, np.pi, p.dimension))
+    x_expected = (half[:, None] * expected[np.ix_(u1.order, u1.order)] * half).real
+    tiles = []
+    for tile in (1, 7, p.dimension):
+        x = np.empty((p.dimension,) * 2, order="F")
+        floquet._form_x(u1, half, x, tile)
+        assert np.max(np.abs(x - x_expected)) < 1e-12
+        tiles.append(x)
+    assert all(np.array_equal(bits(x), bits(tiles[0])) for x in tiles)
     block = rng.normal(size=(p.dimension, width)) + 1j * rng.normal(size=(p.dimension, width))
     # with a zero stage-2 diagonal, one period is U1
     prop = floquet.FloquetPropagator(p, u1, np.zeros(p.dimension))
     assert np.max(np.abs(dense_u_f(prop) - expected)) < 1e-12
-    assert np.max(np.abs(prop.apply(block) - dense @ block)) < 1e-12
-    assert np.max(np.abs(prop.apply(block[:, 0]) - dense @ block[:, 0])) < 1e-12
+    assert np.max(np.abs(prop.apply(block) - expected @ block)) < 1e-12
+    assert np.max(np.abs(prop.apply(block[:, 0]) - expected @ block[:, 0])) < 1e-12
 
 
 def bits(a):
@@ -520,12 +529,19 @@ def test_quasi_spectrum_narrow_panels(L, kernel, omega, epsilon, v, f_t2, panel)
 def test_quasi_spectrum_memory_estimate(monkeypatch):
     available = floquet._available_memory()
     assert available is None or available > 0
-    # a 7.7 GB machine runs L=12 and L=13 but refuses L=14
-    monkeypatch.setattr(floquet, "_available_memory", lambda: int(7.7e9))
+    # a 6 GB machine runs L=12 and L=13 but refuses L=14 (about 6.6 GiB)
+    monkeypatch.setattr(floquet, "_available_memory", lambda: int(6e9))
     floquet.check_quasi_spectrum_memory(12)
     floquet.check_quasi_spectrum_memory(13)
-    with pytest.raises(ResourceLimitError, match="L=14"):
+    with pytest.raises(ResourceLimitError, match=r"L=14 needs about 6\.6 GiB"):
         floquet.check_quasi_spectrum_memory(14)
+    # at L=11 the 4^L term, not the base, sets the estimate: 176 MiB, where
+    # a fresh process peaks at 162 MiB (tests/test_cli.py)
+    assert floquet.QUASI_SPECTRUM_BYTES_PER_4L * 4**11 > floquet.QUASI_SPECTRUM_BASE_BYTES
+    monkeypatch.setattr(floquet, "_available_memory", lambda: 170 << 20)
+    floquet.check_quasi_spectrum_memory(10)
+    with pytest.raises(ResourceLimitError, match="L=11"):
+        floquet.check_quasi_spectrum_memory(11)
     # an unreadable MemAvailable skips the check
     monkeypatch.setattr(floquet, "_available_memory", lambda: None)
     floquet.check_quasi_spectrum_memory(14)
