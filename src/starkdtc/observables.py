@@ -116,10 +116,11 @@ def autocorrelator_series(
 ) -> AutocorrelatorSeries:
     """Stroboscopic autocorrelator over n_cycles Floquet periods.
 
-    Every cycle advances the states by Phi * (U1 psi) and checks the norm,
-    through the sweep's block loop (`_evolve_block`): a z-product initial
-    state (sigma^z psi0 = s_j psi0) as a one-column block, any other state
-    as the block [psi0, sigma^z_1 psi0, ..., sigma^z_L psi0].  A failed
+    U1's blocks are assembled (and checked) for the run; then every cycle
+    advances the states by Phi * (U1 psi) and checks the norm, through the
+    sweep's block loop (`_evolve_block`): a z-product initial state
+    (sigma^z psi0 = s_j psi0) as a one-column block, any other state as the
+    block [psi0, sigma^z_1 psi0, ..., sigma^z_L psi0].  A failed
     check raises `NumericError` naming the parameter point, the tolerance
     and the cycle.
     """
@@ -132,7 +133,8 @@ def autocorrelator_series(
     index = psi0.product_state_index()
     column = (prop.params, psi0.amplitudes if index is None else index)
     sz = sigma_z_stack(psi0.basis)
-    block, (error,) = _evolve_block(prop.u1, prop.phase2[:, None], [column], sz, n_cycles)
+    blocks = prop.u1.assemble(prop.params)
+    block, (error,) = _evolve_block(blocks, prop.phase2[:, None], [column], sz, n_cycles)
     if error is not None:
         raise error
     return AutocorrelatorSeries(
@@ -143,16 +145,17 @@ def autocorrelator_series(
     )
 
 
-def _evolve_block(u1, phi, columns, sz, n_cycles):
+def _evolve_block(blocks, phi, columns, sz, n_cycles):
     """C(n) of states evolved together as one block by Psi <- Phi * (U1 Psi).
 
-    `u1` is the stage-1 `SectorUnitary`; `phi` is a (dim, width) block
+    `blocks` is the stage-1 unitary as its assembled blocks
+    (`floquet.SectorBlocks`); `phi` is a (dim, width) block
     holding the stage-2 phase column of each state, in the order of
     `columns` (one (params, basis index) pair per z-product state; the
     params name the point in error messages), then zero columns as padding.
     Rows are permuted into reflection-orbit order once, and the state, the
     phase block and the sector buffers are C-order.  A cycle is one
-    `u1.product` (two sector gemms) and a few passes over preallocated
+    `blocks.product` (two sector gemms) and a few passes over preallocated
     buffers: |psi|^2 = re^2 + im^2, then one product per live column with
     the rows (1, w_c), which reads its squared norm and C_c(n) = w_c .
     |psi_c|^2 at once (w_c = (s_c . sigma^z) / L for the signs s_c of state
@@ -175,6 +178,7 @@ def _evolve_block(u1, phi, columns, sz, n_cycles):
     points, starts = zip(*columns)
     count = len(columns)
     length, dim = sz.shape
+    u1 = blocks.u1
     phi = np.ascontiguousarray(phi[u1.order])
     sz = sz[:, u1.order]
     superposed = isinstance(starts[0], np.ndarray)
@@ -192,7 +196,7 @@ def _evolve_block(u1, phi, columns, sz, n_cycles):
         readout = np.ones((count, 2, dim))
         # sz entries are +-1, so the sums are exact integers
         readout[:, 1] = sz[:, rows].T @ sz / length
-    work = u1.workspace(psi)
+    work = u1.workspace(width)
     squares = np.empty((dim, 2 * width))
     prob = np.empty((dim, width))
     # per column (squared norm, C); rows of padding and failed states stay 0
@@ -209,7 +213,7 @@ def _evolve_block(u1, phi, columns, sz, n_cycles):
     for n in range(1, n_cycles + 1):
         if not live:
             break
-        np.multiply(phi, u1.product(psi, psi, work), out=psi)
+        np.multiply(phi, blocks.product(psi, psi, work), out=psi)
         np.square(psi.view(float), out=squares)
         np.add(squares[:, 0::2], squares[:, 1::2], out=prob)
         if superposed:

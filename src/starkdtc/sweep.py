@@ -3,11 +3,12 @@
 A sweep evaluates one observable on a 1- or 2-axis grid around a base
 parameter set.  Points sharing a stage-1 key (L, Omega, epsilon, V, kernel,
 T1) differ only by the diagonal stage-2 phase Phi = exp(-i H2 T2).  Every
-observable therefore runs key by key: the sweep builds U1 once per key, then
-either evolves the key's z-product initial states together as the columns
-of one block, Psi <- Phi * (U1 Psi) (one gemm per reflection sector and
-cycle for the group, and no dense U_F per point), or, for the overlap
-table, wraps U1 and each point's stage-2 diagonal in a propagator for its
+observable therefore runs key by key: the sweep builds U1 once per key, as
+its sector eigensystems, then either assembles U1's two complex blocks once
+and evolves the key's z-product initial states together as the columns of
+one block, Psi <- Phi * (U1 Psi) (one gemm per reflection sector and cycle
+for the group, and no dense U_F per point), or, for the overlap table,
+wraps U1 and each point's stage-2 diagonal in a propagator for its
 quasi-spectrum.
 
 Evaluation runs on the calling thread (BLAS already uses every core) and is
@@ -32,6 +33,7 @@ import numpy as np
 from .exceptions import ConfigError
 from .floquet import (
     FloquetPropagator,
+    SectorBlocks,
     SectorUnitary,
     check_quasi_spectrum_memory,
     check_stage1_memory,
@@ -184,11 +186,12 @@ class PropagatorFactory:
     """The stage-1 unitary of the last key asked for.
 
     `stage1` returns U1 for the key (L, Omega, epsilon, V, kernel, T1) as
-    its two reflection-sector blocks (`floquet.SectorUnitary`), building it
-    with `floquet.stage1_unitary` (which checks each block's unitarity)
-    when the key differs from the last one; the previous U1 is released
-    first, so at most one is held.  Every caller reads its keys back to
-    back (the grouped sweep once per key), so one entry serves them all.
+    its two reflection-sector eigensystems (`floquet.SectorUnitary`),
+    building it with `floquet.stage1_unitary` (which checks each sector's
+    eigenvectors for orthogonality) when the key differs from the last one;
+    the previous U1 is released first, so at most one is held.  Every
+    caller reads its keys back to back (the grouped sweep once per key), so
+    one entry serves them all.
     `get` wraps U1 and one point's stage-2 diagonal in a propagator.  Not
     thread-safe: sweeps run on the calling thread.
     """
@@ -202,7 +205,7 @@ class PropagatorFactory:
         return (params.L, params.omega, params.epsilon, params.v, params.kernel, params.t1)
 
     def stage1(self, params: SimulationParams) -> SectorUnitary:
-        """U1 of the point's stage-1 key, as its reflection-sector blocks."""
+        """U1 of the point's stage-1 key, as its reflection-sector eigensystems."""
         key = self.key(params)
         if key != self._key:
             # drop the old U1 before building: two at once would double the peak
@@ -293,19 +296,19 @@ def _series_record(spec: SweepSpec, values: np.ndarray) -> dict:
     }
 
 
-def _block_series(u1: SectorUnitary, columns, sz: np.ndarray, n_cycles: int):
+def _block_series(blocks: SectorBlocks, columns, sz: np.ndarray, n_cycles: int):
     """C(n) of the z-product states of one stage-1 key, as one column block.
 
     `columns` holds one (params, basis index) pair per state; all share the
-    stage-1 propagator `u1`.  The block is widened with zero columns to a
-    multiple of 4, which keeps each column's bits independent of the rest of
-    the block, a lone point included.
+    stage-1 propagator, as its assembled `blocks`.  The block is widened
+    with zero columns to a multiple of 4, which keeps each column's bits
+    independent of the rest of the block, a lone point included.
     Returns the (n_cycles + 1, k) series and one error marker (or None) per
     column.
     """
     count = len(columns)
     width = -(-count // _PANEL) * _PANEL
-    phi = np.zeros((u1.dimension, width), dtype=complex)
+    phi = np.zeros((blocks.u1.dimension, width), dtype=complex)
     errors = [None] * count
     for col, (params, _) in enumerate(columns):
         try:
@@ -313,7 +316,7 @@ def _block_series(u1: SectorUnitary, columns, sz: np.ndarray, n_cycles: int):
         except Exception as exc:  # a bad stage 2 fails its own point only
             errors[col] = _marker(exc)
     # a column left at zero phase loses its norm in cycle 1 and drops out
-    values, faults = _evolve_block(u1, phi, columns, sz, n_cycles)
+    values, faults = _evolve_block(blocks, phi, columns, sz, n_cycles)
     for col, fault in enumerate(faults):
         if errors[col] is None and fault is not None:
             errors[col] = _marker(fault)
@@ -331,11 +334,14 @@ def _evaluate_group(spec: SweepSpec, members, factory: PropagatorFactory):
     """(index, coords, value, error) for the points of one stage-1 key.
 
     `members` are (index, coords, params, bits) tuples.  Overlap-table
-    points each take their quasi-spectrum from the shared U1; the others are
+    points each take their quasi-spectrum from the shared U1; for the
+    others U1's blocks are assembled (and checked) once, and the points are
     evolved in padded blocks of up to _MAX_BLOCK_COLUMNS columns.
     """
     try:
         u1 = factory.stage1(members[0][2])
+        if spec.observable != "overlap_table":
+            blocks = u1.assemble(members[0][2])
     except Exception as exc:  # a failed stage 1 fails every point of its key
         for index, coords, _, _ in members:
             yield index, coords, None, _marker(exc)
@@ -356,7 +362,7 @@ def _evaluate_group(spec: SweepSpec, members, factory: PropagatorFactory):
             (params, z_product_state(bits, params.basis).product_state_index())
             for _, _, params, bits in chunk
         ]
-        values, errors = _block_series(u1, columns, sz, n_cycles)
+        values, errors = _block_series(blocks, columns, sz, n_cycles)
         for col, (index, coords, _, _) in enumerate(chunk):
             value, error = None, errors[col]
             if error is None:
@@ -439,14 +445,14 @@ def run_sweep(spec: SweepSpec, journal_path=None, resume: bool = False) -> Sweep
     """Evaluate the observable at every grid point, on the calling thread.
 
     The pending points are grouped by stage-1 key and each group builds U1
-    once (`PropagatorFactory`).  A group evolves its initial states as one
-    column block, or, for overlap_table, computes each point's
-    quasi-spectrum from that U1.  Per-point numeric failures are recorded
-    in place as error markers; the whole sweep fails only on an invalid
-    spec or journal.  With `journal_path` set every evaluated point is
-    appended to a JSON-lines journal, and `resume=True` skips points
-    already present in a journal for the identical spec (a torn last line
-    is dropped and its point recomputed).  The sweep first
+    once (`PropagatorFactory`).  A group assembles U1's blocks once and
+    evolves its initial states as one column block, or, for overlap_table,
+    computes each point's quasi-spectrum from that U1.  Per-point numeric
+    failures are recorded in place as error markers; the whole sweep fails
+    only on an invalid spec or journal.  With `journal_path` set every
+    evaluated point is appended to a JSON-lines journal, and `resume=True`
+    skips points already present in a journal for the identical spec (a
+    torn last line is dropped and its point recomputed).  The sweep first
     checks that stage 1 at the grid's largest L, and for overlap_table a
     quasi-spectrum, fits in memory (`floquet.check_stage1_memory`,
     `floquet.check_quasi_spectrum_memory`).

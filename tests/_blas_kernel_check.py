@@ -69,7 +69,8 @@ def block_mismatches():
     factory = PropagatorFactory()
     for L, epsilon, f_values, starts in block_cases():
         base = SimulationParams(L=L, omega=np.pi / 2, epsilon=epsilon, v=0.1)
-        u1 = factory.stage1(base)
+        # the blocks as the sweep assembles them, once per stage-1 key
+        u1 = factory.stage1(base).assemble(base)
         sz = sigma_z_stack(base.basis)
         columns = [(base.with_f_t2(float(f)), start) for f, start in zip(f_values, starts)]
         block, _ = _block_series(u1, columns, sz, CYCLES)

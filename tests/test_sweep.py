@@ -366,7 +366,7 @@ def test_block_column_bits_independent_of_block(L, epsilon, width, data):
     f_values = data.draw(st.lists(st.floats(0.0, 0.5), min_size=width, max_size=width))
     starts = data.draw(st.lists(st.integers(0, (1 << L) - 1), min_size=width, max_size=width))
     base = SimulationParams(L=L, omega=np.pi / 2, epsilon=epsilon, v=0.1)
-    u1 = PropagatorFactory().stage1(base)
+    u1 = PropagatorFactory().stage1(base).assemble(base)
     sz = sigma_z_stack(base.basis)
     columns = [(base.with_f_t2(f), start) for f, start in zip(f_values, starts)]
     block, errors = _block_series(u1, columns, sz, 30)
