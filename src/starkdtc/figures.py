@@ -91,19 +91,23 @@ def _panel(path: Path, header, rows, params, **meta) -> Path:
 def _fig2(entry: dict, out_dir: Path) -> list:
     factory = PropagatorFactory()
     n_cycles = entry["n_cycles"]
+    points = [entry["base"].with_f_t2(f_t2) for f_t2 in entry["F_T2"]]
+    bits = "1" * entry["base"].L
+    psi0 = z_product_state(bits, entry["base"].basis)
+    # both points share U1: its blocks are assembled once for both series
+    # and released before the first quasi-spectrum
+    blocks = factory.stage1(points[0]).assemble(points[0])
+    series_of = [autocorrelator_series(factory.get(params), psi0, n_cycles, blocks=blocks) for params in points]
+    del blocks
     files = []
-    for f_t2 in entry["F_T2"]:
-        params = entry["base"].with_f_t2(f_t2)
-        prop = factory.get(params)
-        bits = "1" * params.L
-        psi0 = z_product_state(bits, params.basis)
-        series = autocorrelator_series(prop, psi0, n_cycles)
+    for f_t2, params, series in zip(entry["F_T2"], points, series_of):
         spectral = fourier_spectrum(series)
         panels = {
             "series": (["n", "c"], series.rows(), {"n_cycles": n_cycles}),
             "spectrum": (["omega", "magnitude"], spectral.rows(),
                          {"n_cycles": n_cycles, "a_pi": spectral.a_pi}),
-            "overlaps": (["quasi_energy", "overlap"], overlaps(prop.spectrum(), psi0).rows(), {}),
+            # each point's quasi-spectrum is released once its overlaps are read
+            "overlaps": (["quasi_energy", "overlap"], overlaps(factory.get(params).spectrum(), psi0).rows(), {}),
         }
         for panel in entry["panels"]:
             header, rows, meta = panels[panel]

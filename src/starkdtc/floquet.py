@@ -20,16 +20,18 @@ by a row scaling.
 The quasi-spectrum exploits the two-stage structure: with D^1/2 =
 exp(-i H2 T2 / 2), conjugating U_F gives the complex symmetric unitary
 D^1/2 U1 D^1/2 = X + iY, whose real and imaginary parts are commuting real
-symmetric matrices.  Only X is formed, a tile of block columns at a time
-from the sector eigensystems, and diagonalized (LAPACK dsyevr through
-scipy, which is imported only there).  The eigenstates are D^1/2 V with V
-real orthogonal: one pass of the true U_F over the eigenvectors, with U1 in
-its eigensystem form, yields Y on them (which resolves the sign of each
-quasi-energy and rotates clusters of nearly equal cos, a real rotation) and
-the eigenpair residual that validates the result.  V stays real, with
-D^1/2 kept beside it.  At dimension 4096 this is several times faster than
-a complex Schur decomposition.  No dense U1 is ever formed, and no
-assembled block exists during a quasi-spectrum.
+symmetric matrices.  Only X is formed, a tile of block rows at a time from
+the sector eigensystems, and diagonalized in the three steps of LAPACK
+dsyevr (dsytrd, dstemr, dormqr through scipy, which is imported only
+there), with X released once its reflectors are copied out.  The
+eigenstates are D^1/2 V with V real orthogonal: one pass of the true U_F
+over the eigenvectors, with U1 in its eigensystem form, yields Y on them
+(which resolves the sign of each quasi-energy and rotates clusters of
+nearly equal cos, a real rotation) and the eigenpair residual that
+validates the result.  V stays real, with D^1/2 kept beside it.  At
+dimension 4096 this is several times faster than a complex Schur
+decomposition.  No dense U1 is ever formed, no assembled block exists
+during a quasi-spectrum, and W, X and V never coexist.
 """
 
 from __future__ import annotations
@@ -61,15 +63,19 @@ X_TILE_MIN = 64
 # the unitarity check forms the whole Gram matrix up to this dimension and
 # 16 sampled Gram rows above it
 FULL_GRAM_DIM = 1024
+# the eigensolver keeps dsytrd's reflectors in column blocks of this many,
+# and back-transforms this many eigenvectors at a time
+REFLECTOR_BLOCK = 128
+BACK_TRANSFORM_CHUNK = 128
 SQRT_HALF = math.sqrt(0.5)
 # peak memory of stage 1 plus one quasi-spectrum above the process baseline:
-# U1's sector eigensystems take 4 bytes per 4^L, X and the eigenvectors
-# dsyevr writes beside it 8 each (while X is formed, the four scaled copies
-# of W take the eigenvectors' place), plus scipy, the tile and panel
-# buffers and BLAS buffers; measured 67 / 127 / 357 MiB for `overlaps` at
-# L=10 / 11 / 12
-QUASI_SPECTRUM_BYTES_PER_4L = 20
-QUASI_SPECTRUM_BASE_BYTES = 56 << 20
+# U1's sector eigensystems take 4 bytes per 4^L throughout; X takes 8 while
+# it is formed and tridiagonalized, and gives way to the reflector blocks (4)
+# beside dstemr's eigenvectors (8), which the U_F pass then reuses; plus
+# scipy, the chunk and panel buffers and BLAS buffers; measured 61 / 113 /
+# 306 MiB for `overlaps` at L=10 / 11 / 12
+QUASI_SPECTRUM_BYTES_PER_4L = 16
+QUASI_SPECTRUM_BASE_BYTES = 60 << 20
 # peak memory of stage 1 and an evolution above the process baseline: the
 # dense H1 and its orbit-ordered copy take 8 bytes per 4^L each, and the
 # evolution's assembly about as much (the sector eigensystems 4, the
@@ -88,19 +94,34 @@ def propagator_u2(h2_diagonal: np.ndarray, t2: float) -> np.ndarray:
 
 
 def u1_from_eigensystem(theta: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """W exp(-i theta) W^T for real orthogonal W, as two real gemms.
-
-    Each product goes through one reused real buffer into its half of the
-    block, the imaginary half as 0 - sin product: the bits of `real - 1j *
-    imag` (signed zeros included, since a gemm sum is never -0) without its
-    three complex temporaries.  Only one scaled copy of W is held at a
-    time."""
+    """W exp(-i theta) W^T for real orthogonal W, as two real gemms: the
+    block rows of all of W (`_block_rows`), into a new C-order block."""
+    size = vecs.shape[0]
     block = np.empty(vecs.shape, dtype=complex)
-    part = np.empty(vecs.shape)
-    np.matmul(vecs * np.cos(theta), vecs.T, out=part)
-    np.copyto(block.real, part)
-    np.matmul(vecs * np.sin(theta), vecs.T, out=part)
-    np.subtract(0.0, part, out=block.imag)
+    _block_rows((theta, vecs), slice(None), block.reshape(-1), np.empty(size * size), np.empty(size * size))
+    return block
+
+
+def _block_rows(system, rows: slice, out: np.ndarray, part: np.ndarray, scaled: np.ndarray) -> np.ndarray:
+    """Rows `rows` of W exp(-i theta) W^T, system = (theta, W): the real
+    half (W[rows] cos theta) W^T through the real buffer `part`, the
+    imaginary half as 0 - (W[rows] sin theta) W^T, with the scaled rows
+    formed in the real buffer `scaled`.  That gives the bits of `real - 1j
+    * imag` (signed zeros included, since a gemm sum is never -0) without
+    its three complex temporaries, and a row tile gets the bits of the
+    same rows of the whole block (see `_form_x` for the cuts that keep
+    them).  Written over the start of the flat `out` and returned as a
+    C-order view, the layout the evolution's zgemm needs."""
+    theta, w = system
+    picked = w[rows]
+    count, size = picked.shape
+    block, work, scaled_rows = (_leading(buf, count, size) for buf in (out, part, scaled))
+    np.multiply(picked, np.cos(theta), out=scaled_rows)
+    np.matmul(scaled_rows, w.T, out=work)
+    np.copyto(block.real, work)
+    np.multiply(picked, np.sin(theta), out=scaled_rows)
+    np.matmul(scaled_rows, w.T, out=work)
+    np.subtract(0.0, work, out=block.imag)
     return block
 
 
@@ -126,6 +147,24 @@ def _leading(buffer: np.ndarray, rows: int, cols: int) -> np.ndarray:
     """A C-order (rows, cols) array over the start of the flat `buffer`,
     so one buffer serves every width up to the one it was made for."""
     return buffer[:rows * cols].reshape(rows, cols)
+
+
+def _mapped(count: int, dtype=float) -> np.ndarray:
+    """np.empty(count, dtype) in a private anonymous memory mapping of its
+    own, returned to the system when the array is released.  glibc serves
+    requests below its mmap threshold from the heap, and that threshold
+    rises to 32 MiB once stage 1 frees its odd sector projection; the
+    heap's freed top then stays resident, so a phase's buffers would count
+    towards the next phase's peak.  Huge pages are asked for, as numpy
+    asks for them on its own large arrays."""
+    import mmap
+
+    buffer = mmap.mmap(-1, max(1, count * np.dtype(dtype).itemsize), flags=mmap.MAP_PRIVATE)
+    try:
+        buffer.madvise(mmap.MADV_HUGEPAGE)
+    except (AttributeError, OSError):  # no huge pages on this system
+        pass
+    return np.frombuffer(buffer, dtype=dtype, count=count)
 
 
 def _split(x: np.ndarray, n_fixed: int, even: np.ndarray, odd: np.ndarray) -> None:
@@ -468,9 +507,10 @@ def quasi_spectrum(prop: FloquetPropagator) -> QuasiSpectrum:
     orthogonal W, the conjugation D^-1/2 U_F D^1/2 = D^1/2 U1 D^1/2 = X + iY
     is unitary and complex symmetric, so X and Y are real symmetric and
     commute.  Only X is formed (`_form_x`, from U1's sector eigensystems)
-    and diagonalized: cos, V = eigh(X), where the eigenvector matrix that
-    dsyevr writes beside X becomes V (`_eigh`).  The true U_F is then
-    applied to the eigenstates psi = D^1/2 v once, with U1 in its
+    and diagonalized: cos, V = eigh(X), with X reduced to tridiagonal form
+    in place (`_tridiagonalize`) and released before the eigenvector
+    matrix, which becomes V, is formed (`_eigenvectors`).  The true U_F is
+    then applied to the eigenstates psi = D^1/2 v once, with U1 in its
     eigensystem form, a panel of at most `RESIDUAL_PANEL` columns at a time
     with the cuts on cluster boundaries, through one set of panel buffers.
     That one pass gives Y v = Im(D^-1/2 U_F psi), hence sin = v.(Y v) for
@@ -481,9 +521,9 @@ def quasi_spectrum(prop: FloquetPropagator) -> QuasiSpectrum:
     so V stays real.  The eigenvalue moduli, the largest residual and the
     orthonormality of a 16-column sample of V are checked on every call;
     the columns are then sorted by quasi-energy in place.  At its peak the
-    call holds 2.5 dim^2 doubles: U1's eigensystems (dim^2 / 2), X, and
-    either the four scaled copies of W (while X is formed) or V (while
-    dsyevr runs).
+    call holds 2 dim^2 doubles: U1's eigensystems (dim^2 / 2) beside X and
+    its reflector blocks (dim^2 / 2) while they are copied out, and beside
+    the reflector blocks and V while the eigenvectors are formed.
     """
     u1, params = prop.u1, prop.params
     point = _point_text(params)
@@ -493,19 +533,25 @@ def quasi_spectrum(prop: FloquetPropagator) -> QuasiSpectrum:
     dim = u1.dimension
     x = np.empty((dim, dim), order="F")
     _form_x(u1, half, x)
-    cos_vals, vectors, info = _eigh(x)
-    del x  # overwritten by dsyevr
-    if info != 0:
-        raise NumericError(f"quasi-spectrum at ({point}): LAPACK dsyevr failed with info={info}")
+    reduced = _tridiagonalize(x, point)
+    del x  # its reflectors were copied out, so W, X and V never coexist
+    cos_vals, vectors = _eigenvectors(*reduced, point)
+    del reduced
 
     eigenvalues = np.empty(dim, dtype=complex)
     residual = 0.0
     panels = list(_panels(cos_vals))
     # `_resolve_panel`'s buffers, made once for the widest panel: the real
-    # panel, two complex panels and the sector buffers of `u1.product`
+    # panel, two complex panels and the sector buffers of `u1.product`,
+    # whose y halves lie in the first complex panel (the product's input,
+    # read before they are written)
     width = max(stop - at for at, stop, _ in panels)
-    work = (np.empty(dim * width), np.empty(dim * width, dtype=complex),
-            np.empty(dim * width, dtype=complex), u1.workspace(width))
+    states = np.empty(dim * width, dtype=complex)
+    split = u1.even[1].shape[0] * width
+    sectors = (np.empty(split, dtype=complex), np.empty(dim * width - split, dtype=complex),
+               states[:split], states[split:])
+    work = (np.empty(dim * width), states, np.empty(dim * width, dtype=complex), sectors)
+    del states
     for at, stop, clusters in panels:
         cols = slice(at, stop)
         eigenvalues[cols], panel_residual = _resolve_panel(
@@ -544,107 +590,166 @@ def quasi_spectrum(prop: FloquetPropagator) -> QuasiSpectrum:
 
 def _form_x(u1: SectorUnitary, half: np.ndarray, x: np.ndarray, tile: int = X_TILE) -> None:
     """X = Re(D^1/2 U1 D^1/2) in orbit order, written into x from U1's
-    sector eigensystems, the block columns of at least `tile` mirror pairs
-    at a time.
+    sector eigensystems, the rows of at least `tile` mirror pairs at a
+    time.
 
-    With E and O the complex sector blocks, U1's column in the fixed run is
-    [E_ff; E_pf/sqrt 2; E_pf/sqrt 2] and its column for pair p in the lo
-    (hi) run is [E_fp/sqrt 2; (E_pp +- O)/2; (E_pp -+ O)/2]; each column is
-    then scaled by `half` on its rows and by its own entry of `half`.  The
+    With E and O the complex sector blocks, U1's row in the fixed run is
+    [E_ff, E_fp/sqrt 2, E_fp/sqrt 2] and its row for pair p in the lo (hi)
+    run is [E_pf/sqrt 2, (E_pp +- O)/2, (E_pp -+ O)/2]; each row is then
+    scaled by its own entry of `half` and by `half` on its columns.  The
     pairs are split into tiles of at least max(`tile`, `X_TILE_MIN`) pairs
     rounded up to a multiple of 16 (or one tile), cut at multiples of 16
-    pairs; a tile's block columns (even column n_fixed + p and odd column
-    p for its pairs p, and the fixed columns with the first tile, 32 or
-    more whenever there are two tiles) are assembled from four scaled
-    copies of W made once (`_block_columns`).  Cut so, a tile's gemm has
-    no ragged edge that the whole block's product lacks (BLAS kernels work
-    on panels of up to 16 columns and take another path through a few
-    left over) and is never so small that OpenBLAS hands it to gemv or a
-    small-matrix kernel (16-pair tiles at L=7 lose the bits), so its
-    columns get the bits of the whole block's products at every `tile`
-    (`tests/test_floquet.py` checks it at L 1-10 for several widths), and
-    X has the bits of the same steps on the blocks `u1_from_eigensystem`
-    assembles.  X is symmetric up to roundoff.
+    pairs; a tile's block rows (even row n_fixed + p and odd row p for its
+    pairs p, and the fixed rows with the first tile, 32 or more whenever
+    there are two tiles) are assembled from its rows of W alone, scaled by
+    cos theta and sin theta in a tile buffer (`_block_rows`), so no scaled
+    copy of all of W is held.  Cut so, a tile's gemm has no ragged edge
+    that the whole block's product lacks (BLAS kernels work on panels of
+    up to 16 columns and take another path through a few left over) and is
+    never so small that OpenBLAS hands it to gemv or a small-matrix kernel
+    (16-pair tiles at L=7 lose the bits), so its rows get the bits of the
+    whole block's rows at every `tile` (`tests/test_floquet.py` checks it
+    at L 1-10 for several widths), and X has the bits of the same steps on
+    the blocks `u1_from_eigensystem` assembles.  X is symmetric up to
+    roundoff.
     """
-    (_, w_even), (_, w_odd) = u1.even, u1.odd
-    nf, n_pairs, dim = u1.n_fixed, w_odd.shape[0], u1.dimension
-    scaled = [(w * np.cos(theta), w * np.sin(theta)) for theta, w in (u1.even, u1.odd)]
+    nf, n_pairs, dim = u1.n_fixed, u1.odd[1].shape[0], u1.dimension
+    size = u1.even[1].shape[0]
     step = -(-max(tile, X_TILE_MIN) // 16) * 16
     n_tiles = max(1, n_pairs // step)
     cuts = [j * n_pairs // n_tiles // 16 * 16 for j in range(n_tiles)] + [n_pairs]
     widest = nf + max(b - a for a, b in zip(cuts, cuts[1:]))
-    part = np.empty(w_even.shape[0] * widest)
-    even_buf = np.empty(w_even.shape[0] * widest, dtype=complex)
-    odd_buf = np.empty(w_odd.shape[0] * widest, dtype=complex)
-    tiles = np.empty((dim, widest), dtype=complex, order="F")
+    part, scaled = _mapped(widest * size), _mapped(widest * size)
+    even_buf = _mapped(widest * size, complex)
+    odd_buf = _mapped(widest * n_pairs, complex)
+    tile_buf = _mapped(widest * dim, complex)
     f, lo, hi = slice(0, nf), slice(nf, nf + n_pairs), slice(nf + n_pairs, None)
     for p0, p1 in zip(cuts, cuts[1:]):
         first = nf if p0 == 0 else 0
-        even = _block_columns(scaled[0], w_even[nf + p0 - first:nf + p1], even_buf, part)
-        odd = _block_columns(scaled[1], w_odd[p0:p1], odd_buf, part)
+        even = _block_rows(u1.even, slice(nf + p0 - first, nf + p1), even_buf, part, scaled)
+        odd = _block_rows(u1.odd, slice(p0, p1), odd_buf, part, scaled)
         if first:
-            t = tiles[:, :nf]
-            t[f] = even[:nf, :nf]
-            np.multiply(even[nf:, :nf], SQRT_HALF, out=t[lo])
-            t[hi] = t[lo]
-            t *= half[:, None]
-            t *= half[:nf]
-            x[:, :nf] = t.real
+            t = _leading(tile_buf, nf, dim)
+            t[:, f] = even[:nf, :nf]
+            np.multiply(even[:nf, nf:], SQRT_HALF, out=t[:, lo])
+            t[:, hi] = t[:, lo]
+            t *= half[:nf, None]
+            t *= half
+            x[:nf] = t.real
         if p1 == p0:
             continue
-        fixed_rows, paired = even[:nf, first:], even[nf:, first:]
-        t = tiles[:, :p1 - p0]
-        for start, same_rows, cross_rows in ((nf, lo, hi), (nf + n_pairs, hi, lo)):
-            np.multiply(fixed_rows, SQRT_HALF, out=t[f])
-            same, cross = t[same_rows], t[cross_rows]
+        fixed_cols, paired = even[first:, :nf], even[first:, nf:]
+        t = _leading(tile_buf, p1 - p0, dim)
+        for start, same_cols, cross_cols in ((nf, lo, hi), (nf + n_pairs, hi, lo)):
+            np.multiply(fixed_cols, SQRT_HALF, out=t[:, f])
+            same, cross = t[:, same_cols], t[:, cross_cols]
             np.add(paired, odd, out=same)
             same *= 0.5
             np.subtract(paired, odd, out=cross)
             cross *= 0.5
-            t *= half[:, None]
-            t *= half[start + p0:start + p1]
-            x[:, start + p0:start + p1] = t.real
+            t *= half[start + p0:start + p1, None]
+            t *= half
+            x[start + p0:start + p1] = t.real
 
 
-def _block_columns(scaled, rows: np.ndarray, out: np.ndarray, part: np.ndarray) -> np.ndarray:
-    """The columns of W exp(-i theta) W^T that belong to `rows` (rows of
-    W), with scaled = (W cos theta, W sin theta): the real half through the
-    real buffer `part`, the imaginary half as 0 - sin product, as in
-    `u1_from_eigensystem`.  Each product is formed transposed, rows (W
-    cos theta)^T, whose gemm splits its few rows of output faster than the
-    few columns of the other orientation and (a product being the same
-    either way round) gives the same bits.  Written over the start of the
-    flat `out` and returned as an F-order view.
-
-    `u1_from_eigensystem` does not call this on all rows of W: the
-    evolution multiplies by a C-order block, which this orientation would
-    give only through a copy or an F-order view (a different zgemm call,
-    which need not give the same bits), and the assembly holds one scaled
-    copy of W at a time, where this takes both."""
-    cos_w, sin_w = scaled
-    size, width = cos_w.shape[0], rows.shape[0]
-    block, work = _leading(out, width, size), _leading(part, width, size)
-    np.matmul(rows, cos_w.T, out=work)
-    np.copyto(block.real, work)
-    np.matmul(rows, sin_w.T, out=work)
-    np.subtract(0.0, work, out=block.imag)
-    return block.T
-
-
-def _eigh(x: np.ndarray):
-    """Eigenvalues (ascending) and eigenvectors of the real symmetric matrix
-    x, from its lower triangle, and LAPACK's info.  x must be F-contiguous
-    float64 (otherwise f2py would diagonalize a copy) and is destroyed.
-    dsyevr (MRRR) needs only its dim x dim eigenvector output, returned as
-    the eigenvectors, and O(dim) workspace beside x, where dsyevd needs
-    1 + 6 dim + 2 dim^2 doubles."""
+def _lapack(name: str, *args, **kwargs):
+    """scipy.linalg.lapack's `name` on the arguments: its results and,
+    apart, the info it ends with."""
     # scipy is imported here, not at module top: it costs ~0.3 s and ~20 MB,
     # and only the quasi-spectrum needs it
-    from scipy.linalg.lapack import dsyevr, dsyevr_lwork
+    from scipy.linalg import lapack
 
-    lwork, liwork, _ = dsyevr_lwork(x.shape[0], lower=1)
-    vals, vecs, _, _, info = dsyevr(x, lower=1, lwork=int(lwork), liwork=liwork, overwrite_a=1)
-    return vals, vecs, info
+    *results, info = getattr(lapack, name)(*args, **kwargs)
+    return results, info
+
+
+def _require(info: int, name: str, point: str) -> None:
+    if info != 0:
+        raise NumericError(f"quasi-spectrum at ({point}): LAPACK {name} failed with info={info}")
+
+
+def _tridiagonalize(x: np.ndarray, point: str):
+    """dsytrd on the lower triangle of the real symmetric x, in place: the
+    diagonal d and subdiagonal e of T = Q^T X Q, and the reflectors whose
+    product is Q, copied out of x so that x can be released before the
+    eigenvectors are formed.  x must be F-contiguous float64 (otherwise
+    f2py would reduce a copy) and is destroyed.
+
+    Reflector j (0-based) is 1 on row j + 1 and x[j + 2:, j] below it, so
+    the strict lower triangle of x[1:, :] is the compact form dormqr reads
+    (`_eigenvectors`).  The last one, of length 1, is the identity, so n - 2
+    reflectors are kept, in column blocks of `REFLECTOR_BLOCK`: the block
+    of reflectors j0:j1 holds x[j0 + 1:, j0:j1] as an F-order array.  All
+    blocks lie in one buffer of about dim^2 / 2 doubles.  Returns (d, e,
+    blocks) with blocks a list of (j0, reflectors, tau)."""
+    n = x.shape[0]
+    (lwork,), info = _lapack("dsytrd_lwork", n, lower=1)
+    _require(info, "dsytrd", point)
+    (reduced, d, e, tau), info = _lapack("dsytrd", x, lower=1, lwork=int(lwork), overwrite_a=1)
+    _require(info, "dsytrd", point)
+    count = max(n - 2, 0)
+    starts = range(0, count, REFLECTOR_BLOCK)
+    stops = [min(j0 + REFLECTOR_BLOCK, count) for j0 in starts]
+    store = np.empty(sum((n - 1 - j0) * (j1 - j0) for j0, j1 in zip(starts, stops)))
+    blocks, at = [], 0
+    for j0, j1 in zip(starts, stops):
+        block = _leading(store[at:], j1 - j0, n - 1 - j0).T
+        block[...] = reduced[j0 + 1:, j0:j1]
+        blocks.append((j0, block, tau[j0:j1]))
+        at += block.size
+    return d, e, blocks
+
+
+def _eigenvectors(d: np.ndarray, e: np.ndarray, blocks, point: str):
+    """Eigenvalues (ascending) and the F-order eigenvector matrix of X from
+    its tridiagonal form (`_tridiagonalize`): the steps of LAPACK dsyevr.
+
+    dstemr (MRRR) gives the eigenvectors Z of T with O(dim) workspace; when
+    it fails, dstebz (bisection) and dstein (inverse iteration) give them,
+    sorted by eigenvalue, as dsyevr does.  The eigenvectors of X are Q Z,
+    formed as (Q Z)^T = Z^T Q^T by dormqr from the right, on
+    `BACK_TRANSFORM_CHUNK` rows of Z^T at a time: each chunk is copied to
+    an F-order buffer, whose trailing columns are contiguous, so f2py hands
+    dormqr the buffer itself, and the reflector blocks are applied last to
+    first to columns j0 + 1: (Q = Q_1 Q_2 ... for the blocks in order).  A
+    nonzero info from any step but dstemr raises `NumericError` naming
+    `point` and the routine."""
+    n = d.size
+    padded = np.append(e, 0.0)  # dstemr takes n entries of e, the last as workspace
+    (lwork, liwork), info = _lapack("dstemr_lwork", d, padded, 0, 0.0, 0.0, 0, 0)
+    _require(info, "dstemr", point)
+    (_, vals, vecs), info = _lapack("dstemr", d, padded, 0, 0.0, 0.0, 0, 0, lwork=int(lwork), liwork=int(liwork))
+    if info != 0:
+        (count, vals, block_of, splits), info = _lapack("dstebz", d, e, 0, 0.0, 0.0, 0, 0, 0.0, "B")
+        _require(info, "dstebz", point)
+        vals = vals[:count]
+        (vecs,), info = _lapack("dstein", d, e, vals, block_of, splits)
+        _require(info, "dstein", point)
+        ranking = np.argsort(vals, kind="stable")
+        vals = vals[ranking]
+        _permute_columns(vecs, ranking)
+    if not blocks:
+        return vals, vecs
+    width = min(BACK_TRANSFORM_CHUNK, n)
+    buf = np.empty(width * n)
+    # the workspace the widest block asks for on the widest chunk; with
+    # less, dormqr narrows its blocking or falls back to unblocked dorm2r
+    (_, work), info = _lapack("dormqr", "R", "T", blocks[0][1], blocks[0][2], _leading(buf, n, width).T[:, 1:], -1)
+    _require(info, "dormqr", point)
+    lwork = int(work[0])
+    for c0 in range(0, n, width):
+        cols = slice(c0, c0 + width)
+        rows = _leading(buf, n, min(width, n - c0)).T
+        # the transposing copies go 512 rows of Z at a time, which keeps
+        # them in cache
+        for r0 in range(0, n, 512):
+            rows[:, r0:r0 + 512] = vecs[r0:r0 + 512, cols].T
+        for j0, reflectors, tau in reversed(blocks):
+            _, info = _lapack("dormqr", "R", "T", reflectors, tau, rows[:, j0 + 1:], lwork, overwrite_c=1)
+            _require(info, "dormqr", point)
+        for r0 in range(0, n, 512):
+            vecs[r0:r0 + 512, cols] = rows[:, r0:r0 + 512].T
+    return vals, vecs
 
 
 def _permute_columns(a: np.ndarray, order: np.ndarray) -> None:
@@ -719,8 +824,15 @@ def _resolve_panel(u1, half, phase, cos_vals, panel, clusters, work):
     np.multiply(half[:, None], basis, out=states)
     states *= eigenvalues
     image -= states
-    panel[...] = basis[u1.inverse]
-    return eigenvalues, float(np.max(np.linalg.norm(image, axis=0)))
+    # the gather goes through the states buffer, free by now, and the column
+    # norms through einsum: fancy indexing and np.linalg.norm would make
+    # panel-sized temporaries
+    gathered = _leading(states_buf.view(float), dim, width)
+    np.take(basis, u1.inverse, axis=0, out=gathered, mode="clip")
+    panel[...] = gathered
+    parts = image.view(float)
+    squares = np.einsum("ij,ij->j", parts, parts)
+    return eigenvalues, math.sqrt(float(np.max(squares[0::2] + squares[1::2])))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import NumericError
-from .floquet import FloquetPropagator, _point_text
+from .floquet import FloquetPropagator, SectorBlocks, _point_text
 from .hamiltonian import SimulationParams
 from .hilbert import StateVector, sigma_z_stack
 
@@ -113,10 +113,12 @@ def autocorrelator_series(
     prop: FloquetPropagator,
     psi0: StateVector,
     n_cycles: int,
+    blocks: Optional[SectorBlocks] = None,
 ) -> AutocorrelatorSeries:
     """Stroboscopic autocorrelator over n_cycles Floquet periods.
 
-    U1's blocks are assembled (and checked) for the run; then every cycle
+    U1's blocks are assembled (and checked) for the run, unless `blocks`
+    gives them already assembled from `prop.u1`; then every cycle
     advances the states by Phi * (U1 psi) and checks the norm, through the
     sweep's block loop (`_evolve_block`): a z-product initial state
     (sigma^z psi0 = s_j psi0) as a one-column block, any other state as the
@@ -133,7 +135,8 @@ def autocorrelator_series(
     index = psi0.product_state_index()
     column = (prop.params, psi0.amplitudes if index is None else index)
     sz = sigma_z_stack(psi0.basis)
-    blocks = prop.u1.assemble(prop.params)
+    if blocks is None:
+        blocks = prop.u1.assemble(prop.params)
     block, (error,) = _evolve_block(blocks, prop.phase2[:, None], [column], sz, n_cycles)
     if error is not None:
         raise error

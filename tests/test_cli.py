@@ -4,14 +4,17 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import starkdtc.figures as figures_module
 import starkdtc.floquet as floquet_module
 import starkdtc.observables as observables_module
 import starkdtc.sweep as sweep_module
+from starkdtc import SimulationParams, autocorrelator_series, z_product_state
 from starkdtc.cli import main
 from starkdtc.figures import FIGURE_IDS, figure_parameters
 
@@ -267,6 +270,39 @@ def test_fig5_evolves_once(tmp_path, monkeypatch):
     spectra = read_csv(tmp_path / "fig5_spectra.csv")
     assert series[0][:2] == spectra[0][:2] == ["initial_state", "F_T2"]
     assert len(spectra) == 1 + 4 * 100
+
+
+def test_fig2_assembles_u1_once(tmp_path, monkeypatch):
+    # both F*T2 series evolve from one assembly of U1's blocks, each as the
+    # one-column evolution of `autocorrelator_series`, with its bits
+    base = SimulationParams(L=6, omega=math.pi / 2, epsilon=0.3, v=0.1, t1=1.0, t2=10.0)
+    monkeypatch.setitem(figures_module.FIGURES, "fig2", {**figures_module.FIGURES["fig2"], "base": base})
+    assemblies = []
+    assemble = floquet_module.SectorUnitary.assemble
+
+    def counted(self, params):
+        assemblies.append(params.f_t2)
+        return assemble(self, params)
+
+    # and each quasi-spectrum is gone before the next one is computed
+    spectra = []
+    quasi_spectrum = floquet_module.quasi_spectrum
+
+    def held_alone(prop):
+        assert all(ref() is None for ref in spectra)
+        spectrum = quasi_spectrum(prop)
+        spectra.append(weakref.ref(spectrum))
+        return spectrum
+
+    monkeypatch.setattr(floquet_module.SectorUnitary, "assemble", counted)
+    monkeypatch.setattr(floquet_module, "quasi_spectrum", held_alone)
+    assert main(["--figure", "fig2", "--out", str(tmp_path)]) == 0
+    assert len(assemblies) == 1 and len(spectra) == 2
+    for f_t2 in (0.0, 0.25):
+        prop = floquet_module.floquet_operator(base.with_f_t2(f_t2))
+        expected = autocorrelator_series(prop, z_product_state("1" * 6, base.basis), 100).rows()
+        rows = read_csv(tmp_path / f"fig2_series_ft2_{f_t2:g}.csv")[1:]
+        assert [[float(n), float(c)] for n, c in rows] == [[float(n), c] for n, c in expected]
 
 
 def test_figure_manifest_states_what_ran(tmp_path):

@@ -2,6 +2,7 @@ import contextlib
 import json
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -547,19 +548,31 @@ def test_stage1_unitarity_error_names_key_and_tolerance(monkeypatch):
 
 
 def patch_first_eigh(monkeypatch, dim, change):
-    """Pass the first eigh(X) of dimension `dim` through `change`, which
-    returns the eigenvalues and an F-order eigenvector matrix."""
-    real_eigh = floquet._eigh
+    """Pass the first eigendecomposition of an X of dimension `dim`
+    through `change`, which returns the eigenvalues and an F-order
+    eigenvector matrix."""
+    real_eigenvectors = floquet._eigenvectors
     calls = []
 
-    def eigh(x):
-        vals, vecs, info = real_eigh(x)
-        if x.shape == (dim, dim) and not calls:
+    def eigenvectors(d, e, blocks, point):
+        vals, vecs = real_eigenvectors(d, e, blocks, point)
+        if d.size == dim and not calls:
             calls.append(dim)
             vals, vecs = change(vals, vecs)
-        return vals, np.asfortranarray(vecs), info
+        return vals, np.asfortranarray(vecs)
 
-    monkeypatch.setattr(floquet, "_eigh", eigh)
+    monkeypatch.setattr(floquet, "_eigenvectors", eigenvectors)
+
+
+def fail_lapack(monkeypatch, *names):
+    """Make each LAPACK routine in `names` report info=1 (its results kept)."""
+    real_lapack = floquet._lapack
+
+    def lapack(name, *args, **kwargs):
+        results, info = real_lapack(name, *args, **kwargs)
+        return results, 1 if name in names else info
+
+    monkeypatch.setattr(floquet, "_lapack", lapack)
 
 
 ERROR_POINT = SimulationParams(L=4, omega=np.pi / 2, epsilon=0.1, v=0.2, kernel="NNN").with_f_t2(0.25)
@@ -597,30 +610,113 @@ def test_quasi_spectrum_orthonormality_error_names_point(monkeypatch):
 
 
 def test_quasi_spectrum_eigensolver_failure_names_point(monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(floquet, "_eigh", lambda x: (np.zeros(x.shape[0]), x, 1))
-    with pytest.raises(NumericError, match=point_pattern(ERROR_POINT) + ".*info=1"):
-        quasi_spectrum(floquet_operator(ERROR_POINT))
+    # a failed dstemr falls back to dstebz and dstein; a nonzero info from
+    # any other step is a numeric error naming the point and the routine
+    for failing, routine in ((("dsytrd",), "dsytrd"), (("dstemr", "dstebz"), "dstebz"),
+                             (("dstemr", "dstein"), "dstein"), (("dormqr",), "dormqr")):
+        with pytest.MonkeyPatch.context() as patch:
+            fail_lapack(patch, *failing)
+            with pytest.raises(NumericError, match=point_pattern(ERROR_POINT) + f".*LAPACK {routine} failed with info=1"):
+                quasi_spectrum(floquet_operator(ERROR_POINT))
+    fail_lapack(monkeypatch, "dormqr")
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "command": "overlaps",
         "params": {"L": 3, "OmegaT1": "pi/2", "epsT1": 0.1, "VT1": 0.1, "FT2": 0.2},
     }))
     assert main(["--config", str(config), "--out", str(tmp_path / "out")]) == 3
-    assert "info=1" in capsys.readouterr().err
+    assert "dormqr failed with info=1" in capsys.readouterr().err
 
 
 def test_eigh_overwrites_its_argument():
-    # dsyevr works on x itself, not on a copy f2py made of it
+    # dsytrd works on x itself, not on a copy f2py made of it
     rng = np.random.default_rng(5)
     a = rng.standard_normal((7, 7))
     a = a + a.T
     x = np.array(a, order="F")
-    vals, vecs, info = floquet._eigh(x)
+    vals, vecs = floquet._eigenvectors(*floquet._tridiagonalize(x, "test"), "test")
     ref_vals, ref_vecs = np.linalg.eigh(a)
-    assert info == 0
     assert not np.array_equal(x, a)
     assert np.allclose(vals, ref_vals, atol=1e-12)
     assert np.allclose(np.abs(vecs.T @ ref_vecs), np.eye(7), atol=1e-10)
+
+
+def eigh_by_steps(a):
+    vals, vecs = floquet._eigenvectors(*floquet._tridiagonalize(np.array(a, order="F"), "test"), "test")
+    assert vecs.flags.f_contiguous
+    return vals, vecs
+
+
+def assert_eigensystem(a, vals, vecs, tol=1e-12):
+    n = a.shape[0]
+    assert np.max(np.abs(vals - np.linalg.eigh(a)[0])) < tol
+    assert np.max(np.abs(a @ vecs - vecs * vals)) < tol
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(n))) < tol
+
+
+B = floquet.REFLECTOR_BLOCK
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, B - 1, B, B + 1, 2 * B + 1])
+def test_eigensolver_steps_against_numpy(n):
+    # n - 2 reflectors in blocks of B: none, one partial block, one full
+    # block, a full and a partial one; 2B + 1 eigenvectors also fill more
+    # than one back-transform chunk, the last one partly
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n))
+    a = (a + a.T) / (2 * np.sqrt(n))
+    assert_eigensystem(a, *eigh_by_steps(a))
+
+
+def test_dstemr_failure_falls_back_to_bisection(monkeypatch):
+    # a degenerate X on which dstemr itself fails (info=22): dstebz and
+    # dstein then give the eigenvectors, sorted as dsyevr sorts them
+    real_lapack = floquet._lapack
+    infos = []
+
+    def lapack(name, *args, **kwargs):
+        results, info = real_lapack(name, *args, **kwargs)
+        if name == "dstemr":
+            infos.append(info)
+        return results, info
+
+    monkeypatch.setattr(floquet, "_lapack", lapack)
+    p = SimulationParams(L=6, omega=0.0, epsilon=-0.8252431878373903, v=0.0)
+    prop = floquet_operator(p)
+    spec = quasi_spectrum(prop)
+    assert infos[-1] != 0
+    states = spec.eigenstates()
+    assert np.max(np.linalg.norm(dense_u_f(prop) @ states - states * spec.eigenvalues(), axis=0)) < 1e-12
+    assert np.max(np.abs(states.conj().T @ states - np.eye(p.dimension))) < 1e-12
+    # an injected dstemr failure on a random matrix and on a random point
+    monkeypatch.setattr(floquet, "_lapack", real_lapack)
+    a = np.random.default_rng(3).standard_normal((2 * B + 1,) * 2)
+    a = (a + a.T) / (2 * np.sqrt(a.shape[0]))
+    point = random_params(np.random.default_rng(8))
+    reference = quasi_spectrum(floquet_operator(point))
+    fail_lapack(monkeypatch, "dstemr")
+    assert_eigensystem(a, *eigh_by_steps(a))
+    spec = quasi_spectrum(floquet_operator(point))
+    assert np.max(np.abs(spec.quasi_energies - reference.quasi_energies)) < 1e-12
+
+
+def test_x_is_released_before_the_eigenvectors_are_formed(monkeypatch):
+    # W, X and the eigenvectors never coexist: X is gone once dstemr runs
+    real_tridiagonalize, real_eigenvectors = floquet._tridiagonalize, floquet._eigenvectors
+    held = []
+
+    def tridiagonalize(x, point):
+        held.append(weakref.ref(x))
+        return real_tridiagonalize(x, point)
+
+    def eigenvectors(d, e, blocks, point):
+        assert held[-1]() is None
+        return real_eigenvectors(d, e, blocks, point)
+
+    monkeypatch.setattr(floquet, "_tridiagonalize", tridiagonalize)
+    monkeypatch.setattr(floquet, "_eigenvectors", eigenvectors)
+    quasi_spectrum(floquet_operator(ERROR_POINT))
+    assert len(held) == 1
 
 
 @pytest.mark.parametrize("dim", [1, 2, 7, 64])
@@ -672,16 +768,16 @@ def test_quasi_spectrum_narrow_panels(L, kernel, omega, epsilon, v, f_t2, panel)
 def test_quasi_spectrum_memory_estimate(monkeypatch):
     available = floquet._available_memory()
     assert available is None or available > 0
-    # a 5 GB machine runs L=12 and L=13 but refuses L=14 (about 5.1 GiB)
-    monkeypatch.setattr(floquet, "_available_memory", lambda: int(5e9))
+    # a 4 GB machine runs L=12 and L=13 but refuses L=14 (about 4.1 GiB)
+    monkeypatch.setattr(floquet, "_available_memory", lambda: int(4e9))
     floquet.check_quasi_spectrum_memory(12)
     floquet.check_quasi_spectrum_memory(13)
-    with pytest.raises(ResourceLimitError, match=r"L=14 needs about 5\.1 GiB"):
+    with pytest.raises(ResourceLimitError, match=r"L=14 needs about 4\.1 GiB"):
         floquet.check_quasi_spectrum_memory(14)
-    # at L=11 the 4^L term, not the base, sets the estimate: 136 MiB, where
-    # a fresh process peaks at 127 MiB (tests/test_cli.py)
+    # at L=11 the 4^L term, not the base, sets the estimate: 124 MiB, where
+    # a fresh process peaks at 113 MiB (tests/test_cli.py)
     assert floquet.QUASI_SPECTRUM_BYTES_PER_4L * 4**11 > floquet.QUASI_SPECTRUM_BASE_BYTES
-    monkeypatch.setattr(floquet, "_available_memory", lambda: 130 << 20)
+    monkeypatch.setattr(floquet, "_available_memory", lambda: 120 << 20)
     floquet.check_quasi_spectrum_memory(10)
     with pytest.raises(ResourceLimitError, match="L=11"):
         floquet.check_quasi_spectrum_memory(11)
@@ -691,11 +787,12 @@ def test_quasi_spectrum_memory_estimate(monkeypatch):
 
 
 def test_quasi_spectrum_holds_no_complex_square_array(monkeypatch):
-    # traced allocations of one L=10 quasi-spectrum, after stage 1 and the
-    # scipy import: X beside the four scaled copies of W sets the peak at
-    # about 22 bytes per 4^L (with narrow panels); a dim x dim complex
-    # array (16 bytes per 4^L) or assembled blocks (8) beside X or the
-    # eigenvectors would pass 23
+    # traced allocations of one L=10 quasi-spectrum, after stage 1 (so W
+    # is not counted) and the scipy import: dstemr's eigenvectors (8 bytes
+    # per 4^L) beside the reflector blocks (4) and one back-transform chunk
+    # set the peak at about 15 bytes per 4^L (with narrow panels; X's tile
+    # buffers are mapped, not traced); X beside the eigenvectors, as in
+    # dsyevr (21.4), or a dim x dim complex array (16) would pass 17
     import scipy.linalg.lapack  # noqa: F401
 
     monkeypatch.setattr(floquet, "RESIDUAL_PANEL", 16)
@@ -707,7 +804,7 @@ def test_quasi_spectrum_holds_no_complex_square_array(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 23 * 4**p.L
+    assert peak < 17 * 4**p.L
 
 
 def test_stage1_memory_estimate(monkeypatch):
