@@ -21,10 +21,11 @@ The quasi-spectrum exploits the two-stage structure: with D^1/2 =
 exp(-i H2 T2 / 2), conjugating U_F gives the complex symmetric unitary
 D^1/2 U1 D^1/2 = X + iY, whose real and imaginary parts are commuting real
 symmetric matrices.  Only X is formed, a tile of block rows at a time from
-the sector eigensystems, and diagonalized in the three steps of LAPACK
-dsyevr (dsytrd, dstemr, dormqr through scipy, which is imported only
-there), with X released once its reflectors are copied out.  The
-eigenstates are D^1/2 V with V real orthogonal: one pass of the true U_F
+the sector eigensystems, and diagonalized in the steps of LAPACK dsyevr:
+dsytrd and dstemr through scipy (which is imported only there), with X
+released once its reflectors are copied out, and the back-transform of
+dstemr's eigenvectors in compact-WY blocks, I - V T V^T, as numpy gemms.
+The eigenstates are D^1/2 V with V real orthogonal: one pass of the true U_F
 over the eigenvectors, with U1 in its eigensystem form, yields Y on them
 (which resolves the sign of each quasi-energy and rotates clusters of
 nearly equal cos, a real rotation) and the eigenpair residual that
@@ -68,14 +69,20 @@ FULL_GRAM_DIM = 1024
 REFLECTOR_BLOCK = 128
 BACK_TRANSFORM_CHUNK = 128
 SQRT_HALF = math.sqrt(0.5)
-# peak memory of stage 1 plus one quasi-spectrum above the process baseline:
+# peak memory of stage 1 plus quasi-spectra above the process baseline:
 # U1's sector eigensystems take 4 bytes per 4^L throughout; X takes 8 while
 # it is formed and tridiagonalized, and gives way to the reflector blocks (4)
-# beside dstemr's eigenvectors (8), which the U_F pass then reuses; plus
-# scipy, the chunk and panel buffers and BLAS buffers; measured 61 / 113 /
-# 306 MiB for `overlaps` at L=10 / 11 / 12
+# beside dstemr's eigenvectors (8), which the U_F pass then reuses.  The
+# pass's panel buffers take 56 bytes per row of a `RESIDUAL_PANEL`-column
+# panel (a real panel, two complex panels and the complex sector buffers);
+# they can stay resident on the heap through the next quasi-spectrum's
+# eigenvector phase (`--figure fig2`, overlap-table sweeps).  The base is
+# scipy, the back-transform's update buffer and BLAS buffers.  Measured
+# 58.5 / 112.2 / 296.5 MiB for `overlaps` at L=10 / 11 / 12 and 355.8 MiB
+# for `--figure fig2`, against 82 / 144 / 364 MiB estimated
 QUASI_SPECTRUM_BYTES_PER_4L = 16
-QUASI_SPECTRUM_BASE_BYTES = 60 << 20
+QUASI_SPECTRUM_PANEL_BYTES = 56
+QUASI_SPECTRUM_BASE_BYTES = 52 << 20
 # peak memory of stage 1 and an evolution above the process baseline: the
 # dense H1 and its orbit-ordered copy take 8 bytes per 4^L each, and the
 # evolution's assembly about as much (the sector eigensystems 4, the
@@ -332,9 +339,11 @@ def _available_memory() -> Optional[int]:
 
 
 def quasi_spectrum_bytes(L: int) -> int:
-    """Estimated peak memory of stage 1 plus a quasi-spectrum at L sites,
-    above the process baseline."""
-    return QUASI_SPECTRUM_BYTES_PER_4L * 4 ** L + QUASI_SPECTRUM_BASE_BYTES
+    """Estimated peak memory of stage 1 plus quasi-spectra at L sites,
+    above the process baseline: one quasi-spectrum beside the panel
+    buffers an earlier one may have left resident."""
+    return (QUASI_SPECTRUM_BYTES_PER_4L * 4 ** L + QUASI_SPECTRUM_PANEL_BYTES * 2 ** L * RESIDUAL_PANEL
+            + QUASI_SPECTRUM_BASE_BYTES)
 
 
 def stage1_bytes(L: int) -> int:
@@ -509,10 +518,11 @@ def quasi_spectrum(prop: FloquetPropagator) -> QuasiSpectrum:
     commute.  Only X is formed (`_form_x`, from U1's sector eigensystems)
     and diagonalized: cos, V = eigh(X), with X reduced to tridiagonal form
     in place (`_tridiagonalize`) and released before the eigenvector
-    matrix, which becomes V, is formed (`_eigenvectors`).  The true U_F is
-    then applied to the eigenstates psi = D^1/2 v once, with U1 in its
-    eigensystem form, a panel of at most `RESIDUAL_PANEL` columns at a time
-    with the cuts on cluster boundaries, through one set of panel buffers.
+    matrix, which becomes V, is formed and back-transformed in place
+    (`_eigenvectors`).  The true U_F is then applied to the eigenstates
+    psi = D^1/2 v once, with U1 in its eigensystem form, a panel of at most
+    `RESIDUAL_PANEL` columns at a time with the cuts on cluster boundaries,
+    through one set of panel buffers.
     That one pass gives Y v = Im(D^-1/2 U_F psi), hence sin = v.(Y v) for
     an isolated cos and, inside a cluster of nearly equal cos (the cos of a
     quasi-energy is two-to-one), the real rotation that diagonalizes V^T Y
@@ -523,7 +533,8 @@ def quasi_spectrum(prop: FloquetPropagator) -> QuasiSpectrum:
     the columns are then sorted by quasi-energy in place.  At its peak the
     call holds 2 dim^2 doubles: U1's eigensystems (dim^2 / 2) beside X and
     its reflector blocks (dim^2 / 2) while they are copied out, and beside
-    the reflector blocks and V while the eigenvectors are formed.
+    the reflector blocks and V while the eigenvectors are formed, with one
+    dim x `BACK_TRANSFORM_CHUNK` update buffer.
     """
     u1, params = prop.u1, prop.params
     point = _point_text(params)
@@ -675,13 +686,15 @@ def _tridiagonalize(x: np.ndarray, point: str):
     eigenvectors are formed.  x must be F-contiguous float64 (otherwise
     f2py would reduce a copy) and is destroyed.
 
-    Reflector j (0-based) is 1 on row j + 1 and x[j + 2:, j] below it, so
-    the strict lower triangle of x[1:, :] is the compact form dormqr reads
-    (`_eigenvectors`).  The last one, of length 1, is the identity, so n - 2
-    reflectors are kept, in column blocks of `REFLECTOR_BLOCK`: the block
-    of reflectors j0:j1 holds x[j0 + 1:, j0:j1] as an F-order array.  All
+    Reflector j (0-based) is H_j = I - tau_j v_j v_j^T, with v_j zero above
+    row j + 1, 1 on it and x[j + 2:, j] below it; Q = H_0 H_1 ...  The last
+    one, of length 1, is the identity, so n - 2 reflectors are kept, in
+    column blocks of `REFLECTOR_BLOCK`: the block of reflectors j0:j1 is
+    the explicit F-order matrix V of their v_j on rows j0 + 1:, copied from
+    x[j0 + 1:, j0:j1] with its strict upper triangle zeroed and its
+    diagonal set to 1 (the compact-WY form `_eigenvectors` applies).  All
     blocks lie in one buffer of about dim^2 / 2 doubles.  Returns (d, e,
-    blocks) with blocks a list of (j0, reflectors, tau)."""
+    blocks) with blocks a list of (j0, V, tau)."""
     n = x.shape[0]
     (lwork,), info = _lapack("dsytrd_lwork", n, lower=1)
     _require(info, "dsytrd", point)
@@ -695,6 +708,9 @@ def _tridiagonalize(x: np.ndarray, point: str):
     for j0, j1 in zip(starts, stops):
         block = _leading(store[at:], j1 - j0, n - 1 - j0).T
         block[...] = reduced[j0 + 1:, j0:j1]
+        top = block[:j1 - j0]
+        top[...] = np.tril(top, -1)
+        np.fill_diagonal(top, 1.0)
         blocks.append((j0, block, tau[j0:j1]))
         at += block.size
     return d, e, blocks
@@ -707,13 +723,14 @@ def _eigenvectors(d: np.ndarray, e: np.ndarray, blocks, point: str):
     dstemr (MRRR) gives the eigenvectors Z of T with O(dim) workspace; when
     it fails, dstebz (bisection) and dstein (inverse iteration) give them,
     sorted by eigenvalue, as dsyevr does.  The eigenvectors of X are Q Z,
-    formed as (Q Z)^T = Z^T Q^T by dormqr from the right, on
-    `BACK_TRANSFORM_CHUNK` rows of Z^T at a time: each chunk is copied to
-    an F-order buffer, whose trailing columns are contiguous, so f2py hands
-    dormqr the buffer itself, and the reflector blocks are applied last to
-    first to columns j0 + 1: (Q = Q_1 Q_2 ... for the blocks in order).  A
-    nonzero info from any step but dstemr raises `NumericError` naming
-    `point` and the routine."""
+    formed in place in the F-order Z.  Each reflector block is applied in
+    its compact-WY form H_j0 ... H_j1-1 = I - V T V^T (`_wy_factor`, T
+    formed once per block), last block first (Q = Q_1 Q_2 ... for the
+    blocks in order), to rows j0 + 1: of Z, `BACK_TRANSFORM_CHUNK` columns
+    at a time: A = V^T Z_c, then Z_c -= V (T A), all numpy gemms.  The
+    update goes through one F-order buffer, laid out as Z is, so the
+    subtraction runs down contiguous columns.  A nonzero info from any step
+    but dstemr raises `NumericError` naming `point` and the routine."""
     n = d.size
     padded = np.append(e, 0.0)  # dstemr takes n entries of e, the last as workspace
     (lwork, liwork), info = _lapack("dstemr_lwork", d, padded, 0, 0.0, 0.0, 0, 0)
@@ -731,25 +748,32 @@ def _eigenvectors(d: np.ndarray, e: np.ndarray, blocks, point: str):
     if not blocks:
         return vals, vecs
     width = min(BACK_TRANSFORM_CHUNK, n)
-    buf = np.empty(width * n)
-    # the workspace the widest block asks for on the widest chunk; with
-    # less, dormqr narrows its blocking or falls back to unblocked dorm2r
-    (_, work), info = _lapack("dormqr", "R", "T", blocks[0][1], blocks[0][2], _leading(buf, n, width).T[:, 1:], -1)
-    _require(info, "dormqr", point)
-    lwork = int(work[0])
-    for c0 in range(0, n, width):
-        cols = slice(c0, c0 + width)
-        rows = _leading(buf, n, min(width, n - c0)).T
-        # the transposing copies go 512 rows of Z at a time, which keeps
-        # them in cache
-        for r0 in range(0, n, 512):
-            rows[:, r0:r0 + 512] = vecs[r0:r0 + 512, cols].T
-        for j0, reflectors, tau in reversed(blocks):
-            _, info = _lapack("dormqr", "R", "T", reflectors, tau, rows[:, j0 + 1:], lwork, overwrite_c=1)
-            _require(info, "dormqr", point)
-        for r0 in range(0, n, 512):
-            vecs[r0:r0 + 512, cols] = rows[:, r0:r0 + 512].T
+    size = blocks[0][1].shape[1] * width
+    inner, scaled, update = np.empty(size), np.empty(size), np.empty((n - 1) * width)
+    for j0, v, tau in reversed(blocks):
+        t = _wy_factor(v, tau)
+        rows, k = vecs[j0 + 1:], tau.size
+        for c0 in range(0, n, width):
+            z = rows[:, c0:c0 + width]
+            w = z.shape[1]
+            a = np.matmul(v.T, z, out=_leading(inner, k, w))
+            b = np.matmul(t, a, out=_leading(scaled, k, w))
+            z -= np.matmul(v, b, out=_leading(update, w, z.shape[0]).T)
     return vals, vecs
+
+
+def _wy_factor(v: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """The upper triangular T with H_0 H_1 ... H_k-1 = I - V T V^T for the
+    reflectors H_i = I - tau_i v_i v_i^T, the columns of the explicit V
+    (LAPACK dlarft, forward and columnwise), from G = V^T V:
+    T[:i, i] = -tau_i T[:i, :i] G[:i, i] and T[i, i] = tau_i.  A reflector
+    with tau_i = 0 (the identity) gets a zero column."""
+    g = v.T @ v
+    t = np.zeros((tau.size,) * 2)
+    for i, tau_i in enumerate(tau):
+        t[:i, i] = -tau_i * (t[:i, :i] @ g[:i, i])
+        t[i, i] = tau_i
+    return t
 
 
 def _permute_columns(a: np.ndarray, order: np.ndarray) -> None:

@@ -613,19 +613,19 @@ def test_quasi_spectrum_eigensolver_failure_names_point(monkeypatch, tmp_path, c
     # a failed dstemr falls back to dstebz and dstein; a nonzero info from
     # any other step is a numeric error naming the point and the routine
     for failing, routine in ((("dsytrd",), "dsytrd"), (("dstemr", "dstebz"), "dstebz"),
-                             (("dstemr", "dstein"), "dstein"), (("dormqr",), "dormqr")):
+                             (("dstemr", "dstein"), "dstein")):
         with pytest.MonkeyPatch.context() as patch:
             fail_lapack(patch, *failing)
             with pytest.raises(NumericError, match=point_pattern(ERROR_POINT) + f".*LAPACK {routine} failed with info=1"):
                 quasi_spectrum(floquet_operator(ERROR_POINT))
-    fail_lapack(monkeypatch, "dormqr")
+    fail_lapack(monkeypatch, "dsytrd")
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "command": "overlaps",
         "params": {"L": 3, "OmegaT1": "pi/2", "epsT1": 0.1, "VT1": 0.1, "FT2": 0.2},
     }))
     assert main(["--config", str(config), "--out", str(tmp_path / "out")]) == 3
-    assert "dormqr failed with info=1" in capsys.readouterr().err
+    assert "dsytrd failed with info=1" in capsys.readouterr().err
 
 
 def test_eigh_overwrites_its_argument():
@@ -657,15 +657,51 @@ def assert_eigensystem(a, vals, vecs, tol=1e-12):
 B = floquet.REFLECTOR_BLOCK
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, B - 1, B, B + 1, 2 * B + 1])
-def test_eigensolver_steps_against_numpy(n):
-    # n - 2 reflectors in blocks of B: none, one partial block, one full
-    # block, a full and a partial one; 2B + 1 eigenvectors also fill more
-    # than one back-transform chunk, the last one partly
+def symmetric_matrix(case):
+    """A random symmetric matrix of dimension `case`, or one at 2B + 1 on
+    which dsytrd makes reflectors with tau = 0: a tridiagonal one (all of
+    them) or one of two diagonal blocks split inside the first reflector
+    block (the two reflectors at the split, between nonzero ones)."""
+    n = case if isinstance(case, int) else 2 * B + 1
     rng = np.random.default_rng(n)
     a = rng.standard_normal((n, n))
     a = (a + a.T) / (2 * np.sqrt(n))
+    if case == "tridiagonal":
+        a = np.triu(np.tril(a, 1), -1)
+    elif case == "block-diagonal":
+        split = B // 2 + 3
+        a[:split, split:] = a[split:, :split] = 0.0
+    return a
+
+
+@pytest.mark.parametrize("case", [1, 2, 3, B - 1, B, B + 1, 2 * B + 1, "tridiagonal", "block-diagonal"])
+def test_eigensolver_steps_against_numpy(case):
+    # n - 2 reflectors in blocks of B: none, one partial block, one full
+    # block, a full and a partial one; 2B + 1 eigenvectors also fill more
+    # than one back-transform chunk, the last one partly
+    a = symmetric_matrix(case)
     assert_eigensystem(a, *eigh_by_steps(a))
+
+
+@pytest.mark.parametrize("case", [B + 1, "tridiagonal", "block-diagonal"])
+def test_wy_factor_matches_the_reflector_product(case):
+    # I - V T V^T of each block equals H_j0 ... H_j1-1 formed one reflector
+    # at a time, and a reflector with tau = 0 gets a zero column of T
+    a = symmetric_matrix(case)
+    _, _, blocks = floquet._tridiagonalize(np.array(a, order="F"), "test")
+    zero_taus = 0
+    for j0, v, tau in blocks:
+        m, k = v.shape
+        assert np.array_equal(np.triu(v[:k], 1), np.zeros((k, k))) and np.all(np.diag(v) == 1.0)
+        t = floquet._wy_factor(v, tau)
+        product = np.eye(m)
+        for i in range(k):
+            product -= tau[i] * np.outer(product @ v[:, i], v[:, i])
+        assert np.max(np.abs(np.eye(m) - v @ t @ v.T - product)) < 1e-13
+        assert np.array_equal(t, np.triu(t))
+        assert not np.any(t[:, tau == 0.0])
+        zero_taus += np.count_nonzero(tau == 0.0)
+    assert zero_taus == {B + 1: 0, "tridiagonal": 2 * B - 1, "block-diagonal": 2}[case]
 
 
 def test_dstemr_failure_falls_back_to_bisection(monkeypatch):
@@ -768,14 +804,20 @@ def test_quasi_spectrum_narrow_panels(L, kernel, omega, epsilon, v, f_t2, panel)
 def test_quasi_spectrum_memory_estimate(monkeypatch):
     available = floquet._available_memory()
     assert available is None or available > 0
-    # a 4 GB machine runs L=12 and L=13 but refuses L=14 (about 4.1 GiB)
+    # a 4 GB machine runs L=12 and L=13 but refuses L=14 (about 4.3 GiB)
     monkeypatch.setattr(floquet, "_available_memory", lambda: int(4e9))
     floquet.check_quasi_spectrum_memory(12)
     floquet.check_quasi_spectrum_memory(13)
-    with pytest.raises(ResourceLimitError, match=r"L=14 needs about 4\.1 GiB"):
+    with pytest.raises(ResourceLimitError, match=r"L=14 needs about 4\.3 GiB"):
         floquet.check_quasi_spectrum_memory(14)
-    # at L=11 the 4^L term, not the base, sets the estimate: 124 MiB, where
-    # a fresh process peaks at 113 MiB (tests/test_cli.py)
+    # the U_F pass's panel buffers are counted, which a second quasi-spectrum
+    # in one process can find resident: a fresh `--figure fig2` process
+    # peaks at 355.8 MiB above its baseline, within the 364 MiB estimate
+    panels = floquet.QUASI_SPECTRUM_PANEL_BYTES * 2**12 * floquet.RESIDUAL_PANEL
+    assert panels == 56 << 20
+    assert floquet.quasi_spectrum_bytes(12) > 356 << 20
+    # at L=11 the 4^L term, not the base, sets the estimate: 144 MiB, where
+    # a fresh process peaks at 112 MiB (tests/test_cli.py)
     assert floquet.QUASI_SPECTRUM_BYTES_PER_4L * 4**11 > floquet.QUASI_SPECTRUM_BASE_BYTES
     monkeypatch.setattr(floquet, "_available_memory", lambda: 120 << 20)
     floquet.check_quasi_spectrum_memory(10)
@@ -789,10 +831,11 @@ def test_quasi_spectrum_memory_estimate(monkeypatch):
 def test_quasi_spectrum_holds_no_complex_square_array(monkeypatch):
     # traced allocations of one L=10 quasi-spectrum, after stage 1 (so W
     # is not counted) and the scipy import: dstemr's eigenvectors (8 bytes
-    # per 4^L) beside the reflector blocks (4) and one back-transform chunk
-    # set the peak at about 15 bytes per 4^L (with narrow panels; X's tile
-    # buffers are mapped, not traced); X beside the eigenvectors, as in
-    # dsyevr (21.4), or a dim x dim complex array (16) would pass 17
+    # per 4^L) beside the reflector blocks (4) and the back-transform's
+    # update buffer set the peak at about 14 bytes per 4^L (with narrow
+    # panels; X's tile buffers are mapped, not traced); X beside the
+    # eigenvectors, as in dsyevr (21.4), or a dim x dim complex array (16)
+    # would pass 17
     import scipy.linalg.lapack  # noqa: F401
 
     monkeypatch.setattr(floquet, "RESIDUAL_PANEL", 16)
