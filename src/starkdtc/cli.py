@@ -15,8 +15,7 @@ from pathlib import Path
 from .config import RunConfig, parse_config
 from .exceptions import ConfigError, NumericError, ResourceLimitError
 from .figures import FIGURE_IDS, figure_command
-from .floquet import (check_quasi_spectrum_memory, check_stage1_memory, find_pi_pair, floquet_operator,
-                      overlaps)
+from .floquet import check_memory, find_pi_pair, floquet_operator, overlaps
 from .hilbert import state_from_amplitudes, z_product_state
 from .observables import autocorrelator_series, fourier_spectrum, lifetime
 from .output import params_metadata, write_csv, write_json, write_sidecar
@@ -85,11 +84,10 @@ def _initial_state(cfg: RunConfig):
     if isinstance(cfg.initial_state, str):
         return z_product_state(cfg.initial_state, basis)
     psi0 = state_from_amplitudes(cfg.initial_state, basis)
-    if cfg.command != "overlaps" and cfg.params.v != 0 and psi0.product_state_index() is None:
-        # its C(nT) would turn complex within a few cycles and fail the realness check
+    if cfg.command != "overlaps" and psi0.product_state_index() is None:
         raise ConfigError(
-            f"initial_state: a superposition has a complex C(nT) at V={cfg.params.v!r}; "
-            f"{cfg.command} takes one only at V = 0"
+            f"initial_state: {cfg.command} evolves z-product states only, "
+            "so an amplitude list must hold exactly one basis state"
         )
     return psi0
 
@@ -105,8 +103,7 @@ def _write_table(out_dir: Path, name: str, fmt: str, header, rows, metadata: dic
 
 def _run_point(cfg: RunConfig, psi0, out_dir: Path) -> list:
     """The series, spectrum, overlaps or lifetime table of one parameter point."""
-    check = check_quasi_spectrum_memory if cfg.command == "overlaps" else check_stage1_memory
-    check(cfg.params.L)
+    check_memory(cfg.params.L, quasi_spectrum=cfg.command == "overlaps")
     prop = floquet_operator(cfg.params)
     metadata = {
         "command": cfg.command,

@@ -14,10 +14,12 @@ Schema (defaults in parentheses):
         L (required; 1 .. 14, also on an L axis), T1 (1), T2 (10), kernel ("NN")
         Omega | OmegaT1 ("pi/2"), epsilon | epsT1 (0),
         V | VT1 | VT2 (0), F | FT2 (0)
-    initial_state: bit string, or [[index, re, im], ...]  (all ones)
+    initial_state: bit string, or [[index, re, im], ...]  (all ones); series,
+        spectrum and lifetime take a list only when it holds one basis state
     n_cycles (100; even for spectrum and a_pi), n_max (5000; >= 2 for lifetime)
     sweep: {axes: [{name, values | start/stop/step | start/stop/num}],
-            observable, grid_cap (10000), initial_state (all_ones)}
+            observable, grid_cap (10000; also caps each range before it is
+            built), initial_state (all_ones)}
     figure: fig2 | fig3a | fig3b | fig3c | fig3d | fig4a | fig4b | fig5
 """
 
@@ -154,7 +156,9 @@ def parse_params(section, path: str = "params") -> SimulationParams:
         raise ConfigError(f"{path}: {exc}")
 
 
-def _parse_axis(section, path: str) -> SweepAxis:
+def _parse_axis(section, path: str, grid_cap: int) -> SweepAxis:
+    """One sweep axis; a range longer than `grid_cap` is refused before any
+    of its values is built."""
     if not isinstance(section, dict):
         raise ConfigError(f"{path}: expected an object")
     name = section.get("name")
@@ -184,10 +188,15 @@ def _parse_axis(section, path: str) -> SweepAxis:
                 raise ConfigError(f"{path}.step: must be finite and positive, got {step!r}")
             if stop < start:
                 raise ConfigError(f"{path}: a step range needs stop >= start, got {start!r} to {stop!r}")
-            count = int(math.floor((stop - start) / step + 1e-9)) + 1
+            steps = (stop - start) / step + 1e-9
+            if steps >= grid_cap:  # floor(steps) + 1 values
+                raise ConfigError(f"{path}: the range has more values than the grid cap of {grid_cap}")
+            count = int(math.floor(steps)) + 1
             values = tuple(start + k * step for k in range(count))
         elif "num" in section:
             num = _positive_int(section["num"], f"{path}.num")
+            if num > grid_cap:
+                raise ConfigError(f"{path}: the range has more values than the grid cap of {grid_cap}")
             values = tuple(
                 start + (stop - start) * k / (num - 1) if num > 1 else start for k in range(num)
             )
@@ -218,10 +227,17 @@ def parse_sweep(section, base: SimulationParams, defaults: dict, path: str = "sw
     unknown = sorted(set(section) - {"axes", "observable", "n_cycles", "n_max", "grid_cap", "initial_state"})
     if unknown:
         raise ConfigError(f"{path}: unknown keys {unknown}")
+    counts = {"n_cycles": defaults.get("n_cycles", 100), "n_max": defaults.get("n_max", 5000),
+              "grid_cap": DEFAULT_GRID_CAP}
+    for key in counts:
+        if key in section:
+            counts[key] = _positive_int(section[key], f"{path}.{key}")
     axes_section = section.get("axes")
     if not isinstance(axes_section, list) or not axes_section:
         raise ConfigError(f"{path}.axes: expected a non-empty list")
-    axes = tuple(_parse_axis(axis, f"{path}.axes[{i}]") for i, axis in enumerate(axes_section))
+    axes = tuple(
+        _parse_axis(axis, f"{path}.axes[{i}]", counts["grid_cap"]) for i, axis in enumerate(axes_section)
+    )
     # checked here: a bad state would only fail each point, leaving a CSV of error markers
     length = None if any(axis.name == "L" for axis in axes) else base.L
     if "initial_state" in section:
@@ -233,11 +249,6 @@ def parse_sweep(section, base: SimulationParams, defaults: dict, path: str = "sw
     observable = section.get("observable")
     if observable not in OBSERVABLES:
         raise ConfigError(f"{path}.observable: expected one of {OBSERVABLES}, got {observable!r}")
-    counts = {"n_cycles": defaults.get("n_cycles", 100), "n_max": defaults.get("n_max", 5000),
-              "grid_cap": DEFAULT_GRID_CAP}
-    for key in counts:
-        if key in section:
-            counts[key] = _positive_int(section[key], f"{path}.{key}")
     try:
         return SweepSpec(
             axes=axes,

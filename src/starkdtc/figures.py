@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .floquet import check_quasi_spectrum_memory, check_stage1_memory, floquet_operator, overlaps
+from .floquet import check_memory, floquet_operator, overlaps
 from .hamiltonian import KERNEL_VARIANTS, SimulationParams
 from .hilbert import z_product_state
 from .observables import autocorrelator_series, fourier_spectrum, reversal_analysis
@@ -144,8 +144,7 @@ def figure_command(figure_id: str, out_dir) -> list:
     parameters = figure_parameters(figure_id)
     entry = FIGURES[figure_id]
     # before stage 1 and before any file: fig2 builds quasi-spectra, the others only evolve
-    check = check_quasi_spectrum_memory if figure_id == "fig2" else check_stage1_memory
-    check(entry["base"].L)
+    check_memory(entry["base"].L, quasi_spectrum=figure_id == "fig2")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if figure_id in _GRIDS:

@@ -352,26 +352,21 @@ def stage1_bytes(L: int) -> int:
     return STAGE1_BYTES_PER_4L * 4 ** L + STAGE1_BASE_BYTES
 
 
-def _check_memory(what: str, need: int) -> None:
+def check_memory(L: int, quasi_spectrum: bool) -> None:
+    """Raise `ResourceLimitError` when stage 1 at L sites, plus a
+    quasi-spectrum if `quasi_spectrum` or else the evolution after it,
+    would not fit in the available memory; skipped when that cannot be
+    read.  Called before stage 1, so nothing is allocated or written."""
+    if quasi_spectrum:
+        what, need = f"a quasi-spectrum at L={L}", quasi_spectrum_bytes(L)
+    else:
+        what, need = f"stage 1 at L={L}", stage1_bytes(L)
     available = _available_memory()
     if available is not None and need > available:
         raise ResourceLimitError(
             f"{what} needs about {need / 2**30:.1f} GiB, "
             f"but only {available / 2**30:.1f} GiB of memory is available"
         )
-
-
-def check_quasi_spectrum_memory(L: int) -> None:
-    """Raise `ResourceLimitError` when stage 1 plus a quasi-spectrum at L
-    sites would not fit in the available memory; skipped when that cannot
-    be read.  Called before stage 1, so nothing is allocated or written."""
-    _check_memory(f"a quasi-spectrum at L={L}", quasi_spectrum_bytes(L))
-
-
-def check_stage1_memory(L: int) -> None:
-    """`check_quasi_spectrum_memory` for the commands that only evolve
-    states: stage 1 at L sites and the evolution after it."""
-    _check_memory(f"stage 1 at L={L}", stage1_bytes(L))
 
 
 def _key_text(params: SimulationParams) -> str:

@@ -9,6 +9,7 @@ shift-and-mask.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,7 +68,8 @@ class StateVector:
                 f"amplitude vector has shape {amps.shape}, expected ({self.basis.dimension},)"
             )
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
+        # written so that a NaN norm fails too
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"state vector norm {float(norm)!r} deviates from 1 beyond {NORM_TOL}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -103,7 +105,9 @@ def state_from_amplitudes(triples, basis: BasisConfig) -> StateVector:
     """State from (basis-index, real, imag) triples, e.g. entangled config input.
 
     The vector is renormalized if its norm is within 1e-6 of one and rejected
-    otherwise; duplicate indices are rejected.
+    otherwise; duplicate indices, indices that are not integers (booleans
+    and fractional numbers are not truncated) and non-finite amplitudes are
+    rejected.
     """
     amps = np.zeros(basis.dimension, dtype=complex)
     seen = set()
@@ -112,15 +116,23 @@ def state_from_amplitudes(triples, basis: BasisConfig) -> StateVector:
             index, re, im = entry
         except (TypeError, ValueError):
             raise ValueError(f"amplitude entry {entry!r} is not an (index, real, imag) triple")
+        if isinstance(index, bool) or not isinstance(index, numbers.Integral):
+            raise ValueError(f"amplitude index {index!r} is not an integer")
         index = int(index)
         if not 0 <= index < basis.dimension:
             raise ValueError(f"amplitude index {index} out of range for L={basis.L}")
         if index in seen:
             raise ValueError(f"duplicate amplitude index {index}")
         seen.add(index)
-        amps[index] = float(re) + 1j * float(im)
+        try:
+            amplitude = float(re) + 1j * float(im)
+        except (TypeError, ValueError):
+            raise ValueError(f"amplitude entry {entry!r} does not hold real numbers")
+        if not np.isfinite(amplitude):
+            raise ValueError(f"amplitude of index {index} is not finite: {amplitude!r}")
+        amps[index] = amplitude
     norm = np.linalg.norm(amps)
-    if abs(norm - 1.0) > LOAD_NORM_TOL:
+    if not abs(norm - 1.0) <= LOAD_NORM_TOL:
         raise ValueError(f"amplitude list norm {float(norm)!r} deviates from 1 beyond {LOAD_NORM_TOL}")
     return StateVector(amps / norm, basis, label="amplitudes")
 

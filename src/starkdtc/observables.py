@@ -24,7 +24,6 @@ from .hilbert import StateVector, sigma_z_stack
 NORM_DRIFT_TOL = 1e-8
 # |C(n)| may exceed 1 by this much through roundoff
 MAGNITUDE_TOL = 1e-9
-REALNESS_TOL = 1e-10
 REVERSAL_ZERO_ATOL = 1e-12
 
 
@@ -117,14 +116,13 @@ def autocorrelator_series(
 ) -> AutocorrelatorSeries:
     """Stroboscopic autocorrelator over n_cycles Floquet periods.
 
-    U1's blocks are assembled (and checked) for the run, unless `blocks`
-    gives them already assembled from `prop.u1`; then every cycle
-    advances the states by Phi * (U1 psi) and checks the norm, through the
-    sweep's block loop (`_evolve_block`): a z-product initial state
-    (sigma^z psi0 = s_j psi0) as a one-column block, any other state as the
-    block [psi0, sigma^z_1 psi0, ..., sigma^z_L psi0].  A failed
-    check raises `NumericError` naming the parameter point, the tolerance
-    and the cycle.
+    `psi0` must be a z-product state, one basis state; any other state
+    raises `ValueError` before U1's blocks are assembled.  The blocks are
+    assembled (and checked) for the run, unless `blocks` gives them already
+    assembled from `prop.u1`; then every cycle advances the state by
+    Phi * (U1 psi) and checks the norm, as a one-column block of the
+    sweep's loop (`_evolve_block`).  A failed check raises `NumericError`
+    naming the parameter point, the tolerance and the cycle.
     """
     if n_cycles < 1:
         raise ValueError(f"cycle count must be >= 1, got {n_cycles}")
@@ -133,11 +131,14 @@ def autocorrelator_series(
             f"state dimension {psi0.dimension} does not match propagator dimension {prop.dimension}"
         )
     index = psi0.product_state_index()
-    column = (prop.params, psi0.amplitudes if index is None else index)
+    if index is None:
+        raise ValueError(
+            "the autocorrelator evolves z-product states only: the initial state must be one basis state"
+        )
     sz = sigma_z_stack(psi0.basis)
     if blocks is None:
         blocks = prop.u1.assemble(prop.params)
-    block, (error,) = _evolve_block(blocks, prop.phase2[:, None], [column], sz, n_cycles)
+    block, (error,) = _evolve_block(blocks, prop.phase2[:, None], [(prop.params, index)], sz, n_cycles)
     if error is not None:
         raise error
     return AutocorrelatorSeries(
@@ -149,7 +150,7 @@ def autocorrelator_series(
 
 
 def _evolve_block(blocks, phi, columns, sz, n_cycles):
-    """C(n) of states evolved together as one block by Psi <- Phi * (U1 Psi).
+    """C(n) of z-product states evolved as one block by Psi <- Phi * (U1 Psi).
 
     `blocks` is the stage-1 unitary as its assembled blocks
     (`floquet.SectorBlocks`); `phi` is a (dim, width) block
@@ -166,13 +167,6 @@ def _evolve_block(blocks, phi, columns, sz, n_cycles):
     block.  All but the gemms are per column, so a column's bits do not
     depend on the rest of a block padded as in `sweep._block_series`.
 
-    A state that is not a z-product state is given alone, as (params,
-    z-basis amplitude vector), under its one phase column: the block is
-    then [psi, chi_1, ..., chi_L] from psi0 and chi_j = sigma^z_j psi0, and
-    the readout is C(n) = (1/L) sum_j <chi_j| sigma^z_j psi> beside |psi|^2.
-    That C(n) is complex in general; an imaginary part above
-    `REALNESS_TOL` fails the state.
-
     Returns the (n_cycles + 1, len(columns)) series and one `NumericError`
     (or None) per state.  A state whose norm drifts is zeroed and no longer
     checked, so it cannot touch the others; the loop stops once every state
@@ -184,28 +178,20 @@ def _evolve_block(blocks, phi, columns, sz, n_cycles):
     u1 = blocks.u1
     phi = np.ascontiguousarray(phi[u1.order])
     sz = sz[:, u1.order]
-    superposed = isinstance(starts[0], np.ndarray)
-    if superposed:
-        width = length + 1
-        start = starts[0][u1.order]
-        psi = np.ascontiguousarray(np.vstack((start, sz * start)).T)
-        sz_t = np.ascontiguousarray(sz.T, dtype=complex)
-        weighted = np.empty(dim, dtype=complex)
-    else:
-        width = phi.shape[1]
-        rows = u1.inverse[list(starts)]
-        psi = np.zeros((dim, width), dtype=complex)
-        psi[rows, np.arange(count)] = 1.0
-        readout = np.ones((count, 2, dim))
-        # sz entries are +-1, so the sums are exact integers
-        readout[:, 1] = sz[:, rows].T @ sz / length
+    width = phi.shape[1]
+    rows = u1.inverse[list(starts)]
+    psi = np.zeros((dim, width), dtype=complex)
+    psi[rows, np.arange(count)] = 1.0
+    readout = np.ones((count, 2, dim))
+    # sz entries are +-1, so the sums are exact integers
+    readout[:, 1] = sz[:, rows].T @ sz / length
     work = u1.workspace(width)
     squares = np.empty((dim, 2 * width))
     prob = np.empty((dim, width))
     # per column (squared norm, C); rows of padding and failed states stay 0
     sums = np.zeros((width, 2))
     # the norm each column should keep: 1 while its state is live, 0 for
-    # padding, chi columns and zeroed states, so only a live state can fail
+    # padding and zeroed states, so only a live state can fail
     expected = np.zeros(width)
     expected[:count] = 1.0
     errors = [None] * count
@@ -219,14 +205,8 @@ def _evolve_block(blocks, phi, columns, sz, n_cycles):
         np.multiply(phi, blocks.product(psi, psi, work), out=psi)
         np.square(psi.view(float), out=squares)
         np.add(squares[:, 0::2], squares[:, 1::2], out=prob)
-        if superposed:
-            # y = sum_j sigma^z_j chi_j, so that C(n) = <y|psi> / L
-            np.einsum("bj,bj->b", sz_t, psi[:, 1:], out=weighted)
-            correlator = np.vdot(weighted, psi[:, 0]) / length
-            sums[0] = prob[:, 0].sum(), correlator.real
-        else:
-            for col in live:
-                np.matmul(readout[col], prob[:, col], out=sums[col])
+        for col in live:
+            np.matmul(readout[col], prob[:, col], out=sums[col])
         drift = np.abs(np.sqrt(sums[:, 0]) - expected)
         if drift.max() > NORM_DRIFT_TOL:
             for col in list(live):
@@ -235,12 +215,6 @@ def _evolve_block(blocks, phi, columns, sz, n_cycles):
                     psi[:, col] = 0.0
                     sums[col] = expected[col] = 0.0
                     live.remove(col)
-        if superposed and live and abs(correlator.imag) > REALNESS_TOL:
-            errors[0] = NumericError(
-                f"autocorrelator acquired imaginary part {correlator.imag:.2e} (tolerance "
-                f"{REALNESS_TOL:.0e}) for ({_point_text(points[0])}) at cycle {n}"
-            )
-            live.clear()
         values[n] = sums[:count, 1]
     for col in live:
         errors[col] = _magnitude_error(values[:, col], points[col])
@@ -296,9 +270,9 @@ def reversal_analysis(values: np.ndarray) -> LifetimeResult:
 
 
 def lifetime(prop: FloquetPropagator, psi0: StateVector, n_max: int) -> LifetimeResult:
-    """DTC lifetime from the autocorrelator over up to n_max cycles, evolved
-    as in `autocorrelator_series` (a z-product state as a one-column block);
-    see `reversal_analysis` for the definitions."""
+    """DTC lifetime of a z-product initial state from the autocorrelator
+    over up to n_max cycles, evolved as in `autocorrelator_series` (which
+    refuses any other state); see `reversal_analysis` for the definitions."""
     if n_max < 2:
         raise ValueError(f"cycle cap must be >= 2, got {n_max}")
     series = autocorrelator_series(prop, psi0, n_max)

@@ -35,8 +35,7 @@ from .floquet import (
     FloquetPropagator,
     SectorBlocks,
     SectorUnitary,
-    check_quasi_spectrum_memory,
-    check_stage1_memory,
+    check_memory,
     overlaps,
     propagator_u2,
     stage1_unitary,
@@ -454,12 +453,10 @@ def run_sweep(spec: SweepSpec, journal_path=None, resume: bool = False) -> Sweep
     skips points already present in a journal for the identical spec (a
     torn last line is dropped and its point recomputed).  The sweep first
     checks that stage 1 at the grid's largest L, and for overlap_table a
-    quasi-spectrum, fits in memory (`floquet.check_stage1_memory`,
-    `floquet.check_quasi_spectrum_memory`).
+    quasi-spectrum, fits in memory (`floquet.check_memory`).
     """
     sizes = [int(value) for axis in spec.axes if axis.name == "L" for value in axis.values]
-    check = check_quasi_spectrum_memory if spec.observable == "overlap_table" else check_stage1_memory
-    check(max(sizes, default=spec.base.L))
+    check_memory(max(sizes, default=spec.base.L), quasi_spectrum=spec.observable == "overlap_table")
     factory = PropagatorFactory()
     points = list(spec.grid_points())
     journal = _Journal(journal_path, spec.fingerprint(), resume) if journal_path else None

@@ -109,34 +109,32 @@ def test_overlaps_entangled_initial_state(tmp_path):
     assert sum(weights) == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("vt1", [0.0, 0.1])
 @pytest.mark.parametrize("command", ["series", "spectrum", "lifetime"])
-def test_superposition_at_nonzero_v_exits_2_before_stage1(tmp_path, monkeypatch, capsys, command):
-    # its C(nT) turns complex within a few cycles, so the run could only fail
+def test_superposition_exits_2_before_stage1(tmp_path, monkeypatch, capsys, command, vt1):
+    # these commands evolve z-product states only, at every V
     def no_stage1(params):
         raise AssertionError("stage 1 computed before the initial state was checked")
 
     monkeypatch.setattr(floquet_module, "stage1_unitary", no_stage1)
     a = 1 / np.sqrt(2)
-    data = dict(SERIES_CONFIG, command=command, initial_state=[[0, a, 0.0], [7, 0.0, a]])
+    data = dict(SERIES_CONFIG, command=command, params=dict(SERIES_CONFIG["params"], VT1=vt1),
+                initial_state=[[0, a, 0.0], [7, 0.0, a]])
     out = tmp_path / "out"
     assert main(["--config", str(write_config(tmp_path, data)), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "config error: initial_state: a superposition has a complex C(nT) at V=0.1" in err
+    assert (f"config error: initial_state: {command} evolves z-product states only, "
+            "so an amplitude list must hold exactly one basis state") in err
     assert not out.exists()
 
 
-def test_superposition_at_zero_v_runs(tmp_path):
-    # GHZ: its two basis states differ in every site, so C(nT) stays real at V = 0
-    a = 1 / np.sqrt(2)
-    data = dict(SERIES_CONFIG, params=dict(SERIES_CONFIG["params"], VT1=0.0),
-                initial_state=[[0, a, 0.0], [7, 0.0, a]])
-    out = tmp_path / "out"
-    assert main(["--config", str(write_config(tmp_path, data)), "--out", str(out)]) == 0
-    rows = read_csv(out / "series.csv")
-    assert len(rows) == SERIES_CONFIG["n_cycles"] + 2 and float(rows[1][1]) == 1.0
+def test_one_basis_state_list_runs(tmp_path):
     # an amplitude list holding one basis state is a z-product state, run at any V
     one = dict(SERIES_CONFIG, initial_state=[[5, 0.0, 1.0]])
+    out = tmp_path / "out"
     assert main(["--config", str(write_config(tmp_path, one)), "--out", str(out)]) == 0
+    rows = read_csv(out / "series.csv")
+    assert len(rows) == SERIES_CONFIG["n_cycles"] + 2 and float(rows[1][1]) == 1.0
 
 
 def test_lifetime_command(tmp_path):
@@ -391,8 +389,11 @@ def test_number_expression_errors_exit_2(tmp_path, capsys, expression, place, pa
         ({"name": "V", "values": ["-1e400"]}, "V takes finite numbers, got -inf"),
         ({"name": "epsilon", "start": 0.0, "stop": "1e400", "step": 0.1},
          "a range needs finite bounds, got 0.0 to inf"),
+        # refused before its values are built, which a MemoryError used to end
+        ({"name": "epsilon", "start": 0.0, "stop": 1.0, "num": 10**9},
+         "the range has more values than the grid cap of 10000"),
     ],
-    ids=["kernel", "initial_state", "epsilon_nan", "F_T2_overflow", "V_minus_inf", "range_inf"],
+    ids=["kernel", "initial_state", "epsilon_nan", "F_T2_overflow", "V_minus_inf", "range_inf", "range_over_cap"],
 )
 def test_bad_axis_values_exit_2_at_parse_time(tmp_path, monkeypatch, capsys, axis, message):
     # an unknown kernel used to exit 0 with error rows, numbers to run as bit
@@ -414,8 +415,12 @@ def test_bad_axis_values_exit_2_at_parse_time(tmp_path, monkeypatch, capsys, axi
     [
         ([[5000, 1.0, 0.0]], "amplitude index 5000 out of range for L=12"),
         ([[0, 0.5, 0.0]], "amplitude list norm 0.5 deviates from 1"),
+        # json writes and reads the NaN literal
+        ([[0, math.nan, 0.0]], "amplitude of index 0 is not finite: (nan+0j)"),
+        ([[5.9, 1.0, 0.0]], "amplitude index 5.9 is not an integer"),
+        ([[True, 1.0, 0.0]], "amplitude index True is not an integer"),
     ],
-    ids=["index_out_of_range", "off_norm"],
+    ids=["index_out_of_range", "off_norm", "nan_amplitude", "fractional_index", "boolean_index"],
 )
 def test_bad_initial_state_exits_2_before_stage1(tmp_path, monkeypatch, capsys, initial_state, message):
     def no_stage1(params):

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import starkdtc.config as config
 from starkdtc import ConfigError, SimulationParams, parse_config
 from starkdtc.cli import _initial_state
 from starkdtc.config import parse_number, parse_params
 from starkdtc.hamiltonian import KERNEL_VARIANTS
 from starkdtc.output import params_metadata
+from starkdtc.sweep import SweepAxis
 
 
 def test_parse_number_symbolic():
@@ -294,3 +296,34 @@ def test_parse_sweep_rejects_non_integer_counts(sweep_fields, path):
     sweep = {"axes": [{"name": "F_T2", "values": [0.0]}], "observable": "a_pi", **sweep_fields}
     with pytest.raises(ConfigError, match=f"{path}: expected a positive integer"):
         parse_config(json.dumps({"command": "sweep", "params": {"L": 2}, "sweep": sweep}))
+
+
+@pytest.mark.parametrize(
+    "over, within",
+    [
+        ({"num": 11}, {"num": 10}),
+        ({"step": 0.1}, {"step": 1 / 9}),  # 11 values, then 10
+        ({"step": 5e-324}, {"step": 1 / 9}),  # a count that overflows a float
+    ],
+    ids=["num", "step", "step_overflow"],
+)
+def test_range_over_grid_cap_is_refused_before_its_values_are_built(monkeypatch, over, within):
+    # a range of 10**9 values used to be built in full before the grid was
+    # compared with the cap, and to end in a MemoryError
+    received = []
+
+    def recording_axis(name, values):
+        received.append(len(values))
+        return SweepAxis(name, values)
+
+    def sweep_cfg(fields):
+        axis = {"name": "F_T2", "start": 0.0, "stop": 1.0, **fields}
+        sweep = {"axes": [axis], "observable": "a_pi", "grid_cap": 10}
+        return json.dumps({"command": "sweep", "params": {"L": 2}, "sweep": sweep})
+
+    monkeypatch.setattr(config, "SweepAxis", recording_axis)
+    with pytest.raises(ConfigError, match=r"sweep\.axes\[0\]: the range has more values than the grid cap of 10$"):
+        parse_config(sweep_cfg(over))
+    assert received == []
+    parse_config(sweep_cfg(within))
+    assert received == [10]

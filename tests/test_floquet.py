@@ -806,10 +806,10 @@ def test_quasi_spectrum_memory_estimate(monkeypatch):
     assert available is None or available > 0
     # a 4 GB machine runs L=12 and L=13 but refuses L=14 (about 4.3 GiB)
     monkeypatch.setattr(floquet, "_available_memory", lambda: int(4e9))
-    floquet.check_quasi_spectrum_memory(12)
-    floquet.check_quasi_spectrum_memory(13)
+    floquet.check_memory(12, quasi_spectrum=True)
+    floquet.check_memory(13, quasi_spectrum=True)
     with pytest.raises(ResourceLimitError, match=r"L=14 needs about 4\.3 GiB"):
-        floquet.check_quasi_spectrum_memory(14)
+        floquet.check_memory(14, quasi_spectrum=True)
     # the U_F pass's panel buffers are counted, which a second quasi-spectrum
     # in one process can find resident: a fresh `--figure fig2` process
     # peaks at 355.8 MiB above its baseline, within the 364 MiB estimate
@@ -820,12 +820,12 @@ def test_quasi_spectrum_memory_estimate(monkeypatch):
     # a fresh process peaks at 112 MiB (tests/test_cli.py)
     assert floquet.QUASI_SPECTRUM_BYTES_PER_4L * 4**11 > floquet.QUASI_SPECTRUM_BASE_BYTES
     monkeypatch.setattr(floquet, "_available_memory", lambda: 120 << 20)
-    floquet.check_quasi_spectrum_memory(10)
+    floquet.check_memory(10, quasi_spectrum=True)
     with pytest.raises(ResourceLimitError, match="L=11"):
-        floquet.check_quasi_spectrum_memory(11)
+        floquet.check_memory(11, quasi_spectrum=True)
     # an unreadable MemAvailable skips the check
     monkeypatch.setattr(floquet, "_available_memory", lambda: None)
-    floquet.check_quasi_spectrum_memory(14)
+    floquet.check_memory(14, quasi_spectrum=True)
 
 
 def test_quasi_spectrum_holds_no_complex_square_array(monkeypatch):
@@ -853,13 +853,13 @@ def test_quasi_spectrum_holds_no_complex_square_array(monkeypatch):
 def test_stage1_memory_estimate(monkeypatch):
     # stage 1 at L=14 (its dense H1 twice, 4 GiB) fits in 7.7 GB but not in 4 GB
     monkeypatch.setattr(floquet, "_available_memory", lambda: int(7.7e9))
-    floquet.check_stage1_memory(14)
+    floquet.check_memory(14, quasi_spectrum=False)
     monkeypatch.setattr(floquet, "_available_memory", lambda: int(4e9))
-    floquet.check_stage1_memory(13)
+    floquet.check_memory(13, quasi_spectrum=False)
     with pytest.raises(ResourceLimitError, match=r"stage 1 at L=14 needs about 4\.0 GiB, but only 3\.7 GiB"):
-        floquet.check_stage1_memory(14)
+        floquet.check_memory(14, quasi_spectrum=False)
     monkeypatch.setattr(floquet, "_available_memory", lambda: None)
-    floquet.check_stage1_memory(14)
+    floquet.check_memory(14, quasi_spectrum=False)
 
 
 def test_overlap_completeness_error_names_point_and_tolerance():

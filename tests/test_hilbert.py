@@ -84,6 +84,9 @@ def test_state_vector_norm_guard():
     # the norm is printed as a plain float, not as a numpy repr
     with pytest.raises(ValueError, match=r"^state vector norm 1\.414213562373\d* deviates"):
         StateVector(np.array([1.0, 1.0, 0, 0]), basis)
+    # a NaN norm compares False with any tolerance, and must still fail
+    with pytest.raises(ValueError, match=r"^state vector norm nan deviates"):
+        StateVector(np.array([np.nan, 0, 0, 0]), basis)
     state = z_product_state("01", basis)
     with pytest.raises(ValueError):
         state.amplitudes[0] = 5.0  # amplitudes frozen after construction
@@ -106,6 +109,17 @@ def test_state_from_amplitudes():
         state_from_amplitudes([(0, a, 0.0), (0, a, 0.0)], basis)
     with pytest.raises(ValueError):
         state_from_amplitudes([(4, 1.0, 0.0)], basis)
+
+    # numpy integers are indices; booleans and fractions are not truncated
+    assert state_from_amplitudes([(np.int64(2), 1.0, 0.0)], basis).product_state_index() == 2
+    for index in (True, 1.5, 1.0, "1"):
+        with pytest.raises(ValueError, match=r"^amplitude index .* is not an integer"):
+            state_from_amplitudes([(index, 1.0, 0.0)], basis)
+    for re, im in ((np.nan, 0.0), (1.0, np.inf), (-np.inf, 0.0)):
+        with pytest.raises(ValueError, match=r"^amplitude of index 0 is not finite"):
+            state_from_amplitudes([(0, re, im)], basis)
+    with pytest.raises(ValueError, match="does not hold real numbers"):
+        state_from_amplitudes([(0, None, 0.0)], basis)
 
 
 @pytest.mark.parametrize("L", range(1, 13))

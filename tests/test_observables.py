@@ -76,35 +76,44 @@ def test_general_path_matches_fast_path():
 
 def superposition(basis):
     """A complex superposition of three basis states, no two of which differ
-    in one site, so at V = 0 its C(n) is real (see the README)."""
+    in one site."""
     triples = [(0b11, 0.6, 0.0), (0b1100, 0.0, 0.48), (basis.dimension - 1, -0.64, 0.0)]
     return state_from_amplitudes(triples, basis)
 
 
-def path_case(path, bits, **params):
-    """The point and initial state of one evaluation path: "fast" runs the
-    z-product state `bits` as one column, "general" a superposition as the
-    L + 1 column block, at V = 0 where its C(n) is real."""
-    if path == "fast":
-        p = SimulationParams(**params)
-        return p, z_product_state(bits, p.basis)
-    p = SimulationParams(**dict(params, v=0.0))
-    return p, superposition(p.basis)
+def refuses_before_assembly(monkeypatch, prop, psi0):
+    """`autocorrelator_series` and `lifetime` refuse `psi0` with a
+    ValueError naming the z-product rule, before U1's blocks are assembled."""
+    def no_assembly(params):
+        raise AssertionError("U1's blocks assembled before the initial state was checked")
+
+    monkeypatch.setattr(prop.u1, "assemble", no_assembly)
+    for evolve in (autocorrelator_series, lifetime):
+        with pytest.raises(ValueError, match="z-product states only: the initial state must be one basis state"):
+            evolve(prop, psi0, 30)
 
 
 @pytest.mark.parametrize("L", [8, 10])
-def test_superposition_matches_coevolution_reference(L):
+def test_superposition_matches_coevolution_reference(monkeypatch, L):
+    # the autocorrelator evolves z-product states only; a superposition is
+    # evolved by the library step `FloquetPropagator.apply`, which the
+    # co-evolution reference checks against the expm_multiply one
     p = SimulationParams(L=L, omega=np.pi / 2, epsilon=0.25, v=0.0, t1=1.0, t2=10.0).with_f_t2(0.2)
     prop = floquet_operator(p)
     psi0 = superposition(p.basis)
-    series = autocorrelator_series(prop, psi0, 200)
-    assert np.max(np.abs(series.values - coevolution_series(prop, psi0, 200))) < 1e-12
+    refuses_before_assembly(monkeypatch, prop, psi0)
+    reference = expm_multiply_coevolution(
+        p.L, p.omega, p.epsilon, p.v, p.f, p.t1, p.t2, psi0.amplitudes, 20, p.kernel
+    )
+    assert np.max(np.abs(coevolution_series(prop, psi0, 20) - reference)) < 1e-9
 
 
-@pytest.mark.parametrize("path", ["fast", "general"])
-def test_single_point_paths_match_expm_multiply_oracle_at_l10(path):
-    p, psi0 = path_case(path, "1101001110", L=10, omega=np.pi / 2, epsilon=0.3, v=0.1, t1=1.0, t2=10.0)
-    p = p.with_f_t2(0.2)
+# the one evolution path: a z-product state as a one-column block ("fast",
+# as against the co-evolution reference of `coevolution_series`)
+@pytest.mark.parametrize("bits", ["1101001110"], ids=["fast"])
+def test_single_point_paths_match_expm_multiply_oracle_at_l10(bits):
+    p = SimulationParams(L=10, omega=np.pi / 2, epsilon=0.3, v=0.1, t1=1.0, t2=10.0).with_f_t2(0.2)
+    psi0 = z_product_state(bits, p.basis)
     series = autocorrelator_series(floquet_operator(p), psi0, 40)
     reference = expm_multiply_coevolution(
         p.L, p.omega, p.epsilon, p.v, p.f, p.t1, p.t2, psi0.amplitudes, 40, p.kernel
@@ -121,48 +130,45 @@ def test_product_state_oracles_agree():
     assert np.max(np.abs(coevolved - expm_multiply_series(*args, bits, 20))) < 1e-12
 
 
-@pytest.mark.parametrize("path", ["fast", "general"])
-def test_single_point_norm_failure_names_the_cycle(path):
-    p, psi0 = path_case(path, "1111", L=4, omega=np.pi / 2, epsilon=0.2, v=0.1, f=0.02)
-    prop = floquet_operator(p)
+FAILURE_POINT = SimulationParams(L=4, omega=np.pi / 2, epsilon=0.2, v=0.1, f=0.02)
+
+
+@pytest.mark.parametrize("bits", ["1111"], ids=["fast"])
+def test_single_point_norm_failure_names_the_cycle(bits):
+    prop = floquet_operator(FAILURE_POINT)
     prop.phase2 = prop.phase2 * 1.001  # pushed off the unit circle
     with pytest.raises(NumericError, match="state norm drifted by .* at cycle 1$"):
-        autocorrelator_series(prop, psi0, 30)
+        autocorrelator_series(prop, z_product_state(bits, FAILURE_POINT.basis), 30)
 
 
-@pytest.mark.parametrize("path", ["fast", "general"])
-def test_single_point_norm_failure_names_point_and_tolerance(path):
-    p, psi0 = path_case(path, "1111", L=4, omega=np.pi / 2, epsilon=0.2, v=0.1, f=0.02)
-    prop = floquet_operator(p)
+@pytest.mark.parametrize("bits", ["1111"], ids=["fast"])
+def test_single_point_norm_failure_names_point_and_tolerance(bits):
+    prop = floquet_operator(FAILURE_POINT)
     prop.phase2 = prop.phase2 * 1.001
-    with pytest.raises(NumericError, match=r"tolerance 1e-08\) for \(" + point_pattern(p)):
-        autocorrelator_series(prop, psi0, 30)
+    with pytest.raises(NumericError, match=r"tolerance 1e-08\) for \(" + point_pattern(FAILURE_POINT)):
+        autocorrelator_series(prop, z_product_state(bits, FAILURE_POINT.basis), 30)
 
 
-@pytest.mark.parametrize("path", ["fast", "general"])
-def test_magnitude_failure_names_point_and_tolerance(monkeypatch, path):
+@pytest.mark.parametrize("bits", ["1111"], ids=["fast"])
+def test_magnitude_failure_names_point_and_tolerance(monkeypatch, bits):
     # a negative tolerance makes |C(0)| = 1 a failure
     monkeypatch.setattr(observables, "MAGNITUDE_TOL", -0.5)
-    p, psi0 = path_case(path, "1111", L=4, omega=np.pi / 2, epsilon=0.2, v=0.1, f=0.02)
-    pattern = r"magnitude exceeded 1 by .* \(tolerance -5e-01\) for \(" + point_pattern(p)
+    pattern = r"magnitude exceeded 1 by .* \(tolerance -5e-01\) for \(" + point_pattern(FAILURE_POINT)
     with pytest.raises(NumericError, match=pattern + r".* at cycle \d+$"):
-        autocorrelator_series(floquet_operator(p), psi0, 30)
+        autocorrelator_series(floquet_operator(FAILURE_POINT), z_product_state(bits, FAILURE_POINT.basis), 30)
 
 
-def test_general_path_enforces_realness_contract():
+def test_general_path_enforces_realness_contract(monkeypatch):
     # a GHZ-like superposition genuinely produces a complex correlator
     # (Im C(1T) ~ 1e-6, verified against a brute-force operator product),
-    # which the realness invariant must reject rather than silently truncate
-    p = SimulationParams(L=4, omega=np.pi / 2, epsilon=0.2, v=0.1, f=0.02)
-    prop = floquet_operator(p)
+    # which a real C(n) series could only truncate: it is refused
+    prop = floquet_operator(FAILURE_POINT)
     a = 1 / np.sqrt(2)
     amps = np.zeros(16, dtype=complex)
     amps[0b1111] = a
     amps[0b0000] = a
-    psi0 = StateVector(amps, p.basis)
-    pattern = r"imaginary part .* \(tolerance 1e-10\) for \(" + point_pattern(p) + r".* at cycle 1$"
-    with pytest.raises(NumericError, match=pattern):
-        autocorrelator_series(prop, psi0, 30)
+    psi0 = StateVector(amps, FAILURE_POINT.basis)
+    refuses_before_assembly(monkeypatch, prop, psi0)
     assert abs(coevolution_series(prop, psi0, 1)[1].imag) > 1e-10
 
 
