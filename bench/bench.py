@@ -39,6 +39,8 @@ KNOWN_DEFECTS = [
     "trace.overhead_s can be negative",
     "floquet.u1_from_eigensystem.s reads 0 for overlaps_l12: X formation assembles its block rows "
     "through floquet._block_rows, which no tracer binding wraps",
+    "hamiltonian.build_h1.* reads 0: stage 1 builds its sector blocks straight from the reflection "
+    "orbits (floquet._sector_h1) and no longer calls build_h1",
 ]
 
 

@@ -14,13 +14,14 @@ Schema (defaults in parentheses):
         L (required; 1 .. 14, also on an L axis), T1 (1), T2 (10), kernel ("NN")
         Omega | OmegaT1 ("pi/2"), epsilon | epsT1 (0),
         V | VT1 | VT2 (0), F | FT2 (0)
-    initial_state: bit string, or [[index, re, im], ...]  (all ones); series,
-        spectrum and lifetime take a list only when it holds one basis state
+    initial_state: bit string, or [[index, re, im], ...]  (all ones); sweep
+        takes no list, and series, spectrum and lifetime one basis state only
     n_cycles (100; even for spectrum and a_pi), n_max (5000; >= 2 for lifetime)
     sweep: {axes: [{name, values | start/stop/step | start/stop/num}],
             observable, grid_cap (10000; also caps each range before it is
-            built), initial_state (all_ones)}
-    figure: fig2 | fig3a | fig3b | fig3c | fig3d | fig4a | fig4b | fig5
+            built), initial_state (all_ones)}  (sweep only)
+    figure: fig2 | fig3a | fig3b | fig3c | fig3d | fig4a | fig4b | fig5  (figure only)
+    output: {format: csv | json}  (csv)
 """
 
 from __future__ import annotations
@@ -284,6 +285,9 @@ def parse_config(source: str) -> RunConfig:
     figure = data.get("figure")
     if command == "figure" and not figure:
         raise ConfigError("figure: required when command is 'figure'")
+    for key in ("figure", "sweep"):
+        if key in data and command != key:
+            raise ConfigError(f"{key}: only the {key!r} command takes it, not {command!r}")
 
     params = None
     if "params" in data:
@@ -318,8 +322,8 @@ def parse_config(source: str) -> RunConfig:
         raise ConfigError(f"n_max: lifetime needs at least 2 cycles, got {n_max}")
 
     output = data.get("output", {})
-    if not isinstance(output, dict):
-        raise ConfigError("output: expected an object")
+    if not isinstance(output, dict) or set(output) - {"format"}:
+        raise ConfigError(f"output: expected an object whose only key is 'format', got {output!r}")
     out_format = output.get("format", "csv")
     if out_format not in ("csv", "json"):
         raise ConfigError(f"output.format: expected 'csv' or 'json', got {out_format!r}")
@@ -328,6 +332,8 @@ def parse_config(source: str) -> RunConfig:
     if command == "sweep":
         if "sweep" not in data:
             raise ConfigError("sweep: required when command is 'sweep'")
+        if isinstance(initial_state, list):
+            raise ConfigError("initial_state: sweeps take bit strings (sweep.initial_state)")
         defaults = {"n_cycles": n_cycles, "n_max": n_max}
         if isinstance(initial_state, str):
             defaults["initial_state"] = initial_state

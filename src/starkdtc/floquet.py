@@ -6,16 +6,15 @@ splits into an even and an odd reflection sector of about half the
 dimension each.  Internally the basis is kept in reflection-orbit order
 (fixed states, then the lower and the upper member of each pair), where the
 transform into sector components is slice arithmetic on contiguous rows.
-`stage1_unitary` permutes H1 into that order once, projects it onto both
-sectors and diagonalizes each real symmetric projection; U1 is kept as the
-two eigensystems, W exp(-i theta) W^T per sector with W real orthogonal
-(`SectorUnitary`), after W is checked for orthogonality.  The per-cycle
-evolution assembles the two complex blocks once per run
-(`SectorUnitary.assemble`): on narrow blocks one zgemm per sector is
-faster than the two real products of the eigensystem form.  U2 =
-exp(-i H2 T2) is diagonal and kept as a phase vector Phi; the Stark ramp
-breaks the reflection, so one period is a sector product with U1 followed
-by a row scaling.
+`stage1_unitary` builds each sector's projection of H1 straight from the
+orbits and diagonalizes it; U1 is kept as the two eigensystems, W exp(-i
+theta) W^T per sector with W real orthogonal (`SectorUnitary`), after W is
+checked for orthogonality.  The per-cycle evolution assembles the two
+complex blocks once per run (`SectorUnitary.assemble`): on narrow blocks
+one zgemm per sector is faster than the two real products of the
+eigensystem form.  U2 = exp(-i H2 T2) is diagonal and kept as a phase
+vector Phi; the Stark ramp breaks the reflection, so one period is a
+sector product with U1 followed by a row scaling.
 
 The quasi-spectrum exploits the two-stage structure: with D^1/2 =
 exp(-i H2 T2 / 2), conjugating U_F gives the complex symmetric unitary
@@ -44,7 +43,8 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import NumericError, ResourceLimitError
-from .hamiltonian import SimulationParams, build_h1, build_h2_diagonal
+# build_h1 is unused here; the benchmark tracer's H1 span binds to this name
+from .hamiltonian import SimulationParams, build_h1, build_h2_diagonal, interaction_diagonal  # noqa: F401
 from .hilbert import StateVector
 
 UNITARITY_TOL = 1e-10
@@ -83,11 +83,10 @@ SQRT_HALF = math.sqrt(0.5)
 QUASI_SPECTRUM_BYTES_PER_4L = 16
 QUASI_SPECTRUM_PANEL_BYTES = 56
 QUASI_SPECTRUM_BASE_BYTES = 52 << 20
-# peak memory of stage 1 and an evolution above the process baseline: the
-# dense H1 and its orbit-ordered copy take 8 bytes per 4^L each, and the
-# evolution's assembly about as much (the sector eigensystems 4, the
-# assembled blocks 8, a scaled copy of W and a work buffer 2 each);
-# measured 22 / 71 / 266 MiB for `series` at L=10 / 11 / 12
+# peak memory of stage 1 and an evolution above the process baseline, set by
+# the evolution's assembly: the sector eigensystems 4 bytes per 4^L, the
+# blocks 8, a scaled copy of W and a work buffer 2 each (stage 1 alone: 197
+# MiB at L=12); measured 21.5 / 71.6 / 265.6 MiB for `series` at L=10/11/12
 STAGE1_BYTES_PER_4L = 16
 STAGE1_BASE_BYTES = 24 << 20
 
@@ -160,7 +159,7 @@ def _mapped(count: int, dtype=float) -> np.ndarray:
     """np.empty(count, dtype) in a private anonymous memory mapping of its
     own, returned to the system when the array is released.  glibc serves
     requests below its mmap threshold from the heap, and that threshold
-    rises to 32 MiB once stage 1 frees its odd sector projection; the
+    rises to 32 MiB once stage 1 frees its odd sector block; the
     heap's freed top then stays resident, so a phase's buffers would count
     towards the next phase's peak.  Huge pages are asked for, as numpy
     asks for them on its own large arrays."""
@@ -200,32 +199,32 @@ def _merge(even: np.ndarray, odd: np.ndarray, n_fixed: int, out: np.ndarray) -> 
     return out
 
 
-def _project(h: np.ndarray, n_fixed: int):
-    """Even and odd sector blocks of a real symmetric matrix h in orbit
-    order, from contiguous blocks; the same bits as `_split` on the rows of
-    h and then on the columns, without the intermediate sector rows.  With
-    s = 1/sqrt 2: even = [[h_ff, s (h_fl + h_fh)], [s (h_lf + h_hf),
-    s (s (h_ll + h_lh) + s (h_hl + h_hh))]] and odd = s (s (h_ll - h_lh) -
-    s (h_hl - h_hh))."""
-    n_pairs = (h.shape[0] - n_fixed) // 2
-    f, lo, hi = slice(0, n_fixed), slice(n_fixed, n_fixed + n_pairs), slice(n_fixed + n_pairs, None)
-    even = np.empty((n_fixed + n_pairs,) * 2)
-    odd = np.empty((n_pairs,) * 2)
-    even[f, f] = h[f, f]
-    for out, a, b in ((even[f, n_fixed:], h[f, lo], h[f, hi]), (even[n_fixed:, f], h[lo, f], h[hi, f])):
-        np.add(a, b, out=out)
-        out *= SQRT_HALF
-    # the upper term is formed in the output block itself, the lower in one
-    # work block shared by both sectors
-    lower = np.empty_like(odd)
-    for out, op in ((even[n_fixed:, n_fixed:], np.add), (odd, np.subtract)):
-        op(h[lo, lo], h[lo, hi], out=out)
-        out *= SQRT_HALF
-        op(h[hi, lo], h[hi, hi], out=lower)
-        lower *= SQRT_HALF
-        op(out, lower, out=out)
-        out *= SQRT_HALF
-    return even, odd
+def _sector_h1(params: SimulationParams, sector: str) -> np.ndarray:
+    """H1 projected onto the "even" or "odd" reflection sector, scattered
+    straight from the z-basis: each state goes to its orbit's block row
+    with its weight in the sector's basis vector (1 fixed, even sector
+    only; 1/sqrt 2 paired, -1/sqrt 2 for the upper member in the odd
+    sector), and `np.add.at` sums (h_b'b w_b) w_b' over the interaction
+    diagonal and the L 2^L single-bit flips (Omega + epsilon) that stay in
+    the sector.  No entry gets more than two terms, so with a reflection-
+    symmetric diagonal (to the bit with NN) the block has the bits of the
+    orbit-ordered dense H1 projected slice by slice."""
+    fixed, lo, hi = params.basis.reflection_orbits()
+    even = sector == "even"
+    nf = fixed.size if even else 0
+    slot, weight = np.full(params.dimension, -1), np.zeros(params.dimension)
+    if even:
+        slot[fixed], weight[fixed] = np.arange(nf), 1.0
+    slot[lo] = slot[hi] = nf + np.arange(lo.size)
+    weight[lo], weight[hi] = SQRT_HALF, SQRT_HALF if even else -SQRT_HALF
+    states = np.flatnonzero(slot >= 0)
+    block = np.zeros((nf + lo.size,) * 2)
+    np.add.at(block, (slot[states],) * 2, interaction_diagonal(params)[states] * weight[states] * weight[states])
+    flipped = states ^ (1 << np.arange(params.L))[:, None]
+    inside = slot[flipped] >= 0
+    ends, starts = flipped[inside], np.broadcast_to(states, flipped.shape)[inside]
+    np.add.at(block, (slot[ends], slot[starts]), (params.omega + params.epsilon) * weight[starts] * weight[ends])
+    return block
 
 
 class SectorUnitary:
@@ -394,31 +393,23 @@ def stage1_unitary(params: SimulationParams) -> SectorUnitary:
     """U1 = exp(-i H1 T1) of one parameter point, as its two sector
     eigensystems.
 
-    H1 is permuted into reflection-orbit order once and projected onto the
-    even and odd reflection sectors (`_project`); each real symmetric
-    projection is diagonalized, and its eigenvectors W are checked for
-    orthogonality (`unitarity_deviation`: the whole W^T W - I up to
-    dimension 1024, 16 sampled rows above).  U1 = W exp(-i theta) W^T
-    deviates from unitarity only as far as W from orthogonality, so no
-    block is assembled for the check, and the sector transform is
-    orthogonal, so the two checks together check U1.  No projection
-    outlives its diagonalization, so the peak is the dense H1 beside its
-    orbit-ordered copy (`stage1_bytes`); the result holds dim^2 / 2
+    Each sector's projection of H1 (`_sector_h1`) is diagonalized and
+    released in turn, and its eigenvectors W are checked for orthogonality
+    (`unitarity_deviation`: the whole W^T W - I up to dimension 1024, 16
+    sampled rows above).  U1 = W exp(-i theta) W^T deviates from unitarity
+    only as far as W from orthogonality, so no block is assembled for the
+    check, and the sector transform is orthogonal, so the two checks
+    together check U1.  The peak is the even sector's eigh (its block,
+    LAPACK's copy, workspace and eigenvectors); the result holds dim^2 / 2
     doubles.
     """
-    fixed, lo, hi = params.basis.reflection_orbits()
-    order = np.concatenate((fixed, lo, hi))
-    projections = list(_project(build_h1(params)[np.ix_(order, order)], fixed.size))
     sectors = []
     for name in ("even", "odd"):
-        # each projection is released once diagonalized
-        h = projections.pop(0)
-        eigs, vecs = np.linalg.eigh(h)
-        del h
+        eigs, vecs = np.linalg.eigh(_sector_h1(params, name))
         if vecs.size:
             _check_unitarity(unitarity_deviation(vecs), params, name, "in its eigenvectors")
         sectors.append((eigs * params.t1, vecs))
-    return SectorUnitary(*sectors, fixed, lo, hi)
+    return SectorUnitary(*sectors, *params.basis.reflection_orbits())
 
 
 class FloquetPropagator:

@@ -11,8 +11,9 @@ and stage 2 applies the interaction together with a linear Stark potential,
 
 H_int is the pairwise van der Waals interaction sum_{i<j} V / |i-j|^6 n_i n_j
 restricted by the chosen kernel: NN keeps |i-j| < 2, NNN < 3, NNNN < 4 and ALL
-keeps every pair.  H2 is diagonal in the z-basis and is kept as a vector; H1
-is a dense real symmetric matrix.  `SimulationParams` caps the chain at
+keeps every pair.  H2 is diagonal in the z-basis and is kept as a vector;
+stage 1 scatters H1 into its reflection sectors, and `build_h1`, the dense
+H1, is the tests' reference.  `SimulationParams` caps the chain at
 `MAX_DENSE_SITES` sites, so every builder here gets a size it can store.
 """
 

@@ -12,6 +12,7 @@ import pytest
 
 import starkdtc.figures as figures_module
 import starkdtc.floquet as floquet_module
+import starkdtc.hamiltonian as hamiltonian_module
 import starkdtc.observables as observables_module
 import starkdtc.sweep as sweep_module
 from starkdtc import SimulationParams, autocorrelator_series, z_product_state
@@ -303,6 +304,23 @@ def test_fig2_assembles_u1_once(tmp_path, monkeypatch):
         assert [[float(n), float(c)] for n, c in rows] == [[float(n), c] for n, c in expected]
 
 
+def test_no_command_builds_the_dense_h1(tmp_path, monkeypatch):
+    # stage 1 scatters H1 straight into its reflection sectors; the dense
+    # builder is the tests' reference only
+    def no_dense_h1(params):
+        raise AssertionError("the dense H1 was built")
+
+    monkeypatch.setattr(floquet_module, "build_h1", no_dense_h1)
+    monkeypatch.setattr(hamiltonian_module, "build_h1", no_dense_h1)
+    params = {"L": 6, "OmegaT1": "pi/2", "epsT1": 0.1, "VT1": 0.2, "FT2": 0.2}
+    sweep = {"axes": [{"name": "F_T2", "values": [0.0, 0.1]}], "observable": "a_pi"}
+    for data in ({"command": "series", "params": params, "n_cycles": 20},
+                 {"command": "overlaps", "params": params},
+                 {"command": "sweep", "params": params, "sweep": sweep, "n_cycles": 20}):
+        out = tmp_path / data["command"]
+        assert main(["--config", str(write_config(tmp_path, data)), "--out", str(out)]) == 0
+
+
 def test_figure_manifest_states_what_ran(tmp_path):
     # the sweep sidecars record the grids that ran; the manifest must match them
     entry_keys = {"kernel": "kernels", "initial_state": "initial_states"}
@@ -342,11 +360,18 @@ def sweep_config(**fields):
         (["--figure", "fig3d", "--format", "json"], None),
         ([], sweep_config(initial_state="10x")),
         ([], sweep_config(initial_state="101")),
+        ([], {**SWEEP_CONFIG, "params": {"L": 2}, "initial_state": [[1, 1.0, 0.0]]}),
+        ([], {**SWEEP_CONFIG, "output": {"format": "csv", "extra": 1}}),
+        ([], dict(SERIES_CONFIG, output={"format": "json", "extra": 1})),
+        ([], dict(SERIES_CONFIG, figure="fig2")),
+        ([], dict(SERIES_CONFIG, sweep=SWEEP_CONFIG["sweep"])),
     ],
 )
 def test_malformed_runs_exit_2_without_writing(tmp_path, monkeypatch, capsys, flags, data):
-    # non-integer counts would be truncated, sweep and figure write CSV only, and a
-    # bad sweep initial state would fail every point
+    # non-integer counts would be truncated, sweep and figure write CSV only, a
+    # bad sweep initial state would fail every point, and an amplitude list on
+    # a sweep, an unknown output key and another command's section would be
+    # silently ignored
     def no_stage1(params):
         raise AssertionError("stage 1 computed before the config was rejected")
 

@@ -188,6 +188,34 @@ def test_parse_sweep_rejects_bad_initial_state():
     assert parse_config(sweep_cfg(f_axis, initial_state="101")).sweep.initial_state == "101"
 
 
+def test_sweep_refuses_an_amplitude_list_initial_state():
+    # a sweep used to drop the list silently and run from the all-ones state
+    sweep = {"axes": [{"name": "F_T2", "values": [0.0, 0.1]}], "observable": "a_pi"}
+    data = {"command": "sweep", "params": {"L": 2}, "sweep": sweep, "initial_state": [[1, 1.0, 0.0]]}
+    with pytest.raises(ConfigError, match=r"initial_state: sweeps take bit strings \(sweep\.initial_state\)"):
+        parse_config(json.dumps(data))
+    assert parse_config(json.dumps(dict(data, initial_state="10"))).sweep.initial_state == "10"
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (make_config(output={"format": "json", "extra": 1}),
+         "output: expected an object whose only key is 'format'"),
+        (make_config(figure="fig2"), "figure: only the 'figure' command takes it, not 'series'"),
+        (make_config(sweep={"axes": [{"name": "F_T2", "values": [0.0]}], "observable": "a_pi"}),
+         "sweep: only the 'sweep' command takes it, not 'series'"),
+        (json.dumps({"command": "figure", "figure": "fig2", "sweep": {}}),
+         "sweep: only the 'sweep' command takes it, not 'figure'"),
+    ],
+    ids=["output_extra_key", "figure_on_series", "sweep_on_series", "sweep_on_figure"],
+)
+def test_parse_config_refuses_sections_that_would_be_ignored(data, message):
+    # each used to exit 0 with the value silently ignored
+    with pytest.raises(ConfigError, match=message):
+        parse_config(data)
+
+
 def test_parse_config_sweep_axis_errors():
     base = {"command": "sweep", "params": {"L": 3}}
 

@@ -379,8 +379,9 @@ def bits(a):
 
 
 def two_temporary_projection(h, n_fixed):
-    """`_project` as first written, with both halves of each paired block
-    as separate temporaries."""
+    """Even and odd sector blocks of a real symmetric matrix h in orbit
+    order, each paired block summed from its lo and hi halves, as separate
+    temporaries."""
     s = floquet.SQRT_HALF
     n_pairs = (h.shape[0] - n_fixed) // 2
     f, lo, hi = slice(0, n_fixed), slice(n_fixed, n_fixed + n_pairs), slice(n_fixed + n_pairs, None)
@@ -392,6 +393,30 @@ def two_temporary_projection(h, n_fixed):
     for out, op in ((even[n_fixed:, n_fixed:], np.add), (odd, np.subtract)):
         out[...] = op(op(h[lo, lo], h[lo, hi]) * s, op(h[hi, lo], h[hi, hi]) * s) * s
     return even, odd
+
+
+@pytest.mark.parametrize("kernel", ["NN", "NNN", "NNNN", "ALL"])
+def test_sector_blocks_equal_the_projection_of_the_dense_h1(kernel):
+    # stage 1 scatters H1 straight into each reflection sector; the reference
+    # is the dense H1 permuted into orbit order and projected.  With NN the
+    # interaction diagonal is reflection symmetric to the bit and the blocks
+    # keep every bit; longer-range kernels sum the diagonal in site order,
+    # so a state and its mirror image can differ by rounding
+    rng = np.random.default_rng(25)
+    for L in range(1, 11):
+        draws = [(np.pi / 2, 0.3, 0.7)] + [tuple(rng.uniform((-3, -1, -2), (3, 1, 2))) for _ in range(2)]
+        for omega, epsilon, v in draws:
+            p = SimulationParams(L=L, omega=omega, epsilon=epsilon, v=v, kernel=kernel)
+            fixed, lo, hi = p.basis.reflection_orbits()
+            order = np.concatenate((fixed, lo, hi))
+            h = build_h1(p)[np.ix_(order, order)]
+            for sector, expected in zip(("even", "odd"), two_temporary_projection(h, fixed.size)):
+                block = floquet._sector_h1(p, sector)
+                assert block.shape == expected.shape
+                if kernel == "NN":
+                    assert np.array_equal(bits(block), bits(expected)), (L, sector)
+                else:
+                    assert np.max(np.abs(block - expected), initial=0.0) <= 1e-15 * np.max(np.abs(h))
 
 
 @settings(max_examples=40, deadline=None)
@@ -407,12 +432,8 @@ def test_stage1_steps_keep_the_bits_of_their_temporary_forms(L, kernel, omega, e
     # stage 1 writes its products through one work buffer and subtracts the
     # identity in place; every bit must equal the forms with temporaries
     p = SimulationParams(L=L, omega=omega, epsilon=epsilon, v=v, kernel=kernel, t1=t1)
-    fixed, lo, hi = p.basis.reflection_orbits()
-    order = np.concatenate((fixed, lo, hi))
-    h = build_h1(p)[np.ix_(order, order)]
-    projections = floquet._project(h, fixed.size)
-    for h_sector, expected in zip(projections, two_temporary_projection(h, fixed.size)):
-        assert np.array_equal(bits(h_sector), bits(expected))
+    sector_h1 = [floquet._sector_h1(p, sector) for sector in ("even", "odd")]
+    for h_sector in sector_h1:
         if h_sector.size == 0:
             continue
         eigs, vecs = np.linalg.eigh(h_sector)
@@ -425,9 +446,9 @@ def test_stage1_steps_keep_the_bits_of_their_temporary_forms(L, kernel, omega, e
         assert unitarity_deviation(block) == float(np.max(np.abs(block.conj().T @ block - eye)))
         assert unitarity_deviation(vecs) == float(np.max(np.abs(vecs.T @ vecs - eye)))
     # the evolution's blocks, assembled from the stored eigensystems, have
-    # the bits of the blocks stage 1 assembled from its projections
+    # the bits of the blocks assembled from the sector projections
     blocks = floquet.stage1_unitary(p).assemble(p)
-    for block, h_sector in zip((blocks.even, blocks.odd), projections):
+    for block, h_sector in zip((blocks.even, blocks.odd), sector_h1):
         eigs, vecs = np.linalg.eigh(h_sector)
         theta = eigs * t1
         expected = (vecs * np.cos(theta)) @ vecs.T - 1j * ((vecs * np.sin(theta)) @ vecs.T)
