@@ -7,9 +7,10 @@ For each workload of `perfbench/run.py` it makes --seeds runs at --trace 0
 and one run at --trace 1 (the per-layer view).  It also times each
 `--figure` id and the tier-1 suite, each in a fresh process.  The file
 holds the record and result lines of every run verbatim, the src line
-count and the per-layer view's known defects, and is strict JSON (no NaN
-or Infinity).  It is written to the root of the checkout; the run that
-wrote BENCH_22.json took 8 minutes on 2 vCPUs.  Compare numbers across files as a trajectory only:
+count, the number of exported names (`starkdtc.__all__`) and the per-layer
+view's known defects, and is strict JSON (no NaN or Infinity).  It is
+written to the root of the checkout; the run that wrote BENCH_22.json took
+8 minutes on 2 vCPUs.  Compare numbers across files as a trajectory only:
 a claim still needs alternating runs from one session.
 """
 
@@ -116,10 +117,12 @@ def main(argv=None) -> int:
         workloads[workload] = workload_view(workload, seeds, args.seconds, env)
         print(f"bench: {workload} done", file=sys.stderr)
     machine = strict(workloads[WORKLOADS[0]]["runs"][0]["record_line"])["record"]
+    exported, _, _ = run(["-c", "import starkdtc; print(len(starkdtc.__all__))"], env)
     payload = {
         "pr": args.pr,
         "machine": machine,
         "src_lines": machine["src_lines"],
+        "exported_names": int(exported[-1]),
         "seeds": seeds,
         "seconds": args.seconds,
         "workloads": workloads,

@@ -1,9 +1,12 @@
 """Command-line entry point.
 
-Thin single-threaded dispatcher around the library: parse a JSON config,
-run one command (series, spectrum, overlaps, lifetime, sweep or figure) and
-write result tables with metadata sidecars.  Exit codes: 0 success, 2 config
-error, 3 numeric error.
+Thin single-threaded dispatcher around the library: run one JSON config
+(series, spectrum, overlaps, lifetime or sweep) or one preset figure
+(`--figure ID`, which takes no config) and write result tables with
+metadata sidecars.  `--format` picks csv or json for the point commands;
+sweeps and figures write CSV only.  Exit codes: 0 success, 2 config error
+or a resource the run cannot get (memory, an unwritable output file), 3
+numeric error.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Optional
 
 from .config import RunConfig, parse_config
 from .exceptions import ConfigError, NumericError, ResourceLimitError
@@ -30,36 +34,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", type=Path, help="path to a JSON run configuration")
     parser.add_argument("--out", type=Path, default=Path("."), help="output directory (default: .)")
-    parser.add_argument("--format", choices=("csv", "json"), help="override output format")
+    parser.add_argument("--format", choices=("csv", "json"), default="csv",
+                        help="table format of series, spectrum and overlaps (default: csv)")
     parser.add_argument(
         "--threads", type=int,
         help="accepted for compatibility; has no effect (runs use one thread, BLAS its own)",
     )
-    parser.add_argument("--figure", choices=FIGURE_IDS, help="emit a figure dataset (no config needed)")
+    parser.add_argument("--figure", choices=FIGURE_IDS, help="emit a figure dataset (takes no --config)")
     parser.add_argument("--resume", action="store_true", help="resume a sweep from its journal")
     return parser
 
 
-def _load_config(args) -> RunConfig:
-    if args.config is not None:
+def _load_config(args) -> Optional[RunConfig]:
+    """The run's config, or None for a --figure run."""
+    if args.figure is not None:
+        if args.config is not None:
+            raise ConfigError("--figure takes no --config")
+        cfg = None
+    elif args.config is not None:
         try:
             text = args.config.read_text(encoding="utf-8")
         except OSError as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}")
         cfg = parse_config(text)
-    elif args.figure is not None:
-        cfg = RunConfig(command="figure", figure=args.figure)
     else:
         raise ConfigError("either --config or --figure is required")
-    if args.figure is not None:
-        if cfg.command != "figure" and args.config is not None:
-            raise ConfigError("--figure conflicts with a non-figure config command")
-        cfg.command = "figure"
-        cfg.figure = args.figure
-    if args.format is not None:
-        cfg.out_format = args.format
-    if cfg.out_format == "json" and cfg.command in ("sweep", "figure"):
-        raise ConfigError(f"format 'json': the {cfg.command} command writes CSV only")
+    if args.format == "json" and (cfg is None or cfg.command == "sweep"):
+        raise ConfigError(f"--format json: {'--figure' if cfg is None else 'sweep'} writes CSV only")
     if args.threads is not None and args.threads < 1:
         raise ConfigError(f"--threads: expected a positive integer, got {args.threads}")
     return cfg
@@ -101,7 +102,7 @@ def _write_table(out_dir: Path, name: str, fmt: str, header, rows, metadata: dic
     return path
 
 
-def _run_point(cfg: RunConfig, psi0, out_dir: Path) -> list:
+def _run_point(cfg: RunConfig, psi0, out_dir: Path, fmt: str) -> list:
     """The series, spectrum, overlaps or lifetime table of one parameter point."""
     check_memory(cfg.params.L, quasi_spectrum=cfg.command == "overlaps")
     prop = floquet_operator(cfg.params)
@@ -129,7 +130,7 @@ def _run_point(cfg: RunConfig, psi0, out_dir: Path) -> list:
             spectral = fourier_spectrum(series)
             metadata["a_pi"] = spectral.a_pi
             header, rows = ["omega", "magnitude"], spectral.rows()
-    return [_write_table(out_dir, cfg.command, cfg.out_format, header, rows, metadata)]
+    return [_write_table(out_dir, cfg.command, fmt, header, rows, metadata)]
 
 
 def _run_sweep_command(cfg: RunConfig, out_dir: Path, resume: bool) -> list:
@@ -143,7 +144,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
-        psi0 = None if cfg.command in ("sweep", "figure") else _initial_state(cfg)
+        psi0 = None if cfg is None or cfg.command == "sweep" else _initial_state(cfg)
         out_dir = args.out
         _check_writable(out_dir)
     except (ConfigError, ValueError) as exc:
@@ -151,14 +152,20 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        if cfg.command == "figure":
-            files = figure_command(cfg.figure, out_dir)
+        if cfg is None:
+            files = figure_command(args.figure, out_dir)
         elif cfg.command == "sweep":
             files = _run_sweep_command(cfg, out_dir, args.resume)
         else:
-            files = _run_point(cfg, psi0, out_dir)
+            files = _run_point(cfg, psi0, out_dir, args.format)
     except (ConfigError, ResourceLimitError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # the message names the path
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's message names the allocation
+        print(f"memory error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)

@@ -9,19 +9,18 @@ machine precision.
 
 Schema (defaults in parentheses):
 
-    command: series | spectrum | overlaps | lifetime | sweep | figure
+    command: series | spectrum | overlaps | lifetime | sweep
     params:
         L (required; 1 .. 14, also on an L axis), T1 (1), T2 (10), kernel ("NN")
         Omega | OmegaT1 ("pi/2"), epsilon | epsT1 (0),
         V | VT1 | VT2 (0), F | FT2 (0)
-    initial_state: bit string, or [[index, re, im], ...]  (all ones); sweep
-        takes no list, and series, spectrum and lifetime one basis state only
+    initial_state: bit string, or [[index, re, im], ...]  (all ones); a sweep
+        takes a bit string or "all_ones" (any length when L is swept) and no
+        list, and series, spectrum and lifetime one basis state only
     n_cycles (100; even for spectrum and a_pi), n_max (5000; >= 2 for lifetime)
-    sweep: {axes: [{name, values | start/stop/step | start/stop/num}],
-            observable, grid_cap (10000; also caps each range before it is
-            built), initial_state (all_ones)}  (sweep only)
-    figure: fig2 | fig3a | fig3b | fig3c | fig3d | fig4a | fig4b | fig5  (figure only)
-    output: {format: csv | json}  (csv)
+    sweep: {axes: [{name, values}], observable, grid_cap (10000)}  (sweep only)
+
+Figures (--figure) and the output format (--format) are CLI flags only.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from .exceptions import ConfigError
 from .hamiltonian import KERNEL_VARIANTS, SimulationParams
 from .sweep import ALL_ONES, AXIS_NAMES, DEFAULT_GRID_CAP, OBSERVABLES, SweepAxis, SweepSpec
 
-COMMANDS = ("series", "spectrum", "overlaps", "lifetime", "sweep", "figure")
+COMMANDS = ("series", "spectrum", "overlaps", "lifetime", "sweep")
 
 _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 
@@ -97,13 +96,11 @@ class RunConfig:
     """Validated single-invocation configuration."""
 
     command: str
-    params: Optional[SimulationParams] = None
+    params: SimulationParams
     initial_state: Union[str, list, None] = None
     n_cycles: int = 100
     n_max: int = 5000
     sweep: Optional[SweepSpec] = None
-    figure: Optional[str] = None
-    out_format: str = "csv"
 
 
 def _resolve_rate(section: dict, path: str, raw_key: str, group_keys: dict, default: float) -> float:
@@ -157,54 +154,24 @@ def parse_params(section, path: str = "params") -> SimulationParams:
         raise ConfigError(f"{path}: {exc}")
 
 
-def _parse_axis(section, path: str, grid_cap: int) -> SweepAxis:
-    """One sweep axis; a range longer than `grid_cap` is refused before any
-    of its values is built."""
+def _parse_axis(section, path: str) -> SweepAxis:
     if not isinstance(section, dict):
         raise ConfigError(f"{path}: expected an object")
+    unknown = sorted(set(section) - {"name", "values"})
+    if unknown:
+        raise ConfigError(f"{path}: unknown keys {unknown}")
     name = section.get("name")
     if name not in AXIS_NAMES:
         raise ConfigError(f"{path}.name: expected one of {AXIS_NAMES}, got {name!r}")
-    numeric_axis = name not in ("kernel", "initial_state")
-    if "values" in section:
-        raw_values = section["values"]
-        if not isinstance(raw_values, list) or not raw_values:
-            raise ConfigError(f"{path}.values: expected a non-empty list")
-        if numeric_axis and name != "L":
-            values = tuple(parse_number(v, f"{path}.values") for v in raw_values)
-        elif name == "L":
-            values = tuple(_positive_int(v, f"{path}.values") for v in raw_values)
-        else:
-            values = tuple(raw_values)  # checked by SweepAxis
-    elif "start" in section and "stop" in section:
-        if not numeric_axis:
-            raise ConfigError(f"{path}: ranges are only valid for numeric axes")
-        start = parse_number(section["start"], f"{path}.start")
-        stop = parse_number(section["stop"], f"{path}.stop")
-        if not (math.isfinite(start) and math.isfinite(stop)):
-            raise ConfigError(f"{path}: a range needs finite bounds, got {start!r} to {stop!r}")
-        if "step" in section:
-            step = parse_number(section["step"], f"{path}.step")
-            if not math.isfinite(step) or step <= 0:
-                raise ConfigError(f"{path}.step: must be finite and positive, got {step!r}")
-            if stop < start:
-                raise ConfigError(f"{path}: a step range needs stop >= start, got {start!r} to {stop!r}")
-            steps = (stop - start) / step + 1e-9
-            if steps >= grid_cap:  # floor(steps) + 1 values
-                raise ConfigError(f"{path}: the range has more values than the grid cap of {grid_cap}")
-            count = int(math.floor(steps)) + 1
-            values = tuple(start + k * step for k in range(count))
-        elif "num" in section:
-            num = _positive_int(section["num"], f"{path}.num")
-            if num > grid_cap:
-                raise ConfigError(f"{path}: the range has more values than the grid cap of {grid_cap}")
-            values = tuple(
-                start + (stop - start) * k / (num - 1) if num > 1 else start for k in range(num)
-            )
-        else:
-            raise ConfigError(f"{path}: range needs either 'step' or 'num'")
+    raw_values = section.get("values")
+    if not isinstance(raw_values, list) or not raw_values:
+        raise ConfigError(f"{path}.values: expected a non-empty list")
+    if name == "L":
+        values = tuple(_positive_int(v, f"{path}.values") for v in raw_values)
+    elif name in ("kernel", "initial_state"):
+        values = tuple(raw_values)  # checked by SweepAxis
     else:
-        raise ConfigError(f"{path}: expected 'values' or a 'start'/'stop' range")
+        values = tuple(parse_number(v, f"{path}.values") for v in raw_values)
     try:
         return SweepAxis(name, values)
     except ValueError as exc:
@@ -222,44 +189,33 @@ def _check_sweep_bits(bits, length: Optional[int], path: str) -> None:
         raise ConfigError(f"{path}: {bits!r} is not a length-{length} bit string")
 
 
-def parse_sweep(section, base: SimulationParams, defaults: dict, path: str = "sweep") -> SweepSpec:
+def parse_sweep(section, base: SimulationParams, run: dict) -> SweepSpec:
+    """The sweep section over `base`; `run` holds the config's top-level
+    n_cycles, n_max and initial_state."""
     if not isinstance(section, dict):
-        raise ConfigError(f"{path}: expected an object")
-    unknown = sorted(set(section) - {"axes", "observable", "n_cycles", "n_max", "grid_cap", "initial_state"})
+        raise ConfigError("sweep: expected an object")
+    unknown = sorted(set(section) - {"axes", "observable", "grid_cap"})
     if unknown:
-        raise ConfigError(f"{path}: unknown keys {unknown}")
-    counts = {"n_cycles": defaults.get("n_cycles", 100), "n_max": defaults.get("n_max", 5000),
-              "grid_cap": DEFAULT_GRID_CAP}
-    for key in counts:
-        if key in section:
-            counts[key] = _positive_int(section[key], f"{path}.{key}")
+        raise ConfigError(f"sweep: unknown keys {unknown}")
+    grid_cap = _positive_int(section.get("grid_cap", DEFAULT_GRID_CAP), "sweep.grid_cap")
     axes_section = section.get("axes")
     if not isinstance(axes_section, list) or not axes_section:
-        raise ConfigError(f"{path}.axes: expected a non-empty list")
-    axes = tuple(
-        _parse_axis(axis, f"{path}.axes[{i}]", counts["grid_cap"]) for i, axis in enumerate(axes_section)
-    )
+        raise ConfigError("sweep.axes: expected a non-empty list")
+    axes = tuple(_parse_axis(axis, f"sweep.axes[{i}]") for i, axis in enumerate(axes_section))
     # checked here: a bad state would only fail each point, leaving a CSV of error markers
     length = None if any(axis.name == "L" for axis in axes) else base.L
-    if "initial_state" in section:
-        _check_sweep_bits(section["initial_state"], length, f"{path}.initial_state")
+    _check_sweep_bits(run["initial_state"], length, "initial_state")
     for i, axis in enumerate(axes):
         if axis.name == "initial_state":
             for bits in axis.values:
-                _check_sweep_bits(bits, length, f"{path}.axes[{i}].values")
+                _check_sweep_bits(bits, length, f"sweep.axes[{i}].values")
     observable = section.get("observable")
     if observable not in OBSERVABLES:
-        raise ConfigError(f"{path}.observable: expected one of {OBSERVABLES}, got {observable!r}")
+        raise ConfigError(f"sweep.observable: expected one of {OBSERVABLES}, got {observable!r}")
     try:
-        return SweepSpec(
-            axes=axes,
-            base=base,
-            observable=observable,
-            initial_state=section.get("initial_state", defaults.get("initial_state", ALL_ONES)),
-            **counts,
-        )
+        return SweepSpec(axes=axes, base=base, observable=observable, grid_cap=grid_cap, **run)
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}")
+        raise ConfigError(f"sweep: {exc}")
 
 
 def parse_config(source: str) -> RunConfig:
@@ -270,44 +226,18 @@ def parse_config(source: str) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise ConfigError("config: expected a JSON object at top level")
-    known = {
-        "command", "params", "initial_state", "n_cycles", "n_max",
-        "sweep", "figure", "output",
-    }
-    unknown = sorted(set(data) - known)
+    unknown = sorted(set(data) - {"command", "params", "initial_state", "n_cycles", "n_max", "sweep"})
     if unknown:
         raise ConfigError(f"config: unknown keys {unknown}")
 
     command = data.get("command")
     if command not in COMMANDS:
         raise ConfigError(f"command: expected one of {COMMANDS}, got {command!r}")
-
-    figure = data.get("figure")
-    if command == "figure" and not figure:
-        raise ConfigError("figure: required when command is 'figure'")
-    for key in ("figure", "sweep"):
-        if key in data and command != key:
-            raise ConfigError(f"{key}: only the {key!r} command takes it, not {command!r}")
-
-    params = None
-    if "params" in data:
-        params = parse_params(data["params"])
-    elif command != "figure":
+    if "sweep" in data and command != "sweep":
+        raise ConfigError(f"sweep: only the 'sweep' command takes it, not {command!r}")
+    if "params" not in data:
         raise ConfigError(f"params: required for command {command!r}")
-
-    initial_state = data.get("initial_state")
-    if initial_state is not None:
-        if isinstance(initial_state, str):
-            if params and (len(initial_state) != params.L or any(c not in "01" for c in initial_state)):
-                raise ConfigError(
-                    f"initial_state: {initial_state!r} is not a length-{params.L} bit string"
-                )
-        elif isinstance(initial_state, list):
-            for i, entry in enumerate(initial_state):
-                if not isinstance(entry, list) or len(entry) != 3:
-                    raise ConfigError(f"initial_state[{i}]: expected [index, real, imag]")
-        else:
-            raise ConfigError("initial_state: expected a bit string or amplitude triples")
+    params = parse_params(data["params"])
 
     n_cycles = data.get("n_cycles", 100)
     n_max = data.get("n_max", 5000)
@@ -321,31 +251,23 @@ def parse_config(source: str) -> RunConfig:
     if command == "lifetime" and n_max < 2:
         raise ConfigError(f"n_max: lifetime needs at least 2 cycles, got {n_max}")
 
-    output = data.get("output", {})
-    if not isinstance(output, dict) or set(output) - {"format"}:
-        raise ConfigError(f"output: expected an object whose only key is 'format', got {output!r}")
-    out_format = output.get("format", "csv")
-    if out_format not in ("csv", "json"):
-        raise ConfigError(f"output.format: expected 'csv' or 'json', got {out_format!r}")
-
-    sweep_spec = None
+    initial_state = data.get("initial_state")
     if command == "sweep":
         if "sweep" not in data:
             raise ConfigError("sweep: required when command is 'sweep'")
         if isinstance(initial_state, list):
-            raise ConfigError("initial_state: sweeps take bit strings (sweep.initial_state)")
-        defaults = {"n_cycles": n_cycles, "n_max": n_max}
-        if isinstance(initial_state, str):
-            defaults["initial_state"] = initial_state
-        sweep_spec = parse_sweep(data["sweep"], params, defaults)
-
-    return RunConfig(
-        command=command,
-        params=params,
-        initial_state=initial_state,
-        n_cycles=n_cycles,
-        n_max=n_max,
-        sweep=sweep_spec,
-        figure=figure,
-        out_format=out_format,
-    )
+            raise ConfigError("initial_state: sweeps take bit strings")
+        run = {"n_cycles": n_cycles, "n_max": n_max,
+               "initial_state": ALL_ONES if initial_state is None else initial_state}
+        return RunConfig(command, params, initial_state, n_cycles, n_max,
+                         sweep=parse_sweep(data["sweep"], params, run))
+    if isinstance(initial_state, str):
+        if len(initial_state) != params.L or any(c not in "01" for c in initial_state):
+            raise ConfigError(f"initial_state: {initial_state!r} is not a length-{params.L} bit string")
+    elif isinstance(initial_state, list):
+        for i, entry in enumerate(initial_state):
+            if not isinstance(entry, list) or len(entry) != 3:
+                raise ConfigError(f"initial_state[{i}]: expected [index, real, imag]")
+    elif initial_state is not None:
+        raise ConfigError("initial_state: expected a bit string or amplitude triples")
+    return RunConfig(command, params, initial_state, n_cycles, n_max)

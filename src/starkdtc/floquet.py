@@ -568,12 +568,9 @@ def quasi_spectrum(prop: FloquetPropagator) -> QuasiSpectrum:
             f"quasi-spectrum at ({point}): eigenpair residual {residual:.2e} exceeds "
             f"tolerance {RESIDUAL_TOL:.0e}"
         )
-    # orthonormality on a sample of Gram rows (exact by construction up to
+    # orthonormality on 16 sampled Gram rows (exact by construction up to
     # roundoff); |D^1/2| = 1, so the eigenstates' Gram matrix is V's
-    sample = np.linspace(0, dim - 1, min(dim, 16)).astype(int)
-    gram_rows = vectors[:, sample].T @ vectors
-    gram_rows[np.arange(sample.size), sample] -= 1.0
-    dev = np.max(np.abs(gram_rows))
+    dev = unitarity_deviation(vectors, full_dim=0)
     if dev > RESIDUAL_TOL:
         raise NumericError(
             f"quasi-spectrum at ({point}): eigenbasis deviates from orthonormal by {dev:.2e}, "

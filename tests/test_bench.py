@@ -34,6 +34,7 @@ def test_latest_bench_file_is_strict_and_complete():
     for key in ("nproc", "cpu_model", "blas", "numpy", "scipy", "git_commit", "src_sha256"):
         assert key in machine, key
     assert data["src_lines"] == machine["src_lines"] > 0
+    assert type(data["exported_names"]) is int and data["exported_names"] > 0
     assert data["known_defects"]
     for name, view in data["workloads"].items():
         assert set(view["end_to_end"]) == END_TO_END, name

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,8 @@ from starkdtc.cli import _initial_state
 from starkdtc.config import parse_number, parse_params
 from starkdtc.hamiltonian import KERNEL_VARIANTS
 from starkdtc.output import params_metadata
-from starkdtc.sweep import SweepAxis
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_parse_number_symbolic():
@@ -81,8 +84,8 @@ def test_parse_config_minimal_series():
     assert cfg.params.L == 3
     assert cfg.n_cycles == 10
     assert cfg.initial_state is None and _initial_state(cfg).label == "111"  # all ones
-    assert cfg.out_format == "csv"
-    assert not hasattr(cfg, "threads")  # --threads is a CLI flag only
+    for flag in ("threads", "out_format", "figure"):  # --threads, --format, --figure
+        assert not hasattr(cfg, flag)
 
 
 @settings(max_examples=100, deadline=None)
@@ -149,36 +152,40 @@ def test_parse_config_sweep():
         "params": {"L": 3, "VT1": 0.1},
         "sweep": {
             "axes": [
-                {"name": "epsilon", "start": 0.0, "stop": 0.2, "step": 0.1},
+                {"name": "epsilon", "values": [0.0, 0.1, 0.2]},
                 {"name": "F_T2", "values": [0.0, "pi/10"]},
             ],
             "observable": "a_pi",
-            "n_cycles": 10,
         },
+        "n_cycles": 10,
+        "n_max": 7,
     }
     cfg = parse_config(json.dumps(data))
     assert cfg.sweep is not None
     assert cfg.sweep.axes[0].values == (0.0, 0.1, 0.2)
     assert cfg.sweep.axes[1].values[1] == pytest.approx(math.pi / 10)
     assert cfg.sweep.observable == "a_pi"
-    assert cfg.sweep.n_cycles == 10
+    assert (cfg.sweep.n_cycles, cfg.sweep.n_max, cfg.sweep.initial_state) == (10, 7, "all_ones")
+    data["sweep"]["grid_cap"] = 5  # the grid holds 6 points
+    with pytest.raises(ConfigError, match="sweep: grid of 6 points exceeds the cap of 5"):
+        parse_config(json.dumps(data))
 
 
 def test_parse_sweep_rejects_bad_initial_state():
     # a bad state used to fail every point and still exit 0
     def sweep_cfg(axes, **fields):
-        sweep = {"axes": axes, "observable": "a_pi", **fields}
-        return json.dumps({"command": "sweep", "params": {"L": 3}, "sweep": sweep})
+        sweep = {"axes": axes, "observable": "a_pi"}
+        return json.dumps({"command": "sweep", "params": {"L": 3}, "sweep": sweep, **fields})
 
     f_axis = [{"name": "F_T2", "values": [0.0]}]
     l_axis = [{"name": "L", "values": [2, 3]}]
-    with pytest.raises(ConfigError, match=r"sweep\.initial_state: expected a bit string"):
+    with pytest.raises(ConfigError, match=r"^initial_state: expected a bit string"):
         parse_config(sweep_cfg(f_axis, initial_state="10x"))
-    with pytest.raises(ConfigError, match=r"sweep\.initial_state: expected a bit string"):
-        parse_config(sweep_cfg(f_axis, initial_state=[1, 0, 1]))
-    with pytest.raises(ConfigError, match=r"sweep\.initial_state: '10' is not a length-3"):
+    with pytest.raises(ConfigError, match=r"^initial_state: expected a bit string"):
+        parse_config(sweep_cfg(f_axis, initial_state=101))
+    with pytest.raises(ConfigError, match=r"^initial_state: '10' is not a length-3"):
         parse_config(sweep_cfg(f_axis, initial_state="10"))
-    with pytest.raises(ConfigError, match=r"sweep\.initial_state: expected a bit string"):
+    with pytest.raises(ConfigError, match=r"^initial_state: expected a bit string"):
         parse_config(sweep_cfg(l_axis, initial_state="1x"))
     with pytest.raises(ConfigError, match=r"sweep\.axes\[1\]\.values: expected a bit string"):
         parse_config(sweep_cfg(f_axis + [{"name": "initial_state", "values": ["101", "1o1"]}]))
@@ -192,7 +199,7 @@ def test_sweep_refuses_an_amplitude_list_initial_state():
     # a sweep used to drop the list silently and run from the all-ones state
     sweep = {"axes": [{"name": "F_T2", "values": [0.0, 0.1]}], "observable": "a_pi"}
     data = {"command": "sweep", "params": {"L": 2}, "sweep": sweep, "initial_state": [[1, 1.0, 0.0]]}
-    with pytest.raises(ConfigError, match=r"initial_state: sweeps take bit strings \(sweep\.initial_state\)"):
+    with pytest.raises(ConfigError, match="initial_state: sweeps take bit strings"):
         parse_config(json.dumps(data))
     assert parse_config(json.dumps(dict(data, initial_state="10"))).sweep.initial_state == "10"
 
@@ -200,15 +207,13 @@ def test_sweep_refuses_an_amplitude_list_initial_state():
 @pytest.mark.parametrize(
     "data, message",
     [
-        (make_config(output={"format": "json", "extra": 1}),
-         "output: expected an object whose only key is 'format'"),
-        (make_config(figure="fig2"), "figure: only the 'figure' command takes it, not 'series'"),
+        # --format and --figure are the only spellings of these
+        (make_config(output={"format": "json", "extra": 1}), r"config: unknown keys \['output'\]"),
+        (make_config(figure="fig2"), r"config: unknown keys \['figure'\]"),
         (make_config(sweep={"axes": [{"name": "F_T2", "values": [0.0]}], "observable": "a_pi"}),
          "sweep: only the 'sweep' command takes it, not 'series'"),
-        (json.dumps({"command": "figure", "figure": "fig2", "sweep": {}}),
-         "sweep: only the 'sweep' command takes it, not 'figure'"),
     ],
-    ids=["output_extra_key", "figure_on_series", "sweep_on_series", "sweep_on_figure"],
+    ids=["output_extra_key", "figure_on_series", "sweep_on_series"],
 )
 def test_parse_config_refuses_sections_that_would_be_ignored(data, message):
     # each used to exit 0 with the value silently ignored
@@ -228,70 +233,60 @@ def test_parse_config_sweep_axis_errors():
         parse_config(sweep_cfg([{"name": "bogus", "values": [1]}]))
     with pytest.raises(ConfigError, match="values"):
         parse_config(sweep_cfg([{"name": "epsilon", "values": []}]))
-    with pytest.raises(ConfigError, match="step"):
-        parse_config(sweep_cfg([{"name": "epsilon", "start": 0, "stop": 1, "step": -1}]))
+    with pytest.raises(ConfigError, match=r"sweep\.axes\[0\]\.values: expected a non-empty list"):
+        parse_config(sweep_cfg([{"name": "epsilon"}]))
     with pytest.raises(ConfigError, match="observable"):
         parse_config(sweep_cfg([{"name": "epsilon", "values": [0.1]}], observable="energy"))
-    with pytest.raises(ConfigError, match="range"):
-        parse_config(sweep_cfg([{"name": "kernel", "start": 0, "stop": 1, "step": 1}]))
+    # ranges are gone: an axis lists its values
+    with pytest.raises(ConfigError, match=r"sweep\.axes\[0\]: unknown keys \['start', 'step', 'stop'\]"):
+        parse_config(sweep_cfg([{"name": "epsilon", "start": 0, "stop": 1, "step": 0.5}]))
+
+
+def sweep_config(axis):
+    return json.dumps({"command": "sweep", "params": {"L": 3},
+                       "sweep": {"axes": [axis], "observable": "a_pi"}})
 
 
 def test_parse_config_num_range():
-    data = {
-        "command": "sweep",
-        "params": {"L": 2},
-        "sweep": {
-            "axes": [{"name": "epsilon", "start": 0.0, "stop": 0.5, "num": 6}],
-            "observable": "a_pi",
-        },
-    }
-    cfg = parse_config(json.dumps(data))
-    assert cfg.sweep.axes[0].values == (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
+    # ranges are gone: a num range names its keys, and its values are listed
+    with pytest.raises(ConfigError, match=r"sweep\.axes\[0\]: unknown keys \['num', 'start', 'stop'\]"):
+        parse_config(sweep_config({"name": "epsilon", "start": 0.0, "stop": 0.5, "num": 6}))
+    values = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
+    assert parse_config(sweep_config({"name": "epsilon", "values": values})).sweep.axes[0].values == tuple(values)
 
 
 def test_parse_config_l_ranges_give_whole_site_counts():
-    def l_axis(**axis):
-        return json.dumps({"command": "sweep", "params": {"L": 3},
-                           "sweep": {"axes": [{"name": "L", **axis}], "observable": "a_pi"}})
-
-    # a fractional L used to be truncated at its point: L = 2.5 ran at L = 2
-    with pytest.raises(ConfigError, match=r"sweep\.axes\[0\]: L takes whole site counts, got 2\.5"):
-        parse_config(l_axis(start=2, stop=3, step=0.5))
-    with pytest.raises(ConfigError, match=r"sweep\.axes\[0\]: L takes whole site counts"):
-        parse_config(l_axis(start=2, stop=3, num=3))
-    assert parse_config(l_axis(start=2, stop=4, step=1)).sweep.axes[0].values == (2.0, 3.0, 4.0)
-    assert parse_config(l_axis(start=4, stop=2, num=3)).sweep.axes[0].values == (4.0, 3.0, 2.0)
+    # a fractional L used to be truncated at its point: L = 2.5 ran at L = 2;
+    # an L range is now refused, and listed L values must be whole
+    with pytest.raises(ConfigError, match=r"sweep\.axes\[0\]: unknown keys \['start', 'step', 'stop'\]"):
+        parse_config(sweep_config({"name": "L", "start": 2, "stop": 3, "step": 0.5}))
+    with pytest.raises(ConfigError, match=r"sweep\.axes\[0\]\.values: expected a positive integer, got 2\.5"):
+        parse_config(sweep_config({"name": "L", "values": [2, 2.5]}))
+    assert parse_config(sweep_config({"name": "L", "values": [4, 3, 2]})).sweep.axes[0].values == (4, 3, 2)
 
 
 def test_parse_config_rejects_reversed_step_range():
-    # stop < start used to give the one value `start`
-    data = {"command": "sweep", "params": {"L": 2},
-            "sweep": {"axes": [{"name": "epsilon", "start": 0.5, "stop": 0.0, "step": 0.1}],
-                      "observable": "a_pi"}}
-    with pytest.raises(ConfigError, match=r"sweep\.axes\[0\]: a step range needs stop >= start"):
-        parse_config(json.dumps(data))
-    data["sweep"]["axes"][0].update(start=0.5, stop=0.5)
-    assert parse_config(json.dumps(data)).sweep.axes[0].values == (0.5,)
+    # stop < start used to give the one value `start`; every step range is
+    # now refused, naming its keys
+    with pytest.raises(ConfigError, match=r"sweep\.axes\[0\]: unknown keys \['start', 'step', 'stop'\]"):
+        parse_config(sweep_config({"name": "epsilon", "start": 0.5, "stop": 0.0, "step": 0.1}))
+    assert parse_config(sweep_config({"name": "epsilon", "values": [0.5]})).sweep.axes[0].values == (0.5,)
 
 
 def test_site_cap_is_a_config_error():
     with pytest.raises(ConfigError, match="params: L=15 exceeds the site cap of 14"):
         parse_config(make_config(params={"L": 15}))
-    for axis in ({"name": "L", "values": [3, 15]}, {"name": "L", "start": 13, "stop": 15, "step": 1}):
-        data = {"command": "sweep", "params": {"L": 3}, "sweep": {"axes": [axis], "observable": "a_pi"}}
-        with pytest.raises(ConfigError, match=r"sweep\.axes\[0\]: L=15 exceeds the site cap of 14"):
-            parse_config(json.dumps(data))
+    axis = {"name": "L", "values": [3, 15]}
+    data = {"command": "sweep", "params": {"L": 3}, "sweep": {"axes": [axis], "observable": "a_pi"}}
+    with pytest.raises(ConfigError, match=r"sweep\.axes\[0\]: L=15 exceeds the site cap of 14"):
+        parse_config(json.dumps(data))
     assert parse_config(make_config(params={"L": 14}, n_cycles=2)).params.L == 14
 
 
 def test_parse_config_output_and_threads():
-    cfg = parse_config(make_config(output={"format": "json"}))
-    assert cfg.out_format == "json"
-    for key in ("seed", "threads"):  # no longer config keys
-        with pytest.raises(ConfigError, match=key):
+    for key in ("seed", "threads", "output"):  # no longer config keys
+        with pytest.raises(ConfigError, match=f"unknown keys \\['{key}'\\]"):
             parse_config(make_config(**{key: 4}))
-    with pytest.raises(ConfigError, match="format"):
-        parse_config(make_config(output={"format": "xml"}))
     with pytest.raises(ConfigError, match="threads"):
         parse_config(make_config(threads=0))
     with pytest.raises(ConfigError, match="n_cycles"):
@@ -303,55 +298,51 @@ def test_parse_config_rejects_unusable_cycle_counts():
         parse_config(json.dumps({"command": "spectrum", "params": {"L": 2}, "n_cycles": 101}))
     with pytest.raises(ConfigError, match="n_max"):
         parse_config(json.dumps({"command": "lifetime", "params": {"L": 2}, "n_max": 1}))
-    sweep = {"axes": [{"name": "F_T2", "values": [0.0]}], "observable": "a_pi", "n_cycles": 101}
+    sweep = {"axes": [{"name": "F_T2", "values": [0.0]}], "observable": "a_pi"}
     with pytest.raises(ConfigError, match="even"):
-        parse_config(json.dumps({"command": "sweep", "params": {"L": 2}, "sweep": sweep}))
+        parse_config(json.dumps({"command": "sweep", "params": {"L": 2}, "sweep": sweep, "n_cycles": 101}))
     assert parse_config(json.dumps({"command": "series", "params": {"L": 2}, "n_cycles": 101})).n_cycles == 101
 
 
 @pytest.mark.parametrize(
     "sweep_fields, path",
     [
-        ({"n_cycles": 20.9}, "sweep.n_cycles"),
-        ({"n_max": 7.5}, "sweep.n_max"),
+        ({"grid_cap": 2.5}, "sweep.grid_cap"),
+        ({"axes": [{"name": "L", "values": [3, 0]}]}, r"sweep.axes\[0\].values"),
         ({"grid_cap": True}, "sweep.grid_cap"),
         ({"axes": [{"name": "L", "values": [3.7, True]}]}, r"sweep.axes\[0\].values"),
         ({"axes": [{"name": "L", "values": [3, True]}]}, r"sweep.axes\[0\].values"),
     ],
 )
 def test_parse_sweep_rejects_non_integer_counts(sweep_fields, path):
-    # each would otherwise be truncated: 20.9 -> 20, 7.5 -> 7, true -> 1
+    # each would otherwise be truncated (2.5 -> 2, 3.7 -> 3, true -> 1) or,
+    # as L = 0, fail at its point
     sweep = {"axes": [{"name": "F_T2", "values": [0.0]}], "observable": "a_pi", **sweep_fields}
     with pytest.raises(ConfigError, match=f"{path}: expected a positive integer"):
         parse_config(json.dumps({"command": "sweep", "params": {"L": 2}, "sweep": sweep}))
 
 
 @pytest.mark.parametrize(
-    "over, within",
-    [
-        ({"num": 11}, {"num": 10}),
-        ({"step": 0.1}, {"step": 1 / 9}),  # 11 values, then 10
-        ({"step": 5e-324}, {"step": 1 / 9}),  # a count that overflows a float
-    ],
+    "fields",
+    [{"num": 11}, {"step": 0.1}, {"step": 5e-324}],  # 11 values, and a count that overflows a float
     ids=["num", "step", "step_overflow"],
 )
-def test_range_over_grid_cap_is_refused_before_its_values_are_built(monkeypatch, over, within):
+def test_range_over_grid_cap_is_refused_before_its_values_are_built(monkeypatch, fields):
     # a range of 10**9 values used to be built in full before the grid was
-    # compared with the cap, and to end in a MemoryError
-    received = []
+    # compared with the cap, and to end in a MemoryError; a range is now
+    # refused by its keys, before any axis is built
+    built = []
+    monkeypatch.setattr(config, "SweepAxis", lambda name, values: built.append(values))
+    axis = {"name": "F_T2", "start": 0.0, "stop": 1.0, **fields}
+    data = {"command": "sweep", "params": {"L": 2}, "sweep": {"axes": [axis], "observable": "a_pi", "grid_cap": 10}}
+    with pytest.raises(ConfigError, match=r"sweep\.axes\[0\]: unknown keys \["):
+        parse_config(json.dumps(data))
+    assert built == []
 
-    def recording_axis(name, values):
-        received.append(len(values))
-        return SweepAxis(name, values)
 
-    def sweep_cfg(fields):
-        axis = {"name": "F_T2", "start": 0.0, "stop": 1.0, **fields}
-        sweep = {"axes": [axis], "observable": "a_pi", "grid_cap": 10}
-        return json.dumps({"command": "sweep", "params": {"L": 2}, "sweep": sweep})
-
-    monkeypatch.setattr(config, "SweepAxis", recording_axis)
-    with pytest.raises(ConfigError, match=r"sweep\.axes\[0\]: the range has more values than the grid cap of 10$"):
-        parse_config(sweep_cfg(over))
-    assert received == []
-    parse_config(sweep_cfg(within))
-    assert received == [10]
+def test_readme_config_examples_parse():
+    # the README's configs (its heredocs, the quick-start run.json first)
+    # are the documented schema; each must parse as written
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    examples = re.findall(r"<<'EOF'\n(.*?)\nEOF\n", readme, re.S)
+    assert [parse_config(example).command for example in examples] == ["spectrum", "sweep"]
