@@ -41,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="accepted for compatibility; has no effect (runs use one thread, BLAS its own)",
     )
     parser.add_argument("--figure", choices=FIGURE_IDS, help="emit a figure dataset (takes no --config)")
-    parser.add_argument("--resume", action="store_true", help="resume a sweep from its journal")
+    parser.add_argument("--resume", action="store_true", help="resume a sweep from its journal (sweeps only)")
     return parser
 
 
@@ -61,6 +61,8 @@ def _load_config(args) -> Optional[RunConfig]:
         raise ConfigError("either --config or --figure is required")
     if args.format == "json" and (cfg is None or cfg.command == "sweep"):
         raise ConfigError(f"--format json: {'--figure' if cfg is None else 'sweep'} writes CSV only")
+    if args.resume and (cfg is None or cfg.command != "sweep"):
+        raise ConfigError("--resume: only a sweep resumes from a journal")
     if args.threads is not None and args.threads < 1:
         raise ConfigError(f"--threads: expected a positive integer, got {args.threads}")
     return cfg
@@ -79,18 +81,9 @@ def _check_writable(out_dir: Path) -> None:
 
 def _initial_state(cfg: RunConfig):
     """The point command's initial state, checked before any directory or memory is taken."""
-    basis = cfg.params.basis
-    if cfg.initial_state is None:
-        return z_product_state("1" * cfg.params.L, basis)
-    if isinstance(cfg.initial_state, str):
-        return z_product_state(cfg.initial_state, basis)
-    psi0 = state_from_amplitudes(cfg.initial_state, basis)
-    if cfg.command != "overlaps" and psi0.product_state_index() is None:
-        raise ConfigError(
-            f"initial_state: {cfg.command} evolves z-product states only, "
-            "so an amplitude list must hold exactly one basis state"
-        )
-    return psi0
+    if isinstance(cfg.initial_state, list):  # overlaps only
+        return state_from_amplitudes(cfg.initial_state, cfg.params.basis)
+    return z_product_state(cfg.initial_state or "1" * cfg.params.L, cfg.params.basis)
 
 
 def _write_table(out_dir: Path, name: str, fmt: str, header, rows, metadata: dict) -> Path:
@@ -109,7 +102,8 @@ def _run_point(cfg: RunConfig, psi0, out_dir: Path, fmt: str) -> list:
     metadata = {
         "command": cfg.command,
         "params": params_metadata(cfg.params),
-        "initial_state": psi0.label,
+        # the state as given: a bit string, amplitude triples, or all ones when left out
+        "initial_state": psi0.label if cfg.initial_state is None else cfg.initial_state,
     }
     if cfg.command == "lifetime":
         metadata.update(lifetime(prop, psi0, cfg.n_max).record())

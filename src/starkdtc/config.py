@@ -1,23 +1,22 @@
 """Run configuration: JSON schema, symbolic values and unit conversion.
 
-A config is a single JSON object.  Model parameters accept either raw rates
-(Omega, epsilon, V, F) or the dimensionless groups figures are labeled by
-(OmegaT1, epsT1, VT1, VT2, FT2); groups are converted to rates with T1/T2 at
-load time and giving the same rate twice is rejected.  Numeric values may be
-strings like "pi/2" so the exact-flip baseline OmegaT1 = pi/2 stays exact to
-machine precision.
+A config is a single JSON object.  Model parameters are given as the
+dimensionless groups figures are labeled by (OmegaT1, epsT1, VT1, FT2) and
+converted to rates with T1 or T2 at load time.  Numeric values may be
+strings like "pi/2" so the exact-flip baseline OmegaT1 = pi/2 stays exact
+to machine precision.
 
 Schema (defaults in parentheses):
 
     command: series | spectrum | overlaps | lifetime | sweep
     params:
         L (required; 1 .. 14, also on an L axis), T1 (1), T2 (10), kernel ("NN")
-        Omega | OmegaT1 ("pi/2"), epsilon | epsT1 (0),
-        V | VT1 | VT2 (0), F | FT2 (0)
-    initial_state: bit string, or [[index, re, im], ...]  (all ones); a sweep
-        takes a bit string or "all_ones" (any length when L is swept) and no
-        list, and series, spectrum and lifetime one basis state only
-    n_cycles (100; even for spectrum and a_pi), n_max (5000; >= 2 for lifetime)
+        OmegaT1 ("pi/2"), epsT1 (0), VT1 (0), FT2 (0)
+    initial_state: bit string (all ones when left out; any length when L is
+        swept); overlaps also takes [[index, re, im], ...]
+    n_cycles (100; even for spectrum and a_pi): series, spectrum and the
+        a_pi, series and spectrum sweeps only
+    n_max (5000; >= 2): lifetime and lifetime sweeps only
     sweep: {axes: [{name, values}], observable, grid_cap (10000)}  (sweep only)
 
 Figures (--figure) and the output format (--format) are CLI flags only.
@@ -103,29 +102,7 @@ class RunConfig:
     sweep: Optional[SweepSpec] = None
 
 
-def _resolve_rate(section: dict, path: str, raw_key: str, group_keys: dict, default: float) -> float:
-    """One rate from exactly one of its raw/dimensionless spellings."""
-    present = [key for key in (raw_key, *group_keys) if key in section]
-    if len(present) > 1:
-        raise ConfigError(f"{path}: conflicting keys {_join_keys(present)} set the same rate")
-    if not present:
-        return default
-    key = present[0]
-    value = parse_number(section[key], f"{path}.{key}")
-    if key == raw_key:
-        return value
-    return value / group_keys[key]
-
-
-def _join_keys(keys) -> str:
-    return " and ".join(repr(k) for k in keys)
-
-
-_PARAM_KEYS = {
-    "L", "T1", "T2", "kernel",
-    "Omega", "OmegaT1", "epsilon", "epsT1",
-    "V", "VT1", "VT2", "F", "FT2",
-}
+_PARAM_KEYS = {"L", "T1", "T2", "kernel", "OmegaT1", "epsT1", "VT1", "FT2"}
 
 
 def parse_params(section, path: str = "params") -> SimulationParams:
@@ -144,10 +121,10 @@ def parse_params(section, path: str = "params") -> SimulationParams:
     kernel = section.get("kernel", "NN")
     if kernel not in KERNEL_VARIANTS:
         raise ConfigError(f"{path}.kernel: expected one of {KERNEL_VARIANTS}, got {kernel!r}")
-    omega = _resolve_rate(section, path, "Omega", {"OmegaT1": t1}, default=math.pi / 2 / t1)
-    epsilon = _resolve_rate(section, path, "epsilon", {"epsT1": t1}, default=0.0)
-    v = _resolve_rate(section, path, "V", {"VT1": t1, "VT2": t2}, default=0.0)
-    f = _resolve_rate(section, path, "F", {"FT2": t2}, default=0.0)
+    omega = parse_number(section.get("OmegaT1", "pi/2"), f"{path}.OmegaT1") / t1
+    epsilon = parse_number(section.get("epsT1", 0.0), f"{path}.epsT1") / t1
+    v = parse_number(section.get("VT1", 0.0), f"{path}.VT1") / t1
+    f = parse_number(section.get("FT2", 0.0), f"{path}.FT2") / t2
     try:
         return SimulationParams(L=L, omega=omega, epsilon=epsilon, v=v, f=f, t1=t1, t2=t2, kernel=kernel)
     except ValueError as exc:
@@ -178,20 +155,18 @@ def _parse_axis(section, path: str) -> SweepAxis:
         raise ConfigError(f"{path}: {exc}")
 
 
-def _check_sweep_bits(bits, length: Optional[int], path: str) -> None:
-    """A sweep's initial state: 'all_ones', or a 0/1 string of `length`
-    characters (any length when L is swept and `length` is None)."""
-    if bits == ALL_ONES:
-        return
+def _check_bits(bits, length: Optional[int], path: str) -> None:
+    """A 0/1 string of `length` characters (any length when `length` is None)."""
     if not isinstance(bits, str) or not bits or any(ch not in "01" for ch in bits):
-        raise ConfigError(f"{path}: expected a bit string or {ALL_ONES!r}, got {bits!r}")
+        raise ConfigError(f"{path}: expected a bit string, got {bits!r}")
     if length is not None and len(bits) != length:
         raise ConfigError(f"{path}: {bits!r} is not a length-{length} bit string")
 
 
 def parse_sweep(section, base: SimulationParams, run: dict) -> SweepSpec:
-    """The sweep section over `base`; `run` holds the config's top-level
-    n_cycles, n_max and initial_state."""
+    """The sweep section over `base`; `run` holds those of the config's
+    top-level n_cycles, n_max and initial_state that it gives, and
+    SweepSpec's defaults stand for the others."""
     if not isinstance(section, dict):
         raise ConfigError("sweep: expected an object")
     unknown = sorted(set(section) - {"axes", "observable", "grid_cap"})
@@ -204,11 +179,13 @@ def parse_sweep(section, base: SimulationParams, run: dict) -> SweepSpec:
     axes = tuple(_parse_axis(axis, f"sweep.axes[{i}]") for i, axis in enumerate(axes_section))
     # checked here: a bad state would only fail each point, leaving a CSV of error markers
     length = None if any(axis.name == "L" for axis in axes) else base.L
-    _check_sweep_bits(run["initial_state"], length, "initial_state")
+    if "initial_state" in run:
+        _check_bits(run["initial_state"], length, "initial_state")
     for i, axis in enumerate(axes):
         if axis.name == "initial_state":
             for bits in axis.values:
-                _check_sweep_bits(bits, length, f"sweep.axes[{i}].values")
+                if bits != ALL_ONES:  # an axis cannot leave the state out, so it names all ones
+                    _check_bits(bits, length, f"sweep.axes[{i}].values")
     observable = section.get("observable")
     if observable not in OBSERVABLES:
         raise ConfigError(f"sweep.observable: expected one of {OBSERVABLES}, got {observable!r}")
@@ -239,35 +216,34 @@ def parse_config(source: str) -> RunConfig:
         raise ConfigError(f"params: required for command {command!r}")
     params = parse_params(data["params"])
 
-    n_cycles = data.get("n_cycles", 100)
-    n_max = data.get("n_max", 5000)
-    for name, value in (("n_cycles", n_cycles), ("n_max", n_max)):
-        _positive_int(value, name)
-    # checked before the run, which would compute the whole series first
-    if command == "spectrum" and n_cycles % 2:
-        raise ConfigError(
-            f"n_cycles: the spectrum needs an even count for an exact omega=pi bin, got {n_cycles}"
-        )
-    if command == "lifetime" and n_max < 2:
-        raise ConfigError(f"n_max: lifetime needs at least 2 cycles, got {n_max}")
-
+    counts = {key: _positive_int(data[key], key) for key in ("n_cycles", "n_max") if key in data}
     initial_state = data.get("initial_state")
+    if isinstance(initial_state, list) and command != "overlaps":
+        raise ConfigError(f"initial_state: {command} takes a bit string; only overlaps takes an amplitude list")
+    sweep = None
     if command == "sweep":
         if "sweep" not in data:
             raise ConfigError("sweep: required when command is 'sweep'")
-        if isinstance(initial_state, list):
-            raise ConfigError("initial_state: sweeps take bit strings")
-        run = {"n_cycles": n_cycles, "n_max": n_max,
-               "initial_state": ALL_ONES if initial_state is None else initial_state}
-        return RunConfig(command, params, initial_state, n_cycles, n_max,
-                         sweep=parse_sweep(data["sweep"], params, run))
-    if isinstance(initial_state, str):
-        if len(initial_state) != params.L or any(c not in "01" for c in initial_state):
-            raise ConfigError(f"initial_state: {initial_state!r} is not a length-{params.L} bit string")
+        run = counts if initial_state is None else {**counts, "initial_state": initial_state}
+        sweep = parse_sweep(data["sweep"], params, run)
     elif isinstance(initial_state, list):
         for i, entry in enumerate(initial_state):
             if not isinstance(entry, list) or len(entry) != 3:
                 raise ConfigError(f"initial_state[{i}]: expected [index, real, imag]")
     elif initial_state is not None:
-        raise ConfigError("initial_state: expected a bit string or amplitude triples")
-    return RunConfig(command, params, initial_state, n_cycles, n_max)
+        _check_bits(initial_state, params.L, "initial_state")
+    reader = command if sweep is None else sweep.observable
+    # the count the command or sweep observable reads; overlaps and overlap_table read none
+    read = {"series": "n_cycles", "spectrum": "n_cycles", "a_pi": "n_cycles", "lifetime": "n_max"}.get(reader)
+    for key in counts:
+        if key != read:
+            raise ConfigError(f"{key}: {reader} does not read it")
+    cfg = RunConfig(command, params, initial_state, sweep=sweep, **counts)
+    # checked before the run, which would compute the whole series first
+    if command == "spectrum" and cfg.n_cycles % 2:
+        raise ConfigError(
+            f"n_cycles: the spectrum needs an even count for an exact omega=pi bin, got {cfg.n_cycles}"
+        )
+    if command == "lifetime" and cfg.n_max < 2:
+        raise ConfigError(f"n_max: lifetime needs at least 2 cycles, got {cfg.n_max}")
+    return cfg

@@ -903,21 +903,20 @@ def circular_gap(e1: float, e2: float) -> float:
     return min(d, 2.0 * np.pi - d)
 
 
-def find_pi_pair(table: OverlapTable, tol: float = PI_PAIR_TOL) -> Optional[PiPair]:
-    """The two largest-overlap entries, if their circular gap is within tol of pi.
+def find_pi_pair(table: OverlapTable) -> Optional[PiPair]:
+    """The two largest-overlap entries, if their circular gap is within
+    `PI_PAIR_TOL` (0.05 rad) of pi.
 
-    Returns None when the dominant pair is not pi-split.  The default
-    tolerance of 0.05 rad separates a genuine pair from background while
-    tolerating finite-size splitting.
+    Returns None when the dominant pair is not pi-split.  The tolerance
+    separates a genuine pair from background while tolerating finite-size
+    splitting.
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol!r}")
     if len(table) < 2:
         raise ValueError("overlap table needs at least two entries")
     top = np.argsort(table.overlaps, kind="stable")[-2:]
     i, j = int(top[1]), int(top[0])
     gap = circular_gap(table.quasi_energies[i], table.quasi_energies[j])
-    if abs(gap - np.pi) > tol:
+    if abs(gap - np.pi) > PI_PAIR_TOL:
         return None
     return PiPair(
         index_a=min(i, j),

@@ -101,7 +101,7 @@ def _dominant_pi_pair(factory, f_t2):
     params = FIG2_BASE.with_f_t2(f_t2)
     prop = factory.get(params)
     table = overlaps(prop.spectrum(), z_product_state("1" * 12, params.basis))
-    pair = find_pi_pair(table, tol=0.05)
+    pair = find_pi_pair(table)
     if pair is None:
         return None, None
     outside = np.delete(table.overlaps, [pair.index_a, pair.index_b])

@@ -56,6 +56,14 @@ SERIES_CONFIG = {
 }
 
 
+def point_config(command, **fields):
+    """SERIES_CONFIG run as `command`, with only the cycle count it reads."""
+    data = dict(SERIES_CONFIG, command=command, **fields)
+    if command in ("overlaps", "lifetime"):
+        del data["n_cycles"]
+    return data
+
+
 def test_series_command(tmp_path, capsys):
     cfg = write_config(tmp_path, SERIES_CONFIG)
     out = tmp_path / "out"
@@ -93,8 +101,7 @@ def test_spectrum_command(tmp_path):
 
 
 def test_overlaps_command(tmp_path):
-    data = dict(SERIES_CONFIG, command="overlaps")
-    cfg = write_config(tmp_path, data)
+    cfg = write_config(tmp_path, point_config("overlaps"))
     out = tmp_path / "out"
     assert main(["--config", str(cfg), "--out", str(out)]) == 0
     rows = read_csv(out / "overlaps.csv")
@@ -107,40 +114,46 @@ def test_overlaps_command(tmp_path):
 
 def test_overlaps_entangled_initial_state(tmp_path):
     a = 1 / np.sqrt(2)
-    data = dict(SERIES_CONFIG, command="overlaps", initial_state=[[0, a, 0.0], [7, 0.0, a]])
-    cfg = write_config(tmp_path, data)
+    triples = [[0, a, 0.0], [7, 0.0, a]]
+    cfg = write_config(tmp_path, point_config("overlaps", initial_state=triples))
     out = tmp_path / "out"
     assert main(["--config", str(cfg), "--out", str(out)]) == 0
     weights = [float(r[1]) for r in read_csv(out / "overlaps.csv")[1:]]
     assert sum(weights) == pytest.approx(1.0, abs=1e-8)
+    # the sidecar names the state that ran, as given, not the word "amplitudes"
+    assert json.loads((out / "overlaps.csv.meta.json").read_text())["initial_state"] == triples
 
 
 @pytest.mark.parametrize("vt1", [0.0, 0.1])
 @pytest.mark.parametrize("command", ["series", "spectrum", "lifetime"])
 def test_superposition_exits_2_before_stage1(tmp_path, monkeypatch, capsys, command, vt1):
-    # these commands evolve z-product states only, at every V
+    # these commands evolve z-product states only, at every V, and take
+    # them as bit strings
     def no_stage1(params):
         raise AssertionError("stage 1 computed before the initial state was checked")
 
     monkeypatch.setattr(floquet_module, "stage1_unitary", no_stage1)
     a = 1 / np.sqrt(2)
-    data = dict(SERIES_CONFIG, command=command, params=dict(SERIES_CONFIG["params"], VT1=vt1),
-                initial_state=[[0, a, 0.0], [7, 0.0, a]])
+    data = point_config(command, params=dict(SERIES_CONFIG["params"], VT1=vt1),
+                        initial_state=[[0, a, 0.0], [7, 0.0, a]])
     out = tmp_path / "out"
     assert main(["--config", str(write_config(tmp_path, data)), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert (f"config error: initial_state: {command} evolves z-product states only, "
-            "so an amplitude list must hold exactly one basis state") in err
+    assert (f"config error: initial_state: {command} takes a bit string; "
+            "only overlaps takes an amplitude list") in err
     assert not out.exists()
 
 
 def test_one_basis_state_list_runs(tmp_path):
-    # an amplitude list holding one basis state is a z-product state, run at any V
-    one = dict(SERIES_CONFIG, initial_state=[[5, 0.0, 1.0]])
-    out = tmp_path / "out"
-    assert main(["--config", str(write_config(tmp_path, one)), "--out", str(out)]) == 0
-    rows = read_csv(out / "series.csv")
-    assert len(rows) == SERIES_CONFIG["n_cycles"] + 2 and float(rows[1][1]) == 1.0
+    # overlaps takes an amplitude list; one holding one basis state gives the
+    # table of its bit string, whatever its phase
+    tables = []
+    for name, initial_state in (("list", [[5, 0.0, 1.0]]), ("bits", "101")):
+        out = tmp_path / name
+        cfg = write_config(tmp_path, point_config("overlaps", initial_state=initial_state))
+        assert main(["--config", str(cfg), "--out", str(out)]) == 0
+        tables.append(np.array(read_csv(out / "overlaps.csv")[1:], dtype=float))
+    np.testing.assert_allclose(tables[0], tables[1], rtol=0, atol=1e-14)
 
 
 def test_lifetime_command(tmp_path):
@@ -370,13 +383,15 @@ def sweep_config(**fields):
         ([], dict(SERIES_CONFIG, output={"format": "json", "extra": 1})),
         ([], dict(SERIES_CONFIG, figure="fig2")),
         ([], dict(SERIES_CONFIG, sweep=SWEEP_CONFIG["sweep"])),
+        (["--resume"], SERIES_CONFIG),
     ],
 )
 def test_malformed_runs_exit_2_without_writing(tmp_path, monkeypatch, capsys, flags, data):
     # non-integer counts would be truncated, a figure takes no config, sweep
     # and figure write CSV only, a bad sweep initial state would fail every
     # point, and an amplitude list on a sweep, a removed section and another
-    # command's section would be silently ignored
+    # command's section and --resume on a run that is not a sweep would be
+    # silently ignored
     def no_stage1(params):
         raise AssertionError("stage 1 computed before the config was rejected")
 
@@ -410,15 +425,47 @@ def test_malformed_runs_exit_2_without_writing(tmp_path, monkeypatch, capsys, fl
         (sweep_config(axes=[{"name": "F_T2", "start": 0.0, "stop": 0.2, "num": 3}]),
          "sweep.axes[0]: unknown keys ['num', 'start', 'stop']",
          [], sweep_config(axes=[{"name": "F_T2", "values": [0.0, 0.1, 0.2]}]), "sweep.csv"),
+        # each rate only as its dimensionless group (T1 = 1, T2 = 10)
+        *((point_config("series", params={"L": 3, raw: value}), f"params: unknown keys ['{raw}']",
+           [], point_config("series", params={"L": 3, group: group_value}), "series.csv")
+          for raw, value, group, group_value in (("Omega", 1.2, "OmegaT1", 1.2), ("epsilon", 0.1, "epsT1", 0.1),
+                                                 ("V", 0.1, "VT1", 0.1), ("F", 0.025, "FT2", 0.25),
+                                                 ("VT2", 1.0, "VT1", 0.1))),
+        # a z-product state only as its bit string
+        *((point_config(command, initial_state=[[5, 0.0, 1.0]], **counts),
+           f"initial_state: {command} takes a bit string; only overlaps takes an amplitude list",
+           [], point_config(command, initial_state="101", **counts), data_file)
+          for command, counts, data_file in (("series", {}, "series.csv"), ("spectrum", {}, "spectrum.csv"),
+                                             ("lifetime", {"n_max": 200}, "lifetime.json"))),
+        # all ones as the state left out
+        ({**SWEEP_CONFIG, "initial_state": "all_ones"}, "initial_state: expected a bit string, got 'all_ones'",
+         [], SWEEP_CONFIG, "sweep.csv"),
+        # a cycle count only where it is read
+        ({"command": "lifetime", "params": {"L": 3}, "n_cycles": 10}, "n_cycles: lifetime does not read it",
+         [], {"command": "lifetime", "params": {"L": 3}}, "lifetime.json"),
+        ({**point_config("overlaps"), "n_cycles": 10}, "n_cycles: overlaps does not read it",
+         [], point_config("overlaps"), "overlaps.csv"),
+        ({**SWEEP_CONFIG, "n_max": 9}, "n_max: a_pi does not read it", [], SWEEP_CONFIG, "sweep.csv"),
+        ({**sweep_config(observable="overlap_table"), "n_cycles": 10}, "n_cycles: overlap_table does not read it",
+         [], sweep_config(observable="overlap_table"), "sweep.csv"),
     ],
     ids=["figure_command", "output_format", "sweep_n_cycles", "sweep_n_max", "sweep_initial_state",
-         "step_range", "num_range"],
+         "step_range", "num_range", "Omega", "epsilon", "V", "F", "VT2", "series_list", "spectrum_list",
+         "lifetime_list", "all_ones", "lifetime_n_cycles", "overlaps_n_cycles", "a_pi_n_max",
+         "overlap_table_n_cycles"],
 )
 def test_removed_spellings_exit_2_naming_the_key(tmp_path, capsys, removed, message, flags, kept, data_file):
-    # each setting has one spelling: the removed one names its key and writes
-    # nothing, and the kept one (`flags` with the config `kept`) runs
+    # each setting and model input has one spelling: the removed one names
+    # its key and writes nothing, and the kept one (`flags` with the config
+    # `kept`) runs
+    def no_stage1(params):
+        raise AssertionError("stage 1 computed before the removed spelling was refused")
+
     out = tmp_path / "out"
-    assert main(["--config", str(write_config(tmp_path, removed)), "--out", str(out)]) == 2
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (floquet_module, sweep_module):
+            patch.setattr(module, "stage1_unitary", no_stage1)
+        assert main(["--config", str(write_config(tmp_path, removed)), "--out", str(out)]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert not out.exists()
     argv = ["--out", str(out), *flags]
@@ -523,7 +570,7 @@ def test_bad_initial_state_exits_2_before_stage1(tmp_path, monkeypatch, capsys, 
         raise AssertionError("stage 1 computed before the initial state was checked")
 
     monkeypatch.setattr(floquet_module, "stage1_unitary", no_stage1)
-    cfg = write_config(tmp_path, dict(SERIES_CONFIG, params={"L": 12}, initial_state=initial_state))
+    cfg = write_config(tmp_path, point_config("overlaps", params={"L": 12}, initial_state=initial_state))
     out = tmp_path / "out"
     assert main(["--config", str(cfg), "--out", str(out)]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
@@ -577,7 +624,7 @@ def test_unusable_cycle_counts_exit_2_before_computing(tmp_path, monkeypatch, ca
 @pytest.mark.parametrize(
     "data, largest_l",
     [
-        (dict(SERIES_CONFIG, command="overlaps"), 3),
+        (point_config("overlaps"), 3),
         ({"command": "sweep", "params": {"L": 3, "VT1": 0.1},
           "sweep": {"axes": [{"name": "L", "values": [3, 5, 4]}], "observable": "overlap_table"}}, 5),
         (["--figure", "fig2"], 12),
@@ -602,7 +649,7 @@ def test_quasi_spectrum_commands_exit_2_when_memory_is_short(tmp_path, monkeypat
     [
         (SERIES_CONFIG, 3),
         (dict(SERIES_CONFIG, command="spectrum"), 3),
-        (dict(SERIES_CONFIG, command="lifetime"), 3),
+        (point_config("lifetime"), 3),
         *(({"command": "sweep", "params": {"L": 3, "VT1": 0.1},
             "sweep": {"axes": [{"name": "L", "values": [3, 6, 4]}], "observable": observable}}, 6)
           for observable in ("a_pi", "lifetime", "series", "spectrum")),

@@ -40,23 +40,14 @@ def test_parse_params_fig2_caption_values():
     assert params.t1 == 1.0 and params.t2 == 10.0
 
 
-def test_parse_params_conflicting_units():
-    with pytest.raises(ConfigError, match="conflicting"):
-        parse_params({"L": 2, "OmegaT1": "pi/2", "Omega": 1.57})
-    with pytest.raises(ConfigError, match="conflicting"):
-        parse_params({"L": 2, "VT1": 0.1, "VT2": 1.0})
-    with pytest.raises(ConfigError, match="conflicting"):
-        parse_params({"L": 2, "F": 0.01, "FT2": 0.1})
-
-
 def test_parse_params_defaults_and_conversions():
     params = parse_params({"L": 3})
     assert params.omega == math.pi / 2  # OmegaT1 = pi/2 is the protocol anchor
     assert params.epsilon == 0.0 and params.v == 0.0 and params.f == 0.0
     assert params.t1 == 1.0 and params.t2 == 10.0
-    # VT2 converts through T2
-    params = parse_params({"L": 3, "VT2": 1.0})
-    assert params.v == pytest.approx(0.1)
+    # OmegaT1, epsT1 and VT1 convert through T1, FT2 through T2
+    params = parse_params({"L": 3, "T1": 2, "T2": 4, "OmegaT1": 1.0, "epsT1": 0.5, "VT1": 3.0, "FT2": 1.0})
+    assert (params.omega, params.epsilon, params.v, params.f) == (0.5, 0.25, 1.5, 0.25)
 
 
 def test_parse_params_rejections():
@@ -97,27 +88,25 @@ def test_parse_config_minimal_series():
     data=st.data(),
 )
 def test_config_round_trips_sidecar_params(L, kernel, rates, durations, data):
-    # a sidecar's params, written back as a config in raw spellings, parse to
-    # the same point bit for bit, and in the dimensionless spellings to within
-    # the rounding of one division
+    # a sidecar's params, written back as a config in the dimensionless
+    # spellings, parse to the same point: L, the durations and the kernel bit
+    # for bit, each rate to within the rounding of one product and one division
     omega, epsilon, v, f = rates
     t1, t2 = durations
     params = SimulationParams(L=L, omega=omega, epsilon=epsilon, v=v, f=f, t1=t1, t2=t2, kernel=kernel)
     meta = json.loads(json.dumps(params_metadata(params)))
     bits = data.draw(st.text(alphabet="01", min_size=L, max_size=L))
     n_cycles = data.draw(st.integers(1, 10_000))
-    raw = {"L": meta["L"], "T1": meta["t1"], "T2": meta["t2"], "kernel": meta["kernel"],
-           "Omega": meta["omega"], "epsilon": meta["epsilon"], "V": meta["v"], "F": meta["f"]}
-    cfg = parse_config(json.dumps({"command": "series", "params": raw, "initial_state": bits,
-                                   "n_cycles": n_cycles}))
-    assert cfg.params == params
-    assert cfg.initial_state == bits and cfg.n_cycles == n_cycles
     groups = meta["dimensionless"]
-    scaled = {"L": L, "T1": t1, "T2": t2, "kernel": kernel, "OmegaT1": groups["omega_t1"],
-              "epsT1": groups["epsilon_t1"], "VT2": groups["v_t2"], "FT2": groups["f_t2"]}
-    again = parse_params(scaled)
+    scaled = {"L": meta["L"], "T1": meta["t1"], "T2": meta["t2"], "kernel": meta["kernel"],
+              "OmegaT1": groups["omega_t1"], "epsT1": groups["epsilon_t1"], "VT1": groups["v_t1"],
+              "FT2": groups["f_t2"]}
+    cfg = parse_config(json.dumps({"command": "series", "params": scaled, "initial_state": bits,
+                                   "n_cycles": n_cycles}))
+    assert (cfg.params.L, cfg.params.t1, cfg.params.t2, cfg.params.kernel) == (L, t1, t2, kernel)
+    assert cfg.initial_state == bits and cfg.n_cycles == n_cycles
     for name in ("omega", "epsilon", "v", "f"):
-        assert getattr(again, name) == pytest.approx(getattr(params, name), rel=1e-15, abs=1e-300)
+        assert getattr(cfg.params, name) == pytest.approx(getattr(params, name), rel=1e-15, abs=1e-300)
 
 
 def test_parse_config_initial_state_forms():
@@ -127,10 +116,17 @@ def test_parse_config_initial_state_forms():
         parse_config(make_config(initial_state="10"))
     with pytest.raises(ConfigError):
         parse_config(make_config(initial_state="10x"))
-    cfg = parse_config(make_config(initial_state=[[0, 0.7071067811865476, 0.0], [7, 0.0, 0.7071067811865476]]))
-    assert isinstance(cfg.initial_state, list)
-    with pytest.raises(ConfigError):
-        parse_config(make_config(initial_state=[[0, 0.5]]))
+    with pytest.raises(ConfigError, match="initial_state: expected a bit string, got 'all_ones'"):
+        parse_config(make_config(initial_state="all_ones"))  # left out for all ones
+    # an amplitude list is for overlaps only
+    triples = [[0, 0.7071067811865476, 0.0], [7, 0.0, 0.7071067811865476]]
+    with pytest.raises(ConfigError, match="initial_state: series takes a bit string"):
+        parse_config(make_config(initial_state=triples))
+    overlaps = {"command": "overlaps", "params": {"L": 3}}
+    cfg = parse_config(json.dumps(dict(overlaps, initial_state=triples)))
+    assert cfg.initial_state == triples
+    with pytest.raises(ConfigError, match=r"initial_state\[0\]: expected \[index, real, imag\]"):
+        parse_config(json.dumps(dict(overlaps, initial_state=[[0, 0.5]])))
 
 
 def test_parse_config_command_validation():
@@ -158,14 +154,13 @@ def test_parse_config_sweep():
             "observable": "a_pi",
         },
         "n_cycles": 10,
-        "n_max": 7,
     }
     cfg = parse_config(json.dumps(data))
     assert cfg.sweep is not None
     assert cfg.sweep.axes[0].values == (0.0, 0.1, 0.2)
     assert cfg.sweep.axes[1].values[1] == pytest.approx(math.pi / 10)
     assert cfg.sweep.observable == "a_pi"
-    assert (cfg.sweep.n_cycles, cfg.sweep.n_max, cfg.sweep.initial_state) == (10, 7, "all_ones")
+    assert (cfg.sweep.n_cycles, cfg.sweep.n_max, cfg.sweep.initial_state) == (10, 5000, "all_ones")
     data["sweep"]["grid_cap"] = 5  # the grid holds 6 points
     with pytest.raises(ConfigError, match="sweep: grid of 6 points exceeds the cap of 5"):
         parse_config(json.dumps(data))
@@ -189,9 +184,14 @@ def test_parse_sweep_rejects_bad_initial_state():
         parse_config(sweep_cfg(l_axis, initial_state="1x"))
     with pytest.raises(ConfigError, match=r"sweep\.axes\[1\]\.values: expected a bit string"):
         parse_config(sweep_cfg(f_axis + [{"name": "initial_state", "values": ["101", "1o1"]}]))
-    # the length is free when L is swept, and all_ones fits every L
+    # all ones is the state left out; an axis names it, and it fits every L
+    with pytest.raises(ConfigError, match=r"^initial_state: expected a bit string, got 'all_ones'"):
+        parse_config(sweep_cfg(f_axis, initial_state="all_ones"))
+    assert parse_config(sweep_cfg(f_axis)).sweep.initial_state == "all_ones"
+    states = [{"name": "initial_state", "values": ["all_ones", "10"]}]
+    assert parse_config(sweep_cfg(l_axis + states)).sweep.axes[1].values == ("all_ones", "10")
+    # the length is free when L is swept
     assert parse_config(sweep_cfg(l_axis, initial_state="10")).sweep.initial_state == "10"
-    assert parse_config(sweep_cfg(f_axis, initial_state="all_ones")).sweep.initial_state == "all_ones"
     assert parse_config(sweep_cfg(f_axis, initial_state="101")).sweep.initial_state == "101"
 
 
@@ -199,7 +199,7 @@ def test_sweep_refuses_an_amplitude_list_initial_state():
     # a sweep used to drop the list silently and run from the all-ones state
     sweep = {"axes": [{"name": "F_T2", "values": [0.0, 0.1]}], "observable": "a_pi"}
     data = {"command": "sweep", "params": {"L": 2}, "sweep": sweep, "initial_state": [[1, 1.0, 0.0]]}
-    with pytest.raises(ConfigError, match="initial_state: sweeps take bit strings"):
+    with pytest.raises(ConfigError, match="initial_state: sweep takes a bit string; only overlaps takes"):
         parse_config(json.dumps(data))
     assert parse_config(json.dumps(dict(data, initial_state="10"))).sweep.initial_state == "10"
 

@@ -233,7 +233,7 @@ def test_overlaps_dimension_mismatch():
 def test_find_pi_pair_single_qubit():
     p = SimulationParams(L=1, omega=np.pi / 2)
     table = overlaps(floquet_operator(p).spectrum(), z_product_state("1", p.basis))
-    pair = find_pi_pair(table, tol=0.05)
+    pair = find_pi_pair(table)
     assert pair is not None
     assert pair.gap == pytest.approx(np.pi, abs=1e-12)
     assert pair.combined_overlap == pytest.approx(1.0, abs=1e-10)
@@ -244,16 +244,13 @@ def test_find_pi_pair_rejects_gap_zero():
         quasi_energies=np.array([-1.0, -0.95, 2.0]),
         overlaps=np.array([0.5, 0.45, 0.05]),
     )
-    assert find_pi_pair(table, tol=0.05) is None
+    assert find_pi_pair(table) is None
 
 
 def test_find_pi_pair_input_validation():
     table = OverlapTable(quasi_energies=np.array([0.0]), overlaps=np.array([1.0]))
     with pytest.raises(ValueError):
         find_pi_pair(table)
-    two = OverlapTable(quasi_energies=np.array([0.0, 1.0]), overlaps=np.array([0.5, 0.5]))
-    with pytest.raises(ValueError):
-        find_pi_pair(two, tol=0.0)
 
 
 def test_circular_gap():
