@@ -83,7 +83,8 @@ def _initial_state(cfg: RunConfig):
     """The point command's initial state, checked before any directory or memory is taken."""
     if isinstance(cfg.initial_state, list):  # overlaps only
         return state_from_amplitudes(cfg.initial_state, cfg.params.basis)
-    return z_product_state(cfg.initial_state or "1" * cfg.params.L, cfg.params.basis)
+    bits = "1" * cfg.params.L if cfg.initial_state is None else cfg.initial_state
+    return z_product_state(bits, cfg.params.basis)
 
 
 def _write_table(out_dir: Path, name: str, fmt: str, header, rows, metadata: dict) -> Path:

@@ -1,10 +1,14 @@
-"""Run configuration: JSON schema, symbolic values and unit conversion.
+"""Run configuration: the JSON schema, mapped onto the run types.
 
-A config is a single JSON object.  Model parameters are given as the
-dimensionless groups figures are labeled by (OmegaT1, epsT1, VT1, FT2) and
-converted to rates with T1 or T2 at load time.  Numeric values may be
-strings like "pi/2" so the exact-flip baseline OmegaT1 = pi/2 stays exact
-to machine precision.
+A config is a single JSON object, mapped here onto `SimulationParams`,
+`SweepAxis`, `SweepSpec` and `RunConfig`, which refuse bad values
+themselves; a refusal becomes a ConfigError naming its key.  The rules
+kept here are about the JSON spelling: unknown keys, a count the run does
+not read, an amplitude list on a command other than overlaps, and a
+top-level "all_ones".  Model parameters are the dimensionless groups
+figures are labeled by (OmegaT1, epsT1, VT1, FT2), converted to rates with
+T1 or T2; a numeric value may be a string like "pi/2", so OmegaT1 = pi/2
+stays exact to machine precision.
 
 Schema (defaults in parentheses):
 
@@ -27,12 +31,12 @@ from __future__ import annotations
 import ast
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 from .exceptions import ConfigError
-from .hamiltonian import KERNEL_VARIANTS, SimulationParams
-from .sweep import ALL_ONES, AXIS_NAMES, DEFAULT_GRID_CAP, OBSERVABLES, SweepAxis, SweepSpec
+from .hamiltonian import SimulationParams
+from .sweep import ALL_ONES, DEFAULT_GRID_CAP, OBSERVABLES, SweepAxis, SweepSpec, check_counts
 
 COMMANDS = ("series", "spectrum", "overlaps", "lifetime", "sweep")
 
@@ -44,7 +48,10 @@ def parse_number(value, path: str) -> float:
     if isinstance(value, bool):
         raise ConfigError(f"{path}: expected a number, got a boolean")
     if isinstance(value, (int, float)):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond the float range
+            raise ConfigError(f"{path}: {value} is beyond the float range")
     if not isinstance(value, str):
         raise ConfigError(f"{path}: expected a number or symbolic string, got {value!r}")
     try:
@@ -83,16 +90,28 @@ def _eval_node(node, source: str, path: str) -> float:
     raise ConfigError(f"{path}: unsupported numeric expression {source!r}")
 
 
-def _positive_int(value, path: str) -> int:
-    """A count from JSON: booleans and non-integral numbers are rejected, not truncated."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"{path}: expected a positive integer, got {value!r}")
-    return value
+def _object(section, path: str, keys) -> dict:
+    """`section` if it is a JSON object holding none but `keys`."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{path}: expected an object")
+    unknown = sorted(set(section) - set(keys))
+    if unknown:
+        raise ConfigError(f"{path}: unknown keys {unknown}")
+    return section
+
+
+def _build(path: str, make, *args, **kwargs):
+    """make(*args, **kwargs), its ValueError a ConfigError naming `path`."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}")
 
 
 @dataclass
 class RunConfig:
-    """Validated single-invocation configuration."""
+    """One run.  A point command's counts must pass `sweep.check_counts`; a
+    sweep's counts and initial state are its SweepSpec's."""
 
     command: str
     params: SimulationParams
@@ -101,98 +120,49 @@ class RunConfig:
     n_max: int = 5000
     sweep: Optional[SweepSpec] = None
 
+    def __post_init__(self):
+        if self.sweep is None:
+            check_counts(self.command, n_cycles=self.n_cycles, n_max=self.n_max)
+
 
 _PARAM_KEYS = {"L", "T1", "T2", "kernel", "OmegaT1", "epsT1", "VT1", "FT2"}
 
 
 def parse_params(section, path: str = "params") -> SimulationParams:
-    if not isinstance(section, dict):
-        raise ConfigError(f"{path}: expected an object")
-    unknown = sorted(set(section) - _PARAM_KEYS)
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys {unknown}")
+    _object(section, path, _PARAM_KEYS)
     if "L" not in section:
         raise ConfigError(f"{path}.L: required")
-    L = _positive_int(section["L"], f"{path}.L")
     t1 = parse_number(section.get("T1", 1.0), f"{path}.T1")
     t2 = parse_number(section.get("T2", 10.0), f"{path}.T2")
-    if t1 <= 0 or t2 <= 0:
-        raise ConfigError(f"{path}: stage durations must be positive, got T1={t1}, T2={t2}")
-    kernel = section.get("kernel", "NN")
-    if kernel not in KERNEL_VARIANTS:
-        raise ConfigError(f"{path}.kernel: expected one of {KERNEL_VARIANTS}, got {kernel!r}")
-    omega = parse_number(section.get("OmegaT1", "pi/2"), f"{path}.OmegaT1") / t1
-    epsilon = parse_number(section.get("epsT1", 0.0), f"{path}.epsT1") / t1
-    v = parse_number(section.get("VT1", 0.0), f"{path}.VT1") / t1
-    f = parse_number(section.get("FT2", 0.0), f"{path}.FT2") / t2
-    try:
-        return SimulationParams(L=L, omega=omega, epsilon=epsilon, v=v, f=f, t1=t1, t2=t2, kernel=kernel)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}")
+    omega_t1, eps_t1, v_t1, f_t2 = (
+        parse_number(section.get(key, default), f"{path}.{key}")
+        for key, default in (("OmegaT1", "pi/2"), ("epsT1", 0.0), ("VT1", 0.0), ("FT2", 0.0))
+    )
+    # the durations are checked before the groups are divided by them
+    params = _build(path, SimulationParams, L=section["L"], t1=t1, t2=t2, kernel=section.get("kernel", "NN"))
+    return _build(path, replace, params, omega=omega_t1 / t1, epsilon=eps_t1 / t1, v=v_t1 / t1, f=f_t2 / t2)
 
 
 def _parse_axis(section, path: str) -> SweepAxis:
-    if not isinstance(section, dict):
-        raise ConfigError(f"{path}: expected an object")
-    unknown = sorted(set(section) - {"name", "values"})
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys {unknown}")
-    name = section.get("name")
-    if name not in AXIS_NAMES:
-        raise ConfigError(f"{path}.name: expected one of {AXIS_NAMES}, got {name!r}")
-    raw_values = section.get("values")
-    if not isinstance(raw_values, list) or not raw_values:
-        raise ConfigError(f"{path}.values: expected a non-empty list")
-    if name == "L":
-        values = tuple(_positive_int(v, f"{path}.values") for v in raw_values)
-    elif name in ("kernel", "initial_state"):
-        values = tuple(raw_values)  # checked by SweepAxis
-    else:
-        values = tuple(parse_number(v, f"{path}.values") for v in raw_values)
-    try:
-        return SweepAxis(name, values)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}")
-
-
-def _check_bits(bits, length: Optional[int], path: str) -> None:
-    """A 0/1 string of `length` characters (any length when `length` is None)."""
-    if not isinstance(bits, str) or not bits or any(ch not in "01" for ch in bits):
-        raise ConfigError(f"{path}: expected a bit string, got {bits!r}")
-    if length is not None and len(bits) != length:
-        raise ConfigError(f"{path}: {bits!r} is not a length-{length} bit string")
+    _object(section, path, ("name", "values"))
+    name, values = section.get("name"), section.get("values")
+    if not isinstance(values, list):
+        raise ConfigError(f"{path}.values: expected a list")
+    if name in ("epsilon", "F_T2", "V"):  # rates, which may be symbolic
+        values = [parse_number(value, f"{path}.values") for value in values]
+    return _build(path, SweepAxis, name, tuple(values))
 
 
 def parse_sweep(section, base: SimulationParams, run: dict) -> SweepSpec:
-    """The sweep section over `base`; `run` holds those of the config's
-    top-level n_cycles, n_max and initial_state that it gives, and
-    SweepSpec's defaults stand for the others."""
-    if not isinstance(section, dict):
-        raise ConfigError("sweep: expected an object")
-    unknown = sorted(set(section) - {"axes", "observable", "grid_cap"})
-    if unknown:
-        raise ConfigError(f"sweep: unknown keys {unknown}")
-    grid_cap = _positive_int(section.get("grid_cap", DEFAULT_GRID_CAP), "sweep.grid_cap")
+    """The sweep section over `base`; `run` holds the top-level n_cycles, n_max
+    and initial_state the config gives (SweepSpec's defaults stand for the rest)."""
+    _object(section, "sweep", ("axes", "observable", "grid_cap"))
     axes_section = section.get("axes")
-    if not isinstance(axes_section, list) or not axes_section:
-        raise ConfigError("sweep.axes: expected a non-empty list")
+    if not isinstance(axes_section, list):
+        raise ConfigError("sweep.axes: expected a list")
     axes = tuple(_parse_axis(axis, f"sweep.axes[{i}]") for i, axis in enumerate(axes_section))
-    # checked here: a bad state would only fail each point, leaving a CSV of error markers
-    length = None if any(axis.name == "L" for axis in axes) else base.L
-    if "initial_state" in run:
-        _check_bits(run["initial_state"], length, "initial_state")
-    for i, axis in enumerate(axes):
-        if axis.name == "initial_state":
-            for bits in axis.values:
-                if bits != ALL_ONES:  # an axis cannot leave the state out, so it names all ones
-                    _check_bits(bits, length, f"sweep.axes[{i}].values")
-    observable = section.get("observable")
-    if observable not in OBSERVABLES:
-        raise ConfigError(f"sweep.observable: expected one of {OBSERVABLES}, got {observable!r}")
-    try:
-        return SweepSpec(axes=axes, base=base, observable=observable, grid_cap=grid_cap, **run)
-    except ValueError as exc:
-        raise ConfigError(f"sweep: {exc}")
+    return _build("sweep", SweepSpec, axes=axes, base=base, observable=section.get("observable"),
+                  grid_cap=section.get("grid_cap", DEFAULT_GRID_CAP), **run)
 
 
 def parse_config(source: str) -> RunConfig:
@@ -201,11 +171,7 @@ def parse_config(source: str) -> RunConfig:
         data = json.loads(source)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
-    if not isinstance(data, dict):
-        raise ConfigError("config: expected a JSON object at top level")
-    unknown = sorted(set(data) - {"command", "params", "initial_state", "n_cycles", "n_max", "sweep"})
-    if unknown:
-        raise ConfigError(f"config: unknown keys {unknown}")
+    _object(data, "config", ("command", "params", "initial_state", "n_cycles", "n_max", "sweep"))
 
     command = data.get("command")
     if command not in COMMANDS:
@@ -216,8 +182,10 @@ def parse_config(source: str) -> RunConfig:
         raise ConfigError(f"params: required for command {command!r}")
     params = parse_params(data["params"])
 
-    counts = {key: _positive_int(data[key], key) for key in ("n_cycles", "n_max") if key in data}
+    counts = {key: data[key] for key in ("n_cycles", "n_max") if key in data}
     initial_state = data.get("initial_state")
+    if initial_state == ALL_ONES:  # the key left out is all ones
+        raise ConfigError(f"initial_state: expected a bit string, got {ALL_ONES!r}")
     if isinstance(initial_state, list) and command != "overlaps":
         raise ConfigError(f"initial_state: {command} takes a bit string; only overlaps takes an amplitude list")
     sweep = None
@@ -226,24 +194,8 @@ def parse_config(source: str) -> RunConfig:
             raise ConfigError("sweep: required when command is 'sweep'")
         run = counts if initial_state is None else {**counts, "initial_state": initial_state}
         sweep = parse_sweep(data["sweep"], params, run)
-    elif isinstance(initial_state, list):
-        for i, entry in enumerate(initial_state):
-            if not isinstance(entry, list) or len(entry) != 3:
-                raise ConfigError(f"initial_state[{i}]: expected [index, real, imag]")
-    elif initial_state is not None:
-        _check_bits(initial_state, params.L, "initial_state")
     reader = command if sweep is None else sweep.observable
-    # the count the command or sweep observable reads; overlaps and overlap_table read none
-    read = {"series": "n_cycles", "spectrum": "n_cycles", "a_pi": "n_cycles", "lifetime": "n_max"}.get(reader)
     for key in counts:
-        if key != read:
+        if key != OBSERVABLES[reader][0]:
             raise ConfigError(f"{key}: {reader} does not read it")
-    cfg = RunConfig(command, params, initial_state, sweep=sweep, **counts)
-    # checked before the run, which would compute the whole series first
-    if command == "spectrum" and cfg.n_cycles % 2:
-        raise ConfigError(
-            f"n_cycles: the spectrum needs an even count for an exact omega=pi bin, got {cfg.n_cycles}"
-        )
-    if command == "lifetime" and cfg.n_max < 2:
-        raise ConfigError(f"n_max: lifetime needs at least 2 cycles, got {cfg.n_max}")
-    return cfg
+    return _build("config", RunConfig, command, params, initial_state, sweep=sweep, **counts)

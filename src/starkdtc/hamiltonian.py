@@ -29,8 +29,18 @@ from .hilbert import BasisConfig
 KERNEL_VARIANTS = ("NN", "NNN", "NNNN", "ALL")
 
 # dense 2^L x 2^L storage beyond this is not worth supporting; checked by
-# SimulationParams, which parse_params and SweepAxis build for every L
+# SimulationParams, which SweepAxis also builds for every L value
 MAX_DENSE_SITES = 14
+
+
+def check_rate(name: str, value) -> None:
+    """Refuse a rate or stage duration that is not a finite number (or is a boolean)."""
+    try:
+        finite = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a real number, or an integer past the float range
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} takes finite numbers, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -39,7 +49,10 @@ class SimulationParams:
 
     Rates (omega, epsilon, v, f) carry units of 1/time and the stage
     durations t1, t2 units of time; figures are labeled by the products
-    omega*t1, epsilon*t1, v*t1, v*t2 and f*t2.
+    omega*t1, epsilon*t1, v*t1, v*t2 and f*t2.  Construction refuses, with
+    ValueError, an L that is not an integer (or is a boolean) from 1 to
+    MAX_DENSE_SITES, a rate or duration `check_rate` refuses, a duration
+    <= 0 and a kernel outside KERNEL_VARIANTS.
     """
 
     L: int
@@ -52,14 +65,12 @@ class SimulationParams:
     kernel: str = "NN"
 
     def __post_init__(self):
-        if not isinstance(self.L, (int, np.integer)) or self.L < 1:
-            raise ValueError(f"site count must be a positive integer, got {self.L!r}")
+        if isinstance(self.L, bool) or not isinstance(self.L, (int, np.integer)) or self.L < 1:
+            raise ValueError(f"L must be a positive integer, got {self.L!r}")
         if self.L > MAX_DENSE_SITES:
             raise ValueError(f"L={self.L} exceeds the site cap of {MAX_DENSE_SITES} (MAX_DENSE_SITES)")
         for name in ("omega", "epsilon", "v", "f", "t1", "t2"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"parameter {name} must be finite, got {value!r}")
+            check_rate(name, getattr(self, name))
         if self.t1 <= 0 or self.t2 <= 0:
             raise ValueError(f"stage durations must be positive, got t1={self.t1}, t2={self.t2}")
         if self.kernel not in KERNEL_VARIANTS:

@@ -86,15 +86,20 @@ class StateVector:
         return None
 
 
+def check_bits(bits, length=None) -> None:
+    """Refuse anything but a non-empty 0/1 string (of `length` characters, if given)."""
+    if not isinstance(bits, str) or not bits or any(ch not in "01" for ch in bits):
+        raise ValueError(f"initial_state takes bit strings, got {bits!r}")
+    if length is not None and len(bits) != length:
+        raise ValueError(f"initial_state takes length-{length} bit strings, got {bits!r}")
+
+
 def z_product_state(bits: str, basis: BasisConfig) -> StateVector:
     """Computational basis state from a bit string, leftmost character = site 1.
 
     '1' puts the site in the Rydberg state |r>, '0' in the ground state |g>.
     """
-    if len(bits) != basis.L:
-        raise ValueError(f"bit string length {len(bits)} does not match L={basis.L}")
-    if any(ch not in "01" for ch in bits):
-        raise ValueError(f"bit string must contain only 0/1 characters, got {bits!r}")
+    check_bits(bits, basis.L)
     index = sum(1 << (j - 1) for j, ch in enumerate(bits, start=1) if ch == "1")
     amps = np.zeros(basis.dimension, dtype=complex)
     amps[index] = 1.0

@@ -7,7 +7,7 @@ observable therefore runs key by key: the sweep builds U1 once per key, as
 its sector eigensystems, then either assembles U1's two complex blocks once
 and evolves the key's z-product initial states together as the columns of
 one block, Psi <- Phi * (U1 Psi) (one gemm per reflection sector and cycle
-for the group, and no dense U_F per point), or, for the overlap table,
+for the group, and no dense U_F per point), or, for the overlaps observable,
 wraps U1 and each point's stage-2 diagonal in a propagator for its
 quasi-spectrum.
 
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import numbers
 from dataclasses import dataclass, replace
 from itertools import product
@@ -40,22 +39,21 @@ from .floquet import (
     propagator_u2,
     stage1_unitary,
 )
-from .hamiltonian import KERNEL_VARIANTS, SimulationParams, build_h2_diagonal
-from .hilbert import sigma_z_stack, z_product_state
+from .hamiltonian import SimulationParams, build_h2_diagonal, check_rate
+from .hilbert import check_bits, sigma_z_stack, z_product_state
 from .observables import AutocorrelatorSeries, _evolve_block, fourier_spectrum, reversal_analysis
 from .output import atomic_open, params_metadata, write_csv, write_sidecar
 
 AXIS_NAMES = ("epsilon", "F_T2", "V", "L", "kernel", "initial_state")
-OBSERVABLES = ("a_pi", "lifetime", "series", "spectrum", "overlap_table")
-
-# canonical column layout per observable keeps CSV bytes stable across
-# fresh and journal-resumed runs
-_VALUE_COLUMNS = {
-    "a_pi": ((), ("a_pi",)),
-    "lifetime": ((), ("n_c", "first_reversal", "reversal_depth", "n_max")),
-    "series": (("n", "c"), ()),
-    "spectrum": (("omega", "magnitude"), ("a_pi",)),
-    "overlap_table": (("quasi_energy", "overlap"), ()),
+# per observable (a sweep's, or the point command of that name): the cycle
+# count it reads, then its per-sample and per-point value columns; the fixed
+# column layout keeps CSV bytes stable across fresh and journal-resumed runs
+OBSERVABLES = {
+    "a_pi": ("n_cycles", (), ("a_pi",)),
+    "lifetime": ("n_max", (), ("n_c", "first_reversal", "reversal_depth", "n_max")),
+    "series": ("n_cycles", ("n", "c"), ()),
+    "spectrum": ("n_cycles", ("omega", "magnitude"), ("a_pi",)),
+    "overlaps": (None, ("quasi_energy", "overlap"), ()),
 }
 DEFAULT_GRID_CAP = 10_000
 ALL_ONES = "all_ones"
@@ -75,37 +73,65 @@ _PANEL = 4
 _MAX_BLOCK_COLUMNS = 64
 
 
+def check_counts(observable: str, **counts) -> None:
+    """Refuse counts (n_cycles, n_max and a sweep's grid_cap) that `observable`,
+    a sweep observable or the point command of that name, cannot run: each
+    must be a positive integer, not a boolean; n_cycles must be even for a_pi
+    and spectrum (an exact omega = pi bin), and n_max at least 2 for lifetime."""
+    for name, count in counts.items():
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+            raise ValueError(f"{name} must be a positive integer, got {count!r}")
+    if observable in ("a_pi", "spectrum") and counts["n_cycles"] % 2:
+        raise ValueError(f"n_cycles must be even for {observable}'s exact omega=pi bin, got {counts['n_cycles']}")
+    if observable == "lifetime" and counts["n_max"] < 2:
+        raise ValueError(f"n_max must be at least 2 for lifetime, got {counts['n_max']}")
+
+
 @dataclass(frozen=True)
 class SweepAxis:
+    """A grid axis.  Construction refuses, with ValueError, a name outside
+    AXIS_NAMES, no values, and each value its axis cannot run: L values
+    must be whole numbers (2.0 is taken, True is not) that `SimulationParams`
+    takes as L, kernel values kernels it takes, epsilon, F_T2 and V values
+    numbers `check_rate` takes, and initial_state values bit strings or
+    ALL_ONES (all ones at each point's L)."""
+
     name: str
     values: tuple
 
     def __post_init__(self):
         if self.name not in AXIS_NAMES:
-            raise ValueError(f"unknown axis {self.name!r}, expected one of {AXIS_NAMES}")
+            raise ValueError(f"unknown axis name {self.name!r}, expected one of {AXIS_NAMES}")
         if len(self.values) == 0:
             raise ValueError(f"axis {self.name!r} has no values")
         # checked here, not per point: a bad value would only fill its rows with error markers
         for value in self.values:
             if self.name == "L":
                 # a fractional L would be truncated to int(L) at its point
-                if not (isinstance(value, numbers.Real) and float(value).is_integer()):
+                if isinstance(value, bool) or not (isinstance(value, numbers.Real) and value % 1 == 0):
                     raise ValueError(f"L takes whole site counts, got {value!r}")
-                SimulationParams(L=int(value))  # checks the site cap
-            elif self.name == "kernel" and value not in KERNEL_VARIANTS:
-                raise ValueError(f"unknown kernel variant {value!r}, expected one of {KERNEL_VARIANTS}")
-            elif self.name == "initial_state" and not isinstance(value, str):
-                raise ValueError(f"initial_state takes bit strings, got {value!r}")
-            elif self.name in ("epsilon", "F_T2", "V") and not (
-                isinstance(value, numbers.Real) and math.isfinite(value)
-            ):
-                # the same value in `params` is refused by SimulationParams
-                raise ValueError(f"{self.name} takes finite numbers, got {value!r}")
+                SimulationParams(L=int(value))
+            elif self.name == "kernel":
+                SimulationParams(L=1, kernel=value)
+            elif self.name in ("epsilon", "F_T2", "V"):
+                check_rate(self.name, value)
+            elif value != ALL_ONES:  # an initial_state value
+                check_bits(value)
         object.__setattr__(self, "values", tuple(self.values))
 
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """A grid of one or two axes around `base`, and the observable to evaluate.
+
+    Construction refuses, with ValueError: other than one or two axes,
+    repeated axis names, an observable outside OBSERVABLES, counts
+    `check_counts` refuses (grid_cap among them), a grid of more than
+    grid_cap points, and an initial state (the spec's, or an initial_state
+    axis value) that is neither ALL_ONES nor a bit string of base.L
+    characters; with an L axis, each point checks its state's length.
+    """
+
     axes: tuple
     base: SimulationParams
     observable: str
@@ -121,17 +147,16 @@ class SweepSpec:
         names = [axis.name for axis in axes]
         if len(set(names)) != len(names):
             raise ValueError(f"axis names must be distinct, got {names}")
-        if self.observable not in OBSERVABLES:
-            raise ValueError(f"unknown observable {self.observable!r}, expected one of {OBSERVABLES}")
-        if self.n_cycles < 1 or self.n_max < 1:
-            raise ValueError(f"cycle counts must be >= 1, got n_cycles={self.n_cycles}, n_max={self.n_max}")
+        known = tuple(OBSERVABLES)  # a tuple, so an unhashable value is refused, not a TypeError
+        if self.observable not in known:
+            raise ValueError(f"observable must be one of {known}, got {self.observable!r}")
         # rejected here, before any point is evaluated, not as a marker per point
-        if self.observable in ("a_pi", "spectrum") and self.n_cycles % 2:
-            raise ValueError(
-                f"{self.observable} needs an even n_cycles for an exact omega=pi bin, got {self.n_cycles}"
-            )
-        if self.observable == "lifetime" and self.n_max < 2:
-            raise ValueError(f"lifetime needs n_max >= 2, got {self.n_max}")
+        check_counts(self.observable, n_cycles=self.n_cycles, n_max=self.n_max, grid_cap=self.grid_cap)
+        length = None if "L" in names else self.base.L
+        states = [bits for axis in axes if axis.name == "initial_state" for bits in axis.values]
+        for bits in (self.initial_state, *states):
+            if bits != ALL_ONES:
+                check_bits(bits, length)
         size = self.grid_size()
         if size > self.grid_cap:
             raise ValueError(f"grid of {size} points exceeds the cap of {self.grid_cap}")
@@ -232,8 +257,7 @@ class SweepResult:
     def rows(self):
         """Long-format rows: axes, value columns (arrays expanded), error."""
         names = self.axis_names()
-        array_keys, scalar_keys = _VALUE_COLUMNS[self.spec.observable]
-        array_keys, scalar_keys = list(array_keys), list(scalar_keys)
+        array_keys, scalar_keys = (list(keys) for keys in OBSERVABLES[self.spec.observable][1:])
         header = names + array_keys + scalar_keys + ["error"]
         rows = []
         for point, record, error in zip(self.coords, self.values, self.errors):
@@ -270,14 +294,6 @@ def _marker(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _resolve(spec: SweepSpec, coords: dict):
-    """(params, bits) of a grid point whose initial state fits its L."""
-    params, bits = spec.point_inputs(coords)
-    if len(bits) != params.L or any(ch not in "01" for ch in bits):
-        raise ValueError(f"initial state {bits!r} incompatible with L={params.L}")
-    return params, bits
-
-
 def _series_record(spec: SweepSpec, values: np.ndarray) -> dict:
     """The observable's value record from one point's C(n) series."""
     observable = spec.observable
@@ -308,18 +324,10 @@ def _block_series(blocks: SectorBlocks, columns, sz: np.ndarray, n_cycles: int):
     count = len(columns)
     width = -(-count // _PANEL) * _PANEL
     phi = np.zeros((blocks.u1.dimension, width), dtype=complex)
-    errors = [None] * count
     for col, (params, _) in enumerate(columns):
-        try:
-            phi[:, col] = propagator_u2(build_h2_diagonal(params), params.t2)
-        except Exception as exc:  # a bad stage 2 fails its own point only
-            errors[col] = _marker(exc)
-    # a column left at zero phase loses its norm in cycle 1 and drops out
+        phi[:, col] = propagator_u2(build_h2_diagonal(params), params.t2)
     values, faults = _evolve_block(blocks, phi, columns, sz, n_cycles)
-    for col, fault in enumerate(faults):
-        if errors[col] is None and fault is not None:
-            errors[col] = _marker(fault)
-    return values, errors
+    return values, [None if fault is None else _marker(fault) for fault in faults]
 
 
 def _overlap_record(u1: SectorUnitary, params: SimulationParams, bits: str) -> dict:
@@ -332,20 +340,20 @@ def _overlap_record(u1: SectorUnitary, params: SimulationParams, bits: str) -> d
 def _evaluate_group(spec: SweepSpec, members, factory: PropagatorFactory):
     """(index, coords, value, error) for the points of one stage-1 key.
 
-    `members` are (index, coords, params, bits) tuples.  Overlap-table
+    `members` are (index, coords, params, bits) tuples.  Overlaps
     points each take their quasi-spectrum from the shared U1; for the
     others U1's blocks are assembled (and checked) once, and the points are
     evolved in padded blocks of up to _MAX_BLOCK_COLUMNS columns.
     """
     try:
         u1 = factory.stage1(members[0][2])
-        if spec.observable != "overlap_table":
+        if spec.observable != "overlaps":
             blocks = u1.assemble(members[0][2])
     except Exception as exc:  # a failed stage 1 fails every point of its key
         for index, coords, _, _ in members:
             yield index, coords, None, _marker(exc)
         return
-    if spec.observable == "overlap_table":
+    if spec.observable == "overlaps":
         for index, coords, params, bits in members:
             try:
                 value, error = _overlap_record(u1, params, bits), None
@@ -353,7 +361,7 @@ def _evaluate_group(spec: SweepSpec, members, factory: PropagatorFactory):
                 value, error = None, _marker(exc)
             yield index, coords, value, error
         return
-    n_cycles = spec.n_max if spec.observable == "lifetime" else spec.n_cycles
+    n_cycles = getattr(spec, OBSERVABLES[spec.observable][0])
     sz = sigma_z_stack(members[0][2].basis)
     for at in range(0, len(members), _MAX_BLOCK_COLUMNS):
         chunk = members[at:at + _MAX_BLOCK_COLUMNS]
@@ -376,9 +384,10 @@ def _evaluate_grouped(spec: SweepSpec, pending, factory: PropagatorFactory):
     """(index, coords, value, error) for the pending points, key by key."""
     groups = {}
     for index, coords in pending:
+        params, bits = spec.point_inputs(coords)
         try:
-            params, bits = _resolve(spec, coords)
-        except Exception as exc:  # reported as the point's error marker
+            check_bits(bits, params.L)  # SweepSpec checks the length only when L is not swept
+        except ValueError as exc:  # reported as the point's error marker
             yield index, coords, None, _marker(exc)
             continue
         groups.setdefault(PropagatorFactory.key(params), []).append((index, coords, params, bits))
@@ -445,18 +454,18 @@ def run_sweep(spec: SweepSpec, journal_path=None, resume: bool = False) -> Sweep
 
     The pending points are grouped by stage-1 key and each group builds U1
     once (`PropagatorFactory`).  A group assembles U1's blocks once and
-    evolves its initial states as one column block, or, for overlap_table,
+    evolves its initial states as one column block, or, for overlaps,
     computes each point's quasi-spectrum from that U1.  Per-point numeric
     failures are recorded in place as error markers; the whole sweep fails
     only on an invalid spec or journal.  With `journal_path` set every
     evaluated point is appended to a JSON-lines journal, and `resume=True`
     skips points already present in a journal for the identical spec (a
     torn last line is dropped and its point recomputed).  The sweep first
-    checks that stage 1 at the grid's largest L, and for overlap_table a
+    checks that stage 1 at the grid's largest L, and for overlaps a
     quasi-spectrum, fits in memory (`floquet.check_memory`).
     """
     sizes = [int(value) for axis in spec.axes if axis.name == "L" for value in axis.values]
-    check_memory(max(sizes, default=spec.base.L), quasi_spectrum=spec.observable == "overlap_table")
+    check_memory(max(sizes, default=spec.base.L), quasi_spectrum=spec.observable == "overlaps")
     factory = PropagatorFactory()
     points = list(spec.grid_points())
     journal = _Journal(journal_path, spec.fingerprint(), resume) if journal_path else None

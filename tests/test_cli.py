@@ -446,13 +446,17 @@ def test_malformed_runs_exit_2_without_writing(tmp_path, monkeypatch, capsys, fl
         ({**point_config("overlaps"), "n_cycles": 10}, "n_cycles: overlaps does not read it",
          [], point_config("overlaps"), "overlaps.csv"),
         ({**SWEEP_CONFIG, "n_max": 9}, "n_max: a_pi does not read it", [], SWEEP_CONFIG, "sweep.csv"),
-        ({**sweep_config(observable="overlap_table"), "n_cycles": 10}, "n_cycles: overlap_table does not read it",
-         [], sweep_config(observable="overlap_table"), "sweep.csv"),
+        ({**sweep_config(observable="overlaps"), "n_cycles": 10}, "n_cycles: overlaps does not read it",
+         [], sweep_config(observable="overlaps"), "sweep.csv"),
+        # the overlaps table under the point command's name
+        (sweep_config(observable="overlap_table"),
+         "sweep: observable must be one of ('a_pi', 'lifetime', 'series', 'spectrum', 'overlaps'), "
+         "got 'overlap_table'", [], sweep_config(observable="overlaps"), "sweep.csv"),
     ],
     ids=["figure_command", "output_format", "sweep_n_cycles", "sweep_n_max", "sweep_initial_state",
          "step_range", "num_range", "Omega", "epsilon", "V", "F", "VT2", "series_list", "spectrum_list",
          "lifetime_list", "all_ones", "lifetime_n_cycles", "overlaps_n_cycles", "a_pi_n_max",
-         "overlap_table_n_cycles"],
+         "overlaps_sweep_n_cycles", "overlap_table"],
 )
 def test_removed_spellings_exit_2_naming_the_key(tmp_path, capsys, removed, message, flags, kept, data_file):
     # each setting and model input has one spelling: the removed one names
@@ -473,6 +477,37 @@ def test_removed_spellings_exit_2_naming_the_key(tmp_path, capsys, removed, mess
         argv += ["--config", str(write_config(tmp_path, kept))]
     assert main(argv) == 0
     assert (out / data_file).stat().st_size > 0
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (dict(SERIES_CONFIG, params={"L": True}), "params: L must be a positive integer, got True"),
+        (sweep_config(axes=[{"name": "L", "values": [True]}]), "sweep.axes[0]: L takes whole site counts, got True"),
+        (sweep_config(axes=[{"name": "epsilon", "values": [True]}]),
+         "sweep.axes[0].values: expected a number, got a boolean"),
+        (sweep_config(axes=[{"name": "initial_state", "values": ["10x"]}]),
+         "sweep.axes[0]: initial_state takes bit strings, got '10x'"),
+        ({**SWEEP_CONFIG, "n_cycles": 2.5}, "sweep: n_cycles must be a positive integer, got 2.5"),
+        ({**SWEEP_CONFIG, "n_cycles": True}, "sweep: n_cycles must be a positive integer, got True"),
+        (sweep_config(grid_cap=2.5), "sweep: grid_cap must be a positive integer, got 2.5"),
+        ({**SWEEP_CONFIG, "initial_state": "10x"}, "sweep: initial_state takes bit strings, got '10x'"),
+        (dict(SERIES_CONFIG, initial_state=5), "initial_state takes bit strings, got 5"),
+    ],
+    ids=["params_bool_L", "axis_bool_L", "axis_bool_epsilon", "axis_state", "fractional_n_cycles",
+         "bool_n_cycles", "fractional_grid_cap", "sweep_state", "point_state"],
+)
+def test_inputs_the_run_types_refuse_exit_2_naming_the_key(tmp_path, monkeypatch, capsys, data, message):
+    # the config side of test_sweep.py::test_run_types_refuse_bad_inputs
+    def no_stage1(params):
+        raise AssertionError("stage 1 computed before the input was refused")
+
+    monkeypatch.setattr(floquet_module, "stage1_unitary", no_stage1)
+    monkeypatch.setattr(sweep_module, "stage1_unitary", no_stage1)
+    out = tmp_path / "out"
+    assert main(["--config", str(write_config(tmp_path, data)), "--out", str(out)]) == 2
+    assert f"config error: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_output_path_that_is_a_directory_exits_2(tmp_path, capsys):
@@ -504,8 +539,8 @@ def test_out_of_memory_during_a_run_exits_2(tmp_path, monkeypatch, capsys):
     assert not any(out.iterdir())
 
 
-@pytest.mark.parametrize("expression", ["1/0", "10**400", "(-1)**0.5"],
-                         ids=["zero_division", "overflow", "complex"])
+@pytest.mark.parametrize("expression", ["1/0", "10**400", "(-1)**0.5", 10**400],
+                         ids=["zero_division", "overflow", "complex", "integer_overflow"])
 @pytest.mark.parametrize(
     "place, path",
     [("params", "params.FT2"), ("axis", "sweep.axes[0].values")],
@@ -626,7 +661,7 @@ def test_unusable_cycle_counts_exit_2_before_computing(tmp_path, monkeypatch, ca
     [
         (point_config("overlaps"), 3),
         ({"command": "sweep", "params": {"L": 3, "VT1": 0.1},
-          "sweep": {"axes": [{"name": "L", "values": [3, 5, 4]}], "observable": "overlap_table"}}, 5),
+          "sweep": {"axes": [{"name": "L", "values": [3, 5, 4]}], "observable": "overlaps"}}, 5),
         (["--figure", "fig2"], 12),
     ],
 )

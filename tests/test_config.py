@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import starkdtc.config as config
-from starkdtc import ConfigError, SimulationParams, parse_config
+from starkdtc import ConfigError, SimulationParams, SweepAxis, parse_config
 from starkdtc.cli import _initial_state
-from starkdtc.config import parse_number, parse_params
+from starkdtc.config import _parse_axis, parse_number, parse_params
 from starkdtc.hamiltonian import KERNEL_VARIANTS
 from starkdtc.output import params_metadata
+from starkdtc.sweep import AXIS_NAMES
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -51,7 +52,7 @@ def test_parse_params_defaults_and_conversions():
 
 
 def test_parse_params_rejections():
-    with pytest.raises(ConfigError, match="params.L"):
+    with pytest.raises(ConfigError, match="params: L must be a positive integer, got 0"):
         parse_params({"L": 0})
     with pytest.raises(ConfigError, match="params.L"):
         parse_params({})
@@ -61,6 +62,66 @@ def test_parse_params_rejections():
         parse_params({"L": 2, "kernel": "XY"})
     with pytest.raises(ConfigError):
         parse_params({"L": 2, "T1": 0})
+
+
+# JSON values that parse_number converts (a boolean it refuses, as the types
+# do), and raw values for the keys config passes on unconverted
+NUMBERS = st.one_of(
+    st.sampled_from([True, False, 0, -1, 3, "1e400", "-1e400", "pi/2", "0.1", "-2*pi"]),
+    st.floats(),
+)
+RAW = st.sampled_from([0, 1, 3, 14, 15, -2, 10**400, True, False, 2.0, 2.5, 1e400, math.nan, "3", None,
+                       "NN", "ALL", "XY", "101", "10x", "", "all_ones"])
+RATE_AXES = ("epsilon", "F_T2", "V")
+
+
+def convert(value):
+    """`value` as parse_number gives it; a boolean stays one."""
+    return value if isinstance(value, bool) else parse_number(value, "value")
+
+
+def refuses(build, error) -> bool:
+    try:
+        build()
+    except error:
+        return True
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(section=st.fixed_dictionaries(
+    {"L": RAW},
+    optional={"T1": NUMBERS, "T2": NUMBERS, "kernel": RAW, "OmegaT1": NUMBERS, "epsT1": NUMBERS,
+              "VT1": NUMBERS, "FT2": NUMBERS},
+))
+def test_parse_params_refuses_exactly_what_simulation_params_refuses(section):
+    # the rules live in SimulationParams; config only converts, so a rule
+    # stated a second time in config could only break this agreement
+    groups = {key: convert(value) for key, value in section.items() if key not in ("L", "kernel")}
+    t1, t2 = groups.get("T1", 1.0), groups.get("T2", 10.0)
+
+    def rate(key, default, duration):
+        group = groups.get(key, default)
+        # a boolean is refused as it stands, and a zero duration with any rate
+        return group if isinstance(group, bool) or not duration else group / duration
+
+    def build():
+        SimulationParams(L=section["L"], t1=t1, t2=t2, kernel=section.get("kernel", "NN"),
+                         omega=rate("OmegaT1", math.pi / 2, t1), epsilon=rate("epsT1", 0.0, t1),
+                         v=rate("VT1", 0.0, t1), f=rate("FT2", 0.0, t2))
+
+    assert refuses(lambda: parse_params(section), ConfigError) == refuses(build, ValueError)
+
+
+@settings(max_examples=300, deadline=None)
+@given(section=st.sampled_from(AXIS_NAMES + ("bogus",)).flatmap(lambda name: st.fixed_dictionaries(
+    {"name": st.just(name), "values": st.lists(NUMBERS if name in RATE_AXES else RAW, max_size=3)}
+)))
+def test_parse_axis_refuses_exactly_what_sweep_axis_refuses(section):
+    name, values = section["name"], section["values"]
+    converted = [convert(value) for value in values] if name in RATE_AXES else values
+    assert (refuses(lambda: _parse_axis(section, "axis"), ConfigError)
+            == refuses(lambda: SweepAxis(name, tuple(converted)), ValueError))
 
 
 def make_config(**overrides):
@@ -112,10 +173,11 @@ def test_config_round_trips_sidecar_params(L, kernel, rates, durations, data):
 def test_parse_config_initial_state_forms():
     cfg = parse_config(make_config(initial_state="101"))
     assert cfg.initial_state == "101" and _initial_state(cfg).product_state_index() == 0b101
-    with pytest.raises(ConfigError):
-        parse_config(make_config(initial_state="10"))
-    with pytest.raises(ConfigError):
-        parse_config(make_config(initial_state="10x"))
+    # a point command's state is checked where it is built, before anything runs
+    for bits, message in (("10", "length-3 bit strings, got '10'"), ("10x", "bit strings, got '10x'"),
+                          ("", "bit strings, got ''"), (101, "bit strings, got 101")):
+        with pytest.raises(ValueError, match=f"^initial_state takes {message}$"):
+            _initial_state(parse_config(make_config(initial_state=bits)))
     with pytest.raises(ConfigError, match="initial_state: expected a bit string, got 'all_ones'"):
         parse_config(make_config(initial_state="all_ones"))  # left out for all ones
     # an amplitude list is for overlaps only
@@ -125,8 +187,8 @@ def test_parse_config_initial_state_forms():
     overlaps = {"command": "overlaps", "params": {"L": 3}}
     cfg = parse_config(json.dumps(dict(overlaps, initial_state=triples)))
     assert cfg.initial_state == triples
-    with pytest.raises(ConfigError, match=r"initial_state\[0\]: expected \[index, real, imag\]"):
-        parse_config(json.dumps(dict(overlaps, initial_state=[[0, 0.5]])))
+    with pytest.raises(ValueError, match=r"amplitude entry \[0, 0\.5\] is not an \(index, real, imag\) triple"):
+        _initial_state(parse_config(json.dumps(dict(overlaps, initial_state=[[0, 0.5]]))))
 
 
 def test_parse_config_command_validation():
@@ -174,15 +236,17 @@ def test_parse_sweep_rejects_bad_initial_state():
 
     f_axis = [{"name": "F_T2", "values": [0.0]}]
     l_axis = [{"name": "L", "values": [2, 3]}]
-    with pytest.raises(ConfigError, match=r"^initial_state: expected a bit string"):
+    with pytest.raises(ConfigError, match=r"^sweep: initial_state takes bit strings, got '10x'"):
         parse_config(sweep_cfg(f_axis, initial_state="10x"))
-    with pytest.raises(ConfigError, match=r"^initial_state: expected a bit string"):
+    with pytest.raises(ConfigError, match=r"^sweep: initial_state takes bit strings, got 101"):
         parse_config(sweep_cfg(f_axis, initial_state=101))
-    with pytest.raises(ConfigError, match=r"^initial_state: '10' is not a length-3"):
+    with pytest.raises(ConfigError, match=r"^sweep: initial_state takes length-3 bit strings, got '10'"):
         parse_config(sweep_cfg(f_axis, initial_state="10"))
-    with pytest.raises(ConfigError, match=r"^initial_state: expected a bit string"):
+    with pytest.raises(ConfigError, match=r"^sweep: initial_state takes bit strings, got '1x'"):
         parse_config(sweep_cfg(l_axis, initial_state="1x"))
-    with pytest.raises(ConfigError, match=r"sweep\.axes\[1\]\.values: expected a bit string"):
+    with pytest.raises(ConfigError, match=r"^sweep: initial_state takes length-3 bit strings, got '10'"):
+        parse_config(sweep_cfg(f_axis + [{"name": "initial_state", "values": ["101", "10"]}]))
+    with pytest.raises(ConfigError, match=r"sweep\.axes\[1\]: initial_state takes bit strings, got '1o1'"):
         parse_config(sweep_cfg(f_axis + [{"name": "initial_state", "values": ["101", "1o1"]}]))
     # all ones is the state left out; an axis names it, and it fits every L
     with pytest.raises(ConfigError, match=r"^initial_state: expected a bit string, got 'all_ones'"):
@@ -233,7 +297,7 @@ def test_parse_config_sweep_axis_errors():
         parse_config(sweep_cfg([{"name": "bogus", "values": [1]}]))
     with pytest.raises(ConfigError, match="values"):
         parse_config(sweep_cfg([{"name": "epsilon", "values": []}]))
-    with pytest.raises(ConfigError, match=r"sweep\.axes\[0\]\.values: expected a non-empty list"):
+    with pytest.raises(ConfigError, match=r"sweep\.axes\[0\]\.values: expected a list"):
         parse_config(sweep_cfg([{"name": "epsilon"}]))
     with pytest.raises(ConfigError, match="observable"):
         parse_config(sweep_cfg([{"name": "epsilon", "values": [0.1]}], observable="energy"))
@@ -260,7 +324,7 @@ def test_parse_config_l_ranges_give_whole_site_counts():
     # an L range is now refused, and listed L values must be whole
     with pytest.raises(ConfigError, match=r"sweep\.axes\[0\]: unknown keys \['start', 'step', 'stop'\]"):
         parse_config(sweep_config({"name": "L", "start": 2, "stop": 3, "step": 0.5}))
-    with pytest.raises(ConfigError, match=r"sweep\.axes\[0\]\.values: expected a positive integer, got 2\.5"):
+    with pytest.raises(ConfigError, match=r"sweep\.axes\[0\]: L takes whole site counts, got 2\.5"):
         parse_config(sweep_config({"name": "L", "values": [2, 2.5]}))
     assert parse_config(sweep_config({"name": "L", "values": [4, 3, 2]})).sweep.axes[0].values == (4, 3, 2)
 
@@ -316,9 +380,11 @@ def test_parse_config_rejects_unusable_cycle_counts():
 )
 def test_parse_sweep_rejects_non_integer_counts(sweep_fields, path):
     # each would otherwise be truncated (2.5 -> 2, 3.7 -> 3, true -> 1) or,
-    # as L = 0, fail at its point
+    # as L = 0, fail at its point; the refusal names the section that holds
+    # the value, `path` without its last key
     sweep = {"axes": [{"name": "F_T2", "values": [0.0]}], "observable": "a_pi", **sweep_fields}
-    with pytest.raises(ConfigError, match=f"{path}: expected a positive integer"):
+    section = path.rsplit(".", 1)[0]
+    with pytest.raises(ConfigError, match=f"^{section}: (grid_cap|L) (must be a positive integer|takes whole)"):
         parse_config(json.dumps({"command": "sweep", "params": {"L": 2}, "sweep": sweep}))
 
 

@@ -86,6 +86,31 @@ def test_kernel_and_initial_state_axes_check_their_values():
     assert SweepAxis("kernel", ["ALL"]).values == ("ALL",)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SimulationParams(L=True), "L must be a positive integer, got True"),
+        (lambda: SweepAxis("L", (True,)), "L takes whole site counts, got True"),
+        (lambda: SweepAxis("epsilon", (True,)), "epsilon takes finite numbers, got True"),
+        (lambda: SweepAxis("initial_state", ("10x",)), "initial_state takes bit strings, got '10x'"),
+        (lambda: small_spec("series", n_cycles=2.5), "n_cycles must be a positive integer, got 2.5"),
+        (lambda: small_spec("series", n_cycles=True), "n_cycles must be a positive integer, got True"),
+        (lambda: small_spec(axes=(SweepAxis("F_T2", (0.0,)),), grid_cap=2.5),
+         "grid_cap must be a positive integer, got 2.5"),
+        (lambda: small_spec(initial_state="10x"), "initial_state takes bit strings, got '10x'"),
+        (lambda: z_product_state(5, BASE.basis), "initial_state takes bit strings, got 5"),
+    ],
+    ids=["params_bool_L", "axis_bool_L", "axis_bool_epsilon", "axis_state", "fractional_n_cycles",
+         "bool_n_cycles", "fractional_grid_cap", "spec_state", "int_bits"],
+)
+def test_run_types_refuse_bad_inputs(build, message):
+    # each used to be taken (True as 1, 2.5 cycles as a traceback in the
+    # evolution, "10x" as error markers in every row) or to raise TypeError;
+    # the CLI side is test_cli.py::test_inputs_the_run_types_refuse_exit_2_naming_the_key
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
 def test_grid_enumeration_row_major():
     spec = small_spec()
     points = list(spec.grid_points())
@@ -218,7 +243,7 @@ def test_sweep_error_markers_stay_local():
     )
     result = run_sweep(spec)
     assert result.values[0] is None
-    assert "initial state" in result.errors[0]
+    assert result.errors[0] == "ValueError: initial_state takes length-3 bit strings, got '1111'"
     assert result.values[1] is not None
     assert result.errors[1] is None
     header, rows = result.rows()
@@ -240,7 +265,7 @@ def test_lifetime_observable_record():
 
 
 def test_series_and_overlap_observables_roundtrip(tmp_path):
-    for observable in ("series", "spectrum", "overlap_table"):
+    for observable in ("series", "spectrum", "overlaps"):
         spec = SweepSpec(
             axes=(SweepAxis("F_T2", (0.0, 0.25)),),
             base=SimulationParams(L=3, omega=np.pi / 2, epsilon=0.2, v=0.1),
@@ -286,7 +311,7 @@ def test_propagator_factory_cache_reuse(monkeypatch):
     assert built == [BASE.epsilon, other.epsilon, BASE.epsilon]
 
 
-@pytest.mark.parametrize("observable", ["a_pi", "overlap_table"])
+@pytest.mark.parametrize("observable", ["a_pi", "overlaps"])
 def test_key_alternating_grid_builds_each_key_once(monkeypatch, observable):
     eps, f_t2 = (0.0, 0.1, 0.2), (0.0, 0.1, 0.25)
     rows = run_sweep(small_spec(observable, axes=(SweepAxis("epsilon", eps), SweepAxis("F_T2", f_t2))))
@@ -347,10 +372,11 @@ def test_initial_state_comparison_tables_keyed_by_state():
     # a spectrum read off an evolved series equals the spectrum sweep's record
     for series_rec, spectra_rec in zip(series.values, spectra.values):
         assert _series_record(spectra.spec, np.asarray(series_rec["c"])) == spectra_rec
-    # a state of the wrong length fails its own points only
-    mismatched = state_grid(base, ("111",), (0.0,), 10)
-    assert mismatched.values == [None]
-    assert "incompatible with L=4" in mismatched.errors[0]
+    # with L not swept, a state of the wrong length is refused before any
+    # point runs; with an L axis it fails its own points only
+    # (test_sweep_error_markers_stay_local)
+    with pytest.raises(ValueError, match="^initial_state takes length-4 bit strings, got '111'$"):
+        state_grid(base, ("111",), (0.0,), 10)
 
 
 @settings(max_examples=40, deadline=None)
