@@ -36,7 +36,7 @@ from typing import Optional, Union
 
 from .exceptions import ConfigError
 from .hamiltonian import SimulationParams
-from .sweep import ALL_ONES, DEFAULT_GRID_CAP, OBSERVABLES, SweepAxis, SweepSpec, check_counts
+from .sweep import ALL_ONES, DEFAULT_GRID_CAP, OBSERVABLES, RATE_AXES, SweepAxis, SweepSpec, check_counts
 
 COMMANDS = ("series", "spectrum", "overlaps", "lifetime", "sweep")
 
@@ -148,7 +148,7 @@ def _parse_axis(section, path: str) -> SweepAxis:
     name, values = section.get("name"), section.get("values")
     if not isinstance(values, list):
         raise ConfigError(f"{path}.values: expected a list")
-    if name in ("epsilon", "F_T2", "V"):  # rates, which may be symbolic
+    if name in RATE_AXES:  # rates, which may be symbolic
         values = [parse_number(value, f"{path}.values") for value in values]
     return _build(path, SweepAxis, name, tuple(values))
 

@@ -24,14 +24,19 @@ the sector eigensystems, and diagonalized in the steps of LAPACK dsyevr:
 dsytrd and dstemr through scipy (which is imported only there), with X
 released once its reflectors are copied out, and the back-transform of
 dstemr's eigenvectors in compact-WY blocks, I - V T V^T, as numpy gemms.
-The eigenstates are D^1/2 V with V real orthogonal: one pass of the true U_F
-over the eigenvectors, with U1 in its eigensystem form, yields Y on them
-(which resolves the sign of each quasi-energy and rotates clusters of
-nearly equal cos, a real rotation) and the eigenpair residual that
-validates the result.  V stays real, with D^1/2 kept beside it.  At
-dimension 4096 this is several times faster than a complex Schur
-decomposition.  No dense U1 is ever formed, no assembled block exists
-during a quasi-spectrum, and W, X and V never coexist.
+The eigenstates are D^1/2 V with V real orthogonal.  One pass over the
+eigenvectors validates them through a square-root factor of the conjugated
+U_F: with S the transform into sector components, D^1/2 U1 D^1/2 = B^T B
+for B = exp(-i theta/2) W^T S D^1/2 per sector, and the pass forms only u =
+B v, one W^T gemm per sector.  lambda = u^T u (unconjugated) gives Y on the
+eigenvectors (which resolves the sign of each quasi-energy and rotates
+clusters of nearly equal cos, a real rotation), and |U_F psi - lambda psi|
+= |u - lambda conj(u)| is the eigenpair residual that validates the result.
+That identity holds because B is unitary, which rests on W's orthogonality
+(checked by `stage1_unitary` to `UNITARITY_TOL`).  V stays real, with D^1/2
+kept beside it.  At dimension 4096 this is several times faster than a
+complex Schur decomposition.  No dense U1 is ever formed, no assembled
+block exists during a quasi-spectrum, and W, X and V never coexist.
 """
 
 from __future__ import annotations
@@ -54,8 +59,8 @@ RESIDUAL_TOL = 1e-8
 COS_CLUSTER_TOL = 1e-5
 PI_PAIR_TOL = 0.05
 COMPLETENESS_TOL = 1e-8
-# the quasi-spectrum applies U_F to at most this many eigenvectors at a
-# time, through one set of panel buffers
+# the quasi-spectrum's validation pass forms u = B v for at most this many
+# eigenvectors at a time, through one set of panel buffers
 RESIDUAL_PANEL = 256
 # X is formed from the block columns of at least this many mirror pairs at
 # a time, and never from fewer than X_TILE_MIN (see `_form_x`)
@@ -72,16 +77,16 @@ SQRT_HALF = math.sqrt(0.5)
 # peak memory of stage 1 plus quasi-spectra above the process baseline:
 # U1's sector eigensystems take 4 bytes per 4^L throughout; X takes 8 while
 # it is formed and tridiagonalized, and gives way to the reflector blocks (4)
-# beside dstemr's eigenvectors (8), which the U_F pass then reuses.  The
-# pass's panel buffers take 56 bytes per row of a `RESIDUAL_PANEL`-column
-# panel (a real panel, two complex panels and the complex sector buffers);
-# they can stay resident on the heap through the next quasi-spectrum's
+# beside dstemr's eigenvectors (8), which the validation pass then reuses.
+# The pass's panel buffers take 40 bytes per row of a `RESIDUAL_PANEL`-column
+# panel (a real panel, a complex panel and the complex sector buffer); they
+# can stay resident on the heap through the next quasi-spectrum's
 # eigenvector phase (`--figure fig2`, overlap-table sweeps).  The base is
 # scipy, the back-transform's update buffer and BLAS buffers.  Measured
-# 58.5 / 112.2 / 296.5 MiB for `overlaps` at L=10 / 11 / 12 and 355.8 MiB
-# for `--figure fig2`, against 82 / 144 / 364 MiB estimated
+# 54.1 / 104.7 / 297.3 MiB for `overlaps` at L=10 / 11 / 12 and 336.8 MiB
+# for `--figure fig2`, against 78 / 136 / 348 MiB estimated
 QUASI_SPECTRUM_BYTES_PER_4L = 16
-QUASI_SPECTRUM_PANEL_BYTES = 56
+QUASI_SPECTRUM_PANEL_BYTES = 40
 QUASI_SPECTRUM_BASE_BYTES = 52 << 20
 # peak memory of stage 1 and an evolution above the process baseline, set by
 # the evolution's assembly: the sector eigensystems 4 bytes per 4^L, the
@@ -505,14 +510,18 @@ def quasi_spectrum(prop: FloquetPropagator) -> QuasiSpectrum:
     and diagonalized: cos, V = eigh(X), with X reduced to tridiagonal form
     in place (`_tridiagonalize`) and released before the eigenvector
     matrix, which becomes V, is formed and back-transformed in place
-    (`_eigenvectors`).  The true U_F is then applied to the eigenstates
-    psi = D^1/2 v once, with U1 in its eigensystem form, a panel of at most
-    `RESIDUAL_PANEL` columns at a time with the cuts on cluster boundaries,
-    through one set of panel buffers.
-    That one pass gives Y v = Im(D^-1/2 U_F psi), hence sin = v.(Y v) for
-    an isolated cos and, inside a cluster of nearly equal cos (the cos of a
-    quasi-energy is two-to-one), the real rotation that diagonalizes V^T Y
-    V; it also gives the eigenpair residual |U_F psi - lambda psi|.  Each
+    (`_eigenvectors`).  The eigenvectors are then validated in one pass,
+    a panel of at most `RESIDUAL_PANEL` columns at a time with the cuts on
+    cluster boundaries, through one set of panel buffers (`_resolve_panel`):
+    with S the orthogonal transform into sector components, X + iY = B^T B
+    for B = exp(-i theta/2) W^T S D^1/2, and the pass forms only u = B v,
+    one W^T gemm per sector.  lambda = v^T (X + iY) v = u^T u, so sin =
+    2 Re(u).Im(u) for an isolated cos and, inside a cluster of nearly equal
+    cos (the cos of a quasi-energy is two-to-one), V^T Y V = Im(U^T U)
+    gives the real rotation that diagonalizes it.  B is unitary, since W is
+    orthogonal (checked by `stage1_unitary` to `UNITARITY_TOL`), and
+    conj(B) B^T = I, so the eigenpair residual |U_F psi - lambda psi| of
+    psi = D^1/2 v is |u - lambda conj(u)|, from the stage data alone.  Each
     panel of V is rotated and its rows gathered into the z-basis in place,
     so V stays real.  The eigenvalue moduli, the largest residual and the
     orthonormality of a 16-column sample of V are checked on every call;
@@ -526,7 +535,6 @@ def quasi_spectrum(prop: FloquetPropagator) -> QuasiSpectrum:
     point = _point_text(params)
     phases = np.exp(-0.5j * (prop.h2_diagonal * params.t2))
     half = phases[u1.order]
-    phase = prop.phase2[u1.order]
     dim = u1.dimension
     x = np.empty((dim, dim), order="F")
     _form_x(u1, half, x)
@@ -539,20 +547,14 @@ def quasi_spectrum(prop: FloquetPropagator) -> QuasiSpectrum:
     residual = 0.0
     panels = list(_panels(cos_vals))
     # `_resolve_panel`'s buffers, made once for the widest panel: the real
-    # panel, two complex panels and the sector buffers of `u1.product`,
-    # whose y halves lie in the first complex panel (the product's input,
-    # read before they are written)
+    # panel, the complex panel that takes psi and then u, and the complex
+    # buffer of the two sectors, 40 bytes per row and column in all
     width = max(stop - at for at, stop, _ in panels)
-    states = np.empty(dim * width, dtype=complex)
-    split = u1.even[1].shape[0] * width
-    sectors = (np.empty(split, dtype=complex), np.empty(dim * width - split, dtype=complex),
-               states[:split], states[split:])
-    work = (np.empty(dim * width), states, np.empty(dim * width, dtype=complex), sectors)
-    del states
+    work = (np.empty(dim * width), np.empty(dim * width, dtype=complex), np.empty(dim * width, dtype=complex))
     for at, stop, clusters in panels:
         cols = slice(at, stop)
         eigenvalues[cols], panel_residual = _resolve_panel(
-            u1, half, phase, cos_vals[cols], vectors[:, cols], clusters, work
+            u1, half, cos_vals[cols], vectors[:, cols], clusters, work
         )
         residual = max(residual, panel_residual)
     del work
@@ -797,49 +799,62 @@ def _panels(cos_vals: np.ndarray):
         at = stop
 
 
-def _resolve_panel(u1, half, phase, cos_vals, panel, clusters, work):
+def _resolve_panel(u1, half, cos_vals, panel, clusters, work):
     """Eigenvalues and the largest eigenpair residual of one panel of
-    eigenvectors of X (`panel`, orbit-ordered rows, eigenvalues
-    `cos_vals`), through the buffers `work` made by `quasi_spectrum`.  The
-    panel is rotated inside each cluster and its rows are gathered into the
-    z-basis in place."""
+    eigenvectors v of X (`panel`, orbit-ordered rows, eigenvalues
+    `cos_vals`), through the buffers `work` made by `quasi_spectrum`: a
+    real panel, a complex panel and a complex buffer for the two sectors.
+
+    With S the transform into sector components (`_split`), U1 = S^T W
+    exp(-i theta) W^T S, so D^1/2 U1 D^1/2 = B^T B for B = exp(-i theta/2)
+    W^T S D^1/2 per sector, and the pass forms only u = B v: one W^T gemm
+    per sector, into the complex panel.  Then lambda = v^T (X + iY) v =
+    u^T u, unconjugated, so sin = 2 Re(u).Im(u), and inside a cluster
+    V^T Y V = Im(U^T U), whose real rotation R turns u into U R.  B is
+    unitary when W is orthogonal (checked by `stage1_unitary` to
+    `UNITARITY_TOL`), and conj(B) B^T = I, so for real v the residual
+    |U_F psi - lambda psi| of psi = D^1/2 v is |B^T u - lambda v| =
+    |u - lambda conj(u)|, formed in the sector buffer.  The panel is
+    rotated inside each cluster and its rows are gathered into the z-basis
+    in place, through the sector buffer."""
     dim, width = panel.shape
-    basis_buf, states_buf, image_buf, sectors = work
+    basis_buf, states_buf, sector_buf = work
+    n_even = u1.even[1].shape[0]
     basis = _leading(basis_buf, dim, width)
-    states = _leading(states_buf, dim, width)
-    image = _leading(image_buf, dim, width)
+    u = _leading(states_buf, dim, width)
+    x_even = _leading(sector_buf, n_even, width)
+    x_odd = _leading(sector_buf[n_even * width:], dim - n_even, width)
     basis[...] = panel
-    np.multiply(half[:, None], basis, out=states)
-    u1.product(states, image, sectors)
-    image *= phase[:, None]
-    # D^-1/2 U_F psi = (X + iY) b, so Y b is its imaginary part
-    np.multiply(half.conj()[:, None], image, out=states)
-    y_basis = states.imag
-    sin_vals = np.einsum("ij,ij->j", basis, y_basis)
+    np.multiply(half[:, None], basis, out=u)
+    _split(u, u1.n_fixed, x_even, x_odd)
+    for (theta, w), xs, us in zip((u1.even, u1.odd), (x_even, x_odd), (u[:n_even], u[n_even:])):
+        np.matmul(w.T, xs.view(float), out=us.view(float))
+        us *= np.exp(-0.5j * theta)[:, None]
+    sin_vals = 2.0 * np.einsum("ij,ij->j", u.real, u.imag)
     cos_out = cos_vals.copy()
     for start, stop in clusters:
         idx = slice(start, stop)
-        block = basis[:, idx].T @ y_basis[:, idx]
-        block = (block + block.T) * 0.5
-        sy, rot = np.linalg.eigh(block)
+        cross = u.real[:, idx].T @ u.imag[:, idx]
+        sy, rot = np.linalg.eigh(cross + cross.T)
         basis[:, idx] = basis[:, idx] @ rot
-        image[:, idx] = image[:, idx] @ rot
+        u[:, idx] = u[:, idx] @ rot
         sin_vals[idx] = sy
         cos_out[idx] = ((cos_vals[idx][:, None] * rot) * rot).sum(axis=0)
     eigenvalues = cos_out + 1j * sin_vals
-    # U_F psi - lambda psi, with psi = D^1/2 b of the rotated b
-    np.multiply(half[:, None], basis, out=states)
-    states *= eigenvalues
-    image -= states
-    # the gather goes through the states buffer, free by now, and the column
-    # norms through einsum: fancy indexing and np.linalg.norm would make
-    # panel-sized temporaries
-    gathered = _leading(states_buf.view(float), dim, width)
+    # the residual and the gather reuse the sector buffer, and the column
+    # norms go through einsum: np.linalg.norm, fancy indexing or a conj()
+    # would make panel-sized temporaries
+    resid = _leading(sector_buf, dim, width)
+    np.conjugate(u, out=resid)
+    resid *= eigenvalues
+    np.subtract(u, resid, out=resid)
+    parts = resid.view(float)
+    squares = np.einsum("ij,ij->j", parts, parts)
+    residual = math.sqrt(float(np.max(squares[0::2] + squares[1::2])))
+    gathered = _leading(sector_buf.view(float), dim, width)
     np.take(basis, u1.inverse, axis=0, out=gathered, mode="clip")
     panel[...] = gathered
-    parts = image.view(float)
-    squares = np.einsum("ij,ij->j", parts, parts)
-    return eigenvalues, math.sqrt(float(np.max(squares[0::2] + squares[1::2])))
+    return eigenvalues, residual
 
 
 @dataclass(frozen=True)

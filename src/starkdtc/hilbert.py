@@ -21,12 +21,13 @@ LOAD_NORM_TOL = 1e-6
 
 @dataclass(frozen=True)
 class BasisConfig:
-    """z-basis of an L-site chain; dimension 2^L."""
+    """z-basis of an L-site chain; dimension 2^L.  L is an integer >= 1,
+    not a bool (ValueError otherwise)."""
 
     L: int
 
     def __post_init__(self):
-        if not isinstance(self.L, (int, np.integer)) or self.L < 1:
+        if isinstance(self.L, bool) or not isinstance(self.L, (int, np.integer)) or self.L < 1:
             raise ValueError(f"site count must be a positive integer, got {self.L!r}")
 
     @property

@@ -44,7 +44,9 @@ from .hilbert import check_bits, sigma_z_stack, z_product_state
 from .observables import AutocorrelatorSeries, _evolve_block, fourier_spectrum, reversal_analysis
 from .output import atomic_open, params_metadata, write_csv, write_sidecar
 
-AXIS_NAMES = ("epsilon", "F_T2", "V", "L", "kernel", "initial_state")
+# the axes whose values are rates: numbers, which a config may give symbolically
+RATE_AXES = ("epsilon", "F_T2", "V")
+AXIS_NAMES = RATE_AXES + ("L", "kernel", "initial_state")
 # per observable (a sweep's, or the point command of that name): the cycle
 # count it reads, then its per-sample and per-point value columns; the fixed
 # column layout keeps CSV bytes stable across fresh and journal-resumed runs
@@ -113,7 +115,7 @@ class SweepAxis:
                 SimulationParams(L=int(value))
             elif self.name == "kernel":
                 SimulationParams(L=1, kernel=value)
-            elif self.name in ("epsilon", "F_T2", "V"):
+            elif self.name in RATE_AXES:
                 check_rate(self.name, value)
             elif value != ALL_ONES:  # an initial_state value
                 check_bits(value)

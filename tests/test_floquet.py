@@ -819,23 +819,62 @@ def test_quasi_spectrum_narrow_panels(L, kernel, omega, epsilon, v, f_t2, panel)
     assert np.max(np.abs(gram - np.eye(prop.dimension))) < 1e-8
 
 
+@pytest.mark.parametrize("noise", [0.0, 1e-4])
+@pytest.mark.parametrize("L, kernel, omega, v, f_t2", [
+    (5, "NN", np.pi / 2, 0.4, 0.0), (6, "NNN", np.pi / 2, 0.4, 0.0), (7, "ALL", np.pi / 2, 0.4, 0.0),
+    (8, "NNNN", np.pi / 2, 0.4, 0.0), (6, "NN", np.pi / 2, 0.4, 0.3), (8, "ALL", np.pi / 2, 0.4, 0.25),
+    (6, "NN", 0.0, 0.0, 0.0),
+])
+def test_pass_residual_matches_the_dense_oracle(monkeypatch, L, kernel, omega, v, f_t2, noise):
+    # the residual the validation pass computes from u = B v alone equals
+    # max |U_F psi - lambda psi| from the dense U_F, for the eigenvalues it
+    # returns and the (rotated, gathered) columns it leaves; with noise in
+    # the panels the residual is large (and the call raises), so the
+    # identity is checked away from roundoff too.  The last point is U_F =
+    # exp(-i epsilon T1 sum sigma^x), whose quasi-energies +-E share a cos,
+    # so its clusters need their rotation
+    p = SimulationParams(L=L, omega=omega, epsilon=0.3, v=v, kernel=kernel).with_f_t2(f_t2)
+    prop = floquet_operator(p)
+    rng = np.random.default_rng(L)
+    real_pass, seen = floquet._resolve_panel, []
+
+    def spy(u1, half, cos_vals, panel, clusters, work):
+        panel += noise * rng.standard_normal(panel.shape)
+        eigenvalues, residual = real_pass(u1, half, cos_vals, panel, clusters, work)
+        seen.append((eigenvalues, panel.copy(), residual))
+        return eigenvalues, residual
+
+    monkeypatch.setattr(floquet, "_resolve_panel", spy)
+    monkeypatch.setattr(floquet, "RESIDUAL_PANEL", 16)
+    with pytest.raises(NumericError) if noise else contextlib.nullcontext():
+        quasi_spectrum(prop)
+    assert len(seen) > 1
+    u_f, half = dense_u_f(prop), np.exp(-0.5j * prop.h2_diagonal * p.t2)
+    for eigenvalues, panel, residual in seen:
+        psi = half[:, None] * panel
+        dense = np.max(np.linalg.norm(u_f @ psi - psi * eigenvalues, axis=0))
+        assert abs(residual - dense) <= 1e-12 + 1e-6 * dense
+        assert dense > 1e-6 if noise else dense < 1e-10
+
+
 def test_quasi_spectrum_memory_estimate(monkeypatch):
     available = floquet._available_memory()
     assert available is None or available > 0
-    # a 4 GB machine runs L=12 and L=13 but refuses L=14 (about 4.3 GiB)
+    # a 4 GB machine runs L=12 and L=13 but refuses L=14 (about 4.2 GiB)
     monkeypatch.setattr(floquet, "_available_memory", lambda: int(4e9))
     floquet.check_memory(12, quasi_spectrum=True)
     floquet.check_memory(13, quasi_spectrum=True)
-    with pytest.raises(ResourceLimitError, match=r"L=14 needs about 4\.3 GiB"):
+    with pytest.raises(ResourceLimitError, match=r"L=14 needs about 4\.2 GiB"):
         floquet.check_memory(14, quasi_spectrum=True)
-    # the U_F pass's panel buffers are counted, which a second quasi-spectrum
-    # in one process can find resident: a fresh `--figure fig2` process
-    # peaks at 355.8 MiB above its baseline, within the 364 MiB estimate
+    # the validation pass's panel buffers are counted, which a second
+    # quasi-spectrum in one process can find resident: a fresh `--figure
+    # fig2` process peaks at 336.8 MiB above its baseline, within the 348
+    # MiB estimate
     panels = floquet.QUASI_SPECTRUM_PANEL_BYTES * 2**12 * floquet.RESIDUAL_PANEL
-    assert panels == 56 << 20
-    assert floquet.quasi_spectrum_bytes(12) > 356 << 20
-    # at L=11 the 4^L term, not the base, sets the estimate: 144 MiB, where
-    # a fresh process peaks at 112 MiB (tests/test_cli.py)
+    assert panels == 40 << 20
+    assert floquet.quasi_spectrum_bytes(12) > 337 << 20
+    # at L=11 the 4^L term, not the base, sets the estimate: 136 MiB, where
+    # a fresh process peaks at 105 MiB (tests/test_cli.py)
     assert floquet.QUASI_SPECTRUM_BYTES_PER_4L * 4**11 > floquet.QUASI_SPECTRUM_BASE_BYTES
     monkeypatch.setattr(floquet, "_available_memory", lambda: 120 << 20)
     floquet.check_memory(10, quasi_spectrum=True)

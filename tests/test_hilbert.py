@@ -13,6 +13,10 @@ def test_basis_dimension_and_validation():
         BasisConfig(0)
     with pytest.raises(ValueError):
         BasisConfig(-3)
+    # a bool is refused as SimulationParams refuses it, not taken as 1 or 0
+    for flag in (True, False, np.True_):
+        with pytest.raises(ValueError, match="site count must be a positive integer"):
+            BasisConfig(flag)
 
 
 def test_z_product_state_single_site():
