@@ -9,7 +9,6 @@ its module (e.g. `starkdtc.floquet.quasi_spectrum`)."""
 __version__ = "0.1.0"
 
 from .exceptions import ConfigError, NumericError, ResourceLimitError
-from .hilbert import state_from_amplitudes, z_product_state
 from .hamiltonian import SimulationParams
 from .floquet import find_pi_pair, floquet_operator, overlaps
 from .observables import autocorrelator_series, fourier_spectrum, lifetime
@@ -24,8 +23,6 @@ __all__ = [
     "ResourceLimitError",
     "SimulationParams",
     "floquet_operator",
-    "z_product_state",
-    "state_from_amplitudes",
     "autocorrelator_series",
     "fourier_spectrum",
     "lifetime",

@@ -2,11 +2,11 @@
 
 Thin single-threaded dispatcher around the library: run one JSON config
 (series, spectrum, overlaps, lifetime or sweep) or one preset figure
-(`--figure ID`, which takes no config) and write result tables with
-metadata sidecars.  `--format` picks csv or json for the point commands;
-sweeps and figures write CSV only.  Exit codes: 0 success, 2 config error
-or a resource the run cannot get (memory, an unwritable output file), 3
-numeric error.
+(`--figure ID`, which takes no config).  Every table is a CSV with a
+metadata sidecar; `lifetime` writes a JSON record.  Exit codes: 0 success,
+2 config error or a resource the run cannot get (memory, an unwritable
+output file), 3 numeric error.  Any other exception is a defect and ends
+in its traceback.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .config import RunConfig, parse_config
 from .exceptions import ConfigError, NumericError, ResourceLimitError
 from .figures import FIGURE_IDS, figure_command
 from .floquet import check_memory, find_pi_pair, floquet_operator, overlaps
-from .hilbert import state_from_amplitudes, z_product_state
 from .observables import autocorrelator_series, fourier_spectrum, lifetime
 from .output import params_metadata, write_csv, write_json, write_sidecar
 from .sweep import run_sweep
@@ -34,8 +33,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", type=Path, help="path to a JSON run configuration")
     parser.add_argument("--out", type=Path, default=Path("."), help="output directory (default: .)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="table format of series, spectrum and overlaps (default: csv)")
     parser.add_argument(
         "--threads", type=int,
         help="accepted for compatibility; has no effect (runs use one thread, BLAS its own)",
@@ -59,8 +56,6 @@ def _load_config(args) -> Optional[RunConfig]:
         cfg = parse_config(text)
     else:
         raise ConfigError("either --config or --figure is required")
-    if args.format == "json" and (cfg is None or cfg.command == "sweep"):
-        raise ConfigError(f"--format json: {'--figure' if cfg is None else 'sweep'} writes CSV only")
     if args.resume and (cfg is None or cfg.command != "sweep"):
         raise ConfigError("--resume: only a sweep resumes from a journal")
     if args.threads is not None and args.threads < 1:
@@ -79,45 +74,25 @@ def _check_writable(out_dir: Path) -> None:
         raise ConfigError(f"output directory {out_dir} is not writable: {exc}")
 
 
-def _initial_state(cfg: RunConfig):
-    """The point command's initial state, checked before any directory or memory is taken."""
-    if isinstance(cfg.initial_state, list):  # overlaps only
-        return state_from_amplitudes(cfg.initial_state, cfg.params.basis)
-    bits = "1" * cfg.params.L if cfg.initial_state is None else cfg.initial_state
-    return z_product_state(bits, cfg.params.basis)
-
-
-def _write_table(out_dir: Path, name: str, fmt: str, header, rows, metadata: dict) -> Path:
-    if fmt == "json":
-        path = write_json(out_dir / f"{name}.json", {"metadata": metadata, "columns": header, "rows": rows})
-        return path
-    path = write_csv(out_dir / f"{name}.csv", header, rows)
-    write_sidecar(path, metadata)
-    return path
-
-
-def _run_point(cfg: RunConfig, psi0, out_dir: Path, fmt: str) -> list:
-    """The series, spectrum, overlaps or lifetime table of one parameter point."""
+def _run_point(cfg: RunConfig, out_dir: Path) -> list:
+    """The series, spectrum or overlaps table (a CSV and its sidecar) or the
+    lifetime record of one parameter point."""
     check_memory(cfg.params.L, quasi_spectrum=cfg.command == "overlaps")
     prop = floquet_operator(cfg.params)
-    metadata = {
-        "command": cfg.command,
-        "params": params_metadata(cfg.params),
-        # the state as given: a bit string, amplitude triples, or all ones when left out
-        "initial_state": psi0.label if cfg.initial_state is None else cfg.initial_state,
-    }
+    bits = cfg.initial_state or "1" * cfg.params.L  # all ones when left out
+    metadata = {"command": cfg.command, "params": params_metadata(cfg.params), "initial_state": bits}
     if cfg.command == "lifetime":
-        metadata.update(lifetime(prop, psi0, cfg.n_max).record())
+        metadata.update(lifetime(prop, bits, cfg.n_max).record())
         return [write_json(out_dir / "lifetime.json", metadata)]
     if cfg.command == "overlaps":
-        table = overlaps(prop.spectrum(), psi0)
+        table = overlaps(prop.spectrum(), bits)
         pair = find_pi_pair(table)
         metadata["pi_pair"] = (
             None if pair is None else {"gap": pair.gap, "combined_overlap": pair.combined_overlap}
         )
         header, rows = ["quasi_energy", "overlap"], table.rows()
     else:
-        series = autocorrelator_series(prop, psi0, cfg.n_cycles)
+        series = autocorrelator_series(prop, bits, cfg.n_cycles)
         metadata["n_cycles"] = cfg.n_cycles
         if cfg.command == "series":
             header, rows = ["n", "c"], series.rows()
@@ -125,7 +100,9 @@ def _run_point(cfg: RunConfig, psi0, out_dir: Path, fmt: str) -> list:
             spectral = fourier_spectrum(series)
             metadata["a_pi"] = spectral.a_pi
             header, rows = ["omega", "magnitude"], spectral.rows()
-    return [_write_table(out_dir, cfg.command, fmt, header, rows, metadata)]
+    path = write_csv(out_dir / f"{cfg.command}.csv", header, rows)
+    write_sidecar(path, metadata)
+    return [path]
 
 
 def _run_sweep_command(cfg: RunConfig, out_dir: Path, resume: bool) -> list:
@@ -139,10 +116,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
-        psi0 = None if cfg is None or cfg.command == "sweep" else _initial_state(cfg)
         out_dir = args.out
         _check_writable(out_dir)
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
@@ -152,8 +128,8 @@ def main(argv=None) -> int:
         elif cfg.command == "sweep":
             files = _run_sweep_command(cfg, out_dir, args.resume)
         else:
-            files = _run_point(cfg, psi0, out_dir, args.format)
-    except (ConfigError, ResourceLimitError, ValueError) as exc:
+            files = _run_point(cfg, out_dir)
+    except (ConfigError, ResourceLimitError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:  # the message names the path

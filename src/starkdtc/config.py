@@ -4,11 +4,12 @@ A config is a single JSON object, mapped here onto `SimulationParams`,
 `SweepAxis`, `SweepSpec` and `RunConfig`, which refuse bad values
 themselves; a refusal becomes a ConfigError naming its key.  The rules
 kept here are about the JSON spelling: unknown keys, a count the run does
-not read, an amplitude list on a command other than overlaps, and a
-top-level "all_ones".  Model parameters are the dimensionless groups
-figures are labeled by (OmegaT1, epsT1, VT1, FT2), converted to rates with
-T1 or T2; a numeric value may be a string like "pi/2", so OmegaT1 = pi/2
-stays exact to machine precision.
+not read, and a top-level "all_ones".  An initial state is a bit string
+only, and a point command's is checked against L as the config loads.
+Model parameters are the dimensionless groups figures are labeled by
+(OmegaT1, epsT1, VT1, FT2), converted to rates with T1 or T2; a numeric
+value may be a string like "pi/2", so OmegaT1 = pi/2 stays exact to
+machine precision.
 
 Schema (defaults in parentheses):
 
@@ -16,14 +17,14 @@ Schema (defaults in parentheses):
     params:
         L (required; 1 .. 14, also on an L axis), T1 (1), T2 (10), kernel ("NN")
         OmegaT1 ("pi/2"), epsT1 (0), VT1 (0), FT2 (0)
-    initial_state: bit string (all ones when left out; any length when L is
-        swept); overlaps also takes [[index, re, im], ...]
+    initial_state: bit string of length L (all ones when left out; any
+        length when L is swept)
     n_cycles (100; even for spectrum and a_pi): series, spectrum and the
         a_pi, series and spectrum sweeps only
     n_max (5000; >= 2): lifetime and lifetime sweeps only
     sweep: {axes: [{name, values}], observable, grid_cap (10000)}  (sweep only)
 
-Figures (--figure) and the output format (--format) are CLI flags only.
+Figures are a CLI flag (--figure) only, and every table is a CSV.
 """
 
 from __future__ import annotations
@@ -32,10 +33,11 @@ import ast
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import Optional
 
 from .exceptions import ConfigError
 from .hamiltonian import SimulationParams
+from .hilbert import check_bits
 from .sweep import ALL_ONES, DEFAULT_GRID_CAP, OBSERVABLES, RATE_AXES, SweepAxis, SweepSpec, check_counts
 
 COMMANDS = ("series", "spectrum", "overlaps", "lifetime", "sweep")
@@ -110,12 +112,13 @@ def _build(path: str, make, *args, **kwargs):
 
 @dataclass
 class RunConfig:
-    """One run.  A point command's counts must pass `sweep.check_counts`; a
-    sweep's counts and initial state are its SweepSpec's."""
+    """One run.  A point command's counts must pass `sweep.check_counts`
+    and its initial state, unless left out (all ones), `hilbert.check_bits`
+    at params.L; a sweep's counts and initial state are its SweepSpec's."""
 
     command: str
     params: SimulationParams
-    initial_state: Union[str, list, None] = None
+    initial_state: Optional[str] = None
     n_cycles: int = 100
     n_max: int = 5000
     sweep: Optional[SweepSpec] = None
@@ -123,6 +126,8 @@ class RunConfig:
     def __post_init__(self):
         if self.sweep is None:
             check_counts(self.command, n_cycles=self.n_cycles, n_max=self.n_max)
+            if self.initial_state is not None:
+                check_bits(self.initial_state, self.params.L)
 
 
 _PARAM_KEYS = {"L", "T1", "T2", "kernel", "OmegaT1", "epsT1", "VT1", "FT2"}
@@ -186,8 +191,6 @@ def parse_config(source: str) -> RunConfig:
     initial_state = data.get("initial_state")
     if initial_state == ALL_ONES:  # the key left out is all ones
         raise ConfigError(f"initial_state: expected a bit string, got {ALL_ONES!r}")
-    if isinstance(initial_state, list) and command != "overlaps":
-        raise ConfigError(f"initial_state: {command} takes a bit string; only overlaps takes an amplitude list")
     sweep = None
     if command == "sweep":
         if "sweep" not in data:

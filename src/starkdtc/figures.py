@@ -22,7 +22,6 @@ import numpy as np
 
 from .floquet import check_memory, floquet_operator, overlaps
 from .hamiltonian import KERNEL_VARIANTS, SimulationParams
-from .hilbert import z_product_state
 from .observables import autocorrelator_series, fourier_spectrum, reversal_analysis
 from .output import params_metadata, write_csv, write_json, write_sidecar
 from .sweep import PropagatorFactory, SweepAxis, SweepResult, SweepSpec, _series_record, run_sweep
@@ -93,11 +92,10 @@ def _fig2(entry: dict, out_dir: Path) -> list:
     n_cycles = entry["n_cycles"]
     points = [entry["base"].with_f_t2(f_t2) for f_t2 in entry["F_T2"]]
     bits = "1" * entry["base"].L
-    psi0 = z_product_state(bits, entry["base"].basis)
     # both points share U1: its blocks are assembled once for both series
     # and released before the first quasi-spectrum
     blocks = factory.stage1(points[0]).assemble(points[0])
-    series_of = [autocorrelator_series(factory.get(params), psi0, n_cycles, blocks=blocks) for params in points]
+    series_of = [autocorrelator_series(factory.get(params), bits, n_cycles, blocks=blocks) for params in points]
     del blocks
     files = []
     for f_t2, params, series in zip(entry["F_T2"], points, series_of):
@@ -107,7 +105,7 @@ def _fig2(entry: dict, out_dir: Path) -> list:
             "spectrum": (["omega", "magnitude"], spectral.rows(),
                          {"n_cycles": n_cycles, "a_pi": spectral.a_pi}),
             # each point's quasi-spectrum is released once its overlaps are read
-            "overlaps": (["quasi_energy", "overlap"], overlaps(factory.get(params).spectrum(), psi0).rows(), {}),
+            "overlaps": (["quasi_energy", "overlap"], overlaps(factory.get(params).spectrum(), bits).rows(), {}),
         }
         for panel in entry["panels"]:
             header, rows, meta = panels[panel]
@@ -120,7 +118,7 @@ def _fig4a(entry: dict, out_dir: Path) -> list:
     params = entry["base"].with_f_t2(entry["F_T2"][0])
     n_max = entry["n_max"]
     bits = "1" * params.L
-    series = autocorrelator_series(floquet_operator(params), z_product_state(bits, params.basis), n_max)
+    series = autocorrelator_series(floquet_operator(params), bits, n_max)
     path = _panel(out_dir / "fig4a_series.csv", ["n", "c"], series.rows(), params,
                   panel="series", initial_state=bits, n_cycles=n_max)
     # the lifetime is read off the series just evolved, not a second evolution

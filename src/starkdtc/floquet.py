@@ -50,7 +50,7 @@ import numpy as np
 from .exceptions import NumericError, ResourceLimitError
 # build_h1 is unused here; the benchmark tracer's H1 span binds to this name
 from .hamiltonian import SimulationParams, build_h1, build_h2_diagonal, interaction_diagonal  # noqa: F401
-from .hilbert import StateVector
+from .hilbert import basis_index
 
 UNITARITY_TOL = 1e-10
 RESIDUAL_TOL = 1e-8
@@ -423,10 +423,11 @@ class FloquetPropagator:
     `u1` is the stage-1 unitary as its two reflection-sector eigensystems
     (`SectorUnitary`), already checked by `stage1_unitary`; `phase2` is the
     stage-2 phase vector derived from `h2_diagonal`.  `apply` advances
-    z-basis states by Phi * (U1 psi), one period per call, with U1 in its
-    eigensystem form; the evolution loops assemble U1's blocks and work in
-    orbit order instead (`observables._evolve_block`).  No dense U_F is
-    ever formed.  The quasi-spectrum is computed once and cached.
+    z-basis amplitudes by Phi * (U1 psi), one period per call, with U1 in
+    its eigensystem form: the tests' reference step, which no command
+    calls.  The evolution loops assemble U1's blocks and work in orbit
+    order instead (`observables._evolve_block`).  No dense U_F is ever
+    formed.  The quasi-spectrum is computed once and cached.
     """
 
     def __init__(self, params: SimulationParams, u1: SectorUnitary, h2_diagonal: np.ndarray):
@@ -896,19 +897,16 @@ class PiPair:
     combined_overlap: float
 
 
-def overlaps(spectrum: QuasiSpectrum, psi0: StateVector) -> OverlapTable:
-    """Overlap of the initial state with every Floquet eigenstate."""
-    if psi0.dimension != spectrum.dimension:
-        raise ValueError(
-            f"state dimension {psi0.dimension} does not match spectrum dimension {spectrum.dimension}"
-        )
-    # <psi0|psi_a> = (conj(psi0) * D^1/2)^T v_a: the real and imaginary parts
-    # of that row against the real V, with no complex copy of V
-    row = psi0.amplitudes.conj() * spectrum.phases
-    parts = np.stack((row.real, row.imag)) @ spectrum.vectors
-    weight = parts[0] ** 2 + parts[1] ** 2
+def overlaps(spectrum: QuasiSpectrum, bits: str) -> OverlapTable:
+    """Overlap of the z-product state `bits` with every Floquet eigenstate.
+
+    For basis state b, |<b|psi_a>|^2 = |<b|D^1/2 v_a>|^2 = V[b, a]^2, since
+    |D^1/2_bb| = 1: the table is V's row b squared.
+    """
+    index = basis_index(bits, spectrum.dimension.bit_length() - 1)
     return OverlapTable(
-        quasi_energies=spectrum.quasi_energies.copy(), overlaps=weight, params=spectrum.params
+        quasi_energies=spectrum.quasi_energies.copy(), overlaps=spectrum.vectors[index] ** 2,
+        params=spectrum.params,
     )
 
 

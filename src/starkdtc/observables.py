@@ -4,9 +4,10 @@ The order diagnostic is the site-averaged two-time correlator
 
     C(nT) = (1/L) sum_j <psi0| sigma^z_j (U_F^n)^dag sigma^z_j U_F^n |psi0>,
 
-sampled once per drive period.  Its discrete Fourier transform over cycles
-1..N (N even) is reported as |X(omega_k)| / N so a perfect period-doubled
-response has subharmonic amplitude A_pi = 1.
+sampled once per drive period from a z-product state |psi0>, given as its
+bit string.  Its discrete Fourier transform over cycles 1..N (N even) is
+reported as |X(omega_k)| / N so a perfect period-doubled response has
+subharmonic amplitude A_pi = 1.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from .exceptions import NumericError
 from .floquet import FloquetPropagator, SectorBlocks, _point_text
 from .hamiltonian import SimulationParams
-from .hilbert import StateVector, sigma_z_stack
+from .hilbert import basis_index, sigma_z_stack
 
 NORM_DRIFT_TOL = 1e-8
 # |C(n)| may exceed 1 by this much through roundoff
@@ -110,32 +111,25 @@ def _magnitude_error(values: np.ndarray, params: SimulationParams) -> Optional[N
 
 def autocorrelator_series(
     prop: FloquetPropagator,
-    psi0: StateVector,
+    bits: str,
     n_cycles: int,
     blocks: Optional[SectorBlocks] = None,
 ) -> AutocorrelatorSeries:
     """Stroboscopic autocorrelator over n_cycles Floquet periods.
 
-    `psi0` must be a z-product state, one basis state; any other state
-    raises `ValueError` before U1's blocks are assembled.  The blocks are
-    assembled (and checked) for the run, unless `blocks` gives them already
-    assembled from `prop.u1`; then every cycle advances the state by
+    The initial state is the z-product state `bits`; anything but a bit
+    string of the propagator's L raises `ValueError` (`hilbert.basis_index`)
+    before U1's blocks are assembled.  The blocks are assembled (and
+    checked) for the run, unless `blocks` gives them already assembled
+    from `prop.u1`; then every cycle advances the state by
     Phi * (U1 psi) and checks the norm, as a one-column block of the
     sweep's loop (`_evolve_block`).  A failed check raises `NumericError`
     naming the parameter point, the tolerance and the cycle.
     """
     if n_cycles < 1:
         raise ValueError(f"cycle count must be >= 1, got {n_cycles}")
-    if psi0.dimension != prop.dimension:
-        raise ValueError(
-            f"state dimension {psi0.dimension} does not match propagator dimension {prop.dimension}"
-        )
-    index = psi0.product_state_index()
-    if index is None:
-        raise ValueError(
-            "the autocorrelator evolves z-product states only: the initial state must be one basis state"
-        )
-    sz = sigma_z_stack(psi0.basis)
+    index = basis_index(bits, prop.params.L)
+    sz = sigma_z_stack(prop.params.basis)
     if blocks is None:
         blocks = prop.u1.assemble(prop.params)
     block, (error,) = _evolve_block(blocks, prop.phase2[:, None], [(prop.params, index)], sz, n_cycles)
@@ -145,7 +139,7 @@ def autocorrelator_series(
         values=block[:, 0],
         n_cycles=n_cycles,
         params=prop.params,
-        initial_state=psi0.label or "custom",
+        initial_state=bits,
     )
 
 
@@ -269,11 +263,11 @@ def reversal_analysis(values: np.ndarray) -> LifetimeResult:
     )
 
 
-def lifetime(prop: FloquetPropagator, psi0: StateVector, n_max: int) -> LifetimeResult:
-    """DTC lifetime of a z-product initial state from the autocorrelator
-    over up to n_max cycles, evolved as in `autocorrelator_series` (which
-    refuses any other state); see `reversal_analysis` for the definitions."""
+def lifetime(prop: FloquetPropagator, bits: str, n_max: int) -> LifetimeResult:
+    """DTC lifetime of the z-product state `bits` from the autocorrelator
+    over up to n_max cycles, evolved as in `autocorrelator_series`; see
+    `reversal_analysis` for the definitions."""
     if n_max < 2:
         raise ValueError(f"cycle cap must be >= 2, got {n_max}")
-    series = autocorrelator_series(prop, psi0, n_max)
+    series = autocorrelator_series(prop, bits, n_max)
     return reversal_analysis(series.values)

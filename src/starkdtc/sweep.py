@@ -40,7 +40,7 @@ from .floquet import (
     stage1_unitary,
 )
 from .hamiltonian import SimulationParams, build_h2_diagonal, check_rate
-from .hilbert import check_bits, sigma_z_stack, z_product_state
+from .hilbert import basis_index, check_bits, sigma_z_stack
 from .observables import AutocorrelatorSeries, _evolve_block, fourier_spectrum, reversal_analysis
 from .output import atomic_open, params_metadata, write_csv, write_sidecar
 
@@ -335,7 +335,7 @@ def _block_series(blocks: SectorBlocks, columns, sz: np.ndarray, n_cycles: int):
 def _overlap_record(u1: SectorUnitary, params: SimulationParams, bits: str) -> dict:
     """One point's overlap table, its quasi-spectrum released on return."""
     spectrum = FloquetPropagator(params, u1, build_h2_diagonal(params)).spectrum()
-    table = overlaps(spectrum, z_product_state(bits, params.basis))
+    table = overlaps(spectrum, bits)
     return {"quasi_energy": table.quasi_energies.tolist(), "overlap": table.overlaps.tolist()}
 
 
@@ -367,10 +367,7 @@ def _evaluate_group(spec: SweepSpec, members, factory: PropagatorFactory):
     sz = sigma_z_stack(members[0][2].basis)
     for at in range(0, len(members), _MAX_BLOCK_COLUMNS):
         chunk = members[at:at + _MAX_BLOCK_COLUMNS]
-        columns = [
-            (params, z_product_state(bits, params.basis).product_state_index())
-            for _, _, params, bits in chunk
-        ]
+        columns = [(params, basis_index(bits, params.L)) for _, _, params, bits in chunk]
         values, errors = _block_series(blocks, columns, sz, n_cycles)
         for col, (index, coords, _, _) in enumerate(chunk):
             value, error = None, errors[col]

@@ -25,6 +25,13 @@ def bits_of(b: int, L: int) -> str:
     return "".join(str(occupation(b, j)) for j in range(1, L + 1))
 
 
+def product_vector(bits: str) -> np.ndarray:
+    """z-basis amplitudes of the z-product state `bits` (site j on bit j-1)."""
+    psi = np.zeros(1 << len(bits), dtype=complex)
+    psi[sum(1 << (j - 1) for j, ch in enumerate(bits, start=1) if ch == "1")] = 1.0
+    return psi
+
+
 def interaction_energy(b: int, L: int, v: float, max_distance) -> float:
     """Pairwise vdW energy of one basis state by explicit double loop."""
     total = 0.0
@@ -175,16 +182,16 @@ def dense_u_f(prop) -> np.ndarray:
     return prop.apply(np.eye(prop.dimension, dtype=complex))
 
 
-def coevolution_series(prop, psi0, n_cycles):
+def coevolution_series(prop, amplitudes, n_cycles):
     """Complex C(n) from two `prop.apply` calls per cycle.
 
     psi = U_F^n psi0 and the columns chi_j = U_F^n sigma^z_j psi0 are
     advanced separately, and C(n) = (1/L) sum_j <chi_j| sigma^z_j psi>,
-    for any initial `StateVector`.
+    for any initial state given by its z-basis amplitudes.
     """
-    z = sigma_z_rows(psi0.basis.L)
-    psi = psi0.amplitudes.copy()
-    chi = (z * psi0.amplitudes).T.copy()
+    z = sigma_z_rows(prop.params.L)
+    psi = np.array(amplitudes, dtype=complex)
+    chi = (z * psi).T.copy()
     values = [1.0 + 0j]
     for _ in range(n_cycles):
         psi = prop.apply(psi)

@@ -22,11 +22,10 @@ from starkdtc import (
     lifetime,
     overlaps,
     run_sweep,
-    z_product_state,
 )
 from starkdtc.hamiltonian import KERNEL_VARIANTS
 from starkdtc.sweep import PropagatorFactory
-from _oracles import coevolution_series, dense_u_f, trotter_floquet
+from _oracles import coevolution_series, dense_u_f, product_vector, trotter_floquet
 
 PI = np.pi
 
@@ -53,7 +52,7 @@ def test_criterion_1_perfect_dtc_baseline(factory):
         params = SimulationParams(L=L, omega=PI / 2, epsilon=0.0, v=0.0, f=0.0)
         start = time.perf_counter()
         prop = factory.get(params)
-        series = autocorrelator_series(prop, z_product_state("1" * L, params.basis), 100)
+        series = autocorrelator_series(prop, "1" * L, 100)
         a_pi = fourier_spectrum(series).a_pi
         elapsed = max(elapsed, time.perf_counter() - start)
         worst_c = max(worst_c, np.max(np.abs(series.values - (-1.0) ** np.arange(101))))
@@ -74,7 +73,7 @@ FIG2_BASE = SimulationParams(L=12, omega=PI / 2, epsilon=0.3, v=0.1, t1=1.0, t2=
 def _fig2_a_pi(factory, f_t2):
     params = FIG2_BASE.with_f_t2(f_t2)
     prop = factory.get(params)
-    series = autocorrelator_series(prop, z_product_state("1" * 12, params.basis), 100)
+    series = autocorrelator_series(prop, "1" * 12, 100)
     return fourier_spectrum(series).a_pi
 
 
@@ -100,7 +99,7 @@ def test_criterion_2_fig2_subharmonic_contrast(factory):
 def _dominant_pi_pair(factory, f_t2):
     params = FIG2_BASE.with_f_t2(f_t2)
     prop = factory.get(params)
-    table = overlaps(prop.spectrum(), z_product_state("1" * 12, params.basis))
+    table = overlaps(prop.spectrum(), "1" * 12)
     pair = find_pi_pair(table)
     if pair is None:
         return None, None
@@ -140,7 +139,7 @@ def test_criterion_4_lifetime_value(factory):
     start = time.perf_counter()
     params = FIG4_BASE.with_f_t2(0.25)
     prop = factory.get(params)
-    result = lifetime(prop, z_product_state("1" * 10, params.basis), 5000)
+    result = lifetime(prop, "1" * 10, 5000)
     elapsed = time.perf_counter() - start
     ok = result.observed and abs(result.n_c - 3042) <= 152 and elapsed < 60.0
     report(
@@ -280,7 +279,7 @@ def test_criterion_9_stark_echo(factory):
             params = SimulationParams(L=L, omega=PI / 2, epsilon=0.0, v=0.0).with_f_t2(f_t2)
             prop = factory.get(params)
             sz = 2.0 * params.basis.occupations() - 1.0
-            psi = z_product_state("10" * (L // 2) + "1" * (L % 2), params.basis).amplitudes
+            psi = product_vector("10" * (L // 2) + "1" * (L % 2))
             reference = sz @ np.abs(psi) ** 2
             for _ in range(4):  # every 2 periods, checked over 8 periods
                 psi = prop.apply(prop.apply(psi))
@@ -303,9 +302,8 @@ def test_criterion_10_path_equivalence(factory):
     worst = 0.0
     for _ in range(10):
         bits = "".join(rng.choice(["0", "1"], size=8))
-        psi0 = z_product_state(bits, params.basis)
-        fast = autocorrelator_series(prop, psi0, 50)
-        general = coevolution_series(prop, psi0, 50)
+        fast = autocorrelator_series(prop, bits, 50)
+        general = coevolution_series(prop, product_vector(bits), 50)
         worst = max(worst, float(np.max(np.abs(fast.values - general))))
     ok = worst < 1e-10
     report(

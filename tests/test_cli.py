@@ -7,7 +7,6 @@ import sys
 import weakref
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import starkdtc.figures as figures_module
@@ -15,7 +14,7 @@ import starkdtc.floquet as floquet_module
 import starkdtc.hamiltonian as hamiltonian_module
 import starkdtc.observables as observables_module
 import starkdtc.sweep as sweep_module
-from starkdtc import SimulationParams, autocorrelator_series, z_product_state
+from starkdtc import SimulationParams, autocorrelator_series
 from starkdtc.cli import main
 from starkdtc.figures import FIGURE_IDS, figure_parameters
 
@@ -42,6 +41,15 @@ def write_config(tmp_path, data, name="config.json"):
 def config_argv(tmp_path, data):
     """The --config flags of a config dict; a list is a run's own flags."""
     return data if isinstance(data, list) else ["--config", str(write_config(tmp_path, data))]
+
+
+def exit_code(argv) -> int:
+    """The exit code of `main(argv)`: its return value, or the code of the
+    SystemExit that argparse raises on a command line it refuses."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def read_csv(path):
@@ -78,16 +86,6 @@ def test_series_command(tmp_path, capsys):
     assert str(out / "series.csv") in capsys.readouterr().out
 
 
-def test_series_json_format(tmp_path):
-    cfg = write_config(tmp_path, SERIES_CONFIG)
-    out = tmp_path / "out"
-    assert main(["--config", str(cfg), "--out", str(out), "--format", "json"]) == 0
-    payload = json.loads((out / "series.json").read_text())
-    assert payload["columns"] == ["n", "c"]
-    assert payload["rows"][0] == [0, 1.0]
-    assert payload["metadata"]["command"] == "series"
-
-
 def test_spectrum_command(tmp_path):
     data = dict(SERIES_CONFIG, command="spectrum", n_cycles=20)
     cfg = write_config(tmp_path, data)
@@ -112,48 +110,22 @@ def test_overlaps_command(tmp_path):
     assert energies == sorted(energies)
 
 
-def test_overlaps_entangled_initial_state(tmp_path):
-    a = 1 / np.sqrt(2)
-    triples = [[0, a, 0.0], [7, 0.0, a]]
-    cfg = write_config(tmp_path, point_config("overlaps", initial_state=triples))
-    out = tmp_path / "out"
-    assert main(["--config", str(cfg), "--out", str(out)]) == 0
-    weights = [float(r[1]) for r in read_csv(out / "overlaps.csv")[1:]]
-    assert sum(weights) == pytest.approx(1.0, abs=1e-8)
-    # the sidecar names the state that ran, as given, not the word "amplitudes"
-    assert json.loads((out / "overlaps.csv.meta.json").read_text())["initial_state"] == triples
-
-
 @pytest.mark.parametrize("vt1", [0.0, 0.1])
 @pytest.mark.parametrize("command", ["series", "spectrum", "lifetime"])
 def test_superposition_exits_2_before_stage1(tmp_path, monkeypatch, capsys, command, vt1):
-    # these commands evolve z-product states only, at every V, and take
-    # them as bit strings
+    # every command takes a z-product state, at every V, as its bit string
     def no_stage1(params):
         raise AssertionError("stage 1 computed before the initial state was checked")
 
     monkeypatch.setattr(floquet_module, "stage1_unitary", no_stage1)
-    a = 1 / np.sqrt(2)
+    a = 1 / math.sqrt(2)
     data = point_config(command, params=dict(SERIES_CONFIG["params"], VT1=vt1),
                         initial_state=[[0, a, 0.0], [7, 0.0, a]])
     out = tmp_path / "out"
     assert main(["--config", str(write_config(tmp_path, data)), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert (f"config error: initial_state: {command} takes a bit string; "
-            "only overlaps takes an amplitude list") in err
+    assert f"config error: config: initial_state takes bit strings, got [[0, {a!r}, 0.0], [7, 0.0, {a!r}]]" in err
     assert not out.exists()
-
-
-def test_one_basis_state_list_runs(tmp_path):
-    # overlaps takes an amplitude list; one holding one basis state gives the
-    # table of its bit string, whatever its phase
-    tables = []
-    for name, initial_state in (("list", [[5, 0.0, 1.0]]), ("bits", "101")):
-        out = tmp_path / name
-        cfg = write_config(tmp_path, point_config("overlaps", initial_state=initial_state))
-        assert main(["--config", str(cfg), "--out", str(out)]) == 0
-        tables.append(np.array(read_csv(out / "overlaps.csv")[1:], dtype=float))
-    np.testing.assert_allclose(tables[0], tables[1], rtol=0, atol=1e-14)
 
 
 def test_lifetime_command(tmp_path):
@@ -317,7 +289,7 @@ def test_fig2_assembles_u1_once(tmp_path, monkeypatch):
     assert len(assemblies) == 1 and len(spectra) == 2
     for f_t2 in (0.0, 0.25):
         prop = floquet_module.floquet_operator(base.with_f_t2(f_t2))
-        expected = autocorrelator_series(prop, z_product_state("1" * 6, base.basis), 100).rows()
+        expected = autocorrelator_series(prop, "1" * 6, 100).rows()
         rows = read_csv(tmp_path / f"fig2_series_ft2_{f_t2:g}.csv")[1:]
         assert [[float(n), float(c)] for n, c in rows] == [[float(n), c] for n, c in expected]
 
@@ -384,14 +356,17 @@ def sweep_config(**fields):
         ([], dict(SERIES_CONFIG, figure="fig2")),
         ([], dict(SERIES_CONFIG, sweep=SWEEP_CONFIG["sweep"])),
         (["--resume"], SERIES_CONFIG),
+        ([], point_config("overlaps", initial_state=[[5, 1.0, 0.0]])),
+        (["--format", "json"], SERIES_CONFIG),
+        (["--format", "csv"], SERIES_CONFIG),
     ],
 )
 def test_malformed_runs_exit_2_without_writing(tmp_path, monkeypatch, capsys, flags, data):
-    # non-integer counts would be truncated, a figure takes no config, sweep
-    # and figure write CSV only, a bad sweep initial state would fail every
-    # point, and an amplitude list on a sweep, a removed section and another
-    # command's section and --resume on a run that is not a sweep would be
-    # silently ignored
+    # non-integer counts would be truncated, a figure takes no config, a bad
+    # sweep initial state would fail every point, and an amplitude list, a
+    # removed section and another command's section and --resume on a run
+    # that is not a sweep would be silently ignored; --format is gone (every
+    # table is a CSV), and argparse refuses it as an unknown flag
     def no_stage1(params):
         raise AssertionError("stage 1 computed before the config was rejected")
 
@@ -401,8 +376,9 @@ def test_malformed_runs_exit_2_without_writing(tmp_path, monkeypatch, capsys, fl
     argv = ["--out", str(out), *flags]
     if data is not None:
         argv += ["--config", str(write_config(tmp_path, data))]
-    assert main(argv) == 2
-    assert "config error" in capsys.readouterr().err
+    assert exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --format" in err if "--format" in flags else "config error" in err
     assert not out.exists()
 
 
@@ -412,7 +388,7 @@ def test_malformed_runs_exit_2_without_writing(tmp_path, monkeypatch, capsys, fl
         ({"command": "figure", "figure": "fig5"}, "config: unknown keys ['figure']",
          ["--figure", "fig5"], None, "fig5_series.csv"),
         (dict(SERIES_CONFIG, output={"format": "json"}), "config: unknown keys ['output']",
-         ["--format", "json"], SERIES_CONFIG, "series.json"),
+         [], SERIES_CONFIG, "series.csv"),
         (sweep_config(n_cycles=20), "sweep: unknown keys ['n_cycles']",
          [], {**SWEEP_CONFIG, "n_cycles": 20}, "sweep.csv"),
         (sweep_config(observable="lifetime", n_max=50), "sweep: unknown keys ['n_max']",
@@ -431,12 +407,17 @@ def test_malformed_runs_exit_2_without_writing(tmp_path, monkeypatch, capsys, fl
           for raw, value, group, group_value in (("Omega", 1.2, "OmegaT1", 1.2), ("epsilon", 0.1, "epsT1", 0.1),
                                                  ("V", 0.1, "VT1", 0.1), ("F", 0.025, "FT2", 0.25),
                                                  ("VT2", 1.0, "VT1", 0.1))),
-        # a z-product state only as its bit string
+        # a z-product state only as its bit string, on every command
         *((point_config(command, initial_state=[[5, 0.0, 1.0]], **counts),
-           f"initial_state: {command} takes a bit string; only overlaps takes an amplitude list",
+           "config: initial_state takes bit strings, got [[5, 0.0, 1.0]]",
            [], point_config(command, initial_state="101", **counts), data_file)
           for command, counts, data_file in (("series", {}, "series.csv"), ("spectrum", {}, "spectrum.csv"),
-                                             ("lifetime", {"n_max": 200}, "lifetime.json"))),
+                                             ("lifetime", {"n_max": 200}, "lifetime.json"),
+                                             ("overlaps", {}, "overlaps.csv"))),
+        # every table is a CSV: --format is an unknown flag, refused with
+        # the kept config by argparse
+        *((["--format", fmt], "unrecognized arguments: --format " + fmt, [], SERIES_CONFIG, "series.csv")
+          for fmt in ("json", "csv")),
         # all ones as the state left out
         ({**SWEEP_CONFIG, "initial_state": "all_ones"}, "initial_state: expected a bit string, got 'all_ones'",
          [], SWEEP_CONFIG, "sweep.csv"),
@@ -455,13 +436,13 @@ def test_malformed_runs_exit_2_without_writing(tmp_path, monkeypatch, capsys, fl
     ],
     ids=["figure_command", "output_format", "sweep_n_cycles", "sweep_n_max", "sweep_initial_state",
          "step_range", "num_range", "Omega", "epsilon", "V", "F", "VT2", "series_list", "spectrum_list",
-         "lifetime_list", "all_ones", "lifetime_n_cycles", "overlaps_n_cycles", "a_pi_n_max",
-         "overlaps_sweep_n_cycles", "overlap_table"],
+         "lifetime_list", "overlaps_list", "format_json", "format_csv", "all_ones", "lifetime_n_cycles",
+         "overlaps_n_cycles", "a_pi_n_max", "overlaps_sweep_n_cycles", "overlap_table"],
 )
 def test_removed_spellings_exit_2_naming_the_key(tmp_path, capsys, removed, message, flags, kept, data_file):
     # each setting and model input has one spelling: the removed one names
-    # its key and writes nothing, and the kept one (`flags` with the config
-    # `kept`) runs
+    # its key or flag and writes nothing, and the kept one (`flags` with the
+    # config `kept`) runs; a removed flag (a list) is given with `kept`
     def no_stage1(params):
         raise AssertionError("stage 1 computed before the removed spelling was refused")
 
@@ -469,8 +450,12 @@ def test_removed_spellings_exit_2_naming_the_key(tmp_path, capsys, removed, mess
     with pytest.MonkeyPatch.context() as patch:
         for module in (floquet_module, sweep_module):
             patch.setattr(module, "stage1_unitary", no_stage1)
-        assert main(["--config", str(write_config(tmp_path, removed)), "--out", str(out)]) == 2
-    assert f"config error: {message}" in capsys.readouterr().err
+        if isinstance(removed, list):
+            argv = [*removed, "--config", str(write_config(tmp_path, kept))]
+        else:
+            argv, message = ["--config", str(write_config(tmp_path, removed))], f"config error: {message}"
+        assert exit_code([*argv, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
     argv = ["--out", str(out), *flags]
     if kept is not None:
@@ -492,7 +477,7 @@ def test_removed_spellings_exit_2_naming_the_key(tmp_path, capsys, removed, mess
         ({**SWEEP_CONFIG, "n_cycles": True}, "sweep: n_cycles must be a positive integer, got True"),
         (sweep_config(grid_cap=2.5), "sweep: grid_cap must be a positive integer, got 2.5"),
         ({**SWEEP_CONFIG, "initial_state": "10x"}, "sweep: initial_state takes bit strings, got '10x'"),
-        (dict(SERIES_CONFIG, initial_state=5), "initial_state takes bit strings, got 5"),
+        (dict(SERIES_CONFIG, initial_state=5), "config: initial_state takes bit strings, got 5"),
     ],
     ids=["params_bool_L", "axis_bool_L", "axis_bool_epsilon", "axis_state", "fractional_n_cycles",
          "bool_n_cycles", "fractional_grid_cap", "sweep_state", "point_state"],
@@ -537,6 +522,20 @@ def test_out_of_memory_during_a_run_exits_2(tmp_path, monkeypatch, capsys):
     assert main(["--config", str(cfg), "--out", str(out)]) == 2
     assert f"memory error: {message}" in capsys.readouterr().err
     assert not any(out.iterdir())
+
+
+def test_value_error_during_a_run_is_not_a_config_error(tmp_path, monkeypatch, capsys):
+    # the config is checked whole before the run starts, so a ValueError
+    # raised while it computes is a fault of the program: it used to be
+    # reported as a config error (exit 2) and now ends in its traceback
+    def broken(*args):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(observables_module, "_evolve_block", broken)
+    cfg = write_config(tmp_path, SERIES_CONFIG)
+    with pytest.raises(ValueError, match="^operands could not be broadcast together$"):
+        main(["--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert "config error" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("expression", ["1/0", "10**400", "(-1)**0.5", 10**400],
@@ -589,26 +588,32 @@ def test_bad_axis_values_exit_2_at_parse_time(tmp_path, monkeypatch, capsys, axi
 
 
 @pytest.mark.parametrize(
-    "initial_state, message",
+    "initial_state, flags, message",
     [
-        ([[5000, 1.0, 0.0]], "amplitude index 5000 out of range for L=12"),
-        ([[0, 0.5, 0.0]], "amplitude list norm 0.5 deviates from 1"),
+        # an amplitude list is refused whole, whatever its entries
+        ([[5000, 1.0, 0.0]], [], "config error: config: initial_state takes bit strings, got [[5000, 1.0, 0.0]]"),
+        ([[0, 0.5, 0.0]], [], "config error: config: initial_state takes bit strings, got [[0, 0.5, 0.0]]"),
         # json writes and reads the NaN literal
-        ([[0, math.nan, 0.0]], "amplitude of index 0 is not finite: (nan+0j)"),
-        ([[5.9, 1.0, 0.0]], "amplitude index 5.9 is not an integer"),
-        ([[True, 1.0, 0.0]], "amplitude index True is not an integer"),
+        ([[0, math.nan, 0.0]], [], "config error: config: initial_state takes bit strings, got [[0, nan, 0.0]]"),
+        ([[5.9, 1.0, 0.0]], [], "config error: config: initial_state takes bit strings, got [[5.9, 1.0, 0.0]]"),
+        ([[True, 1.0, 0.0]], [], "config error: config: initial_state takes bit strings, got [[True, 1.0, 0.0]]"),
+        ([[4095, 1.0, 0.0]], [], "config error: config: initial_state takes bit strings, got [[4095, 1.0, 0.0]]"),
+        ("1" * 11, [], f"config error: config: initial_state takes length-12 bit strings, got '{'1' * 11}'"),
+        ("1" * 12, ["--format", "json"], "unrecognized arguments: --format json"),
+        ("1" * 12, ["--format", "csv"], "unrecognized arguments: --format csv"),
     ],
-    ids=["index_out_of_range", "off_norm", "nan_amplitude", "fractional_index", "boolean_index"],
+    ids=["index_out_of_range", "off_norm", "nan_amplitude", "fractional_index", "boolean_index", "basis_state_list",
+         "wrong_length", "format_json", "format_csv"],
 )
-def test_bad_initial_state_exits_2_before_stage1(tmp_path, monkeypatch, capsys, initial_state, message):
+def test_bad_initial_state_exits_2_before_stage1(tmp_path, monkeypatch, capsys, initial_state, flags, message):
     def no_stage1(params):
         raise AssertionError("stage 1 computed before the initial state was checked")
 
     monkeypatch.setattr(floquet_module, "stage1_unitary", no_stage1)
     cfg = write_config(tmp_path, point_config("overlaps", params={"L": 12}, initial_state=initial_state))
     out = tmp_path / "out"
-    assert main(["--config", str(cfg), "--out", str(out)]) == 2
-    assert f"config error: {message}" in capsys.readouterr().err
+    assert exit_code(["--config", str(cfg), "--out", str(out), *flags]) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

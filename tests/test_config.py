@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import starkdtc
 import starkdtc.config as config
 from starkdtc import ConfigError, SimulationParams, SweepAxis, parse_config
-from starkdtc.cli import _initial_state
 from starkdtc.config import _parse_axis, parse_number, parse_params
 from starkdtc.hamiltonian import KERNEL_VARIANTS
 from starkdtc.output import params_metadata
@@ -73,6 +73,8 @@ NUMBERS = st.one_of(
 RAW = st.sampled_from([0, 1, 3, 14, 15, -2, 10**400, True, False, 2.0, 2.5, 1e400, math.nan, "3", None,
                        "NN", "ALL", "XY", "101", "10x", "", "all_ones"])
 RATE_AXES = ("epsilon", "F_T2", "V")
+# initial states: the raw values, and amplitude lists of any shape
+STATES = st.one_of(RAW, st.lists(st.lists(st.one_of(NUMBERS, RAW), max_size=3), max_size=2))
 
 
 def convert(value):
@@ -93,8 +95,8 @@ def refuses(build, error) -> bool:
     {"L": RAW},
     optional={"T1": NUMBERS, "T2": NUMBERS, "kernel": RAW, "OmegaT1": NUMBERS, "epsT1": NUMBERS,
               "VT1": NUMBERS, "FT2": NUMBERS},
-))
-def test_parse_params_refuses_exactly_what_simulation_params_refuses(section):
+), command=st.sampled_from(config.COMMANDS), state=STATES)
+def test_parse_params_refuses_exactly_what_simulation_params_refuses(section, command, state):
     # the rules live in SimulationParams; config only converts, so a rule
     # stated a second time in config could only break this agreement
     groups = {key: convert(value) for key, value in section.items() if key not in ("L", "kernel")}
@@ -111,6 +113,10 @@ def test_parse_params_refuses_exactly_what_simulation_params_refuses(section):
                          v=rate("VT1", 0.0, t1), f=rate("FT2", 0.0, t2))
 
     assert refuses(lambda: parse_params(section), ConfigError) == refuses(build, ValueError)
+    # and parse_config lets nothing but a ConfigError escape, whatever the
+    # command and the initial state: any other exception fails the test
+    refuses(lambda: parse_config(json.dumps({"command": command, "params": section, "initial_state": state})),
+            ConfigError)
 
 
 @settings(max_examples=300, deadline=None)
@@ -135,8 +141,8 @@ def test_parse_config_minimal_series():
     assert cfg.command == "series"
     assert cfg.params.L == 3
     assert cfg.n_cycles == 10
-    assert cfg.initial_state is None and _initial_state(cfg).label == "111"  # all ones
-    for flag in ("threads", "out_format", "figure"):  # --threads, --format, --figure
+    assert cfg.initial_state is None  # all ones
+    for flag in ("threads", "out_format", "figure"):  # flags only, and no table format at all
         assert not hasattr(cfg, flag)
 
 
@@ -171,24 +177,17 @@ def test_config_round_trips_sidecar_params(L, kernel, rates, durations, data):
 
 
 def test_parse_config_initial_state_forms():
-    cfg = parse_config(make_config(initial_state="101"))
-    assert cfg.initial_state == "101" and _initial_state(cfg).product_state_index() == 0b101
-    # a point command's state is checked where it is built, before anything runs
-    for bits, message in (("10", "length-3 bit strings, got '10'"), ("10x", "bit strings, got '10x'"),
-                          ("", "bit strings, got ''"), (101, "bit strings, got 101")):
-        with pytest.raises(ValueError, match=f"^initial_state takes {message}$"):
-            _initial_state(parse_config(make_config(initial_state=bits)))
+    assert parse_config(make_config(initial_state="101")).initial_state == "101"
+    # a point command's state is a bit string of its L, checked as the config loads
+    triples = [[0, 0.7071067811865476, 0.0], [7, 0.0, 0.7071067811865476]]
+    for command in ("series", "overlaps"):
+        for bits, message in (("10", "length-3 bit strings, got '10'"), ("10x", "bit strings, got '10x'"),
+                              ("", "bit strings, got ''"), (101, "bit strings, got 101"),
+                              (triples, re.escape(f"bit strings, got {triples}"))):
+            with pytest.raises(ConfigError, match=f"^config: initial_state takes {message}$"):
+                parse_config(json.dumps({"command": command, "params": {"L": 3}, "initial_state": bits}))
     with pytest.raises(ConfigError, match="initial_state: expected a bit string, got 'all_ones'"):
         parse_config(make_config(initial_state="all_ones"))  # left out for all ones
-    # an amplitude list is for overlaps only
-    triples = [[0, 0.7071067811865476, 0.0], [7, 0.0, 0.7071067811865476]]
-    with pytest.raises(ConfigError, match="initial_state: series takes a bit string"):
-        parse_config(make_config(initial_state=triples))
-    overlaps = {"command": "overlaps", "params": {"L": 3}}
-    cfg = parse_config(json.dumps(dict(overlaps, initial_state=triples)))
-    assert cfg.initial_state == triples
-    with pytest.raises(ValueError, match=r"amplitude entry \[0, 0\.5\] is not an \(index, real, imag\) triple"):
-        _initial_state(parse_config(json.dumps(dict(overlaps, initial_state=[[0, 0.5]]))))
 
 
 def test_parse_config_command_validation():
@@ -263,7 +262,7 @@ def test_sweep_refuses_an_amplitude_list_initial_state():
     # a sweep used to drop the list silently and run from the all-ones state
     sweep = {"axes": [{"name": "F_T2", "values": [0.0, 0.1]}], "observable": "a_pi"}
     data = {"command": "sweep", "params": {"L": 2}, "sweep": sweep, "initial_state": [[1, 1.0, 0.0]]}
-    with pytest.raises(ConfigError, match="initial_state: sweep takes a bit string; only overlaps takes"):
+    with pytest.raises(ConfigError, match=re.escape("sweep: initial_state takes bit strings, got [[1, 1.0, 0.0]]")):
         parse_config(json.dumps(data))
     assert parse_config(json.dumps(dict(data, initial_state="10"))).sweep.initial_state == "10"
 
@@ -271,7 +270,7 @@ def test_sweep_refuses_an_amplitude_list_initial_state():
 @pytest.mark.parametrize(
     "data, message",
     [
-        # --format and --figure are the only spellings of these
+        # --figure is the only spelling of a figure, and every table is a CSV
         (make_config(output={"format": "json", "extra": 1}), r"config: unknown keys \['output'\]"),
         (make_config(figure="fig2"), r"config: unknown keys \['figure'\]"),
         (make_config(sweep={"axes": [{"name": "F_T2", "values": [0.0]}], "observable": "a_pi"}),
@@ -412,3 +411,7 @@ def test_readme_config_examples_parse():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     examples = re.findall(r"<<'EOF'\n(.*?)\nEOF\n", readme, re.S)
     assert [parse_config(example).command for example in examples] == ["spectrum", "sweep"]
+    # and the export sentence of "Library use" names exactly the package's __all__
+    library = readme.split("## Library use", 1)[1]
+    exports = re.search(r"`import starkdtc` exports the documented API only: (.*?)\.  ", library, re.S).group(1)
+    assert sorted(re.findall(r"`([^`]+)`", exports)) == sorted(starkdtc.__all__)

@@ -17,15 +17,13 @@ from starkdtc import (
     find_pi_pair,
     floquet_operator,
     overlaps,
-    z_product_state,
 )
 import starkdtc.floquet as floquet
 from starkdtc.cli import main
 from starkdtc.floquet import OverlapTable, circular_gap, propagator_u2, quasi_spectrum, unitarity_deviation
 from starkdtc.hamiltonian import build_h1, build_h2_diagonal
-from starkdtc.hilbert import StateVector
 from starkdtc.sweep import PropagatorFactory
-from _oracles import dense_u_f, trotter_floquet
+from _oracles import bits_of, dense_u_f, h2_diagonal, product_vector, trotter_floquet
 from test_trace_bindings import load_tracer
 
 
@@ -103,7 +101,7 @@ def test_traced_apply_builds_no_dense_u_f():
     # used to build and cache a dense U_F (1 MiB at L=8, 268 MB at L=12)
     p = SimulationParams(L=8, omega=np.pi / 2, epsilon=0.3, v=0.1).with_f_t2(0.25)
     prop = floquet_operator(p)
-    psi = z_product_state("1" * p.L, p.basis).amplitudes
+    psi = product_vector("1" * p.L)
     result = prop.apply(psi)
     with contextlib.suppress(AttributeError):  # the tracer drops an attribute it cannot read
         load_tracer()._apply_attrs((prop, psi), {}, result)
@@ -122,7 +120,7 @@ def test_stark_echo_two_periods():
             p = SimulationParams(L=L, omega=np.pi / 2, epsilon=0.0, v=0.0).with_f_t2(f_t2)
             prop = floquet_operator(p)
             sz = 2.0 * p.basis.occupations() - 1.0
-            states = [z_product_state("1" * L, p.basis).amplitudes]
+            states = [product_vector("1" * L)]
             psi = rng.normal(size=p.dimension) + 1j * rng.normal(size=p.dimension)
             states.append(psi / np.linalg.norm(psi))
             for psi0 in states:
@@ -174,8 +172,9 @@ def test_quasi_spectrum_against_schur_oracle():
 def test_quasi_spectrum_against_schur_and_powers_at_l10():
     # figure scale: the quasi-energies match an independent complex Schur
     # decomposition of the dense U_F, and the spectral sum
-    # sum_a w_a exp(-i n E_a) reproduces <psi0|U_F^n psi0> from repeated
-    # applies, which holds however a near-degenerate pair is rotated
+    # sum_a w_a exp(-i n E_a) of the overlaps w_a reproduces <psi0|U_F^n psi0>
+    # from repeated applies, which holds however a near-degenerate pair is
+    # rotated
     p = SimulationParams(L=10, omega=np.pi / 2, epsilon=0.3, v=0.1).with_f_t2(0.25)
     prop = floquet_operator(p)
     spec = quasi_spectrum(prop)
@@ -184,13 +183,12 @@ def test_quasi_spectrum_against_schur_and_powers_at_l10():
     got = np.sort(np.angle(spec.eigenvalues()))
     assert np.max(np.abs(got - ref)) < 1e-9
 
-    psi0 = z_product_state("1" * p.L, p.basis)
-    amplitudes = spec.eigenstates().conj().T @ psi0.amplitudes
-    weights = np.abs(amplitudes) ** 2
-    psi = psi0.amplitudes.copy()
+    weights = overlaps(spec, "1" * p.L).overlaps
+    psi0 = product_vector("1" * p.L)
+    psi = psi0
     for n in range(1, 41):
         psi = prop.apply(psi)
-        direct = np.vdot(psi0.amplitudes, psi)
+        direct = np.vdot(psi0, psi)
         spectral = np.sum(weights * np.exp(-1j * n * spec.quasi_energies))
         assert abs(spectral - direct) < 1e-9
 
@@ -202,14 +200,21 @@ def test_spectrum_cache_returns_same_object():
 
 
 def test_overlaps_eigenvector_input():
-    p = SimulationParams(L=4, omega=np.pi / 2, epsilon=0.2, v=0.1, f=0.03)
-    prop = floquet_operator(p)
-    spec = prop.spectrum()
-    table = overlaps(spec, StateVector(spec.eigenstates()[:, 5].copy(), p.basis))
-    assert table.overlaps[5] == pytest.approx(1.0, abs=1e-10)
-    assert np.sum(table.overlaps) == pytest.approx(1.0, abs=1e-10)
-    assert np.all(table.overlaps >= 0)
-    assert np.all(table.overlaps <= 1 + 1e-12)
+    # with Omega + epsilon = 0 no spin flips and U_F is diagonal, so every
+    # z-product state is an eigenstate: overlap 1 at the quasi-energy of its
+    # diagonal phase exp(-i (H_int T1 + H2 T2)); V = 0.37 under the ALL
+    # kernel and F = 0.0113 leave those phases nondegenerate
+    p = SimulationParams(L=4, omega=0.0, epsilon=0.0, v=0.37, f=0.0113, kernel="ALL")
+    spec = floquet_operator(p).spectrum()
+    h_int = h2_diagonal(p.L, p.v, 0.0, p.kernel)
+    phases = np.exp(-1j * (h_int * p.t1 + h2_diagonal(p.L, p.v, p.f, p.kernel) * p.t2))
+    for b in range(p.dimension):
+        table = overlaps(spec, bits_of(b, p.L))
+        a = int(np.argmax(table.overlaps))
+        assert table.overlaps[a] == pytest.approx(1.0, abs=1e-10)
+        assert np.sum(table.overlaps) == pytest.approx(1.0, abs=1e-10)
+        assert np.all(table.overlaps >= 0)
+        assert abs(np.exp(-1j * table.quasi_energies[a]) - phases[b]) < 1e-10
 
 
 def test_overlaps_completeness_random_states():
@@ -217,8 +222,7 @@ def test_overlaps_completeness_random_states():
     p = SimulationParams(L=5, omega=np.pi / 2, epsilon=0.3, v=0.1, f=0.025)
     spec = floquet_operator(p).spectrum()
     for _ in range(5):
-        psi = rng.normal(size=32) + 1j * rng.normal(size=32)
-        table = overlaps(spec, StateVector(psi / np.linalg.norm(psi), p.basis))
+        table = overlaps(spec, "".join(rng.choice(["0", "1"], size=p.L)))
         assert np.sum(table.overlaps) == pytest.approx(1.0, abs=1e-8)
         assert np.all(np.diff(table.quasi_energies) >= 0)
 
@@ -226,13 +230,13 @@ def test_overlaps_completeness_random_states():
 def test_overlaps_dimension_mismatch():
     p = SimulationParams(L=3, omega=np.pi / 2)
     spec = floquet_operator(p).spectrum()
-    with pytest.raises(ValueError):
-        overlaps(spec, z_product_state("11", SimulationParams(L=2).basis))
+    with pytest.raises(ValueError, match="^initial_state takes length-3 bit strings, got '11'$"):
+        overlaps(spec, "11")
 
 
 def test_find_pi_pair_single_qubit():
     p = SimulationParams(L=1, omega=np.pi / 2)
-    table = overlaps(floquet_operator(p).spectrum(), z_product_state("1", p.basis))
+    table = overlaps(floquet_operator(p).spectrum(), "1")
     pair = find_pi_pair(table)
     assert pair is not None
     assert pair.gap == pytest.approx(np.pi, abs=1e-12)
@@ -516,25 +520,25 @@ def overlap_sums(quasi_energies, weights, gap=1e-8):
 
 
 def test_overlaps_of_random_states_against_dense_oracle():
-    # |<psi0|psi_a>|^2 from the real V and D^1/2, against the eigenvectors
-    # of an independent complex Schur decomposition of the dense U_F
+    # the overlaps of every basis state b, |<b|psi_a>|^2 = V[b, a]^2, against
+    # row b of the eigenvectors of an independent complex Schur
+    # decomposition of the dense U_F
     rng = np.random.default_rng(41)
     for _ in range(6):
         p = random_params(rng)
         spec = quasi_spectrum(floquet_operator(p))
         t_mat, z_mat = scipy.linalg.schur(dense_u_f(floquet_operator(p)), output="complex")
         energies = floquet._fold_quasi_energies(np.diag(t_mat))
-        psi = rng.normal(size=p.dimension) + 1j * rng.normal(size=p.dimension)
-        psi0 = StateVector(psi / np.linalg.norm(psi), p.basis)
-        table = overlaps(spec, psi0)
-        got = overlap_sums(table.quasi_energies, table.overlaps)
-        ref = overlap_sums(energies, np.abs(z_mat.conj().T @ psi0.amplitudes) ** 2)
-        assert got[0].size == ref[0].size
-        assert np.max(np.abs(got[0] - ref[0])) < 1e-9
-        assert np.max(np.abs(got[1] - ref[1])) < 1e-10
-        # and the complex eigenstates D^1/2 V give the same overlaps
-        direct = np.abs(spec.eigenstates().conj().T @ psi0.amplitudes) ** 2
-        assert np.max(np.abs(table.overlaps - direct)) < 1e-14
+        states = spec.eigenstates()
+        for b in range(p.dimension):
+            table = overlaps(spec, bits_of(b, p.L))
+            got = overlap_sums(table.quasi_energies, table.overlaps)
+            ref = overlap_sums(energies, np.abs(z_mat[b]) ** 2)
+            assert got[0].size == ref[0].size
+            assert np.max(np.abs(got[0] - ref[0])) < 1e-9
+            assert np.max(np.abs(got[1] - ref[1])) < 1e-10
+            # and the complex eigenstates D^1/2 V give the same overlaps
+            assert np.max(np.abs(table.overlaps - np.abs(states[b]) ** 2)) < 1e-14
 
 
 def test_unitarity_deviation_samples_gram_rows_above_1024():
@@ -921,8 +925,7 @@ def test_stage1_memory_estimate(monkeypatch):
 
 def test_overlap_completeness_error_names_point_and_tolerance():
     spectrum = floquet_operator(ERROR_POINT).spectrum()
-    psi0 = StateVector(spectrum.eigenstates()[:, 3].copy(), ERROR_POINT.basis)
-    spectrum.vectors[:, 3] *= 1.01  # a skewed eigenvector column: overlap 1.0201
+    spectrum.vectors[0b1011] *= 1.01  # a skewed row of V: overlaps summing to 1.0201
     pattern = r"overlaps at \(" + point_pattern(ERROR_POINT) + r"\): completeness .* by 2\.01e-02, tolerance 1e-08"
     with pytest.raises(NumericError, match=pattern):
-        overlaps(spectrum, psi0)
+        overlaps(spectrum, "1101")

@@ -10,13 +10,17 @@ from starkdtc import (
     floquet_operator,
     fourier_spectrum,
     lifetime,
-    state_from_amplitudes,
-    z_product_state,
 )
 import starkdtc.observables as observables
-from starkdtc.hilbert import StateVector
 from starkdtc.observables import AutocorrelatorSeries, reversal_analysis
-from _oracles import bits_of, coevolution_series, dft_magnitudes, expm_multiply_coevolution, expm_multiply_series
+from _oracles import (
+    bits_of,
+    coevolution_series,
+    dft_magnitudes,
+    expm_multiply_coevolution,
+    expm_multiply_series,
+    product_vector,
+)
 from test_floquet import point_pattern
 
 
@@ -43,21 +47,20 @@ def test_perfect_flip_alternation(L, kernel, f, t1, t2, state):
     # by cycle 40 at L=4, V=0.1)
     p = SimulationParams(L=L, omega=np.pi / 2 / t1, epsilon=0.0, v=0.0, f=f, t1=t1, t2=t2, kernel=kernel)
     bits = bits_of(state % p.dimension, L)
-    series = autocorrelator_series(floquet_operator(p), z_product_state(bits, p.basis), 40)
+    series = autocorrelator_series(floquet_operator(p), bits, 40)
     assert np.max(np.abs(series.values - (-1.0) ** np.arange(41))) < 1e-10
 
 
 def test_series_invariants_and_validation():
     p = SimulationParams(L=5, omega=np.pi / 2, epsilon=0.3, v=0.1, f=0.025)
     prop = floquet_operator(p)
-    psi0 = z_product_state("11111", p.basis)
-    series = autocorrelator_series(prop, psi0, 60)
+    series = autocorrelator_series(prop, "11111", 60)
     assert series.values[0] == 1.0
     assert (np.abs(series.values) <= 1 + 1e-9).all()
     with pytest.raises(ValueError):
-        autocorrelator_series(prop, psi0, 0)
-    with pytest.raises(ValueError):
-        autocorrelator_series(prop, z_product_state("11", SimulationParams(L=2).basis), 10)
+        autocorrelator_series(prop, "11111", 0)
+    with pytest.raises(ValueError, match="^initial_state takes length-5 bit strings, got '11'$"):
+        autocorrelator_series(prop, "11", 10)
 
 
 def test_general_path_matches_fast_path():
@@ -68,28 +71,29 @@ def test_general_path_matches_fast_path():
     prop = floquet_operator(p)
     for _ in range(4):
         bits = "".join(rng.choice(["0", "1"], size=8))
-        psi0 = z_product_state(bits, p.basis)
-        fast = autocorrelator_series(prop, psi0, 50)
-        general = coevolution_series(prop, psi0, 50)
+        fast = autocorrelator_series(prop, bits, 50)
+        general = coevolution_series(prop, product_vector(bits), 50)
         assert np.max(np.abs(fast.values - general)) < 1e-10
 
 
-def superposition(basis):
-    """A complex superposition of three basis states, no two of which differ
-    in one site."""
-    triples = [(0b11, 0.6, 0.0), (0b1100, 0.0, 0.48), (basis.dimension - 1, -0.64, 0.0)]
-    return state_from_amplitudes(triples, basis)
+def superposition(L):
+    """The amplitudes of a complex superposition of three basis states, no
+    two of which differ in one site."""
+    psi = np.zeros(1 << L, dtype=complex)
+    psi[[0b11, 0b1100, (1 << L) - 1]] = 0.6, 0.48j, -0.64
+    return psi
 
 
 def refuses_before_assembly(monkeypatch, prop, psi0):
-    """`autocorrelator_series` and `lifetime` refuse `psi0` with a
-    ValueError naming the z-product rule, before U1's blocks are assembled."""
+    """`autocorrelator_series` and `lifetime` refuse the amplitudes `psi0`
+    with a ValueError naming the bit-string rule, before U1's blocks are
+    assembled."""
     def no_assembly(params):
         raise AssertionError("U1's blocks assembled before the initial state was checked")
 
     monkeypatch.setattr(prop.u1, "assemble", no_assembly)
     for evolve in (autocorrelator_series, lifetime):
-        with pytest.raises(ValueError, match="z-product states only: the initial state must be one basis state"):
+        with pytest.raises(ValueError, match="^initial_state takes bit strings, got array"):
             evolve(prop, psi0, 30)
 
 
@@ -100,11 +104,9 @@ def test_superposition_matches_coevolution_reference(monkeypatch, L):
     # co-evolution reference checks against the expm_multiply one
     p = SimulationParams(L=L, omega=np.pi / 2, epsilon=0.25, v=0.0, t1=1.0, t2=10.0).with_f_t2(0.2)
     prop = floquet_operator(p)
-    psi0 = superposition(p.basis)
+    psi0 = superposition(L)
     refuses_before_assembly(monkeypatch, prop, psi0)
-    reference = expm_multiply_coevolution(
-        p.L, p.omega, p.epsilon, p.v, p.f, p.t1, p.t2, psi0.amplitudes, 20, p.kernel
-    )
+    reference = expm_multiply_coevolution(p.L, p.omega, p.epsilon, p.v, p.f, p.t1, p.t2, psi0, 20, p.kernel)
     assert np.max(np.abs(coevolution_series(prop, psi0, 20) - reference)) < 1e-9
 
 
@@ -113,10 +115,9 @@ def test_superposition_matches_coevolution_reference(monkeypatch, L):
 @pytest.mark.parametrize("bits", ["1101001110"], ids=["fast"])
 def test_single_point_paths_match_expm_multiply_oracle_at_l10(bits):
     p = SimulationParams(L=10, omega=np.pi / 2, epsilon=0.3, v=0.1, t1=1.0, t2=10.0).with_f_t2(0.2)
-    psi0 = z_product_state(bits, p.basis)
-    series = autocorrelator_series(floquet_operator(p), psi0, 40)
+    series = autocorrelator_series(floquet_operator(p), bits, 40)
     reference = expm_multiply_coevolution(
-        p.L, p.omega, p.epsilon, p.v, p.f, p.t1, p.t2, psi0.amplitudes, 40, p.kernel
+        p.L, p.omega, p.epsilon, p.v, p.f, p.t1, p.t2, product_vector(bits), 40, p.kernel
     )
     assert np.max(np.abs(series.values - reference)) < 1e-9
 
@@ -125,8 +126,7 @@ def test_product_state_oracles_agree():
     # the co-evolution oracle reduces to the one-state readout on a z-product state
     bits = "110100"
     args = (6, np.pi / 2, 0.3, 0.1, 0.02, 1.0, 10.0)
-    amplitudes = z_product_state(bits, SimulationParams(L=6).basis).amplitudes
-    coevolved = expm_multiply_coevolution(*args, amplitudes, 20)
+    coevolved = expm_multiply_coevolution(*args, product_vector(bits), 20)
     assert np.max(np.abs(coevolved - expm_multiply_series(*args, bits, 20))) < 1e-12
 
 
@@ -138,7 +138,7 @@ def test_single_point_norm_failure_names_the_cycle(bits):
     prop = floquet_operator(FAILURE_POINT)
     prop.phase2 = prop.phase2 * 1.001  # pushed off the unit circle
     with pytest.raises(NumericError, match="state norm drifted by .* at cycle 1$"):
-        autocorrelator_series(prop, z_product_state(bits, FAILURE_POINT.basis), 30)
+        autocorrelator_series(prop, bits, 30)
 
 
 @pytest.mark.parametrize("bits", ["1111"], ids=["fast"])
@@ -146,7 +146,7 @@ def test_single_point_norm_failure_names_point_and_tolerance(bits):
     prop = floquet_operator(FAILURE_POINT)
     prop.phase2 = prop.phase2 * 1.001
     with pytest.raises(NumericError, match=r"tolerance 1e-08\) for \(" + point_pattern(FAILURE_POINT)):
-        autocorrelator_series(prop, z_product_state(bits, FAILURE_POINT.basis), 30)
+        autocorrelator_series(prop, bits, 30)
 
 
 @pytest.mark.parametrize("bits", ["1111"], ids=["fast"])
@@ -155,21 +155,7 @@ def test_magnitude_failure_names_point_and_tolerance(monkeypatch, bits):
     monkeypatch.setattr(observables, "MAGNITUDE_TOL", -0.5)
     pattern = r"magnitude exceeded 1 by .* \(tolerance -5e-01\) for \(" + point_pattern(FAILURE_POINT)
     with pytest.raises(NumericError, match=pattern + r".* at cycle \d+$"):
-        autocorrelator_series(floquet_operator(FAILURE_POINT), z_product_state(bits, FAILURE_POINT.basis), 30)
-
-
-def test_general_path_enforces_realness_contract(monkeypatch):
-    # a GHZ-like superposition genuinely produces a complex correlator
-    # (Im C(1T) ~ 1e-6, verified against a brute-force operator product),
-    # which a real C(n) series could only truncate: it is refused
-    prop = floquet_operator(FAILURE_POINT)
-    a = 1 / np.sqrt(2)
-    amps = np.zeros(16, dtype=complex)
-    amps[0b1111] = a
-    amps[0b0000] = a
-    psi0 = StateVector(amps, FAILURE_POINT.basis)
-    refuses_before_assembly(monkeypatch, prop, psi0)
-    assert abs(coevolution_series(prop, psi0, 1)[1].imag) > 1e-10
+        autocorrelator_series(floquet_operator(FAILURE_POINT), bits, 30)
 
 
 def test_fourier_perfect_alternation():
@@ -229,7 +215,7 @@ def test_magnetization_echo_under_perfect_flips():
     p = SimulationParams(L=6, omega=np.pi / 2, epsilon=0.0, v=0.0, f=0.004, t2=10.0)
     prop = floquet_operator(p)
     sz = 2.0 * p.basis.occupations() - 1.0
-    psi = z_product_state("110100", p.basis).amplitudes.copy()
+    psi = product_vector("110100")
     m0 = np.sum(sz @ np.abs(psi) ** 2)
     for n in range(1, 9):
         psi = prop.apply(psi)
@@ -270,7 +256,7 @@ def test_lifetime_single_qubit_against_closed_form():
     eps = 0.05
     p = SimulationParams(L=1, omega=np.pi / 2, epsilon=eps, v=0.0, f=0.0)
     prop = floquet_operator(p)
-    result = lifetime(prop, z_product_state("1", p.basis), 200)
+    result = lifetime(prop, "1", 200)
     analytic = reversal_analysis((-1.0) ** np.arange(201) * np.cos(2 * eps * np.arange(201)))
     assert result.first_reversal == analytic.first_reversal
     assert result.n_c == analytic.n_c
@@ -279,7 +265,7 @@ def test_lifetime_single_qubit_against_closed_form():
 def test_lifetime_perfect_flip_not_observed():
     p = perfect_flip_params(4)
     prop = floquet_operator(p)
-    result = lifetime(prop, z_product_state("1111", p.basis), 300)
+    result = lifetime(prop, "1111", 300)
     assert not result.observed
     assert result.n_max == 300
 
@@ -332,7 +318,7 @@ def test_lifetime_input_validation():
     p = perfect_flip_params(2)
     prop = floquet_operator(p)
     with pytest.raises(ValueError):
-        lifetime(prop, z_product_state("11", p.basis), 1)
+        lifetime(prop, "11", 1)
     with pytest.raises(ValueError):
         reversal_analysis(np.array([1.0, -0.5]))
 

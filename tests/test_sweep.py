@@ -18,11 +18,10 @@ from starkdtc import (
     floquet_operator,
     fourier_spectrum,
     run_sweep,
-    z_product_state,
 )
 from starkdtc.floquet import propagator_u2
 from starkdtc.hamiltonian import KERNEL_VARIANTS, build_h2_diagonal
-from starkdtc.hilbert import sigma_z_stack
+from starkdtc.hilbert import basis_index, sigma_z_stack
 from starkdtc.sweep import PropagatorFactory, _block_series, _series_record
 
 from _oracles import dense_u_f, expm_multiply_series
@@ -98,7 +97,7 @@ def test_kernel_and_initial_state_axes_check_their_values():
         (lambda: small_spec(axes=(SweepAxis("F_T2", (0.0,)),), grid_cap=2.5),
          "grid_cap must be a positive integer, got 2.5"),
         (lambda: small_spec(initial_state="10x"), "initial_state takes bit strings, got '10x'"),
-        (lambda: z_product_state(5, BASE.basis), "initial_state takes bit strings, got 5"),
+        (lambda: basis_index(5, BASE.L), "initial_state takes bit strings, got 5"),
     ],
     ids=["params_bool_L", "axis_bool_L", "axis_bool_epsilon", "axis_state", "fractional_n_cycles",
          "bool_n_cycles", "fractional_grid_cap", "spec_state", "int_bits"],
@@ -155,7 +154,7 @@ def test_sweep_matches_direct_evaluation():
     for coords, record in zip(result.coords, result.values):
         params, bits = spec.point_inputs(coords)
         prop = floquet_operator(params)
-        series = autocorrelator_series(prop, z_product_state(bits, params.basis), spec.n_cycles)
+        series = autocorrelator_series(prop, bits, spec.n_cycles)
         assert record["a_pi"] == pytest.approx(fourier_spectrum(series).a_pi, abs=1e-12)
 
 
@@ -471,7 +470,7 @@ def test_grouped_sweep_and_fast_point_match_expm_multiply_oracle_at_l12():
         assert np.max(np.abs(np.asarray(record["c"]) - oracle(params, bits))) < 1e-9
     # the single-point path of a z-product state
     params, bits = base.with_f_t2(0.2), "110100111001"
-    series = autocorrelator_series(floquet_operator(params), z_product_state(bits, params.basis), spec.n_cycles)
+    series = autocorrelator_series(floquet_operator(params), bits, spec.n_cycles)
     assert np.max(np.abs(series.values - oracle(params, bits))) < 1e-9
 
 
