@@ -3,10 +3,12 @@
 Thin single-threaded dispatcher around the library: run one JSON config
 (series, spectrum, overlaps, lifetime or sweep) or one preset figure
 (`--figure ID`, which takes no config).  Every table is a CSV with a
-metadata sidecar; `lifetime` writes a JSON record.  Exit codes: 0 success,
-2 config error or a resource the run cannot get (memory, an unwritable
-output file), 3 numeric error.  Any other exception is a defect and ends
-in its traceback.
+metadata sidecar; `lifetime` writes a JSON record.  A point command
+evolves once and lays out its observable's record as `sweep.OBSERVABLES`
+declares it.  Exit codes: 0 success, 2 config error or a resource the run
+cannot get (memory, an unwritable output file), 3 numeric error, also for a
+sweep or grid figure whose table holds a numeric error marker (written
+first).  Any other exception is a defect and ends in its traceback.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from .config import RunConfig, parse_config
 from .exceptions import ConfigError, NumericError, ResourceLimitError
 from .figures import FIGURE_IDS, figure_command
 from .floquet import check_memory, find_pi_pair, floquet_operator, overlaps
-from .observables import autocorrelator_series, fourier_spectrum, lifetime
+from .observables import autocorrelator_series
 from .output import params_metadata, write_csv, write_json, write_sidecar
-from .sweep import run_sweep
+from .sweep import OBSERVABLES, overlap_record, run_sweep, series_record, table
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,30 +78,26 @@ def _check_writable(out_dir: Path) -> None:
 
 def _run_point(cfg: RunConfig, out_dir: Path) -> list:
     """The series, spectrum or overlaps table (a CSV and its sidecar) or the
-    lifetime record of one parameter point."""
+    lifetime record of one parameter point, laid out by `sweep.table`."""
     check_memory(cfg.params.L, quasi_spectrum=cfg.command == "overlaps")
     prop = floquet_operator(cfg.params)
     bits = cfg.initial_state or "1" * cfg.params.L  # all ones when left out
     metadata = {"command": cfg.command, "params": params_metadata(cfg.params), "initial_state": bits}
-    if cfg.command == "lifetime":
-        metadata.update(lifetime(prop, bits, cfg.n_max).record())
-        return [write_json(out_dir / "lifetime.json", metadata)]
     if cfg.command == "overlaps":
-        table = overlaps(prop.spectrum(), bits)
-        pair = find_pi_pair(table)
+        overlap_table = overlaps(prop.spectrum(), bits)
+        pair = find_pi_pair(overlap_table)
         metadata["pi_pair"] = (
             None if pair is None else {"gap": pair.gap, "combined_overlap": pair.combined_overlap}
         )
-        header, rows = ["quasi_energy", "overlap"], table.rows()
-    else:
-        series = autocorrelator_series(prop, bits, cfg.n_cycles)
-        metadata["n_cycles"] = cfg.n_cycles
-        if cfg.command == "series":
-            header, rows = ["n", "c"], series.rows()
-        else:
-            spectral = fourier_spectrum(series)
-            metadata["a_pi"] = spectral.a_pi
-            header, rows = ["omega", "magnitude"], spectral.rows()
+        record = overlap_record(overlap_table)
+    else:  # one evolution, over the count the observable reads
+        count = OBSERVABLES[cfg.command][0]
+        metadata[count] = getattr(cfg, count)
+        record = series_record(cfg.command, autocorrelator_series(prop, bits, metadata[count]).values)
+    header, rows, values = table(cfg.command, record)
+    metadata.update(values)
+    if not header:  # lifetime: the record is its per-point values
+        return [write_json(out_dir / "lifetime.json", metadata)]
     path = write_csv(out_dir / f"{cfg.command}.csv", header, rows)
     write_sidecar(path, metadata)
     return [path]
@@ -109,6 +107,7 @@ def _run_sweep_command(cfg: RunConfig, out_dir: Path, resume: bool) -> list:
     journal_path = out_dir / "sweep_journal.jsonl"
     result = run_sweep(cfg.sweep, journal_path=journal_path, resume=resume)
     path = result.to_csv(out_dir / "sweep.csv")
+    result.check()  # after the CSV: a numeric marker exits 3 with the table written
     return [path, journal_path]
 
 

@@ -2,7 +2,8 @@
 
 `FIGURES` declares each figure id once: its base parameter point, grids,
 cycle counts and initial states.  The builders read what they run from that
-entry, and the manifest's `parameters` is the same entry (with `base` written
+entry, but fig2 and fig4a set the all-ones state their entries label "all
+ones".  The manifest's `parameters` is the same entry (with `base` written
 as metadata), so a manifest states exactly what ran.  The ids cover the
 series/spectra/overlap panels at L=12 and epsilon=0.3 (fig2), the A_pi maps
 and slices at L=10 (fig3a-c), the kernel comparison (fig3d), the lifetime
@@ -22,9 +23,10 @@ import numpy as np
 
 from .floquet import check_memory, floquet_operator, overlaps
 from .hamiltonian import KERNEL_VARIANTS, SimulationParams
-from .observables import autocorrelator_series, fourier_spectrum, reversal_analysis
+from .observables import autocorrelator_series
 from .output import params_metadata, write_csv, write_json, write_sidecar
-from .sweep import PropagatorFactory, SweepAxis, SweepResult, SweepSpec, _series_record, run_sweep
+from .sweep import (PropagatorFactory, SweepAxis, SweepResult, SweepSpec, overlap_record, run_sweep,
+                    series_record, table)
 
 FIG2_PARAMS = SimulationParams(L=12, omega=math.pi / 2, epsilon=0.3, v=0.1, t1=1.0, t2=10.0)
 FIG3_PARAMS = SimulationParams(L=10, omega=math.pi / 2, epsilon=0.3, v=0.1, t1=1.0, t2=10.0)
@@ -73,17 +75,20 @@ def _grid(figure_id: str, entry: dict, out_dir: Path) -> list:
     files = [result.to_csv(out_dir / name)]
     if observable == "series":
         # the spectra are read off the series just evolved, not a second evolution
-        spectra = replace(spec, observable="spectrum")
-        values = [None if record is None else _series_record(spectra, np.asarray(record["c"]))
+        values = [None if record is None else series_record("spectrum", np.asarray(record["c"]))
                   for record in result.values]
-        spectra_result = SweepResult(spectra, result.coords, values, result.errors)
-        files.append(spectra_result.to_csv(out_dir / f"{figure_id}_spectra.csv"))
+        spectra = SweepResult(replace(spec, observable="spectrum"), result.coords, values, result.errors)
+        files.append(spectra.to_csv(out_dir / f"{figure_id}_spectra.csv"))
+    result.check()  # after the CSVs: a numeric marker exits 3 with the tables written
     return files
 
 
-def _panel(path: Path, header, rows, params, **meta) -> Path:
-    """One panel's CSV and its sidecar, which records the point and `meta`."""
-    write_sidecar(write_csv(path, header, rows), {"params": params_metadata(params), **meta})
+def _panel(path: Path, observable: str, record: dict, params, **meta) -> Path:
+    """One panel's CSV and sidecar, laid out as for the point command of its
+    `observable` (`sweep.table`), with the point and `meta` in the sidecar."""
+    header, rows, values = table(observable, record)
+    sidecar = {"params": params_metadata(params), "panel": observable, **values, **meta}
+    write_sidecar(write_csv(path, header, rows), sidecar)
     return path
 
 
@@ -91,7 +96,7 @@ def _fig2(entry: dict, out_dir: Path) -> list:
     factory = PropagatorFactory()
     n_cycles = entry["n_cycles"]
     points = [entry["base"].with_f_t2(f_t2) for f_t2 in entry["F_T2"]]
-    bits = "1" * entry["base"].L
+    bits = "1" * entry["base"].L  # the entry's "all ones"
     # both points share U1: its blocks are assembled once for both series
     # and released before the first quasi-spectrum
     blocks = factory.stage1(points[0]).assemble(points[0])
@@ -99,31 +104,25 @@ def _fig2(entry: dict, out_dir: Path) -> list:
     del blocks
     files = []
     for f_t2, params, series in zip(entry["F_T2"], points, series_of):
-        spectral = fourier_spectrum(series)
-        panels = {
-            "series": (["n", "c"], series.rows(), {"n_cycles": n_cycles}),
-            "spectrum": (["omega", "magnitude"], spectral.rows(),
-                         {"n_cycles": n_cycles, "a_pi": spectral.a_pi}),
-            # each point's quasi-spectrum is released once its overlaps are read
-            "overlaps": (["quasi_energy", "overlap"], overlaps(factory.get(params).spectrum(), bits).rows(), {}),
-        }
         for panel in entry["panels"]:
-            header, rows, meta = panels[panel]
+            if panel == "overlaps":  # each point's quasi-spectrum is released once its overlaps are read
+                record, meta = overlap_record(overlaps(factory.get(params).spectrum(), bits)), {}
+            else:
+                record, meta = series_record(panel, series.values), {"n_cycles": n_cycles}
             path = out_dir / f"fig2_{panel}_ft2_{f_t2:g}.csv"
-            files.append(_panel(path, header, rows, params, panel=panel, initial_state=bits, **meta))
+            files.append(_panel(path, panel, record, params, initial_state=bits, **meta))
     return files
 
 
 def _fig4a(entry: dict, out_dir: Path) -> list:
     params = entry["base"].with_f_t2(entry["F_T2"][0])
     n_max = entry["n_max"]
-    bits = "1" * params.L
-    series = autocorrelator_series(floquet_operator(params), bits, n_max)
-    path = _panel(out_dir / "fig4a_series.csv", ["n", "c"], series.rows(), params,
-                  panel="series", initial_state=bits, n_cycles=n_max)
+    bits = "1" * params.L  # the entry's "all ones"
+    values = autocorrelator_series(floquet_operator(params), bits, n_max).values
+    path = _panel(out_dir / "fig4a_series.csv", "series", series_record("series", values), params,
+                  initial_state=bits, n_cycles=n_max)
     # the lifetime is read off the series just evolved, not a second evolution
-    record = {"params": params_metadata(params), "initial_state": bits}
-    record.update(reversal_analysis(series.values).record())
+    record = {"params": params_metadata(params), "initial_state": bits, **series_record("lifetime", values)}
     return [path, write_json(out_dir / "fig4a_lifetime.json", record)]
 
 

@@ -882,10 +882,6 @@ class OverlapTable:
     def __len__(self) -> int:
         return self.quasi_energies.size
 
-    def rows(self):
-        """(quasi_energy, overlap) tuples for table output."""
-        return list(zip(self.quasi_energies.tolist(), self.overlaps.tolist()))
-
 
 @dataclass(frozen=True)
 class PiPair:

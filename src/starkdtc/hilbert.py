@@ -52,11 +52,16 @@ class BasisConfig:
 
 
 def check_bits(bits, length=None) -> None:
-    """Refuse anything but a non-empty 0/1 string (of `length` characters, if given)."""
+    """Refuse anything but a non-empty 0/1 string (of `length` characters, if
+    given); a refused value whose repr is long, or multi-line, is named by its
+    type and length (a state can be thousands of amplitudes long)."""
+    shown = repr(bits)
+    if len(shown) > 64 or "\n" in shown:
+        shown = type(bits).__name__ + (f" of length {len(bits)}" if hasattr(bits, "__len__") else "")
     if not isinstance(bits, str) or not bits or any(ch not in "01" for ch in bits):
-        raise ValueError(f"initial_state takes bit strings, got {bits!r}")
+        raise ValueError(f"initial_state takes bit strings, got {shown}")
     if length is not None and len(bits) != length:
-        raise ValueError(f"initial_state takes length-{length} bit strings, got {bits!r}")
+        raise ValueError(f"initial_state takes length-{length} bit strings, got {shown}")
 
 
 def basis_index(bits, L: int) -> int:

@@ -7,7 +7,8 @@ The order diagnostic is the site-averaged two-time correlator
 sampled once per drive period from a z-product state |psi0>, given as its
 bit string.  Its discrete Fourier transform over cycles 1..N (N even) is
 reported as |X(omega_k)| / N so a perfect period-doubled response has
-subharmonic amplitude A_pi = 1.
+subharmonic amplitude A_pi = 1.  The result types hold values only;
+`sweep.OBSERVABLES` declares how each observable is recorded and tabulated.
 """
 
 from __future__ import annotations
@@ -34,17 +35,12 @@ class AutocorrelatorSeries:
 
     values: np.ndarray
     n_cycles: int
-    params: Optional[SimulationParams]
-    initial_state: str = ""
 
     def __post_init__(self):
         if self.values.shape != (self.n_cycles + 1,):
             raise ValueError(
                 f"series of {self.values.shape} samples inconsistent with n_cycles={self.n_cycles}"
             )
-
-    def rows(self):
-        return list(enumerate(self.values.tolist()))
 
 
 @dataclass(frozen=True)
@@ -54,9 +50,6 @@ class SpectralResult:
     frequencies: np.ndarray
     magnitudes: np.ndarray
     a_pi: float
-
-    def rows(self):
-        return list(zip(self.frequencies.tolist(), self.magnitudes.tolist()))
 
 
 @dataclass(frozen=True)
@@ -135,12 +128,7 @@ def autocorrelator_series(
     block, (error,) = _evolve_block(blocks, prop.phase2[:, None], [(prop.params, index)], sz, n_cycles)
     if error is not None:
         raise error
-    return AutocorrelatorSeries(
-        values=block[:, 0],
-        n_cycles=n_cycles,
-        params=prop.params,
-        initial_state=bits,
-    )
+    return AutocorrelatorSeries(values=block[:, 0], n_cycles=n_cycles)
 
 
 def _evolve_block(blocks, phi, columns, sz, n_cycles):

@@ -29,11 +29,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .exceptions import ConfigError
+from .exceptions import ConfigError, NumericError
 from .floquet import (
     FloquetPropagator,
+    OverlapTable,
     SectorBlocks,
     SectorUnitary,
+    _point_text,
     check_memory,
     overlaps,
     propagator_u2,
@@ -47,9 +49,10 @@ from .output import atomic_open, params_metadata, write_csv, write_sidecar
 # the axes whose values are rates: numbers, which a config may give symbolically
 RATE_AXES = ("epsilon", "F_T2", "V")
 AXIS_NAMES = RATE_AXES + ("L", "kernel", "initial_state")
-# per observable (a sweep's, or the point command of that name): the cycle
-# count it reads, then its per-sample and per-point value columns; the fixed
-# column layout keeps CSV bytes stable across fresh and journal-resumed runs
+# per observable (a sweep's, a figure panel's or the point command's): the
+# cycle count it reads, its per-sample columns (a point CSV's) and per-point
+# values (a point sidecar's; a sweep CSV holds both), as `table` lays them out;
+# the layout is fixed, so fresh and journal-resumed sweeps write the same bytes
 OBSERVABLES = {
     "a_pi": ("n_cycles", (), ("a_pi",)),
     "lifetime": ("n_max", (), ("n_c", "first_reversal", "reversal_depth", "n_max")),
@@ -253,27 +256,19 @@ class SweepResult:
     values: list
     errors: list
 
-    def axis_names(self):
-        return [axis.name for axis in self.spec.axes]
-
     def rows(self):
-        """Long-format rows: axes, value columns (arrays expanded), error."""
-        names = self.axis_names()
-        array_keys, scalar_keys = (list(keys) for keys in OBSERVABLES[self.spec.observable][1:])
-        header = names + array_keys + scalar_keys + ["error"]
+        """Long-format rows: axes, value columns (one row per sample), error."""
+        names = [axis.name for axis in self.spec.axes]
+        _, sample_keys, point_keys = OBSERVABLES[self.spec.observable]
+        header = names + list(sample_keys) + list(point_keys) + ["error"]
         rows = []
         for point, record, error in zip(self.coords, self.values, self.errors):
             base = [point[name] for name in names]
             if record is None:
-                rows.append(base + [None] * (len(array_keys) + len(scalar_keys)) + [error])
-                continue
-            scalars = [record.get(key) for key in scalar_keys]
-            if array_keys:
-                length = len(record[array_keys[0]])
-                for i in range(length):
-                    rows.append(base + [record[key][i] for key in array_keys] + scalars + [None])
-            else:
-                rows.append(base + scalars + [None])
+                rows.append(base + [None] * (len(sample_keys) + len(point_keys)) + [error])
+            else:  # one row per sample, or one for a record without samples
+                _, samples, values = table(self.spec.observable, record)
+                rows.extend(base + list(sample) + list(values.values()) + [None] for sample in samples or [()])
         return header, rows
 
     def to_csv(self, path) -> Path:
@@ -291,19 +286,24 @@ class SweepResult:
         write_sidecar(out, sidecar)
         return out
 
+    def check(self) -> None:
+        """Raise `NumericError`, naming their count and the first, if points hold numeric markers."""
+        markers = [error for error in self.errors if error and error.startswith(NumericError.__name__ + ":")]
+        if markers:
+            raise NumericError(f"{len(markers)} of {len(self.errors)} sweep points failed, the first: {markers[0]}")
+
 
 def _marker(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _series_record(spec: SweepSpec, values: np.ndarray) -> dict:
-    """The observable's value record from one point's C(n) series."""
-    observable = spec.observable
+def series_record(observable: str, values: np.ndarray) -> dict:
+    """The value record of `observable` (not overlaps) from one point's C(n), n = 0, 1, ..."""
     if observable == "lifetime":
         return reversal_analysis(values).record()
     if observable == "series":
-        return {"n": list(range(spec.n_cycles + 1)), "c": values.tolist()}
-    spectral = fourier_spectrum(AutocorrelatorSeries(values=values, n_cycles=spec.n_cycles, params=None))
+        return {"n": list(range(values.size)), "c": values.tolist()}
+    spectral = fourier_spectrum(AutocorrelatorSeries(values=values, n_cycles=values.size - 1))
     if observable == "a_pi":
         return {"a_pi": spectral.a_pi}
     return {
@@ -311,6 +311,19 @@ def _series_record(spec: SweepSpec, values: np.ndarray) -> dict:
         "magnitude": spectral.magnitudes.tolist(),
         "a_pi": spectral.a_pi,
     }
+
+
+def overlap_record(table: OverlapTable) -> dict:
+    """The overlaps observable's value record from one point's overlap table."""
+    return {"quasi_energy": table.quasi_energies.tolist(), "overlap": table.overlaps.tolist()}
+
+
+def table(observable: str, record: dict):
+    """(header, rows, values): the per-sample columns of `observable`, one row
+    per sample of its value `record`, and its per-point values by name."""
+    _, header, names = OBSERVABLES[observable]
+    rows = list(zip(*(record[key] for key in header)))
+    return header, rows, {name: record[name] for name in names}
 
 
 def _block_series(blocks: SectorBlocks, columns, sz: np.ndarray, n_cycles: int):
@@ -332,34 +345,28 @@ def _block_series(blocks: SectorBlocks, columns, sz: np.ndarray, n_cycles: int):
     return values, [None if fault is None else _marker(fault) for fault in faults]
 
 
-def _overlap_record(u1: SectorUnitary, params: SimulationParams, bits: str) -> dict:
-    """One point's overlap table, its quasi-spectrum released on return."""
-    spectrum = FloquetPropagator(params, u1, build_h2_diagonal(params)).spectrum()
-    table = overlaps(spectrum, bits)
-    return {"quasi_energy": table.quasi_energies.tolist(), "overlap": table.overlaps.tolist()}
-
-
 def _evaluate_group(spec: SweepSpec, members, factory: PropagatorFactory):
     """(index, coords, value, error) for the points of one stage-1 key.
 
-    `members` are (index, coords, params, bits) tuples.  Overlaps
-    points each take their quasi-spectrum from the shared U1; for the
-    others U1's blocks are assembled (and checked) once, and the points are
-    evolved in padded blocks of up to _MAX_BLOCK_COLUMNS columns.
+    `members` are (index, coords, params, bits) tuples, yielded in order.
+    Overlaps points each take their quasi-spectrum from the shared U1; for
+    the others U1's blocks are assembled (and checked) once, and the points
+    are evolved in padded blocks of up to _MAX_BLOCK_COLUMNS columns.  A
+    `NumericError` marks its point, or in stage 1 every point of its key.
     """
     try:
         u1 = factory.stage1(members[0][2])
         if spec.observable != "overlaps":
             blocks = u1.assemble(members[0][2])
-    except Exception as exc:  # a failed stage 1 fails every point of its key
+    except NumericError as exc:
         for index, coords, _, _ in members:
             yield index, coords, None, _marker(exc)
         return
     if spec.observable == "overlaps":
         for index, coords, params, bits in members:
-            try:
-                value, error = _overlap_record(u1, params, bits), None
-            except Exception as exc:  # per-point failures stay local to the point
+            try:  # unnamed, the propagator and its cached quasi-spectrum go once the overlaps are read
+                value, error = overlap_record(overlaps(factory.get(params).spectrum(), bits)), None
+            except NumericError as exc:
                 value, error = None, _marker(exc)
             yield index, coords, value, error
         return
@@ -370,13 +377,8 @@ def _evaluate_group(spec: SweepSpec, members, factory: PropagatorFactory):
         columns = [(params, basis_index(bits, params.L)) for _, _, params, bits in chunk]
         values, errors = _block_series(blocks, columns, sz, n_cycles)
         for col, (index, coords, _, _) in enumerate(chunk):
-            value, error = None, errors[col]
-            if error is None:
-                try:
-                    value = _series_record(spec, values[:, col])
-                except Exception as exc:
-                    error = _marker(exc)
-            yield index, coords, value, error
+            value = None if errors[col] else series_record(spec.observable, values[:, col])
+            yield index, coords, value, errors[col]
 
 
 def _evaluate_grouped(spec: SweepSpec, pending, factory: PropagatorFactory):
@@ -391,7 +393,15 @@ def _evaluate_grouped(spec: SweepSpec, pending, factory: PropagatorFactory):
             continue
         groups.setdefault(PropagatorFactory.key(params), []).append((index, coords, params, bits))
     for members in groups.values():
-        yield from _evaluate_group(spec, members, factory)
+        done = 0
+        try:
+            for point in _evaluate_group(spec, members, factory):
+                done += 1
+                yield point
+        except (MemoryError, OSError) as exc:  # stops the sweep, naming the point it struck
+            index, _, params, _ = members[done]
+            kind = MemoryError if isinstance(exc, MemoryError) else OSError
+            raise kind(f"sweep point {index} ({_point_text(params)}): {exc}") from exc
 
 
 class _Journal:
@@ -454,14 +464,15 @@ def run_sweep(spec: SweepSpec, journal_path=None, resume: bool = False) -> Sweep
     The pending points are grouped by stage-1 key and each group builds U1
     once (`PropagatorFactory`).  A group assembles U1's blocks once and
     evolves its initial states as one column block, or, for overlaps,
-    computes each point's quasi-spectrum from that U1.  Per-point numeric
-    failures are recorded in place as error markers; the whole sweep fails
-    only on an invalid spec or journal.  With `journal_path` set every
-    evaluated point is appended to a JSON-lines journal, and `resume=True`
-    skips points already present in a journal for the identical spec (a
-    torn last line is dropped and its point recomputed).  The sweep first
-    checks that stage 1 at the grid's largest L, and for overlaps a
-    quasi-spectrum, fits in memory (`floquet.check_memory`).
+    computes each point's quasi-spectrum from that U1.  A `NumericError`,
+    or a state whose length is not its point's L, becomes that point's error
+    marker; a `MemoryError` or `OSError` stops the sweep naming the point,
+    and any other exception is a defect and propagates.  With `journal_path`
+    set every evaluated point is appended to a JSON-lines journal, and
+    `resume=True` skips points already present in a journal for the
+    identical spec (a torn last line is dropped and its point recomputed).
+    The sweep first checks that stage 1 at the grid's largest L, and for
+    overlaps a quasi-spectrum, fits in memory (`floquet.check_memory`).
     """
     sizes = [int(value) for axis in spec.axes if axis.name == "L" for value in axis.values]
     check_memory(max(sizes, default=spec.base.L), quasi_spectrum=spec.observable == "overlaps")

@@ -289,9 +289,9 @@ def test_fig2_assembles_u1_once(tmp_path, monkeypatch):
     assert len(assemblies) == 1 and len(spectra) == 2
     for f_t2 in (0.0, 0.25):
         prop = floquet_module.floquet_operator(base.with_f_t2(f_t2))
-        expected = autocorrelator_series(prop, "1" * 6, 100).rows()
+        expected = autocorrelator_series(prop, "1" * 6, 100).values.tolist()
         rows = read_csv(tmp_path / f"fig2_series_ft2_{f_t2:g}.csv")[1:]
-        assert [[float(n), float(c)] for n, c in rows] == [[float(n), c] for n, c in expected]
+        assert [[float(n), float(c)] for n, c in rows] == [[float(n), c] for n, c in enumerate(expected)]
 
 
 def test_no_command_builds_the_dense_h1(tmp_path, monkeypatch):
@@ -538,6 +538,129 @@ def test_value_error_during_a_run_is_not_a_config_error(tmp_path, monkeypatch, c
     assert "config error" not in capsys.readouterr().err
 
 
+# a sweep over two stage-1 keys (the epsilon values), two points each
+TWO_KEY_SWEEP = {
+    "command": "sweep",
+    "params": {"L": 3, "VT1": 0.1},
+    "sweep": {"axes": [{"name": "epsilon", "values": [0.1, 0.2]}, {"name": "F_T2", "values": [0.0, 0.25]}],
+              "observable": "a_pi"},
+}
+
+
+def plant(monkeypatch, name, exc, skip=0):
+    """Make the call after the first `skip` calls of the sweep's `name` (a function it calls) raise `exc`."""
+    call = getattr(sweep_module, name)
+    calls = []
+
+    def planted(*args):
+        calls.append(args)
+        if len(calls) == skip + 1:
+            raise exc
+        return call(*args)
+
+    monkeypatch.setattr(sweep_module, name, planted)
+
+
+@pytest.mark.parametrize(
+    "planted, skip, data, tables, marked",
+    [
+        # stage 1 marks every point of its key: here the second key's two
+        ("stage1_unitary", 1, TWO_KEY_SWEEP, ["sweep.csv"], [2]),
+        # an overlap table marks its own point only: here the third
+        ("overlaps", 2, {**TWO_KEY_SWEEP, "sweep": {**TWO_KEY_SWEEP["sweep"], "observable": "overlaps"}},
+         ["sweep.csv"], [1]),
+        # a grid figure: its one key's four points, in both tables
+        ("stage1_unitary", 0, None, ["fig5_series.csv", "fig5_spectra.csv"], [4, 4]),
+    ],
+    ids=["stage1", "overlaps", "fig5"],
+)
+def test_a_numeric_marker_exits_3_with_the_table_written(tmp_path, monkeypatch, capsys, planted, skip, data,
+                                                         tables, marked):
+    # a sweep with failed points used to exit 0; a NumericError stays a
+    # marker of its points, the tables are written, and the run exits 3
+    plant(monkeypatch, planted, floquet_module.NumericError("W deviates from unitarity"), skip)
+    out = tmp_path / "out"
+    argv = ["--figure", "fig5"] if data is None else ["--config", str(write_config(tmp_path, data))]
+    assert main([*argv, "--out", str(out)]) == 3
+    marker = "NumericError: W deviates from unitarity"
+    assert [sum(row[-1] == marker for row in read_csv(out / name)[1:]) for name in tables] == marked
+    assert f"numeric error: {marked[0]} of 4 sweep points failed, the first: {marker}" in capsys.readouterr().err
+    if data is not None:  # every point journaled, the marked ones included
+        assert len((out / "sweep_journal.jsonl").read_text().splitlines()) == 1 + 4
+
+
+def test_a_defect_in_a_sweep_is_not_a_marker(tmp_path, monkeypatch):
+    # a TypeError used to become every point's marker, and the sweep exit 0
+    plant(monkeypatch, "stage1_unitary", TypeError("unsupported operand type(s)"))
+    with pytest.raises(TypeError, match="^unsupported operand"):
+        main(["--config", str(write_config(tmp_path, TWO_KEY_SWEEP)), "--out", str(tmp_path)])
+
+
+def test_out_of_memory_stops_a_sweep_and_resume_completes_it(tmp_path, monkeypatch, capsys):
+    # a MemoryError used to be journaled as each point's marker, so --resume
+    # never retried those points; now it stops the sweep (exit 2) naming the
+    # point, and the journal keeps the first key's points
+    cfg = write_config(tmp_path, TWO_KEY_SWEEP)
+    clean = tmp_path / "clean"
+    assert main(["--config", str(cfg), "--out", str(clean)]) == 0
+    out = tmp_path / "out"
+    with pytest.MonkeyPatch.context() as patch:
+        plant(patch, "stage1_unitary", MemoryError("Unable to allocate 8.00 GiB"), skip=1)
+        assert main(["--config", str(cfg), "--out", str(out)]) == 2
+    assert "memory error: sweep point 2 (L=3, Omega=1.5707963267948966, epsilon=0.2," in capsys.readouterr().err
+    journal = [json.loads(line) for line in (out / "sweep_journal.jsonl").read_text().splitlines()]
+    assert [entry.get("index") for entry in journal] == [None, 0, 1]
+    assert not (out / "sweep.csv").exists()
+    assert main(["--config", str(cfg), "--out", str(out), "--resume"]) == 0
+    assert (out / "sweep.csv").read_bytes() == (clean / "sweep.csv").read_bytes()
+
+
+# the table layout of each observable: per-sample columns, per-point values
+LAYOUTS = {
+    "series": (("n", "c"), ()),
+    "spectrum": (("omega", "magnitude"), ("a_pi",)),
+    "lifetime": ((), ("n_c", "first_reversal", "reversal_depth", "n_max")),
+    "overlaps": (("quasi_energy", "overlap"), ()),
+}
+
+
+def test_point_commands_figure_panels_and_sweeps_share_each_layout(tmp_path, monkeypatch):
+    # one OBSERVABLES entry lays out a point command's CSV (per-sample
+    # columns) and sidecar (per-point values), the figure panels of that
+    # observable, and a sweep's value columns (both)
+    base = SimulationParams(L=4, omega=math.pi / 2, epsilon=0.3, v=0.1, t1=1.0, t2=10.0)
+    fig2, fig4a = figures_module.FIGURES["fig2"], figures_module.FIGURES["fig4a"]
+    monkeypatch.setitem(figures_module.FIGURES, "fig2", {**fig2, "base": base})
+    monkeypatch.setitem(figures_module.FIGURES, "fig4a", {**fig4a, "base": base, "n_max": 40})
+    figures = tmp_path / "figures"
+    for figure_id in ("fig2", "fig4a"):
+        assert main(["--figure", figure_id, "--out", str(figures)]) == 0
+    panels = {"series": ["fig2_series_ft2_0.csv", "fig4a_series.csv"], "spectrum": ["fig2_spectrum_ft2_0.25.csv"],
+              "overlaps": ["fig2_overlaps_ft2_0.csv"], "lifetime": []}
+    for observable, (samples, values) in LAYOUTS.items():
+        count = sweep_module.OBSERVABLES[observable][0]
+        assert sweep_module.OBSERVABLES[observable] == (count, samples, values)
+        out = tmp_path / observable
+        assert main(["--config", str(write_config(tmp_path, point_config(observable))), "--out", str(out)]) == 0
+        if samples:
+            assert read_csv(out / f"{observable}.csv")[0] == list(samples)
+            sidecar = json.loads((out / f"{observable}.csv.meta.json").read_text())
+        else:
+            sidecar = json.loads((out / f"{observable}.json").read_text())
+        assert set(values) <= set(sidecar) and not set(samples) & set(sidecar)
+        for name in panels[observable]:
+            assert read_csv(figures / name)[0] == list(samples)
+            sidecar = json.loads((figures / f"{name}.meta.json").read_text())
+            assert sidecar["panel"] == observable
+            assert set(values) <= set(sidecar) and not set(samples) & set(sidecar)
+        if observable == "lifetime":
+            assert set(values) <= set(json.loads((figures / "fig4a_lifetime.json").read_text()))
+        data = {**SWEEP_CONFIG, "params": SERIES_CONFIG["params"], **({count: 12} if count else {}),
+                "sweep": {"axes": [{"name": "F_T2", "values": [0.2]}], "observable": observable}}
+        assert main(["--config", str(write_config(tmp_path, data)), "--out", str(out)]) == 0
+        assert read_csv(out / "sweep.csv")[0] == ["F_T2", *samples, *values, "error"]
+
+
 @pytest.mark.parametrize("expression", ["1/0", "10**400", "(-1)**0.5", 10**400],
                          ids=["zero_division", "overflow", "complex", "integer_overflow"])
 @pytest.mark.parametrize(
@@ -561,6 +684,9 @@ def test_number_expression_errors_exit_2(tmp_path, capsys, expression, place, pa
     [
         ({"name": "kernel", "values": ["NN", "XX"]}, "unknown kernel variant 'XX'"),
         ({"name": "initial_state", "values": [1111, 1010]}, "initial_state takes bit strings, got 1111"),
+        # named by its type and length, not echoed whole
+        ({"name": "initial_state", "values": ["1" * 4999 + "x"]},
+         "initial_state takes bit strings, got str of length 5000\n"),
         ({"name": "epsilon", "values": [0.1, math.nan]}, "epsilon takes finite numbers, got nan"),
         ({"name": "F_T2", "values": [0.1, "1e400"]}, "F_T2 takes finite numbers, got inf"),
         ({"name": "V", "values": ["-1e400"]}, "V takes finite numbers, got -inf"),
@@ -570,7 +696,8 @@ def test_number_expression_errors_exit_2(tmp_path, capsys, expression, place, pa
         ({"name": "epsilon", "start": 0.0, "stop": 1.0, "num": 10**9},
          "unknown keys ['num', 'start', 'stop']"),
     ],
-    ids=["kernel", "initial_state", "epsilon_nan", "F_T2_overflow", "V_minus_inf", "range_inf", "range_over_cap"],
+    ids=["kernel", "initial_state", "long_state", "epsilon_nan", "F_T2_overflow", "V_minus_inf", "range_inf",
+         "range_over_cap"],
 )
 def test_bad_axis_values_exit_2_at_parse_time(tmp_path, monkeypatch, capsys, axis, message):
     # an unknown kernel used to exit 0 with error rows, numbers to run as bit
@@ -599,11 +726,14 @@ def test_bad_axis_values_exit_2_at_parse_time(tmp_path, monkeypatch, capsys, axi
         ([[True, 1.0, 0.0]], [], "config error: config: initial_state takes bit strings, got [[True, 1.0, 0.0]]"),
         ([[4095, 1.0, 0.0]], [], "config error: config: initial_state takes bit strings, got [[4095, 1.0, 0.0]]"),
         ("1" * 11, [], f"config error: config: initial_state takes length-12 bit strings, got '{'1' * 11}'"),
+        # a list of 2^L triples used to be echoed whole, on one line of ~93 kB
+        ([[b, 1 / 64, 0.0] for b in range(4096)], [],
+         "config error: config: initial_state takes bit strings, got list of length 4096\n"),
         ("1" * 12, ["--format", "json"], "unrecognized arguments: --format json"),
         ("1" * 12, ["--format", "csv"], "unrecognized arguments: --format csv"),
     ],
     ids=["index_out_of_range", "off_norm", "nan_amplitude", "fractional_index", "boolean_index", "basis_state_list",
-         "wrong_length", "format_json", "format_csv"],
+         "wrong_length", "amplitude_list", "format_json", "format_csv"],
 )
 def test_bad_initial_state_exits_2_before_stage1(tmp_path, monkeypatch, capsys, initial_state, flags, message):
     def no_stage1(params):

@@ -22,7 +22,7 @@ from starkdtc import (
 from starkdtc.floquet import propagator_u2
 from starkdtc.hamiltonian import KERNEL_VARIANTS, build_h2_diagonal
 from starkdtc.hilbert import basis_index, sigma_z_stack
-from starkdtc.sweep import PropagatorFactory, _block_series, _series_record
+from starkdtc.sweep import PropagatorFactory, _block_series, series_record
 
 from _oracles import dense_u_f, expm_multiply_series
 from test_floquet import point_pattern
@@ -370,7 +370,7 @@ def test_initial_state_comparison_tables_keyed_by_state():
     assert {c["initial_state"] for c in series.coords} == {"1111", "1010"}
     # a spectrum read off an evolved series equals the spectrum sweep's record
     for series_rec, spectra_rec in zip(series.values, spectra.values):
-        assert _series_record(spectra.spec, np.asarray(series_rec["c"])) == spectra_rec
+        assert series_record("spectrum", np.asarray(series_rec["c"])) == spectra_rec
     # with L not swept, a state of the wrong length is refused before any
     # point runs; with an L axis it fails its own points only
     # (test_sweep_error_markers_stay_local)
