@@ -42,6 +42,8 @@ KNOWN_DEFECTS = [
     "through floquet._block_rows, which no tracer binding wraps",
     "hamiltonian.build_h1.* reads 0: stage 1 builds its sector blocks straight from the reflection "
     "orbits (floquet._sector_h1) and no longer calls build_h1",
+    "observables.reversal_analysis.s reads 0 for lifetime sweeps and the lifetime command: "
+    "sweep.series_record calls its own imported binding, which the tracer does not wrap",
 ]
 
 

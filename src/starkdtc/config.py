@@ -17,8 +17,8 @@ Schema (defaults in parentheses):
     params:
         L (required; 1 .. 14, also on an L axis), T1 (1), T2 (10), kernel ("NN")
         OmegaT1 ("pi/2"), epsT1 (0), VT1 (0), FT2 (0)
-    initial_state: bit string of length L (all ones when left out; any
-        length when L is swept)
+    initial_state: bit string of length L, of each L value when L is swept
+        (all ones when left out)
     n_cycles (100; even for spectrum and a_pi): series, spectrum and the
         a_pi, series and spectrum sweeps only
     n_max (5000; >= 2): lifetime and lifetime sweeps only
@@ -37,8 +37,9 @@ from typing import Optional
 
 from .exceptions import ConfigError
 from .hamiltonian import SimulationParams
-from .hilbert import check_bits
-from .sweep import ALL_ONES, DEFAULT_GRID_CAP, OBSERVABLES, RATE_AXES, SweepAxis, SweepSpec, check_counts
+from .hilbert import check_bits, shown
+from .observables import check_counts
+from .sweep import ALL_ONES, DEFAULT_GRID_CAP, OBSERVABLES, RATE_AXES, SweepAxis, SweepSpec
 
 COMMANDS = ("series", "spectrum", "overlaps", "lifetime", "sweep")
 
@@ -53,19 +54,19 @@ def parse_number(value, path: str) -> float:
         try:
             return float(value)
         except OverflowError:  # an integer beyond the float range
-            raise ConfigError(f"{path}: {value} is beyond the float range")
+            raise ConfigError(f"{path}: {shown(value)} is beyond the float range")
     if not isinstance(value, str):
-        raise ConfigError(f"{path}: expected a number or symbolic string, got {value!r}")
+        raise ConfigError(f"{path}: expected a number or symbolic string, got {shown(value)}")
     try:
         tree = ast.parse(value, mode="eval")
     except SyntaxError:
-        raise ConfigError(f"{path}: cannot parse numeric expression {value!r}")
+        raise ConfigError(f"{path}: cannot parse numeric expression {shown(value)}")
     try:
         number = _eval_node(tree.body, value, path)
     except ArithmeticError as exc:  # division by zero, overflow
-        raise ConfigError(f"{path}: cannot evaluate {value!r}: {exc}")
+        raise ConfigError(f"{path}: cannot evaluate {shown(value)}: {exc}")
     if not isinstance(number, float):  # a negative base to a fractional power
-        raise ConfigError(f"{path}: {value!r} is not a real number")
+        raise ConfigError(f"{path}: {shown(value)} is not a real number")
     return number
 
 
@@ -89,7 +90,7 @@ def _eval_node(node, source: str, path: str) -> float:
         if isinstance(node.op, ast.Div):
             return left / right
         return left**right
-    raise ConfigError(f"{path}: unsupported numeric expression {source!r}")
+    raise ConfigError(f"{path}: unsupported numeric expression {shown(source)}")
 
 
 def _object(section, path: str, keys) -> dict:
@@ -112,7 +113,7 @@ def _build(path: str, make, *args, **kwargs):
 
 @dataclass
 class RunConfig:
-    """One run.  A point command's counts must pass `sweep.check_counts`
+    """One run.  A point command's counts must pass `observables.check_counts`
     and its initial state, unless left out (all ones), `hilbert.check_bits`
     at params.L; a sweep's counts and initial state are its SweepSpec's."""
 
@@ -174,13 +175,13 @@ def parse_config(source: str) -> RunConfig:
     """Validated RunConfig from JSON text."""
     try:
         data = json.loads(source)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past str()'s digit limit
         raise ConfigError(f"config is not valid JSON: {exc}")
     _object(data, "config", ("command", "params", "initial_state", "n_cycles", "n_max", "sweep"))
 
     command = data.get("command")
     if command not in COMMANDS:
-        raise ConfigError(f"command: expected one of {COMMANDS}, got {command!r}")
+        raise ConfigError(f"command: expected one of {COMMANDS}, got {shown(command)}")
     if "sweep" in data and command != "sweep":
         raise ConfigError(f"sweep: only the 'sweep' command takes it, not {command!r}")
     if "params" not in data:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hilbert import BasisConfig
+from .hilbert import BasisConfig, shown
 
 KERNEL_VARIANTS = ("NN", "NNN", "NNNN", "ALL")
 
@@ -40,7 +40,7 @@ def check_rate(name: str, value) -> None:
     except (TypeError, OverflowError):  # not a real number, or an integer past the float range
         finite = False
     if not finite:
-        raise ValueError(f"{name} takes finite numbers, got {value!r}")
+        raise ValueError(f"{name} takes finite numbers, got {shown(value)}")
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ class SimulationParams:
 
     def __post_init__(self):
         if isinstance(self.L, bool) or not isinstance(self.L, (int, np.integer)) or self.L < 1:
-            raise ValueError(f"L must be a positive integer, got {self.L!r}")
+            raise ValueError(f"L must be a positive integer, got {shown(self.L)}")
         if self.L > MAX_DENSE_SITES:
             raise ValueError(f"L={self.L} exceeds the site cap of {MAX_DENSE_SITES} (MAX_DENSE_SITES)")
         for name in ("omega", "epsilon", "v", "f", "t1", "t2"):
@@ -74,7 +74,7 @@ class SimulationParams:
         if self.t1 <= 0 or self.t2 <= 0:
             raise ValueError(f"stage durations must be positive, got t1={self.t1}, t2={self.t2}")
         if self.kernel not in KERNEL_VARIANTS:
-            raise ValueError(f"unknown kernel variant {self.kernel!r}, expected one of {KERNEL_VARIANTS}")
+            raise ValueError(f"unknown kernel variant {shown(self.kernel)}, expected one of {KERNEL_VARIANTS}")
 
     @property
     def basis(self) -> BasisConfig:

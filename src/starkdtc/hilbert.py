@@ -25,7 +25,7 @@ class BasisConfig:
 
     def __post_init__(self):
         if isinstance(self.L, bool) or not isinstance(self.L, (int, np.integer)) or self.L < 1:
-            raise ValueError(f"site count must be a positive integer, got {self.L!r}")
+            raise ValueError(f"site count must be a positive integer, got {shown(self.L)}")
 
     @property
     def dimension(self) -> int:
@@ -51,17 +51,22 @@ class BasisConfig:
         return b[b == mirrored], b[pair], mirrored[pair]
 
 
+def shown(value) -> str:
+    """`value` as a refusal names it: its repr, or, if that is long or
+    multi-line, its type and length (its repr's, if it has none)."""
+    text = repr(value)
+    if len(text) <= 64 and "\n" not in text:
+        return text
+    return f"{type(value).__name__} of length {len(value) if hasattr(value, '__len__') else len(text)}"
+
+
 def check_bits(bits, length=None) -> None:
     """Refuse anything but a non-empty 0/1 string (of `length` characters, if
-    given); a refused value whose repr is long, or multi-line, is named by its
-    type and length (a state can be thousands of amplitudes long)."""
-    shown = repr(bits)
-    if len(shown) > 64 or "\n" in shown:
-        shown = type(bits).__name__ + (f" of length {len(bits)}" if hasattr(bits, "__len__") else "")
+    given)."""
     if not isinstance(bits, str) or not bits or any(ch not in "01" for ch in bits):
-        raise ValueError(f"initial_state takes bit strings, got {shown}")
+        raise ValueError(f"initial_state takes bit strings, got {shown(bits)}")
     if length is not None and len(bits) != length:
-        raise ValueError(f"initial_state takes length-{length} bit strings, got {shown}")
+        raise ValueError(f"initial_state takes length-{length} bit strings, got {shown(bits)}")
 
 
 def basis_index(bits, L: int) -> int:

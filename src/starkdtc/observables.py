@@ -21,7 +21,7 @@ import numpy as np
 from .exceptions import NumericError
 from .floquet import FloquetPropagator, SectorBlocks, _point_text
 from .hamiltonian import SimulationParams
-from .hilbert import basis_index, sigma_z_stack
+from .hilbert import basis_index, shown, sigma_z_stack
 
 NORM_DRIFT_TOL = 1e-8
 # |C(n)| may exceed 1 by this much through roundoff
@@ -84,6 +84,20 @@ class LifetimeResult:
         }
 
 
+def check_counts(observable: str, **counts) -> None:
+    """Refuse counts (n_cycles, n_max and a sweep's grid_cap) that `observable`,
+    a sweep observable or the point command of that name, cannot run: each
+    must be a positive integer, not a boolean; n_cycles must be even for a_pi
+    and spectrum (an exact omega = pi bin), and n_max at least 2 for lifetime."""
+    for name, count in counts.items():
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+            raise ValueError(f"{name} must be a positive integer, got {shown(count)}")
+    if observable in ("a_pi", "spectrum") and counts["n_cycles"] % 2:
+        raise ValueError(f"n_cycles must be even for {observable}'s exact omega=pi bin, got {counts['n_cycles']}")
+    if observable == "lifetime" and counts["n_max"] < 2:
+        raise ValueError(f"n_max must be at least 2 for lifetime, got {counts['n_max']}")
+
+
 def _drift_error(drift: float, params: SimulationParams, cycle: int) -> NumericError:
     return NumericError(
         f"state norm drifted by {drift:.2e} (tolerance {NORM_DRIFT_TOL:.0e}) "
@@ -111,16 +125,15 @@ def autocorrelator_series(
     """Stroboscopic autocorrelator over n_cycles Floquet periods.
 
     The initial state is the z-product state `bits`; anything but a bit
-    string of the propagator's L raises `ValueError` (`hilbert.basis_index`)
-    before U1's blocks are assembled.  The blocks are assembled (and
-    checked) for the run, unless `blocks` gives them already assembled
-    from `prop.u1`; then every cycle advances the state by
-    Phi * (U1 psi) and checks the norm, as a one-column block of the
-    sweep's loop (`_evolve_block`).  A failed check raises `NumericError`
+    string of the propagator's L (`hilbert.basis_index`), or a count
+    `check_counts` refuses, raises `ValueError` before U1's blocks are
+    assembled.  The blocks are assembled (and checked) for the run, unless
+    `blocks` gives them already assembled from `prop.u1`; then every cycle
+    advances the state by Phi * (U1 psi) and checks the norm, as a
+    one-column block of the sweep's loop (`_evolve_block`).  A failed check raises `NumericError`
     naming the parameter point, the tolerance and the cycle.
     """
-    if n_cycles < 1:
-        raise ValueError(f"cycle count must be >= 1, got {n_cycles}")
+    check_counts("series", n_cycles=n_cycles)
     index = basis_index(bits, prop.params.L)
     sz = sigma_z_stack(prop.params.basis)
     if blocks is None:
@@ -255,7 +268,6 @@ def lifetime(prop: FloquetPropagator, bits: str, n_max: int) -> LifetimeResult:
     """DTC lifetime of the z-product state `bits` from the autocorrelator
     over up to n_max cycles, evolved as in `autocorrelator_series`; see
     `reversal_analysis` for the definitions."""
-    if n_max < 2:
-        raise ValueError(f"cycle cap must be >= 2, got {n_max}")
+    check_counts("lifetime", n_max=n_max)
     series = autocorrelator_series(prop, bits, n_max)
     return reversal_analysis(series.values)

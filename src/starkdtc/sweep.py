@@ -14,8 +14,9 @@ quasi-spectrum.
 Evaluation runs on the calling thread (BLAS already uses every core) and is
 deterministic: every block is padded to full zgemm panels (see _PANEL), so a
 point's value does not depend on which other points share its block; results
-are gathered by grid index, and every evaluated point is journaled to disk
-for resumability.
+are gathered by grid index.  A point ends with a value or a `NumericError`
+marker (bad input is refused when the spec is built), and each finished
+point is journaled to disk for resumability.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from .floquet import (
     stage1_unitary,
 )
 from .hamiltonian import SimulationParams, build_h2_diagonal, check_rate
-from .hilbert import basis_index, check_bits, sigma_z_stack
-from .observables import AutocorrelatorSeries, _evolve_block, fourier_spectrum, reversal_analysis
+from .hilbert import basis_index, check_bits, shown, sigma_z_stack
+from .observables import AutocorrelatorSeries, _evolve_block, check_counts, fourier_spectrum, reversal_analysis
 from .output import atomic_open, params_metadata, write_csv, write_sidecar
 
 # the axes whose values are rates: numbers, which a config may give symbolically
@@ -78,20 +79,6 @@ _PANEL = 4
 _MAX_BLOCK_COLUMNS = 64
 
 
-def check_counts(observable: str, **counts) -> None:
-    """Refuse counts (n_cycles, n_max and a sweep's grid_cap) that `observable`,
-    a sweep observable or the point command of that name, cannot run: each
-    must be a positive integer, not a boolean; n_cycles must be even for a_pi
-    and spectrum (an exact omega = pi bin), and n_max at least 2 for lifetime."""
-    for name, count in counts.items():
-        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
-            raise ValueError(f"{name} must be a positive integer, got {count!r}")
-    if observable in ("a_pi", "spectrum") and counts["n_cycles"] % 2:
-        raise ValueError(f"n_cycles must be even for {observable}'s exact omega=pi bin, got {counts['n_cycles']}")
-    if observable == "lifetime" and counts["n_max"] < 2:
-        raise ValueError(f"n_max must be at least 2 for lifetime, got {counts['n_max']}")
-
-
 @dataclass(frozen=True)
 class SweepAxis:
     """A grid axis.  Construction refuses, with ValueError, a name outside
@@ -106,7 +93,7 @@ class SweepAxis:
 
     def __post_init__(self):
         if self.name not in AXIS_NAMES:
-            raise ValueError(f"unknown axis name {self.name!r}, expected one of {AXIS_NAMES}")
+            raise ValueError(f"unknown axis name {shown(self.name)}, expected one of {AXIS_NAMES}")
         if len(self.values) == 0:
             raise ValueError(f"axis {self.name!r} has no values")
         # checked here, not per point: a bad value would only fill its rows with error markers
@@ -114,7 +101,7 @@ class SweepAxis:
             if self.name == "L":
                 # a fractional L would be truncated to int(L) at its point
                 if isinstance(value, bool) or not (isinstance(value, numbers.Real) and value % 1 == 0):
-                    raise ValueError(f"L takes whole site counts, got {value!r}")
+                    raise ValueError(f"L takes whole site counts, got {shown(value)}")
                 SimulationParams(L=int(value))
             elif self.name == "kernel":
                 SimulationParams(L=1, kernel=value)
@@ -133,8 +120,8 @@ class SweepSpec:
     repeated axis names, an observable outside OBSERVABLES, counts
     `check_counts` refuses (grid_cap among them), a grid of more than
     grid_cap points, and an initial state (the spec's, or an initial_state
-    axis value) that is neither ALL_ONES nor a bit string of base.L
-    characters; with an L axis, each point checks its state's length.
+    axis value) that is neither ALL_ONES nor a bit string of every L the
+    grid runs (`site_counts`).
     """
 
     axes: tuple
@@ -147,6 +134,7 @@ class SweepSpec:
 
     def __post_init__(self):
         axes = tuple(self.axes)
+        object.__setattr__(self, "axes", axes)
         if not 1 <= len(axes) <= 2:
             raise ValueError(f"sweeps take 1 or 2 axes, got {len(axes)}")
         names = [axis.name for axis in axes]
@@ -154,18 +142,22 @@ class SweepSpec:
             raise ValueError(f"axis names must be distinct, got {names}")
         known = tuple(OBSERVABLES)  # a tuple, so an unhashable value is refused, not a TypeError
         if self.observable not in known:
-            raise ValueError(f"observable must be one of {known}, got {self.observable!r}")
+            raise ValueError(f"observable must be one of {known}, got {shown(self.observable)}")
         # rejected here, before any point is evaluated, not as a marker per point
         check_counts(self.observable, n_cycles=self.n_cycles, n_max=self.n_max, grid_cap=self.grid_cap)
-        length = None if "L" in names else self.base.L
+        lengths = self.site_counts()
         states = [bits for axis in axes if axis.name == "initial_state" for bits in axis.values]
         for bits in (self.initial_state, *states):
             if bits != ALL_ONES:
-                check_bits(bits, length)
+                for length in lengths:
+                    check_bits(bits, length)
         size = self.grid_size()
         if size > self.grid_cap:
             raise ValueError(f"grid of {size} points exceeds the cap of {self.grid_cap}")
-        object.__setattr__(self, "axes", axes)
+
+    def site_counts(self) -> list:
+        """The L of the grid's points: the L axis's values, or base.L."""
+        return [int(value) for axis in self.axes if axis.name == "L" for value in axis.values] or [self.base.L]
 
     def grid_size(self) -> int:
         size = 1
@@ -249,7 +241,7 @@ class PropagatorFactory:
 
 @dataclass
 class SweepResult:
-    """Grid coordinates plus one value record (or error marker) per point."""
+    """Grid coordinates plus one value record (or `NumericError` marker) per point."""
 
     spec: SweepSpec
     coords: list
@@ -287,8 +279,8 @@ class SweepResult:
         return out
 
     def check(self) -> None:
-        """Raise `NumericError`, naming their count and the first, if points hold numeric markers."""
-        markers = [error for error in self.errors if error and error.startswith(NumericError.__name__ + ":")]
+        """Raise `NumericError`, naming their count and the first, if points hold markers."""
+        markers = [error for error in self.errors if error]
         if markers:
             raise NumericError(f"{len(markers)} of {len(self.errors)} sweep points failed, the first: {markers[0]}")
 
@@ -386,11 +378,6 @@ def _evaluate_grouped(spec: SweepSpec, pending, factory: PropagatorFactory):
     groups = {}
     for index, coords in pending:
         params, bits = spec.point_inputs(coords)
-        try:
-            check_bits(bits, params.L)  # SweepSpec checks the length only when L is not swept
-        except ValueError as exc:  # reported as the point's error marker
-            yield index, coords, None, _marker(exc)
-            continue
         groups.setdefault(PropagatorFactory.key(params), []).append((index, coords, params, bits))
     for members in groups.values():
         done = 0
@@ -405,7 +392,9 @@ def _evaluate_grouped(spec: SweepSpec, pending, factory: PropagatorFactory):
 
 
 class _Journal:
-    """JSON-lines record of evaluated points: a header, then one line per point."""
+    """JSON-lines record of finished points: a header, then one line per point
+    with a value.  Entries without one (an older journal's markers) are
+    skipped, so a failed point is recomputed on resume."""
 
     def __init__(self, path, fingerprint: str, resume: bool):
         self.path = Path(path)
@@ -438,8 +427,8 @@ class _Journal:
                     raise ConfigError(f"journal {self.path} belongs to a different sweep spec")
             elif not isinstance(entry, dict) or not isinstance(entry.get("index"), int):
                 raise ConfigError(f"journal {self.path}: line {number} is not a point record")
-            else:
-                self.completed[entry["index"]] = entry
+            elif "value" in entry:
+                self.completed[entry["index"]] = entry["value"]
             kept.append(line)
         intact = "".join(line + "\n" for line in kept)
         if intact != text:
@@ -448,12 +437,8 @@ class _Journal:
             with atomic_open(self.path) as fh:
                 fh.write(intact)
 
-    def record(self, index: int, coords: dict, value, error):
-        entry = {"index": index, "coords": coords}
-        if error is None:
-            entry["value"] = value
-        else:
-            entry["error"] = error
+    def record(self, index: int, coords: dict, value):
+        entry = {"index": index, "coords": coords, "value": value}
         with open(self.path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
 
@@ -464,38 +449,31 @@ def run_sweep(spec: SweepSpec, journal_path=None, resume: bool = False) -> Sweep
     The pending points are grouped by stage-1 key and each group builds U1
     once (`PropagatorFactory`).  A group assembles U1's blocks once and
     evolves its initial states as one column block, or, for overlaps,
-    computes each point's quasi-spectrum from that U1.  A `NumericError`,
-    or a state whose length is not its point's L, becomes that point's error
-    marker; a `MemoryError` or `OSError` stops the sweep naming the point,
-    and any other exception is a defect and propagates.  With `journal_path`
-    set every evaluated point is appended to a JSON-lines journal, and
-    `resume=True` skips points already present in a journal for the
-    identical spec (a torn last line is dropped and its point recomputed).
-    The sweep first checks that stage 1 at the grid's largest L, and for
+    computes each point's quasi-spectrum from that U1.  A `NumericError`
+    becomes its point's marker; a `MemoryError` or `OSError` stops the sweep
+    naming the point, and any other exception is a defect and propagates.
+    With `journal_path` set every point that finishes with a value is
+    appended to a JSON-lines journal, and `resume=True` reuses the values of
+    a journal for the identical spec and recomputes the rest, failed points
+    included (a torn last line is dropped and its point recomputed).  The
+    sweep first checks that stage 1 at the grid's largest L, and for
     overlaps a quasi-spectrum, fits in memory (`floquet.check_memory`).
     """
-    sizes = [int(value) for axis in spec.axes if axis.name == "L" for value in axis.values]
-    check_memory(max(sizes, default=spec.base.L), quasi_spectrum=spec.observable == "overlaps")
+    check_memory(max(spec.site_counts()), quasi_spectrum=spec.observable == "overlaps")
     factory = PropagatorFactory()
     points = list(spec.grid_points())
     journal = _Journal(journal_path, spec.fingerprint(), resume) if journal_path else None
 
-    values = [None] * len(points)
+    completed = journal.completed if journal else {}
+    values = [completed.get(index) for index, _ in points]
     errors = [None] * len(points)
-    pending = []
-    for index, coords in points:
-        done = journal.completed.get(index) if journal else None
-        if done is not None:
-            values[index] = done.get("value")
-            errors[index] = done.get("error")
-        else:
-            pending.append((index, coords))
+    pending = [(index, coords) for index, coords in points if values[index] is None]
 
     for index, coords, value, error in _evaluate_grouped(spec, pending, factory):
         values[index] = value
         errors[index] = error
-        if journal:
-            journal.record(index, coords, value, error)
+        if journal and error is None:
+            journal.record(index, coords, value)
 
     return SweepResult(
         spec=spec,

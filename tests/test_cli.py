@@ -478,9 +478,19 @@ def test_removed_spellings_exit_2_naming_the_key(tmp_path, capsys, removed, mess
         (sweep_config(grid_cap=2.5), "sweep: grid_cap must be a positive integer, got 2.5"),
         ({**SWEEP_CONFIG, "initial_state": "10x"}, "sweep: initial_state takes bit strings, got '10x'"),
         (dict(SERIES_CONFIG, initial_state=5), "config: initial_state takes bit strings, got 5"),
+        # a state that misfits one L value used to exit 0 with a ValueError row
+        ({**sweep_config(axes=[{"name": "L", "values": [3, 4]}]), "initial_state": "1111"},
+         "sweep: initial_state takes length-3 bit strings, got '1111'"),
+        # a long value is named by its type and length; each used to be echoed whole
+        (dict(SERIES_CONFIG, params={"L": 3, "kernel": "X" * 5000}),
+         "params: unknown kernel variant str of length 5000, expected one of ('NN', 'NNN', 'NNNN', 'ALL')"),
+        (dict(SERIES_CONFIG, n_cycles="9" * 5000), "config: n_cycles must be a positive integer, got str of length 5000"),
+        (dict(SERIES_CONFIG, params={"L": 3, "FT2": "x" * 5000}),
+         "params.FT2: unsupported numeric expression str of length 5000"),
     ],
     ids=["params_bool_L", "axis_bool_L", "axis_bool_epsilon", "axis_state", "fractional_n_cycles",
-         "bool_n_cycles", "fractional_grid_cap", "sweep_state", "point_state"],
+         "bool_n_cycles", "fractional_grid_cap", "sweep_state", "point_state", "l_axis_state", "long_kernel",
+         "long_n_cycles", "long_expression"],
 )
 def test_inputs_the_run_types_refuse_exit_2_naming_the_key(tmp_path, monkeypatch, capsys, data, message):
     # the config side of test_sweep.py::test_run_types_refuse_bad_inputs
@@ -585,8 +595,8 @@ def test_a_numeric_marker_exits_3_with_the_table_written(tmp_path, monkeypatch, 
     marker = "NumericError: W deviates from unitarity"
     assert [sum(row[-1] == marker for row in read_csv(out / name)[1:]) for name in tables] == marked
     assert f"numeric error: {marked[0]} of 4 sweep points failed, the first: {marker}" in capsys.readouterr().err
-    if data is not None:  # every point journaled, the marked ones included
-        assert len((out / "sweep_journal.jsonl").read_text().splitlines()) == 1 + 4
+    if data is not None:  # the header and the finished points: a marked point is retried on --resume
+        assert len((out / "sweep_journal.jsonl").read_text().splitlines()) == 1 + 4 - marked[0]
 
 
 def test_a_defect_in_a_sweep_is_not_a_marker(tmp_path, monkeypatch):
@@ -611,6 +621,27 @@ def test_out_of_memory_stops_a_sweep_and_resume_completes_it(tmp_path, monkeypat
     journal = [json.loads(line) for line in (out / "sweep_journal.jsonl").read_text().splitlines()]
     assert [entry.get("index") for entry in journal] == [None, 0, 1]
     assert not (out / "sweep.csv").exists()
+    assert main(["--config", str(cfg), "--out", str(out), "--resume"]) == 0
+    assert (out / "sweep.csv").read_bytes() == (clean / "sweep.csv").read_bytes()
+
+
+def test_resume_recomputes_a_journaled_failure_marker(tmp_path):
+    # a journal written before failed points were left out of it holds their
+    # markers as entries; --resume used to reuse a stale MemoryError marker
+    # and exit 0 with it in the table
+    cfg = write_config(tmp_path, TWO_KEY_SWEEP)
+    clean = tmp_path / "clean"
+    assert main(["--config", str(cfg), "--out", str(clean)]) == 0
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 0
+    journal = out / "sweep_journal.jsonl"
+    lines = journal.read_text().splitlines()
+    entry = json.loads(lines[3])
+    del entry["value"]
+    entry["error"] = "MemoryError: Unable to allocate 8.00 GiB"
+    lines[3] = json.dumps(entry, sort_keys=True)
+    journal.write_text("\n".join(lines) + "\n")
+    (out / "sweep.csv").unlink()
     assert main(["--config", str(cfg), "--out", str(out), "--resume"]) == 0
     assert (out / "sweep.csv").read_bytes() == (clean / "sweep.csv").read_bytes()
 
@@ -683,6 +714,8 @@ def test_number_expression_errors_exit_2(tmp_path, capsys, expression, place, pa
     "axis, message",
     [
         ({"name": "kernel", "values": ["NN", "XX"]}, "unknown kernel variant 'XX'"),
+        ({"name": "kernel", "values": ["NN", "X" * 5000]},
+         "unknown kernel variant str of length 5000, expected one of ('NN', 'NNN', 'NNNN', 'ALL')\n"),
         ({"name": "initial_state", "values": [1111, 1010]}, "initial_state takes bit strings, got 1111"),
         # named by its type and length, not echoed whole
         ({"name": "initial_state", "values": ["1" * 4999 + "x"]},
@@ -696,7 +729,7 @@ def test_number_expression_errors_exit_2(tmp_path, capsys, expression, place, pa
         ({"name": "epsilon", "start": 0.0, "stop": 1.0, "num": 10**9},
          "unknown keys ['num', 'start', 'stop']"),
     ],
-    ids=["kernel", "initial_state", "long_state", "epsilon_nan", "F_T2_overflow", "V_minus_inf", "range_inf",
+    ids=["kernel", "long_kernel", "initial_state", "long_state", "epsilon_nan", "F_T2_overflow", "V_minus_inf", "range_inf",
          "range_over_cap"],
 )
 def test_bad_axis_values_exit_2_at_parse_time(tmp_path, monkeypatch, capsys, axis, message):

@@ -199,6 +199,10 @@ def test_parse_config_command_validation():
         parse_config(json.dumps({"command": "figure"}))
     with pytest.raises(ConfigError, match="not valid JSON"):
         parse_config("{command:")
+    # json.loads refuses an integer past str()'s 4300-digit limit with a
+    # plain ValueError, which used to escape as a traceback
+    with pytest.raises(ConfigError, match="^config is not valid JSON: "):
+        parse_config('{"command": "series", "params": {"L": 3}, "n_cycles": ' + "1" * 5000 + "}")
     with pytest.raises(ConfigError, match="unknown keys"):
         parse_config(make_config(extra=1))
 
@@ -243,6 +247,14 @@ def test_parse_sweep_rejects_bad_initial_state():
         parse_config(sweep_cfg(f_axis, initial_state="10"))
     with pytest.raises(ConfigError, match=r"^sweep: initial_state takes bit strings, got '1x'"):
         parse_config(sweep_cfg(l_axis, initial_state="1x"))
+    # a swept L checks the state against each of its values; a misfit used
+    # to mark its points with a ValueError row and exit 0
+    with pytest.raises(ConfigError, match=r"^sweep: initial_state takes length-2 bit strings, got '111'"):
+        parse_config(sweep_cfg(l_axis, initial_state="111"))
+    with pytest.raises(ConfigError, match=r"^sweep: initial_state takes length-3 bit strings, got '10'"):
+        parse_config(sweep_cfg(l_axis, initial_state="10"))
+    with pytest.raises(ConfigError, match=r"^sweep: initial_state takes length-3 bit strings, got '10'"):
+        parse_config(sweep_cfg(l_axis + [{"name": "initial_state", "values": ["all_ones", "10"]}]))
     with pytest.raises(ConfigError, match=r"^sweep: initial_state takes length-3 bit strings, got '10'"):
         parse_config(sweep_cfg(f_axis + [{"name": "initial_state", "values": ["101", "10"]}]))
     with pytest.raises(ConfigError, match=r"sweep\.axes\[1\]: initial_state takes bit strings, got '1o1'"):
@@ -251,10 +263,9 @@ def test_parse_sweep_rejects_bad_initial_state():
     with pytest.raises(ConfigError, match=r"^initial_state: expected a bit string, got 'all_ones'"):
         parse_config(sweep_cfg(f_axis, initial_state="all_ones"))
     assert parse_config(sweep_cfg(f_axis)).sweep.initial_state == "all_ones"
-    states = [{"name": "initial_state", "values": ["all_ones", "10"]}]
-    assert parse_config(sweep_cfg(l_axis + states)).sweep.axes[1].values == ("all_ones", "10")
-    # the length is free when L is swept
-    assert parse_config(sweep_cfg(l_axis, initial_state="10")).sweep.initial_state == "10"
+    states = [{"name": "initial_state", "values": ["all_ones"]}]
+    assert parse_config(sweep_cfg(l_axis + states)).sweep.axes[1].values == ("all_ones",)
+    assert parse_config(sweep_cfg([{"name": "L", "values": [3]}], initial_state="101")).sweep.initial_state == "101"
     assert parse_config(sweep_cfg(f_axis, initial_state="101")).sweep.initial_state == "101"
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -321,6 +323,16 @@ def test_lifetime_input_validation():
         lifetime(prop, "11", 1)
     with pytest.raises(ValueError):
         reversal_analysis(np.array([1.0, -0.5]))
+
+
+@pytest.mark.parametrize("count", [True, 2.5, "10", 0], ids=["bool", "fractional", "string", "zero"])
+def test_series_and_lifetime_refuse_bad_counts(count):
+    # True used to run one cycle, and 2.5 and "10" to raise TypeError
+    prop = floquet_operator(perfect_flip_params(2))
+    with pytest.raises(ValueError, match=f"^n_cycles must be a positive integer, got {re.escape(repr(count))}$"):
+        autocorrelator_series(prop, "11", count)
+    with pytest.raises(ValueError, match=f"^n_max must be a positive integer, got {re.escape(repr(count))}$"):
+        lifetime(prop, "11", count)
 
 
 def test_lifetime_reference_signs_from_series_not_assumed():

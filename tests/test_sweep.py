@@ -98,9 +98,17 @@ def test_kernel_and_initial_state_axes_check_their_values():
          "grid_cap must be a positive integer, got 2.5"),
         (lambda: small_spec(initial_state="10x"), "initial_state takes bit strings, got '10x'"),
         (lambda: basis_index(5, BASE.L), "initial_state takes bit strings, got 5"),
+        # a long value is named by its type and length, not echoed whole
+        (lambda: SimulationParams(L=2, kernel="X" * 5000),
+         "unknown kernel variant str of length 5000, expected one of ('NN', 'NNN', 'NNNN', 'ALL')"),
+        (lambda: small_spec("series", n_cycles="9" * 5000), "n_cycles must be a positive integer, got str of length 5000"),
+        (lambda: SweepAxis("kernel", ("NN", "X" * 5000)),
+         "unknown kernel variant str of length 5000, expected one of ('NN', 'NNN', 'NNNN', 'ALL')"),
+        (lambda: SweepAxis("V", ("1" * 5000,)), "V takes finite numbers, got str of length 5000"),
     ],
     ids=["params_bool_L", "axis_bool_L", "axis_bool_epsilon", "axis_state", "fractional_n_cycles",
-         "bool_n_cycles", "fractional_grid_cap", "spec_state", "int_bits"],
+         "bool_n_cycles", "fractional_grid_cap", "spec_state", "int_bits", "long_kernel", "long_n_cycles",
+         "long_axis_kernel", "long_rate"],
 )
 def test_run_types_refuse_bad_inputs(build, message):
     # each used to be taken (True as 1, 2.5 cycles as a traceback in the
@@ -231,23 +239,19 @@ def test_sweep_resume_rejects_mismatched_spec(tmp_path):
         run_sweep(other, journal_path=journal, resume=True)
 
 
-def test_sweep_error_markers_stay_local():
-    # a state incompatible with the per-point L fails that point only
-    spec = SweepSpec(
-        axes=(SweepAxis("L", (3, 4)),),
-        base=BASE,
-        observable="a_pi",
-        n_cycles=10,
-        initial_state="1111",
-    )
-    result = run_sweep(spec)
-    assert result.values[0] is None
-    assert result.errors[0] == "ValueError: initial_state takes length-3 bit strings, got '1111'"
-    assert result.values[1] is not None
-    assert result.errors[1] is None
-    header, rows = result.rows()
-    assert header[-1] == "error"
-    assert rows[0][-1] is not None
+def test_sweep_spec_refuses_a_state_that_misfits_an_l_value():
+    # such a state used to mark its L = 3 point with a ValueError row and the
+    # sweep to exit 0; the spec now checks each state against every L value
+    def spec(state, states=None):
+        axes = (SweepAxis("L", (3, 4)),) + (() if states is None else (SweepAxis("initial_state", states),))
+        return SweepSpec(axes=axes, base=BASE, observable="a_pi", n_cycles=10, initial_state=state)
+
+    with pytest.raises(ValueError, match=r"^initial_state takes length-3 bit strings, got '1111'$"):
+        spec("1111")
+    with pytest.raises(ValueError, match=r"^initial_state takes length-4 bit strings, got '111'$"):
+        spec("all_ones", ("all_ones", "111"))
+    assert spec("all_ones", ("all_ones",)).site_counts() == [3, 4]
+    assert small_spec().site_counts() == [BASE.L]
 
 
 def test_lifetime_observable_record():
