@@ -93,15 +93,14 @@ def _panel(path: Path, observable: str, record: dict, params, **meta) -> Path:
 
 
 def _fig2(entry: dict, out_dir: Path) -> list:
+    """Each F*T2 point's series, spectrum and overlaps.  The points share
+    one U1 (`PropagatorFactory`), so its blocks are assembled once for both
+    series, which run first; the first quasi-spectrum drops them."""
     factory = PropagatorFactory()
     n_cycles = entry["n_cycles"]
     points = [entry["base"].with_f_t2(f_t2) for f_t2 in entry["F_T2"]]
     bits = "1" * entry["base"].L  # the entry's "all ones"
-    # both points share U1: its blocks are assembled once for both series
-    # and released before the first quasi-spectrum
-    blocks = factory.stage1(points[0]).assemble(points[0])
-    series_of = [autocorrelator_series(factory.get(params), bits, n_cycles, blocks=blocks) for params in points]
-    del blocks
+    series_of = [autocorrelator_series(factory.get(params), bits, n_cycles) for params in points]
     files = []
     for f_t2, params, series in zip(entry["F_T2"], points, series_of):
         for panel in entry["panels"]:

@@ -9,9 +9,9 @@ transform into sector components is slice arithmetic on contiguous rows.
 `stage1_unitary` builds each sector's projection of H1 straight from the
 orbits and diagonalizes it; U1 is kept as the two eigensystems, W exp(-i
 theta) W^T per sector with W real orthogonal (`SectorUnitary`), after W is
-checked for orthogonality.  The per-cycle evolution assembles the two
-complex blocks once per run (`SectorUnitary.assemble`): on narrow blocks
-one zgemm per sector is faster than the two real products of the
+checked for orthogonality.  Every period multiplies by the two complex
+blocks that U1 assembles on first use and keeps (`SectorBlocks`): on narrow
+blocks one zgemm per sector is faster than the two real products of the
 eigensystem form.  U2 = exp(-i H2 T2) is diagonal and kept as a phase
 vector Phi; the Stark ramp breaks the reflection, so one period is a
 sector product with U1 followed by a row scaling.
@@ -233,101 +233,93 @@ def _sector_h1(params: SimulationParams, sector: str) -> np.ndarray:
 
 
 class SectorUnitary:
-    """U1 kept as the eigensystem of each reflection sector.
+    """U1 of one stage-1 key, as the eigensystem of each reflection sector.
 
     `even` and `odd` each hold (theta, W): U1 on the sector is W
     exp(-i theta) W^T, with W real orthogonal (checked by `stage1_unitary`)
     and theta = lambda T1 for the eigenvalues lambda of the sector's
-    projection of H1.  The sectors act on the basis in reflection-orbit
-    order `fixed || lo || hi` (see `BasisConfig.reflection_orbits`);
-    `order` maps each orbit position to its z-basis index and `inverse`
-    maps back.  The even sector acts on the fixed states and the symmetric
-    pair combinations, the odd sector on the antisymmetric ones (empty at
-    L=1).  In orbit order the sector transform is slice arithmetic on
-    contiguous rows (`_split`, `_merge`).  `product` is U1 on orbit-ordered
-    rows in this form; `assemble` gives the complex blocks that the
-    per-cycle evolution multiplies by.
+    projection of H1.  `params` is the point U1 was built for; its stage-1
+    key names U1 in error messages.  The sectors act on the basis in
+    reflection-orbit order `fixed || lo || hi` (see
+    `BasisConfig.reflection_orbits`); `order` maps each orbit position to
+    its z-basis index and `inverse` maps back.  The even sector acts on the
+    fixed states and the symmetric pair combinations, the odd sector on the
+    antisymmetric ones (empty at L=1).  In orbit order the sector transform
+    is slice arithmetic on contiguous rows (`_split`, `_merge`).  Every
+    period multiplies by the assembled complex blocks (`assemble`), which
+    U1 keeps until `quasi_spectrum` drops them.
     """
 
-    def __init__(self, even, odd, fixed, lo, hi):
+    def __init__(self, params: SimulationParams, even, odd):
+        self.params = params
         self.even = even
         self.odd = odd
+        fixed, lo, hi = params.basis.reflection_orbits()
         self.order = np.concatenate((fixed, lo, hi))
         self.inverse = np.argsort(self.order)
         self.n_fixed = fixed.size
+        self._blocks: Optional[SectorBlocks] = None
+
+    @property
+    def dimension(self) -> int:
+        return self.order.size
+
+    def assemble(self) -> "SectorBlocks":
+        """The complex blocks W exp(-i theta) W^T (`u1_from_eigensystem`),
+        assembled on the first call and kept: each is checked on 16 sampled
+        Gram rows at every size, which catches an assembly fault (W itself
+        was checked in full); one off by more than `UNITARITY_TOL` raises
+        `NumericError` naming the key of `params` and the sector."""
+        if self._blocks is None:
+            blocks = []
+            for name, (theta, w) in (("even", self.even), ("odd", self.odd)):
+                block = u1_from_eigensystem(theta, w)
+                if block.size:
+                    _check_unitarity(unitarity_deviation(block, full_dim=0), self.params, name, "once assembled")
+                blocks.append(block)
+            self._blocks = SectorBlocks(*blocks, self.order, self.inverse, self.n_fixed)
+        return self._blocks
+
+
+@dataclass(frozen=True, eq=False)
+class SectorBlocks:
+    """U1 as its two assembled complex sector blocks, the form every period
+    multiplies by (`FloquetPropagator.apply`, `observables._evolve_block`),
+    with the orbit order of the `SectorUnitary` they were assembled from.
+    They hold no reference to it, so U1 and its blocks form no cycle and
+    are freed as soon as U1 is released.  `product` is one zgemm per sector.
+    """
+
+    even: np.ndarray
+    odd: np.ndarray
+    order: np.ndarray
+    inverse: np.ndarray
+    n_fixed: int
 
     @property
     def dimension(self) -> int:
         return self.order.size
 
     def _rows(self):
-        return (self.even[1].shape[0], self.odd[1].shape[0]) * 2
+        return (self.even.shape[0], self.odd.shape[0]) * 2
 
     def workspace(self, width: int):
         """Flat complex sector buffers (x_even, x_odd, y_even, y_odd) for
-        `product`, and for `SectorBlocks.product`, on up to `width`
-        columns."""
+        `product` on up to `width` columns."""
         return tuple(np.empty(rows * width, dtype=complex) for rows in self._rows())
-
-    def views(self, work, width: int):
-        """C-order (rows, width) views over the start of the `workspace`
-        buffers."""
-        return tuple(_leading(buf, rows, width) for buf, rows in zip(work, self._rows()))
-
-    def product(self, x: np.ndarray, out: np.ndarray, work) -> np.ndarray:
-        """U1 x on orbit-ordered rows (a 2-d block), into `out` (which may
-        be x itself): per sector W^T, the phases exp(-i theta), then W.
-        Each product is a real gemm on the float view of a complex C-order
-        buffer, whose rows hold the real and imaginary parts of a row side
-        by side.  `work` comes from `workspace(width)`, width >= x's."""
-        x_even, x_odd, y_even, y_odd = self.views(work, x.shape[1])
-        _split(x, self.n_fixed, x_even, x_odd)
-        for (theta, w), xs, ys in zip((self.even, self.odd), (x_even, x_odd), (y_even, y_odd)):
-            np.matmul(w.T, xs.view(float), out=ys.view(float))
-            ys *= np.exp(-1j * theta)[:, None]
-            np.matmul(w, ys.view(float), out=xs.view(float))
-        return _merge(x_even, x_odd, self.n_fixed, out)
-
-    def assemble(self, params: SimulationParams) -> "SectorBlocks":
-        """The complex blocks W exp(-i theta) W^T (`u1_from_eigensystem`),
-        each checked on 16 sampled Gram rows at every size, which catches
-        an assembly fault (W itself was checked in full).  A block off by
-        more than `UNITARITY_TOL` raises `NumericError` naming the key of
-        `params` and the sector."""
-        blocks = []
-        for name, (theta, w) in (("even", self.even), ("odd", self.odd)):
-            block = u1_from_eigensystem(theta, w)
-            if block.size:
-                _check_unitarity(unitarity_deviation(block, full_dim=0), params, name, "once assembled")
-            blocks.append(block)
-        return SectorBlocks(*blocks, self)
-
-
-class SectorBlocks:
-    """U1 as its two assembled complex sector blocks, for the per-cycle
-    evolution (`observables._evolve_block`).  `u1` is the `SectorUnitary`
-    they were assembled from: it holds the orbit order and makes the
-    sector buffers (`u1.workspace`).  `product` is one zgemm per sector,
-    which on narrow blocks is faster than the two real gemms of the
-    eigensystem form.
-    """
-
-    def __init__(self, even: np.ndarray, odd: np.ndarray, u1: SectorUnitary):
-        self.even = even
-        self.odd = odd
-        self.u1 = u1
 
     def product(self, x: np.ndarray, out: np.ndarray, work) -> np.ndarray:
         """U1 x on orbit-ordered rows (a C-order 2-d block), one product
         per sector, into `out` (which may be x itself).  `work` comes from
-        `u1.workspace(width)`, width >= x's; its views are C-order, so a
-        C-order block gets C-order products (the sweep's padded blocks
-        need them for column-independent bits, see `sweep._PANEL`)."""
-        x_even, x_odd, y_even, y_odd = self.u1.views(work, x.shape[1])
-        _split(x, self.u1.n_fixed, x_even, x_odd)
+        `workspace(width)`, width >= x's; its C-order views over the start
+        of each buffer give a C-order block C-order products (the sweep's
+        padded blocks need them for column-independent bits, see
+        `sweep._PANEL`)."""
+        x_even, x_odd, y_even, y_odd = (_leading(buf, rows, x.shape[1]) for buf, rows in zip(work, self._rows()))
+        _split(x, self.n_fixed, x_even, x_odd)
         np.matmul(self.even, x_even, out=y_even)
         np.matmul(self.odd, x_odd, out=y_odd)
-        return _merge(y_even, y_odd, self.u1.n_fixed, out)
+        return _merge(y_even, y_odd, self.n_fixed, out)
 
 
 def _available_memory() -> Optional[int]:
@@ -414,28 +406,25 @@ def stage1_unitary(params: SimulationParams) -> SectorUnitary:
         if vecs.size:
             _check_unitarity(unitarity_deviation(vecs), params, name, "in its eigenvectors")
         sectors.append((eigs * params.t1, vecs))
-    return SectorUnitary(*sectors, *params.basis.reflection_orbits())
+    return SectorUnitary(params, *sectors)
 
 
 class FloquetPropagator:
     """One period U_F = U2 U1 of one parameter point, kept as its two stages.
 
-    `u1` is the stage-1 unitary as its two reflection-sector eigensystems
-    (`SectorUnitary`), already checked by `stage1_unitary`; `phase2` is the
-    stage-2 phase vector derived from `h2_diagonal`.  `apply` advances
-    z-basis amplitudes by Phi * (U1 psi), one period per call, with U1 in
-    its eigensystem form: the tests' reference step, which no command
-    calls.  The evolution loops assemble U1's blocks and work in orbit
-    order instead (`observables._evolve_block`).  No dense U_F is ever
-    formed.  The quasi-spectrum is computed once and cached.
+    `u1` is the stage-1 unitary (`SectorUnitary`), already checked by
+    `stage1_unitary`; the stage-2 diagonal `h2_diagonal` and its phase
+    vector `phase2` are derived from `params`.  `apply` advances z-basis
+    amplitudes by Phi * (U1 psi), one period per call, through the product
+    of every evolution loop (`SectorBlocks.product`): the tests' reference
+    step, which no command calls.  No dense U_F is ever formed.
     """
 
-    def __init__(self, params: SimulationParams, u1: SectorUnitary, h2_diagonal: np.ndarray):
+    def __init__(self, params: SimulationParams, u1: SectorUnitary):
         self.params = params
         self.u1 = u1
-        self.h2_diagonal = h2_diagonal
-        self.phase2 = propagator_u2(h2_diagonal, params.t2)
-        self._spectrum: Optional[QuasiSpectrum] = None
+        self.h2_diagonal = build_h2_diagonal(params)
+        self.phase2 = propagator_u2(self.h2_diagonal, params.t2)
 
     @property
     def dimension(self) -> int:
@@ -443,24 +432,23 @@ class FloquetPropagator:
 
     def apply(self, state: np.ndarray) -> np.ndarray:
         """Advance z-basis amplitudes (vector or stacked columns) by one
-        period: into orbit order, `u1.product`, back, then the phase."""
-        u1 = self.u1
+        period: into orbit order, `SectorBlocks.product`, back, then the
+        phase."""
+        blocks = self.u1.assemble()
         state = np.asarray(state, dtype=complex)
-        ordered = np.ascontiguousarray(state[u1.order]).reshape(u1.dimension, -1)
-        out = u1.product(ordered, ordered, u1.workspace(ordered.shape[1]))[u1.inverse]
+        ordered = np.ascontiguousarray(state[blocks.order]).reshape(blocks.dimension, -1)
+        out = blocks.product(ordered, ordered, blocks.workspace(ordered.shape[1]))[blocks.inverse]
         out *= self.phase2[:, None]
         return out.reshape(state.shape)
 
     def spectrum(self) -> "QuasiSpectrum":
-        """Quasi-spectrum, computed once and cached."""
-        if self._spectrum is None:
-            self._spectrum = quasi_spectrum(self)
-        return self._spectrum
+        """The quasi-spectrum (`quasi_spectrum`), computed anew on each call."""
+        return quasi_spectrum(self)
 
 
 def floquet_operator(params: SimulationParams) -> FloquetPropagator:
     """The propagator of one parameter point; U1 acts first in time."""
-    return FloquetPropagator(params, stage1_unitary(params), build_h2_diagonal(params))
+    return FloquetPropagator(params, stage1_unitary(params))
 
 
 @dataclass(frozen=True)
@@ -526,13 +514,15 @@ def quasi_spectrum(prop: FloquetPropagator) -> QuasiSpectrum:
     panel of V is rotated and its rows gathered into the z-basis in place,
     so V stays real.  The eigenvalue moduli, the largest residual and the
     orthonormality of a 16-column sample of V are checked on every call;
-    the columns are then sorted by quasi-energy in place.  At its peak the
-    call holds 2 dim^2 doubles: U1's eigensystems (dim^2 / 2) beside X and
-    its reflector blocks (dim^2 / 2) while they are copied out, and beside
-    the reflector blocks and V while the eigenvectors are formed, with one
-    dim x `BACK_TRANSFORM_CHUNK` update buffer.
+    the columns are then sorted by quasi-energy in place.  U1's kept blocks
+    are dropped first; at its peak the call holds 2 dim^2 doubles: U1's
+    eigensystems (dim^2 / 2) beside X and its reflector blocks (dim^2 / 2)
+    while they are copied out, and beside the reflector blocks and V while
+    the eigenvectors are formed, with one dim x `BACK_TRANSFORM_CHUNK`
+    update buffer.
     """
     u1, params = prop.u1, prop.params
+    u1._blocks = None  # no assembled block exists during a quasi-spectrum
     point = _point_text(params)
     phases = np.exp(-0.5j * (prop.h2_diagonal * params.t2))
     half = phases[u1.order]

@@ -52,7 +52,8 @@ class SimulationParams:
     omega*t1, epsilon*t1, v*t1, v*t2 and f*t2.  Construction refuses, with
     ValueError, an L that is not an integer (or is a boolean) from 1 to
     MAX_DENSE_SITES, a rate or duration `check_rate` refuses, a duration
-    <= 0 and a kernel outside KERNEL_VARIANTS.
+    <= 0 and a kernel outside KERNEL_VARIANTS.  Numpy scalars are stored as
+    the Python scalars they hold, which the writers serialize.
     """
 
     L: int
@@ -65,10 +66,13 @@ class SimulationParams:
     kernel: str = "NN"
 
     def __post_init__(self):
-        if isinstance(self.L, bool) or not isinstance(self.L, (int, np.integer)) or self.L < 1:
+        for name, value in list(vars(self).items()):
+            if isinstance(value, np.generic):  # np.bool_ too, which is then refused as a bool
+                object.__setattr__(self, name, value.item())
+        if isinstance(self.L, bool) or not isinstance(self.L, int) or self.L < 1:
             raise ValueError(f"L must be a positive integer, got {shown(self.L)}")
         if self.L > MAX_DENSE_SITES:
-            raise ValueError(f"L={self.L} exceeds the site cap of {MAX_DENSE_SITES} (MAX_DENSE_SITES)")
+            raise ValueError(f"L={shown(self.L)} exceeds the site cap of {MAX_DENSE_SITES} (MAX_DENSE_SITES)")
         for name in ("omega", "epsilon", "v", "f", "t1", "t2"):
             check_rate(name, getattr(self, name))
         if self.t1 <= 0 or self.t2 <= 0:

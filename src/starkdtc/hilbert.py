@@ -53,7 +53,10 @@ class BasisConfig:
 
 def shown(value) -> str:
     """`value` as a refusal names it: its repr, or, if that is long or
-    multi-line, its type and length (its repr's, if it has none)."""
+    multi-line, its type and length (its repr's if it has none; an int's
+    bit length, since str() raises past 4300 digits)."""
+    if isinstance(value, int) and abs(value) >= 10 ** 64:
+        return f"{type(value).__name__} of {value.bit_length()} bits"
     text = repr(value)
     if len(text) <= 64 and "\n" not in text:
         return text

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import NumericError
-from .floquet import FloquetPropagator, SectorBlocks, _point_text
+from .floquet import FloquetPropagator, _point_text
 from .hamiltonian import SimulationParams
 from .hilbert import basis_index, shown, sigma_z_stack
 
@@ -93,9 +93,11 @@ def check_counts(observable: str, **counts) -> None:
         if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
             raise ValueError(f"{name} must be a positive integer, got {shown(count)}")
     if observable in ("a_pi", "spectrum") and counts["n_cycles"] % 2:
-        raise ValueError(f"n_cycles must be even for {observable}'s exact omega=pi bin, got {counts['n_cycles']}")
+        raise ValueError(
+            f"n_cycles must be even for {observable}'s exact omega=pi bin, got {shown(counts['n_cycles'])}"
+        )
     if observable == "lifetime" and counts["n_max"] < 2:
-        raise ValueError(f"n_max must be at least 2 for lifetime, got {counts['n_max']}")
+        raise ValueError(f"n_max must be at least 2 for lifetime, got {shown(counts['n_max'])}")
 
 
 def _drift_error(drift: float, params: SimulationParams, cycle: int) -> NumericError:
@@ -116,29 +118,22 @@ def _magnitude_error(values: np.ndarray, params: SimulationParams) -> Optional[N
     )
 
 
-def autocorrelator_series(
-    prop: FloquetPropagator,
-    bits: str,
-    n_cycles: int,
-    blocks: Optional[SectorBlocks] = None,
-) -> AutocorrelatorSeries:
+def autocorrelator_series(prop: FloquetPropagator, bits: str, n_cycles: int) -> AutocorrelatorSeries:
     """Stroboscopic autocorrelator over n_cycles Floquet periods.
 
     The initial state is the z-product state `bits`; anything but a bit
     string of the propagator's L (`hilbert.basis_index`), or a count
     `check_counts` refuses, raises `ValueError` before U1's blocks are
-    assembled.  The blocks are assembled (and checked) for the run, unless
-    `blocks` gives them already assembled from `prop.u1`; then every cycle
-    advances the state by Phi * (U1 psi) and checks the norm, as a
-    one-column block of the sweep's loop (`_evolve_block`).  A failed check raises `NumericError`
-    naming the parameter point, the tolerance and the cycle.
+    assembled.  Every cycle advances the state by Phi * (U1 psi) through
+    U1's blocks (`SectorUnitary.assemble`: assembled on first use, then
+    kept) and checks the norm, as a one-column block of the sweep's loop
+    (`_evolve_block`).  A failed check raises `NumericError` naming the
+    parameter point, the tolerance and the cycle.
     """
     check_counts("series", n_cycles=n_cycles)
     index = basis_index(bits, prop.params.L)
     sz = sigma_z_stack(prop.params.basis)
-    if blocks is None:
-        blocks = prop.u1.assemble(prop.params)
-    block, (error,) = _evolve_block(blocks, prop.phase2[:, None], [(prop.params, index)], sz, n_cycles)
+    block, (error,) = _evolve_block(prop.u1.assemble(), prop.phase2[:, None], [(prop.params, index)], sz, n_cycles)
     if error is not None:
         raise error
     return AutocorrelatorSeries(values=block[:, 0], n_cycles=n_cycles)
@@ -170,17 +165,16 @@ def _evolve_block(blocks, phi, columns, sz, n_cycles):
     points, starts = zip(*columns)
     count = len(columns)
     length, dim = sz.shape
-    u1 = blocks.u1
-    phi = np.ascontiguousarray(phi[u1.order])
-    sz = sz[:, u1.order]
+    phi = np.ascontiguousarray(phi[blocks.order])
+    sz = sz[:, blocks.order]
     width = phi.shape[1]
-    rows = u1.inverse[list(starts)]
+    rows = blocks.inverse[list(starts)]
     psi = np.zeros((dim, width), dtype=complex)
     psi[rows, np.arange(count)] = 1.0
     readout = np.ones((count, 2, dim))
     # sz entries are +-1, so the sums are exact integers
     readout[:, 1] = sz[:, rows].T @ sz / length
-    work = u1.workspace(width)
+    work = blocks.workspace(width)
     squares = np.empty((dim, 2 * width))
     prob = np.empty((dim, width))
     # per column (squared norm, C); rows of padding and failed states stay 0

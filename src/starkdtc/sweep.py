@@ -4,12 +4,11 @@ A sweep evaluates one observable on a 1- or 2-axis grid around a base
 parameter set.  Points sharing a stage-1 key (L, Omega, epsilon, V, kernel,
 T1) differ only by the diagonal stage-2 phase Phi = exp(-i H2 T2).  Every
 observable therefore runs key by key: the sweep builds U1 once per key, as
-its sector eigensystems, then either assembles U1's two complex blocks once
-and evolves the key's z-product initial states together as the columns of
-one block, Psi <- Phi * (U1 Psi) (one gemm per reflection sector and cycle
-for the group, and no dense U_F per point), or, for the overlaps observable,
-wraps U1 and each point's stage-2 diagonal in a propagator for its
-quasi-spectrum.
+its sector eigensystems, then either evolves the key's z-product initial
+states together as the columns of one block, Psi <- Phi * (U1 Psi), through
+the two complex blocks U1 assembles once (one gemm per reflection sector and
+cycle for the group, and no dense U_F per point), or, for the overlaps
+observable, pairs U1 with each point in a propagator for its quasi-spectrum.
 
 Evaluation runs on the calling thread (BLAS already uses every core) and is
 deterministic: every block is padded to full zgemm panels (see _PANEL), so a
@@ -86,7 +85,7 @@ class SweepAxis:
     must be whole numbers (2.0 is taken, True is not) that `SimulationParams`
     takes as L, kernel values kernels it takes, epsilon, F_T2 and V values
     numbers `check_rate` takes, and initial_state values bit strings or
-    ALL_ONES (all ones at each point's L)."""
+    ALL_ONES (all ones at each point's L).  Values are stored as Python scalars."""
 
     name: str
     values: tuple
@@ -96,6 +95,7 @@ class SweepAxis:
             raise ValueError(f"unknown axis name {shown(self.name)}, expected one of {AXIS_NAMES}")
         if len(self.values) == 0:
             raise ValueError(f"axis {self.name!r} has no values")
+        object.__setattr__(self, "values", tuple(v.item() if isinstance(v, np.generic) else v for v in self.values))
         # checked here, not per point: a bad value would only fill its rows with error markers
         for value in self.values:
             if self.name == "L":
@@ -109,7 +109,6 @@ class SweepAxis:
                 check_rate(self.name, value)
             elif value != ALL_ONES:  # an initial_state value
                 check_bits(value)
-        object.__setattr__(self, "values", tuple(self.values))
 
 
 @dataclass(frozen=True)
@@ -121,7 +120,7 @@ class SweepSpec:
     `check_counts` refuses (grid_cap among them), a grid of more than
     grid_cap points, and an initial state (the spec's, or an initial_state
     axis value) that is neither ALL_ONES nor a bit string of every L the
-    grid runs (`site_counts`).
+    grid runs (`site_counts`).  The counts are stored as Python ints.
     """
 
     axes: tuple
@@ -145,6 +144,8 @@ class SweepSpec:
             raise ValueError(f"observable must be one of {known}, got {shown(self.observable)}")
         # rejected here, before any point is evaluated, not as a marker per point
         check_counts(self.observable, n_cycles=self.n_cycles, n_max=self.n_max, grid_cap=self.grid_cap)
+        for name in ("n_cycles", "n_max", "grid_cap"):
+            object.__setattr__(self, name, int(getattr(self, name)))
         lengths = self.site_counts()
         states = [bits for axis in axes if axis.name == "initial_state" for bits in axis.values]
         for bits in (self.initial_state, *states):
@@ -212,9 +213,9 @@ class PropagatorFactory:
     eigenvectors for orthogonality) when the key differs from the last one;
     the previous U1 is released first, so at most one is held.  Every
     caller reads its keys back to back (the grouped sweep once per key), so
-    one entry serves them all.
-    `get` wraps U1 and one point's stage-2 diagonal in a propagator.  Not
-    thread-safe: sweeps run on the calling thread.
+    one entry serves them all; the blocks U1 keeps go with it.  `get` pairs
+    U1 with one point in a propagator, so propagators of one key share U1
+    and its blocks.  Not thread-safe: sweeps run on the calling thread.
     """
 
     def __init__(self):
@@ -236,7 +237,7 @@ class PropagatorFactory:
         return self._u1
 
     def get(self, params: SimulationParams) -> FloquetPropagator:
-        return FloquetPropagator(params, self.stage1(params), build_h2_diagonal(params))
+        return FloquetPropagator(params, self.stage1(params))
 
 
 @dataclass
@@ -330,7 +331,7 @@ def _block_series(blocks: SectorBlocks, columns, sz: np.ndarray, n_cycles: int):
     """
     count = len(columns)
     width = -(-count // _PANEL) * _PANEL
-    phi = np.zeros((blocks.u1.dimension, width), dtype=complex)
+    phi = np.zeros((blocks.dimension, width), dtype=complex)
     for col, (params, _) in enumerate(columns):
         phi[:, col] = propagator_u2(build_h2_diagonal(params), params.t2)
     values, faults = _evolve_block(blocks, phi, columns, sz, n_cycles)
@@ -342,21 +343,21 @@ def _evaluate_group(spec: SweepSpec, members, factory: PropagatorFactory):
 
     `members` are (index, coords, params, bits) tuples, yielded in order.
     Overlaps points each take their quasi-spectrum from the shared U1; for
-    the others U1's blocks are assembled (and checked) once, and the points
-    are evolved in padded blocks of up to _MAX_BLOCK_COLUMNS columns.  A
-    `NumericError` marks its point, or in stage 1 every point of its key.
+    the others are evolved through U1's blocks (`u1.assemble()`) in padded
+    blocks of up to _MAX_BLOCK_COLUMNS columns.  A `NumericError` marks its
+    point, or in stage 1 and the assembly every point of its key.
     """
     try:
         u1 = factory.stage1(members[0][2])
         if spec.observable != "overlaps":
-            blocks = u1.assemble(members[0][2])
+            blocks = u1.assemble()
     except NumericError as exc:
         for index, coords, _, _ in members:
             yield index, coords, None, _marker(exc)
         return
     if spec.observable == "overlaps":
         for index, coords, params, bits in members:
-            try:  # unnamed, the propagator and its cached quasi-spectrum go once the overlaps are read
+            try:  # unnamed, the propagator and its quasi-spectrum go once the overlaps are read
                 value, error = overlap_record(overlaps(factory.get(params).spectrum(), bits)), None
             except NumericError as exc:
                 value, error = None, _marker(exc)
@@ -393,8 +394,8 @@ def _evaluate_grouped(spec: SweepSpec, pending, factory: PropagatorFactory):
 
 class _Journal:
     """JSON-lines record of finished points: a header, then one line per point
-    with a value.  Entries without one (an older journal's markers) are
-    skipped, so a failed point is recomputed on resume."""
+    with a value.  Resuming drops entries without one (an older journal's
+    markers) and a torn last line from the file, and recomputes their points."""
 
     def __init__(self, path, fingerprint: str, resume: bool):
         self.path = Path(path)
@@ -429,11 +430,13 @@ class _Journal:
                 raise ConfigError(f"journal {self.path}: line {number} is not a point record")
             elif "value" in entry:
                 self.completed[entry["index"]] = entry["value"]
+            else:
+                continue  # an older journal's marker
             kept.append(line)
         intact = "".join(line + "\n" for line in kept)
         if intact != text:
-            # drop the torn tail before appending, via a rename so a second
-            # interruption cannot lose the intact lines
+            # drop what was not kept before appending, via a rename so a
+            # second interruption cannot lose the kept lines
             with atomic_open(self.path) as fh:
                 fh.write(intact)
 

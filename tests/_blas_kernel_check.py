@@ -70,7 +70,7 @@ def block_mismatches():
     for L, epsilon, f_values, starts in block_cases():
         base = SimulationParams(L=L, omega=np.pi / 2, epsilon=epsilon, v=0.1)
         # the blocks as the sweep assembles them, once per stage-1 key
-        u1 = factory.stage1(base).assemble(base)
+        u1 = factory.stage1(base).assemble()
         sz = sigma_z_stack(base.basis)
         columns = [(base.with_f_t2(float(f)), start) for f, start in zip(f_values, starts)]
         block, _ = _block_series(u1, columns, sz, CYCLES)

@@ -4,10 +4,12 @@ Everything here is built from first principles (explicit loops over basis
 integers, Kronecker products of 2x2 blocks, Strang-split product formulas,
 scipy's expm_multiply on a sparse H1) and deliberately shares no code with
 the package paths it checks.  Two helpers step with the package's public
-one-period `FloquetPropagator.apply` instead: `coevolution_series` checks
-the evolution loop and readout of `autocorrelator_series`, and `dense_u_f`
-gives the dense U_F that the package never forms, for checks against the
-independent propagators here.
+one-period `FloquetPropagator.apply` instead, which multiplies by U1's
+assembled sector blocks, the product every command's evolution runs:
+`coevolution_series` checks the evolution loop and readout of
+`autocorrelator_series`, and `dense_u_f` gives the dense U_F that the
+package never forms, so that product is checked against the independent
+expm and Trotter propagators here.
 """
 
 import numpy as np

@@ -266,12 +266,14 @@ def test_fig2_assembles_u1_once(tmp_path, monkeypatch):
     # one-column evolution of `autocorrelator_series`, with its bits
     base = SimulationParams(L=6, omega=math.pi / 2, epsilon=0.3, v=0.1, t1=1.0, t2=10.0)
     monkeypatch.setitem(figures_module.FIGURES, "fig2", {**figures_module.FIGURES["fig2"], "base": base})
+    # (U1 keeps its blocks, so the count is of the blocks assembled, one
+    # even and one odd per assembly)
     assemblies = []
-    assemble = floquet_module.SectorUnitary.assemble
+    assemble = floquet_module.u1_from_eigensystem
 
-    def counted(self, params):
-        assemblies.append(params.f_t2)
-        return assemble(self, params)
+    def counted(theta, vecs):
+        assemblies.append(vecs.shape[0])
+        return assemble(theta, vecs)
 
     # and each quasi-spectrum is gone before the next one is computed
     spectra = []
@@ -283,10 +285,10 @@ def test_fig2_assembles_u1_once(tmp_path, monkeypatch):
         spectra.append(weakref.ref(spectrum))
         return spectrum
 
-    monkeypatch.setattr(floquet_module.SectorUnitary, "assemble", counted)
+    monkeypatch.setattr(floquet_module, "u1_from_eigensystem", counted)
     monkeypatch.setattr(floquet_module, "quasi_spectrum", held_alone)
     assert main(["--figure", "fig2", "--out", str(tmp_path)]) == 0
-    assert len(assemblies) == 1 and len(spectra) == 2
+    assert len(assemblies) == 2 and len(spectra) == 2
     for f_t2 in (0.0, 0.25):
         prop = floquet_module.floquet_operator(base.with_f_t2(f_t2))
         expected = autocorrelator_series(prop, "1" * 6, 100).values.tolist()
@@ -644,6 +646,8 @@ def test_resume_recomputes_a_journaled_failure_marker(tmp_path):
     (out / "sweep.csv").unlink()
     assert main(["--config", str(cfg), "--out", str(out), "--resume"]) == 0
     assert (out / "sweep.csv").read_bytes() == (clean / "sweep.csv").read_bytes()
+    # and the stale marker line is gone: the header and one line per point
+    assert len(journal.read_text().splitlines()) == 1 + 4
 
 
 # the table layout of each observable: per-sample columns, per-point values

@@ -14,6 +14,7 @@ from starkdtc import (
     NumericError,
     ResourceLimitError,
     SimulationParams,
+    autocorrelator_series,
     find_pi_pair,
     floquet_operator,
     overlaps,
@@ -193,10 +194,15 @@ def test_quasi_spectrum_against_schur_and_powers_at_l10():
         assert abs(spectral - direct) < 1e-9
 
 
-def test_spectrum_cache_returns_same_object():
+def test_spectrum_is_recomputed_on_each_call():
+    # a cached quasi-spectrum kept V (128 MiB at L=12) alive for as long as
+    # its propagator; each call now computes the same spectrum anew
     p = SimulationParams(L=3, omega=np.pi / 2, epsilon=0.1, v=0.1, f=0.02)
     prop = floquet_operator(p)
-    assert prop.spectrum() is prop.spectrum()
+    first, second = prop.spectrum(), prop.spectrum()
+    assert first is not second
+    assert np.array_equal(bits(first.quasi_energies), bits(second.quasi_energies))
+    assert np.array_equal(bits(first.vectors), bits(second.vectors))
 
 
 def test_overlaps_eigenvector_input():
@@ -320,7 +326,7 @@ def test_unitarity_check_covers_each_sector(monkeypatch):
         with pytest.MonkeyPatch.context() as patch:
             spoil_assembly(patch, size)
             with pytest.raises(NumericError, match=f"{name} sector.* once assembled"):
-                u1.assemble(p)
+                u1.assemble()
 
 
 def test_spoiled_stage1_exits_3_naming_key_and_sector(tmp_path, monkeypatch, capsys):
@@ -367,8 +373,9 @@ def test_sector_unitary_against_expm(L, kernel, omega, epsilon, v, width, seed):
         tiles.append(x)
     assert all(np.array_equal(bits(x), bits(tiles[0])) for x in tiles)
     block = rng.normal(size=(p.dimension, width)) + 1j * rng.normal(size=(p.dimension, width))
-    # with a zero stage-2 diagonal, one period is U1
-    prop = floquet.FloquetPropagator(p, u1, np.zeros(p.dimension))
+    # one period is U1 through the assembled blocks, then the stage-2 phase
+    prop = floquet.FloquetPropagator(p, u1)
+    expected = propagator_u2(build_h2_diagonal(p), p.t2)[:, None] * expected
     assert np.max(np.abs(dense_u_f(prop) - expected)) < 1e-12
     assert np.max(np.abs(prop.apply(block) - expected @ block)) < 1e-12
     assert np.max(np.abs(prop.apply(block[:, 0]) - expected @ block[:, 0])) < 1e-12
@@ -448,7 +455,7 @@ def test_stage1_steps_keep_the_bits_of_their_temporary_forms(L, kernel, omega, e
         assert unitarity_deviation(vecs) == float(np.max(np.abs(vecs.T @ vecs - eye)))
     # the evolution's blocks, assembled from the stored eigensystems, have
     # the bits of the blocks assembled from the sector projections
-    blocks = floquet.stage1_unitary(p).assemble(p)
+    blocks = floquet.stage1_unitary(p).assemble()
     for block, h_sector in zip((blocks.even, blocks.odd), sector_h1):
         eigs, vecs = np.linalg.eigh(h_sector)
         theta = eigs * t1
@@ -460,7 +467,7 @@ def form_x_from_blocks(blocks, half, x, tile):
     """X = Re(D^1/2 U1 D^1/2) in orbit order from U1's assembled sector
     blocks, `tile` columns at a time through one complex tile: `_form_x`
     as it read the blocks before U1 was kept as its eigensystems."""
-    nf, n_pairs, dim = blocks.u1.n_fixed, blocks.odd.shape[0], blocks.u1.dimension
+    nf, n_pairs, dim = blocks.n_fixed, blocks.odd.shape[0], blocks.dimension
     even, odd = blocks.even, blocks.odd
     fixed_rows, paired = even[:nf, nf:], even[nf:, nf:]
     f, lo, hi = slice(0, nf), slice(nf, nf + n_pairs), slice(nf + n_pairs, None)
@@ -503,7 +510,7 @@ def test_x_from_eigensystems_has_the_bits_of_the_assembled_blocks(L):
     u1 = floquet.stage1_unitary(p)
     half = np.exp(-0.5j * (build_h2_diagonal(p) * p.t2))[u1.order]
     expected = np.empty((p.dimension,) * 2, order="F")
-    form_x_from_blocks(u1.assemble(p), half, expected, 64)
+    form_x_from_blocks(u1.assemble(), half, expected, 64)
     for tile in (1, 7, 64, 100, floquet.X_TILE, p.dimension):
         x = np.empty((p.dimension,) * 2, order="F")
         floquet._form_x(u1, half, x, tile)
@@ -909,6 +916,26 @@ def test_quasi_spectrum_holds_no_complex_square_array(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 17 * 4**p.L
+
+
+def test_no_assembled_block_is_alive_when_x_is_formed(monkeypatch):
+    # README's flow: a series, then the overlaps of the same propagator.  U1
+    # keeps its blocks after the series, and the quasi-spectrum drops them
+    # before it forms X, so the blocks never sit beside X and V
+    p = SimulationParams(L=6, omega=np.pi / 2, epsilon=0.3, v=0.1).with_f_t2(0.25)
+    prop = floquet_operator(p)
+    autocorrelator_series(prop, "1" * p.L, 10)
+    blocks = weakref.ref(prop.u1.assemble())
+    assert blocks() is not None
+    form_x, formed = floquet._form_x, []
+
+    def checked(u1, half, x, *args):
+        formed.append(blocks() is None)
+        form_x(u1, half, x, *args)
+
+    monkeypatch.setattr(floquet, "_form_x", checked)
+    overlaps(prop.spectrum(), "1" * p.L)
+    assert formed == [True]
 
 
 def test_stage1_memory_estimate(monkeypatch):

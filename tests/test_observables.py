@@ -89,14 +89,17 @@ def superposition(L):
 def refuses_before_assembly(monkeypatch, prop, psi0):
     """`autocorrelator_series` and `lifetime` refuse the amplitudes `psi0`
     with a ValueError naming the bit-string rule, and the vector by its type
-    and length, not its multi-line repr, before U1's blocks are assembled."""
-    def no_assembly(params):
+    and length, not its multi-line repr, before U1's blocks are assembled.
+    The patch is undone on return, so `prop.apply` can assemble them."""
+    def no_assembly():
         raise AssertionError("U1's blocks assembled before the initial state was checked")
 
-    monkeypatch.setattr(prop.u1, "assemble", no_assembly)
-    for evolve in (autocorrelator_series, lifetime):
-        with pytest.raises(ValueError, match=f"^initial_state takes bit strings, got ndarray of length {psi0.size}$"):
-            evolve(prop, psi0, 30)
+    with monkeypatch.context() as patch:
+        patch.setattr(prop.u1, "assemble", no_assembly)
+        message = f"^initial_state takes bit strings, got ndarray of length {psi0.size}$"
+        for evolve in (autocorrelator_series, lifetime):
+            with pytest.raises(ValueError, match=message):
+                evolve(prop, psi0, 30)
 
 
 @pytest.mark.parametrize("L", [8, 10])

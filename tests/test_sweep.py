@@ -1,6 +1,8 @@
 
+import gc
 import json
 import re
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import starkdtc.floquet as floquet_module
 import starkdtc.sweep as sweep_module
 from starkdtc import (
     ConfigError,
@@ -105,10 +108,14 @@ def test_kernel_and_initial_state_axes_check_their_values():
         (lambda: SweepAxis("kernel", ("NN", "X" * 5000)),
          "unknown kernel variant str of length 5000, expected one of ('NN', 'NNN', 'NNNN', 'ALL')"),
         (lambda: SweepAxis("V", ("1" * 5000,)), "V takes finite numbers, got str of length 5000"),
+        # an int past str()'s 4300 digits is named by its size, not converted
+        (lambda: SimulationParams(L=2, v=10**5000), "v takes finite numbers, got int of 16610 bits"),
+        # a numpy bool is a bool, once taken as the Python scalar it holds
+        (lambda: SweepAxis("epsilon", (np.True_,)), "epsilon takes finite numbers, got True"),
     ],
     ids=["params_bool_L", "axis_bool_L", "axis_bool_epsilon", "axis_state", "fractional_n_cycles",
          "bool_n_cycles", "fractional_grid_cap", "spec_state", "int_bits", "long_kernel", "long_n_cycles",
-         "long_axis_kernel", "long_rate"],
+         "long_axis_kernel", "long_rate", "huge_int_rate", "numpy_bool_epsilon"],
 )
 def test_run_types_refuse_bad_inputs(build, message):
     # each used to be taken (True as 1, 2.5 cycles as a traceback in the
@@ -116,6 +123,29 @@ def test_run_types_refuse_bad_inputs(build, message):
     # the CLI side is test_cli.py::test_inputs_the_run_types_refuse_exit_2_naming_the_key
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: small_spec(base=replace(BASE, L=np.int64(3))),
+        lambda: small_spec(axes=(SweepAxis("L", (np.int64(3), 4)),)),
+        lambda: small_spec(axes=(SweepAxis("epsilon", (np.int64(0), 0.1)),)),
+        lambda: small_spec(n_cycles=np.int64(10)),
+        lambda: small_spec("lifetime", n_max=np.int64(10)),
+        lambda: small_spec(grid_cap=np.int64(100)),
+    ],
+    ids=["params_L", "axis_L", "axis_rate", "n_cycles", "n_max", "grid_cap"],
+)
+def test_numpy_integers_are_stored_as_python_ints(tmp_path, build):
+    # each passed its check as an np.int64 and then made the journal or the
+    # CSV sidecar raise TypeError: Object of type int64 is not JSON serializable
+    spec = build()
+    stored = [spec.base.L, spec.n_cycles, spec.n_max, spec.grid_cap, *(v for axis in spec.axes for v in axis.values)]
+    assert all(type(value) in (int, float) for value in stored)
+    result = run_sweep(spec, journal_path=tmp_path / "journal.jsonl")
+    result.to_csv(tmp_path / "sweep.csv")
+    assert json.loads((tmp_path / "sweep.csv.meta.json").read_text())["fingerprint"] == spec.fingerprint()
 
 
 def test_grid_enumeration_row_major():
@@ -314,6 +344,47 @@ def test_propagator_factory_cache_reuse(monkeypatch):
     assert built == [BASE.epsilon, other.epsilon, BASE.epsilon]
 
 
+def test_propagators_of_one_key_assemble_u1_once(monkeypatch):
+    # U1 keeps its blocks, so two propagators of one key share one assembly
+    # across two series; each series used to assemble its own
+    assembled = []
+    assemble = floquet_module.u1_from_eigensystem
+
+    def counted(theta, vecs):
+        assembled.append(vecs.shape[0])
+        return assemble(theta, vecs)
+
+    monkeypatch.setattr(floquet_module, "u1_from_eigensystem", counted)
+    factory = PropagatorFactory()
+    for f_t2 in (0.1, 0.3):
+        autocorrelator_series(factory.get(BASE.with_f_t2(f_t2)), "1" * BASE.L, 10)
+    assert assembled == [10, 6]  # one even and one odd block at L=4
+
+
+def test_a_sweep_frees_each_keys_u1_without_the_cyclic_gc(monkeypatch):
+    # U1 and the blocks it keeps form no reference cycle, so reference
+    # counting frees a key's U1 as soon as the factory lets it go, before
+    # the next key's is built; a cycle would leave every key's U1 and blocks
+    # to the cyclic collector, and a sweep's peak would grow with its keys
+    built = []
+    stage1 = sweep_module.stage1_unitary
+
+    def tracked(params):
+        assert all(ref() is None for ref in built), "an earlier key's U1 is alive"
+        u1 = stage1(params)
+        built.append(weakref.ref(u1))
+        return u1
+
+    monkeypatch.setattr(sweep_module, "stage1_unitary", tracked)
+    gc.disable()
+    try:
+        result = run_sweep(small_spec())
+        assert all(ref() is None for ref in built)
+    finally:
+        gc.enable()
+    assert len(built) == 3 and result.errors == [None] * 6
+
+
 @pytest.mark.parametrize("observable", ["a_pi", "overlaps"])
 def test_key_alternating_grid_builds_each_key_once(monkeypatch, observable):
     eps, f_t2 = (0.0, 0.1, 0.2), (0.0, 0.1, 0.25)
@@ -395,7 +466,7 @@ def test_block_column_bits_independent_of_block(L, epsilon, width, data):
     f_values = data.draw(st.lists(st.floats(0.0, 0.5), min_size=width, max_size=width))
     starts = data.draw(st.lists(st.integers(0, (1 << L) - 1), min_size=width, max_size=width))
     base = SimulationParams(L=L, omega=np.pi / 2, epsilon=epsilon, v=0.1)
-    u1 = PropagatorFactory().stage1(base).assemble(base)
+    u1 = PropagatorFactory().stage1(base).assemble()
     sz = sigma_z_stack(base.basis)
     columns = [(base.with_f_t2(f), start) for f, start in zip(f_values, starts)]
     block, errors = _block_series(u1, columns, sz, 30)
