@@ -55,6 +55,8 @@ def _load_config(args) -> Optional[RunConfig]:
             text = args.config.read_text(encoding="utf-8")
         except OSError as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config {args.config} is not UTF-8 text: {exc}")
         cfg = parse_config(text)
     else:
         raise ConfigError("either --config or --figure is required")

@@ -9,7 +9,8 @@ only, and a point command's is checked against L as the config loads.
 Model parameters are the dimensionless groups figures are labeled by
 (OmegaT1, epsT1, VT1, FT2), converted to rates with T1 or T2; a numeric
 value may be a string like "pi/2", so OmegaT1 = pi/2 stays exact to
-machine precision.
+machine precision.  An expression is at most `MAX_EXPRESSION_LENGTH`
+characters long.
 
 Schema (defaults in parentheses):
 
@@ -44,6 +45,10 @@ from .sweep import ALL_ONES, DEFAULT_GRID_CAP, OBSERVABLES, RATE_AXES, SweepAxis
 COMMANDS = ("series", "spectrum", "overlaps", "lifetime", "sweep")
 
 _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
+# longer numeric expressions are refused unparsed: parsing and evaluating
+# nest one level per operator, so a long enough one exhausts the recursion
+# limit or the memory
+MAX_EXPRESSION_LENGTH = 100
 
 
 def parse_number(value, path: str) -> float:
@@ -57,6 +62,8 @@ def parse_number(value, path: str) -> float:
             raise ConfigError(f"{path}: {shown(value)} is beyond the float range")
     if not isinstance(value, str):
         raise ConfigError(f"{path}: expected a number or symbolic string, got {shown(value)}")
+    if len(value) > MAX_EXPRESSION_LENGTH:
+        raise ConfigError(f"{path}: unsupported numeric expression {shown(value)}")
     try:
         tree = ast.parse(value, mode="eval")
     except SyntaxError:
@@ -177,6 +184,8 @@ def parse_config(source: str) -> RunConfig:
         data = json.loads(source)
     except ValueError as exc:  # a JSONDecodeError, or an integer past str()'s digit limit
         raise ConfigError(f"config is not valid JSON: {exc}")
+    except RecursionError:  # arrays or objects nested past the recursion limit
+        raise ConfigError("config is nested too deeply to parse")
     _object(data, "config", ("command", "params", "initial_state", "n_cycles", "n_max", "sweep"))
 
     command = data.get("command")

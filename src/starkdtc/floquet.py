@@ -10,9 +10,9 @@ transform into sector components is slice arithmetic on contiguous rows.
 orbits and diagonalizes it; U1 is kept as the two eigensystems, W exp(-i
 theta) W^T per sector with W real orthogonal (`SectorUnitary`), after W is
 checked for orthogonality.  Every period multiplies by the two complex
-blocks that U1 assembles on first use and keeps (`SectorBlocks`): on narrow
-blocks one zgemm per sector is faster than the two real products of the
-eigensystem form.  U2 = exp(-i H2 T2) is diagonal and kept as a phase
+blocks that U1 assembles on first use and keeps (`SectorUnitary.product`):
+on narrow blocks one zgemm per sector is faster than the two real products
+of the eigensystem form.  U2 = exp(-i H2 T2) is diagonal and kept as a phase
 vector Phi; the Stark ramp breaks the reflection, so one period is a
 sector product with U1 followed by a row scaling.
 
@@ -50,7 +50,7 @@ import numpy as np
 from .exceptions import NumericError, ResourceLimitError
 # build_h1 is unused here; the benchmark tracer's H1 span binds to this name
 from .hamiltonian import SimulationParams, build_h1, build_h2_diagonal, interaction_diagonal  # noqa: F401
-from .hilbert import basis_index
+from .hilbert import basis_index, reflection_orbits
 
 UNITARITY_TOL = 1e-10
 RESIDUAL_TOL = 1e-8
@@ -214,7 +214,7 @@ def _sector_h1(params: SimulationParams, sector: str) -> np.ndarray:
     the sector.  No entry gets more than two terms, so with a reflection-
     symmetric diagonal (to the bit with NN) the block has the bits of the
     orbit-ordered dense H1 projected slice by slice."""
-    fixed, lo, hi = params.basis.reflection_orbits()
+    fixed, lo, hi = reflection_orbits(params.L)
     even = sector == "even"
     nf = fixed.size if even else 0
     slot, weight = np.full(params.dimension, -1), np.zeros(params.dimension)
@@ -241,35 +241,36 @@ class SectorUnitary:
     projection of H1.  `params` is the point U1 was built for; its stage-1
     key names U1 in error messages.  The sectors act on the basis in
     reflection-orbit order `fixed || lo || hi` (see
-    `BasisConfig.reflection_orbits`); `order` maps each orbit position to
-    its z-basis index and `inverse` maps back.  The even sector acts on the
+    `hilbert.reflection_orbits`); `order` maps each orbit position to its
+    z-basis index and `inverse` maps back.  The even sector acts on the
     fixed states and the symmetric pair combinations, the odd sector on the
     antisymmetric ones (empty at L=1).  In orbit order the sector transform
     is slice arithmetic on contiguous rows (`_split`, `_merge`).  Every
-    period multiplies by the assembled complex blocks (`assemble`), which
-    U1 keeps until `quasi_spectrum` drops them.
+    period multiplies by the complex blocks `assemble` forms (`product`),
+    which U1 keeps until `quasi_spectrum` drops them.
     """
 
     def __init__(self, params: SimulationParams, even, odd):
         self.params = params
         self.even = even
         self.odd = odd
-        fixed, lo, hi = params.basis.reflection_orbits()
+        fixed, lo, hi = reflection_orbits(params.L)
         self.order = np.concatenate((fixed, lo, hi))
         self.inverse = np.argsort(self.order)
         self.n_fixed = fixed.size
-        self._blocks: Optional[SectorBlocks] = None
+        self._blocks: Optional[tuple] = None
 
     @property
     def dimension(self) -> int:
         return self.order.size
 
-    def assemble(self) -> "SectorBlocks":
-        """The complex blocks W exp(-i theta) W^T (`u1_from_eigensystem`),
-        assembled on the first call and kept: each is checked on 16 sampled
-        Gram rows at every size, which catches an assembly fault (W itself
-        was checked in full); one off by more than `UNITARITY_TOL` raises
-        `NumericError` naming the key of `params` and the sector."""
+    def assemble(self) -> tuple:
+        """The complex blocks (even, odd), W exp(-i theta) W^T
+        (`u1_from_eigensystem`), assembled on the first call and kept: each
+        is checked on 16 sampled Gram rows at every size, which catches an
+        assembly fault (W itself was checked in full); one off by more than
+        `UNITARITY_TOL` raises `NumericError` naming the key of `params`
+        and the sector."""
         if self._blocks is None:
             blocks = []
             for name, (theta, w) in (("even", self.even), ("odd", self.odd)):
@@ -277,31 +278,11 @@ class SectorUnitary:
                 if block.size:
                     _check_unitarity(unitarity_deviation(block, full_dim=0), self.params, name, "once assembled")
                 blocks.append(block)
-            self._blocks = SectorBlocks(*blocks, self.order, self.inverse, self.n_fixed)
+            self._blocks = tuple(blocks)
         return self._blocks
 
-
-@dataclass(frozen=True, eq=False)
-class SectorBlocks:
-    """U1 as its two assembled complex sector blocks, the form every period
-    multiplies by (`FloquetPropagator.apply`, `observables._evolve_block`),
-    with the orbit order of the `SectorUnitary` they were assembled from.
-    They hold no reference to it, so U1 and its blocks form no cycle and
-    are freed as soon as U1 is released.  `product` is one zgemm per sector.
-    """
-
-    even: np.ndarray
-    odd: np.ndarray
-    order: np.ndarray
-    inverse: np.ndarray
-    n_fixed: int
-
-    @property
-    def dimension(self) -> int:
-        return self.order.size
-
     def _rows(self):
-        return (self.even.shape[0], self.odd.shape[0]) * 2
+        return (self.even[1].shape[0], self.odd[1].shape[0]) * 2
 
     def workspace(self, width: int):
         """Flat complex sector buffers (x_even, x_odd, y_even, y_odd) for
@@ -309,16 +290,17 @@ class SectorBlocks:
         return tuple(np.empty(rows * width, dtype=complex) for rows in self._rows())
 
     def product(self, x: np.ndarray, out: np.ndarray, work) -> np.ndarray:
-        """U1 x on orbit-ordered rows (a C-order 2-d block), one product
-        per sector, into `out` (which may be x itself).  `work` comes from
-        `workspace(width)`, width >= x's; its C-order views over the start
-        of each buffer give a C-order block C-order products (the sweep's
-        padded blocks need them for column-independent bits, see
-        `sweep._PANEL`)."""
+        """U1 x on orbit-ordered rows (a C-order 2-d block), one zgemm per
+        sector through the assembled blocks (`assemble`), into `out` (which
+        may be x itself).  `work` comes from `workspace(width)`, width >=
+        x's; its C-order views over the start of each buffer give a C-order
+        block C-order products (the sweep's padded blocks need them for
+        column-independent bits, see `sweep._PANEL`)."""
+        even, odd = self.assemble()
         x_even, x_odd, y_even, y_odd = (_leading(buf, rows, x.shape[1]) for buf, rows in zip(work, self._rows()))
         _split(x, self.n_fixed, x_even, x_odd)
-        np.matmul(self.even, x_even, out=y_even)
-        np.matmul(self.odd, x_odd, out=y_odd)
+        np.matmul(even, x_even, out=y_even)
+        np.matmul(odd, x_odd, out=y_odd)
         return _merge(y_even, y_odd, self.n_fixed, out)
 
 
@@ -416,7 +398,7 @@ class FloquetPropagator:
     `stage1_unitary`; the stage-2 diagonal `h2_diagonal` and its phase
     vector `phase2` are derived from `params`.  `apply` advances z-basis
     amplitudes by Phi * (U1 psi), one period per call, through the product
-    of every evolution loop (`SectorBlocks.product`): the tests' reference
+    of every evolution loop (`SectorUnitary.product`): the tests' reference
     step, which no command calls.  No dense U_F is ever formed.
     """
 
@@ -432,12 +414,12 @@ class FloquetPropagator:
 
     def apply(self, state: np.ndarray) -> np.ndarray:
         """Advance z-basis amplitudes (vector or stacked columns) by one
-        period: into orbit order, `SectorBlocks.product`, back, then the
+        period: into orbit order, `SectorUnitary.product`, back, then the
         phase."""
-        blocks = self.u1.assemble()
+        u1 = self.u1
         state = np.asarray(state, dtype=complex)
-        ordered = np.ascontiguousarray(state[blocks.order]).reshape(blocks.dimension, -1)
-        out = blocks.product(ordered, ordered, blocks.workspace(ordered.shape[1]))[blocks.inverse]
+        ordered = np.ascontiguousarray(state[u1.order]).reshape(u1.dimension, -1)
+        out = u1.product(ordered, ordered, u1.workspace(ordered.shape[1]))[u1.inverse]
         out *= self.phase2[:, None]
         return out.reshape(state.shape)
 
@@ -459,9 +441,8 @@ class QuasiSpectrum:
     eigenstates are psi_a = D^1/2 v_a: `vectors` is the real orthogonal
     matrix of the v_a (z-basis rows, one column per quasi-energy) and
     `phases` the z-basis diagonal of D^1/2 = exp(-i H2 T2 / 2), so the
-    complex eigenstate matrix is not stored; `eigenstates()` forms it, a
-    new dim x dim complex array on every call.  `params` names the point in
-    error messages.
+    complex eigenstate matrix D^1/2 V is never stored.  `params` names the
+    point in error messages.
     """
 
     quasi_energies: np.ndarray
@@ -472,14 +453,6 @@ class QuasiSpectrum:
     @property
     def dimension(self) -> int:
         return self.vectors.shape[0]
-
-    def eigenstates(self) -> np.ndarray:
-        """The orthonormal eigenstate columns D^1/2 V, as a new complex
-        array (writes to it do not reach `vectors`)."""
-        return self.phases[:, None] * self.vectors
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.exp(-1j * self.quasi_energies)
 
 
 def _fold_quasi_energies(eigenvalues: np.ndarray) -> np.ndarray:

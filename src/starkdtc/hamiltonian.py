@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hilbert import BasisConfig, shown
+from .hilbert import occupations, shown
 
 KERNEL_VARIANTS = ("NN", "NNN", "NNNN", "ALL")
 
@@ -81,10 +81,6 @@ class SimulationParams:
             raise ValueError(f"unknown kernel variant {shown(self.kernel)}, expected one of {KERNEL_VARIANTS}")
 
     @property
-    def basis(self) -> BasisConfig:
-        return BasisConfig(self.L)
-
-    @property
     def dimension(self) -> int:
         return 1 << self.L
 
@@ -113,7 +109,7 @@ def interaction_diagonal(params: SimulationParams) -> np.ndarray:
     pairs up to its largest distance, `reach`, each with V_ij = V / |i-j|^6.
     """
     reach = {"NN": 1, "NNN": 2, "NNNN": 3}.get(params.kernel, params.L)
-    occ = params.basis.occupations()
+    occ = occupations(params.L)
     diag = np.zeros(params.dimension)
     for i in range(1, params.L + 1):
         for j in range(i + 1, min(i + reach, params.L) + 1):
@@ -129,7 +125,7 @@ def stark_diagonal(params: SimulationParams) -> np.ndarray:
     The site index convention changes quasi-energies (it is not a global
     offset), so it is fixed here once and for all.
     """
-    occ = params.basis.occupations()
+    occ = occupations(params.L)
     sites = np.arange(1, params.L + 1, dtype=float)
     return params.f * (sites[:, None] * occ).sum(axis=0)
 

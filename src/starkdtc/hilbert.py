@@ -7,57 +7,46 @@ has eigenvalue +1 on occupied sites and occupation extraction is a
 shift-and-mask.  An initial state is a z-product state, given as its bit
 string (leftmost character = site 1); `basis_index` checks it and gives
 the basis integer, which is all the evolution and the overlaps read of it.
+The basis functions take a site count that `SimulationParams` accepted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
-@dataclass(frozen=True)
-class BasisConfig:
-    """z-basis of an L-site chain; dimension 2^L.  L is an integer >= 1,
-    not a bool (ValueError otherwise)."""
+def occupations(L: int) -> np.ndarray:
+    """(L, 2^L) array with n_j(b) = bit j-1 of b, rows indexed by j-1."""
+    b = np.arange(1 << L, dtype=np.int64)
+    return np.stack([(b >> (j - 1)) & 1 for j in range(1, L + 1)]).astype(float)
 
-    L: int
 
-    def __post_init__(self):
-        if isinstance(self.L, bool) or not isinstance(self.L, (int, np.integer)) or self.L < 1:
-            raise ValueError(f"site count must be a positive integer, got {shown(self.L)}")
+def reflection_orbits(L: int):
+    """Orbits of the site reflection R: j -> L+1-j on the basis integers.
 
-    @property
-    def dimension(self) -> int:
-        return 1 << self.L
-
-    def occupations(self) -> np.ndarray:
-        """(L, 2^L) array with n_j(b) = bit j-1 of b, rows indexed by j-1."""
-        b = np.arange(self.dimension, dtype=np.int64)
-        return np.stack([(b >> (j - 1)) & 1 for j in range(1, self.L + 1)]).astype(float)
-
-    def reflection_orbits(self):
-        """Orbits of the site reflection R: j -> L+1-j on the basis integers.
-
-        Returns (fixed, lo, hi): the states with R(b) = b, and the pairs
-        (lo[k], hi[k] = R(lo[k])) with lo[k] < hi[k], each ascending in its
-        first member.  Together they hold every basis state exactly once.
-        """
-        b = np.arange(self.dimension, dtype=np.int64)
-        mirrored = np.zeros_like(b)
-        for k in range(self.L):
-            mirrored |= ((b >> k) & 1) << (self.L - 1 - k)
-        pair = b < mirrored
-        return b[b == mirrored], b[pair], mirrored[pair]
+    Returns (fixed, lo, hi): the states with R(b) = b, and the pairs
+    (lo[k], hi[k] = R(lo[k])) with lo[k] < hi[k], each ascending in its
+    first member.  Together they hold every basis state exactly once.
+    """
+    b = np.arange(1 << L, dtype=np.int64)
+    mirrored = np.zeros_like(b)
+    for k in range(L):
+        mirrored |= ((b >> k) & 1) << (L - 1 - k)
+    pair = b < mirrored
+    return b[b == mirrored], b[pair], mirrored[pair]
 
 
 def shown(value) -> str:
     """`value` as a refusal names it: its repr, or, if that is long or
     multi-line, its type and length (its repr's if it has none; an int's
-    bit length, since str() raises past 4300 digits)."""
+    bit length, since str() raises past 4300 digits; a container nested too
+    deeply for repr, its type alone)."""
     if isinstance(value, int) and abs(value) >= 10 ** 64:
         return f"{type(value).__name__} of {value.bit_length()} bits"
-    text = repr(value)
+    try:
+        text = repr(value)
+    except RecursionError:
+        return f"{type(value).__name__} nested too deeply to show"
     if len(text) <= 64 and "\n" not in text:
         return text
     return f"{type(value).__name__} of length {len(value) if hasattr(value, '__len__') else len(text)}"
@@ -82,6 +71,6 @@ def basis_index(bits, L: int) -> int:
     return int(bits[::-1], 2)
 
 
-def sigma_z_stack(basis: BasisConfig) -> np.ndarray:
+def sigma_z_stack(L: int) -> np.ndarray:
     """(L, 2^L) array of all sigma^z_j diagonals."""
-    return 2.0 * basis.occupations() - 1.0
+    return 2.0 * occupations(L) - 1.0

@@ -19,8 +19,8 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import NumericError
-from .floquet import FloquetPropagator, _point_text
-from .hamiltonian import SimulationParams
+from .floquet import FloquetPropagator, _point_text, propagator_u2
+from .hamiltonian import SimulationParams, build_h2_diagonal
 from .hilbert import basis_index, shown, sigma_z_stack
 
 NORM_DRIFT_TOL = 1e-8
@@ -34,13 +34,10 @@ class AutocorrelatorSeries:
     """C(nT) samples for n = 0 .. n_cycles; C[0] = 1 by construction."""
 
     values: np.ndarray
-    n_cycles: int
 
-    def __post_init__(self):
-        if self.values.shape != (self.n_cycles + 1,):
-            raise ValueError(
-                f"series of {self.values.shape} samples inconsistent with n_cycles={self.n_cycles}"
-            )
+    @property
+    def n_cycles(self) -> int:
+        return self.values.size - 1
 
 
 @dataclass(frozen=True)
@@ -125,37 +122,37 @@ def autocorrelator_series(prop: FloquetPropagator, bits: str, n_cycles: int) -> 
     string of the propagator's L (`hilbert.basis_index`), or a count
     `check_counts` refuses, raises `ValueError` before U1's blocks are
     assembled.  Every cycle advances the state by Phi * (U1 psi) through
-    U1's blocks (`SectorUnitary.assemble`: assembled on first use, then
+    U1's blocks (`SectorUnitary.product`: assembled on first use, then
     kept) and checks the norm, as a one-column block of the sweep's loop
     (`_evolve_block`).  A failed check raises `NumericError` naming the
     parameter point, the tolerance and the cycle.
     """
     check_counts("series", n_cycles=n_cycles)
     index = basis_index(bits, prop.params.L)
-    sz = sigma_z_stack(prop.params.basis)
-    block, (error,) = _evolve_block(prop.u1.assemble(), prop.phase2[:, None], [(prop.params, index)], sz, n_cycles)
+    block, (error,) = _evolve_block(prop.u1, [(prop.params, index)], sigma_z_stack(prop.params.L), n_cycles, 1)
     if error is not None:
         raise error
-    return AutocorrelatorSeries(values=block[:, 0], n_cycles=n_cycles)
+    return AutocorrelatorSeries(values=block[:, 0])
 
 
-def _evolve_block(blocks, phi, columns, sz, n_cycles):
+def _evolve_block(u1, columns, sz, n_cycles, width):
     """C(n) of z-product states evolved as one block by Psi <- Phi * (U1 Psi).
 
-    `blocks` is the stage-1 unitary as its assembled blocks
-    (`floquet.SectorBlocks`); `phi` is a (dim, width) block
-    holding the stage-2 phase column of each state, in the order of
-    `columns` (one (params, basis index) pair per z-product state; the
-    params name the point in error messages), then zero columns as padding.
-    Rows are permuted into reflection-orbit order once, and the state, the
-    phase block and the sector buffers are C-order.  A cycle is one
-    `blocks.product` (two sector gemms) and a few passes over preallocated
-    buffers: |psi|^2 = re^2 + im^2, then one product per live column with
-    the rows (1, w_c), which reads its squared norm and C_c(n) = w_c .
-    |psi_c|^2 at once (w_c = (s_c . sigma^z) / L for the signs s_c of state
-    c, formed once), then one vectorized norm-drift comparison for the
-    block.  All but the gemms are per column, so a column's bits do not
-    depend on the rest of a block padded as in `sweep._block_series`.
+    `u1` is the stage-1 unitary (`floquet.SectorUnitary`) of every state;
+    `columns` holds one (params, basis index) pair per z-product state (the
+    params name the point in error messages), and the block has `width`
+    columns, at least one per state.  Column c's Phi is the stage-2 phase
+    vector of its params, formed as `FloquetPropagator.phase2` is, and the
+    columns past the states are zero padding.  Rows are permuted into
+    reflection-orbit order once, and the state, the phase block and the
+    sector buffers are C-order.  A cycle is one `u1.product` (two sector
+    gemms) and a few passes over preallocated buffers: |psi|^2 = re^2 +
+    im^2, then one product per live column with the rows (1, w_c), which
+    reads its squared norm and C_c(n) = w_c . |psi_c|^2 at once (w_c =
+    (s_c . sigma^z) / L for the signs s_c of state c, formed once), then
+    one vectorized norm-drift comparison for the block.  All but the gemms
+    are per column, so a column's bits do not depend on the rest of a
+    block whose width is a multiple of `sweep._PANEL`.
 
     Returns the (n_cycles + 1, len(columns)) series and one `NumericError`
     (or None) per state.  A state whose norm drifts is zeroed and no longer
@@ -165,16 +162,17 @@ def _evolve_block(blocks, phi, columns, sz, n_cycles):
     points, starts = zip(*columns)
     count = len(columns)
     length, dim = sz.shape
-    phi = np.ascontiguousarray(phi[blocks.order])
-    sz = sz[:, blocks.order]
-    width = phi.shape[1]
-    rows = blocks.inverse[list(starts)]
+    phi = np.zeros((dim, width), dtype=complex)
+    for col, params in enumerate(points):
+        phi[:, col] = propagator_u2(build_h2_diagonal(params), params.t2)[u1.order]
+    sz = sz[:, u1.order]
+    rows = u1.inverse[list(starts)]
     psi = np.zeros((dim, width), dtype=complex)
     psi[rows, np.arange(count)] = 1.0
     readout = np.ones((count, 2, dim))
     # sz entries are +-1, so the sums are exact integers
     readout[:, 1] = sz[:, rows].T @ sz / length
-    work = blocks.workspace(width)
+    work = u1.workspace(width)
     squares = np.empty((dim, 2 * width))
     prob = np.empty((dim, width))
     # per column (squared norm, C); rows of padding and failed states stay 0
@@ -191,7 +189,7 @@ def _evolve_block(blocks, phi, columns, sz, n_cycles):
     for n in range(1, n_cycles + 1):
         if not live:
             break
-        np.multiply(phi, blocks.product(psi, psi, work), out=psi)
+        np.multiply(phi, u1.product(psi, psi, work), out=psi)
         np.square(psi.view(float), out=squares)
         np.add(squares[:, 0::2], squares[:, 1::2], out=prob)
         for col in live:

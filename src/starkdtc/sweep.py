@@ -30,18 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from .exceptions import ConfigError, NumericError
-from .floquet import (
-    FloquetPropagator,
-    OverlapTable,
-    SectorBlocks,
-    SectorUnitary,
-    _point_text,
-    check_memory,
-    overlaps,
-    propagator_u2,
-    stage1_unitary,
-)
-from .hamiltonian import SimulationParams, build_h2_diagonal, check_rate
+from .floquet import FloquetPropagator, OverlapTable, SectorUnitary, _point_text, check_memory, overlaps, stage1_unitary
+from .hamiltonian import SimulationParams, check_rate
 from .hilbert import basis_index, check_bits, shown, sigma_z_stack
 from .observables import AutocorrelatorSeries, _evolve_block, check_counts, fourier_spectrum, reversal_analysis
 from .output import atomic_open, params_metadata, write_csv, write_sidecar
@@ -296,7 +286,7 @@ def series_record(observable: str, values: np.ndarray) -> dict:
         return reversal_analysis(values).record()
     if observable == "series":
         return {"n": list(range(values.size)), "c": values.tolist()}
-    spectral = fourier_spectrum(AutocorrelatorSeries(values=values, n_cycles=values.size - 1))
+    spectral = fourier_spectrum(AutocorrelatorSeries(values=values))
     if observable == "a_pi":
         return {"a_pi": spectral.a_pi}
     return {
@@ -319,38 +309,21 @@ def table(observable: str, record: dict):
     return header, rows, {name: record[name] for name in names}
 
 
-def _block_series(blocks: SectorBlocks, columns, sz: np.ndarray, n_cycles: int):
-    """C(n) of the z-product states of one stage-1 key, as one column block.
-
-    `columns` holds one (params, basis index) pair per state; all share the
-    stage-1 propagator, as its assembled `blocks`.  The block is widened
-    with zero columns to a multiple of 4, which keeps each column's bits
-    independent of the rest of the block, a lone point included.
-    Returns the (n_cycles + 1, k) series and one error marker (or None) per
-    column.
-    """
-    count = len(columns)
-    width = -(-count // _PANEL) * _PANEL
-    phi = np.zeros((blocks.dimension, width), dtype=complex)
-    for col, (params, _) in enumerate(columns):
-        phi[:, col] = propagator_u2(build_h2_diagonal(params), params.t2)
-    values, faults = _evolve_block(blocks, phi, columns, sz, n_cycles)
-    return values, [None if fault is None else _marker(fault) for fault in faults]
-
-
 def _evaluate_group(spec: SweepSpec, members, factory: PropagatorFactory):
     """(index, coords, value, error) for the points of one stage-1 key.
 
     `members` are (index, coords, params, bits) tuples, yielded in order.
-    Overlaps points each take their quasi-spectrum from the shared U1; for
-    the others are evolved through U1's blocks (`u1.assemble()`) in padded
-    blocks of up to _MAX_BLOCK_COLUMNS columns.  A `NumericError` marks its
+    Overlaps points each take their quasi-spectrum from the shared U1; the
+    others are evolved through U1's blocks (`u1.assemble()`) in blocks of
+    up to _MAX_BLOCK_COLUMNS states, each padded with zero columns to a
+    multiple of _PANEL, which keeps each column's bits independent of the
+    rest of the block, a lone point included.  A `NumericError` marks its
     point, or in stage 1 and the assembly every point of its key.
     """
     try:
         u1 = factory.stage1(members[0][2])
         if spec.observable != "overlaps":
-            blocks = u1.assemble()
+            u1.assemble()
     except NumericError as exc:
         for index, coords, _, _ in members:
             yield index, coords, None, _marker(exc)
@@ -364,14 +337,17 @@ def _evaluate_group(spec: SweepSpec, members, factory: PropagatorFactory):
             yield index, coords, value, error
         return
     n_cycles = getattr(spec, OBSERVABLES[spec.observable][0])
-    sz = sigma_z_stack(members[0][2].basis)
+    sz = sigma_z_stack(u1.params.L)
     for at in range(0, len(members), _MAX_BLOCK_COLUMNS):
         chunk = members[at:at + _MAX_BLOCK_COLUMNS]
         columns = [(params, basis_index(bits, params.L)) for _, _, params, bits in chunk]
-        values, errors = _block_series(blocks, columns, sz, n_cycles)
-        for col, (index, coords, _, _) in enumerate(chunk):
-            value = None if errors[col] else series_record(spec.observable, values[:, col])
-            yield index, coords, value, errors[col]
+        width = -(-len(chunk) // _PANEL) * _PANEL
+        values, faults = _evolve_block(u1, columns, sz, n_cycles, width)
+        for col, ((index, coords, _, _), fault) in enumerate(zip(chunk, faults)):
+            if fault is None:
+                yield index, coords, series_record(spec.observable, values[:, col]), None
+            else:
+                yield index, coords, None, _marker(fault)
 
 
 def _evaluate_grouped(spec: SweepSpec, pending, factory: PropagatorFactory):

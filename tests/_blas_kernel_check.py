@@ -1,8 +1,10 @@
 """Bit-equality checks of the block evolution, run in a child process.
 
 Run as a script under a chosen `OPENBLAS_CORETYPE` (see
-test_blas_kernels.py).  It checks that each column of `_block_series` has
-the bits of the same point evolved alone, at several L, block widths and
+test_blas_kernels.py).  It checks that each column of a block evolved by
+`observables._evolve_block`, padded with zero columns to a multiple of
+`sweep._PANEL` as the sweep pads it, has the bits of the same point
+evolved alone in a padded block, at several L, block widths and
 positions (among them a known falsifying example of F-order products under
 the Haswell and Zen kernels: L=3, width 5, off from cycle 2), and that the
 grids of `test_sweep.py::test_sweep_point_independence` give every point
@@ -20,7 +22,8 @@ import numpy as np
 
 from starkdtc import SimulationParams, SweepAxis, SweepSpec, run_sweep
 from starkdtc.hilbert import sigma_z_stack
-from starkdtc.sweep import PropagatorFactory, _block_series
+from starkdtc.observables import _evolve_block
+from starkdtc.sweep import _PANEL, PropagatorFactory
 
 CYCLES = 30
 CORENAME_SYMBOLS = (
@@ -69,13 +72,13 @@ def block_mismatches():
     factory = PropagatorFactory()
     for L, epsilon, f_values, starts in block_cases():
         base = SimulationParams(L=L, omega=np.pi / 2, epsilon=epsilon, v=0.1)
-        # the blocks as the sweep assembles them, once per stage-1 key
-        u1 = factory.stage1(base).assemble()
-        sz = sigma_z_stack(base.basis)
+        # U1 as the sweep builds it, once per stage-1 key
+        u1 = factory.stage1(base)
+        sz = sigma_z_stack(base.L)
         columns = [(base.with_f_t2(float(f)), start) for f, start in zip(f_values, starts)]
-        block, _ = _block_series(u1, columns, sz, CYCLES)
+        block, _ = _evolve_block(u1, columns, sz, CYCLES, -(-len(columns) // _PANEL) * _PANEL)
         for position, column in enumerate(columns):
-            alone, _ = _block_series(u1, [column], sz, CYCLES)
+            alone, _ = _evolve_block(u1, [column], sz, CYCLES, _PANEL)
             differ = np.flatnonzero(block[:, position] != alone[:, 0])
             if differ.size:
                 cycle = int(differ[0])

@@ -9,7 +9,8 @@ assembled sector blocks, the product every command's evolution runs:
 `coevolution_series` checks the evolution loop and readout of
 `autocorrelator_series`, and `dense_u_f` gives the dense U_F that the
 package never forms, so that product is checked against the independent
-expm and Trotter propagators here.
+expm and Trotter propagators here.  `eigenstates` and `eigenvalues` read a
+quasi-spectrum's stored fields in the complex form the oracles compare.
 """
 
 import numpy as np
@@ -182,6 +183,17 @@ def expm_multiply_coevolution(L, omega, epsilon, v, f, t1, t2, amplitudes, n_cyc
 def dense_u_f(prop) -> np.ndarray:
     """The dense U_F of a `FloquetPropagator`: one period applied to the identity."""
     return prop.apply(np.eye(prop.dimension, dtype=complex))
+
+
+def eigenstates(spectrum) -> np.ndarray:
+    """The orthonormal eigenstate columns D^1/2 V of a `QuasiSpectrum`, as a
+    new complex array (writes to it do not reach `spectrum.vectors`)."""
+    return spectrum.phases[:, None] * spectrum.vectors
+
+
+def eigenvalues(spectrum) -> np.ndarray:
+    """exp(-i E_a) for the quasi-energies E_a of a `QuasiSpectrum`."""
+    return np.exp(-1j * spectrum.quasi_energies)
 
 
 def coevolution_series(prop, amplitudes, n_cycles):

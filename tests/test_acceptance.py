@@ -24,6 +24,7 @@ from starkdtc import (
     run_sweep,
 )
 from starkdtc.hamiltonian import KERNEL_VARIANTS
+from starkdtc.hilbert import occupations
 from starkdtc.sweep import PropagatorFactory
 from _oracles import coevolution_series, dense_u_f, product_vector, trotter_floquet
 
@@ -278,7 +279,7 @@ def test_criterion_9_stark_echo(factory):
         for f_t2 in (0.1, 0.25, 0.5):  # F in {0.01, 0.025, 0.05} with T2 = 10
             params = SimulationParams(L=L, omega=PI / 2, epsilon=0.0, v=0.0).with_f_t2(f_t2)
             prop = factory.get(params)
-            sz = 2.0 * params.basis.occupations() - 1.0
+            sz = 2.0 * occupations(params.L) - 1.0
             psi = product_vector("10" * (L // 2) + "1" * (L % 2))
             reference = sz @ np.abs(psi) ** 2
             for _ in range(4):  # every 2 periods, checked over 8 periods

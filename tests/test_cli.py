@@ -1,13 +1,18 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import starkdtc.figures as figures_module
 import starkdtc.floquet as floquet_module
@@ -222,9 +227,9 @@ def test_figure_command_rerun_is_byte_identical(tmp_path, monkeypatch):
     evolutions = []
     evolve_block = observables_module._evolve_block
 
-    def counted(*args):
-        evolutions.append(args[-1])
-        return evolve_block(*args)
+    def counted(u1, columns, sz, n_cycles, width):
+        evolutions.append(n_cycles)
+        return evolve_block(u1, columns, sz, n_cycles, width)
 
     monkeypatch.setattr(observables_module, "_evolve_block", counted)
     out1 = tmp_path / "run1"
@@ -247,9 +252,9 @@ def test_fig5_evolves_once(tmp_path, monkeypatch):
     evolutions = []
     evolve_block = observables_module._evolve_block
 
-    def counted(*args):
-        evolutions.append(len(args[2]))
-        return evolve_block(*args)
+    def counted(u1, columns, sz, n_cycles, width):
+        evolutions.append(len(columns))
+        return evolve_block(u1, columns, sz, n_cycles, width)
 
     for module in (observables_module, sweep_module):
         monkeypatch.setattr(module, "_evolve_block", counted)
@@ -505,6 +510,103 @@ def test_inputs_the_run_types_refuse_exit_2_naming_the_key(tmp_path, monkeypatch
     assert main(["--config", str(write_config(tmp_path, data)), "--out", str(out)]) == 2
     assert f"config error: {message}\n" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"\xff\xfe{}", "is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0"),
+        (b"[" * 100_000 + b"]" * 100_000, "config is nested too deeply to parse"),
+    ]
+    + [
+        (json.dumps({"command": "series", "params": {"L": 2, "OmegaT1": "-" * count + "1"}}).encode(),
+         f"params.OmegaT1: unsupported numeric expression str of length {count + 1}")
+        for count in (1500, 3000, 100_000)
+    ],
+    ids=["not_utf8", "nested_100000", "minus_1500", "minus_3000", "minus_100000"],
+)
+def test_configs_that_cannot_be_read_exit_2_without_a_traceback(tmp_path, capsys, data, message):
+    # each used to end in a traceback (exit 1): a UnicodeDecodeError, a
+    # RecursionError from json.loads, and a RecursionError from evaluating
+    # (1500), parsing (3000) or a MemoryError from parsing (100 000) the
+    # expression
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(data)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+
+
+# configs drawn for `test_any_config_exits_0_2_or_3`: every size a run reads
+# (L, an L axis value, a count) is small or not a number, so a run that is
+# taken stays at L <= 4 and at most 200 cycles (a lifetime that leaves n_max
+# out runs its default 5000 cycles, a few ms at L <= 4).  Most fields are
+# drawn valid, so that many configs reach stage 1
+_SAFE_LEAVES = st.none() | st.booleans() | st.text(max_size=12)
+_ANY_LEAVES = _SAFE_LEAVES | st.integers() | st.floats()
+
+
+def _trees(leaves):
+    return st.recursive(
+        leaves, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+        max_leaves=8,
+    )
+
+
+def _mostly(valid, other):
+    """`valid` seven times in eight, else `other`."""
+    return st.integers(0, 7).flatmap(lambda pick: other if pick == 0 else valid)
+
+
+_JUNK, _ANYTHING = _trees(_SAFE_LEAVES), _trees(_ANY_LEAVES)
+_SIZES = _mostly(st.integers(1, 4), st.integers(-1, 0) | _JUNK)
+_COUNTS = _mostly(st.integers(1, 200), st.integers(-1, 0) | _JUNK)
+_RATES = _mostly(st.floats(-4.0, 4.0) | st.sampled_from(["pi/2", "-pi", "2*pi/3", "1/0", "(-1)**0.5", "pi**2**9"]),
+                 _ANYTHING)
+_STATES = _mostly(st.text("01", min_size=1, max_size=5) | st.just("all_ones"), _ANYTHING)
+_PARAMS = st.fixed_dictionaries(
+    {"L": _SIZES},
+    optional={key: _RATES for key in ("T1", "T2", "OmegaT1", "epsT1", "VT1", "FT2")}
+    | {"kernel": _mostly(st.sampled_from(["NN", "NNN", "NNNN", "ALL"]), _ANYTHING)},
+)
+_AXES = st.lists(
+    st.fixed_dictionaries({
+        "name": _mostly(st.sampled_from(["epsilon", "F_T2", "V", "L", "kernel", "initial_state"]), _ANYTHING),
+        "values": _mostly(st.lists(st.integers(1, 4) | st.floats(-1.0, 1.0) | _STATES, min_size=1, max_size=3),
+                          _JUNK),
+    }),
+    min_size=1, max_size=2,
+)
+_SWEEP_CONFIGS = st.fixed_dictionaries(
+    {"command": st.just("sweep"), "params": _PARAMS,
+     "sweep": st.fixed_dictionaries(
+         {"axes": _mostly(_AXES, _JUNK),
+          "observable": _mostly(st.sampled_from(["a_pi", "lifetime", "series", "spectrum", "overlaps"]), _ANYTHING)},
+         optional={"grid_cap": _COUNTS})},
+    optional={"initial_state": _STATES, "n_cycles": _COUNTS, "n_max": _COUNTS},
+)
+_POINT_CONFIGS = st.fixed_dictionaries(
+    {"command": _mostly(st.sampled_from(["series", "spectrum", "overlaps", "lifetime"]), _ANYTHING),
+     "params": _mostly(_PARAMS, _JUNK)},
+    optional={"initial_state": _STATES, "n_cycles": _COUNTS, "n_max": _COUNTS},
+)
+_CONFIGS = (_POINT_CONFIGS | _SWEEP_CONFIGS | _ANYTHING).map(lambda data: json.dumps(data).encode())
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(source=st.binary(max_size=300) | _CONFIGS)
+def test_any_config_exits_0_2_or_3(source):
+    # the exit contract for any config file: success, a config or resource
+    # error (2) or a numeric error (3), each with a message and never a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "config.json"
+        cfg.write_bytes(source)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["--config", str(cfg), "--out", str(Path(tmp) / "out")])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    assert (code == 0) == (err.getvalue() == "")
 
 
 def test_output_path_that_is_a_directory_exits_2(tmp_path, capsys):

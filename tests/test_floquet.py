@@ -23,8 +23,9 @@ import starkdtc.floquet as floquet
 from starkdtc.cli import main
 from starkdtc.floquet import OverlapTable, circular_gap, propagator_u2, quasi_spectrum, unitarity_deviation
 from starkdtc.hamiltonian import build_h1, build_h2_diagonal
+from starkdtc.hilbert import occupations, reflection_orbits
 from starkdtc.sweep import PropagatorFactory
-from _oracles import bits_of, dense_u_f, h2_diagonal, product_vector, trotter_floquet
+from _oracles import bits_of, dense_u_f, eigenstates, eigenvalues, h2_diagonal, product_vector, trotter_floquet
 from test_trace_bindings import load_tracer
 
 
@@ -120,7 +121,7 @@ def test_stark_echo_two_periods():
         for f_t2 in (0.01, 0.025, 0.05):
             p = SimulationParams(L=L, omega=np.pi / 2, epsilon=0.0, v=0.0).with_f_t2(f_t2)
             prop = floquet_operator(p)
-            sz = 2.0 * p.basis.occupations() - 1.0
+            sz = 2.0 * occupations(p.L) - 1.0
             states = [product_vector("1" * L)]
             psi = rng.normal(size=p.dimension) + 1j * rng.normal(size=p.dimension)
             states.append(psi / np.linalg.norm(psi))
@@ -149,10 +150,10 @@ def test_quasi_spectrum_folding_and_moduli():
         spec = quasi_spectrum(prop)
         assert (spec.quasi_energies > -np.pi).all()
         assert (spec.quasi_energies <= np.pi).all()
-        assert np.max(np.abs(np.abs(spec.eigenvalues()) - 1.0)) < 1e-10
+        assert np.max(np.abs(np.abs(eigenvalues(spec)) - 1.0)) < 1e-10
         # residual and orthonormality
-        states = spec.eigenstates()
-        resid = dense_u_f(prop) @ states - states * spec.eigenvalues()
+        states = eigenstates(spec)
+        resid = dense_u_f(prop) @ states - states * eigenvalues(spec)
         assert np.max(np.linalg.norm(resid, axis=0)) < 1e-8
         gram = states.conj().T @ states
         assert np.max(np.abs(gram - np.eye(prop.dimension))) < 1e-8
@@ -181,7 +182,7 @@ def test_quasi_spectrum_against_schur_and_powers_at_l10():
     spec = quasi_spectrum(prop)
     t_mat, _ = scipy.linalg.schur(dense_u_f(prop), output="complex")
     ref = np.sort(np.angle(np.diag(t_mat)))
-    got = np.sort(np.angle(spec.eigenvalues()))
+    got = np.sort(np.angle(eigenvalues(spec)))
     assert np.max(np.abs(got - ref)) < 1e-9
 
     weights = overlaps(spec, "1" * p.L).overlaps
@@ -415,7 +416,7 @@ def test_sector_blocks_equal_the_projection_of_the_dense_h1(kernel):
         draws = [(np.pi / 2, 0.3, 0.7)] + [tuple(rng.uniform((-3, -1, -2), (3, 1, 2))) for _ in range(2)]
         for omega, epsilon, v in draws:
             p = SimulationParams(L=L, omega=omega, epsilon=epsilon, v=v, kernel=kernel)
-            fixed, lo, hi = p.basis.reflection_orbits()
+            fixed, lo, hi = reflection_orbits(p.L)
             order = np.concatenate((fixed, lo, hi))
             h = build_h1(p)[np.ix_(order, order)]
             for sector, expected in zip(("even", "odd"), two_temporary_projection(h, fixed.size)):
@@ -455,20 +456,19 @@ def test_stage1_steps_keep_the_bits_of_their_temporary_forms(L, kernel, omega, e
         assert unitarity_deviation(vecs) == float(np.max(np.abs(vecs.T @ vecs - eye)))
     # the evolution's blocks, assembled from the stored eigensystems, have
     # the bits of the blocks assembled from the sector projections
-    blocks = floquet.stage1_unitary(p).assemble()
-    for block, h_sector in zip((blocks.even, blocks.odd), sector_h1):
+    for block, h_sector in zip(floquet.stage1_unitary(p).assemble(), sector_h1):
         eigs, vecs = np.linalg.eigh(h_sector)
         theta = eigs * t1
         expected = (vecs * np.cos(theta)) @ vecs.T - 1j * ((vecs * np.sin(theta)) @ vecs.T)
         assert np.array_equal(bits(block), bits(expected))
 
 
-def form_x_from_blocks(blocks, half, x, tile):
+def form_x_from_blocks(u1, half, x, tile):
     """X = Re(D^1/2 U1 D^1/2) in orbit order from U1's assembled sector
     blocks, `tile` columns at a time through one complex tile: `_form_x`
     as it read the blocks before U1 was kept as its eigensystems."""
-    nf, n_pairs, dim = blocks.n_fixed, blocks.odd.shape[0], blocks.dimension
-    even, odd = blocks.even, blocks.odd
+    even, odd = u1.assemble()
+    nf, n_pairs, dim = u1.n_fixed, odd.shape[0], u1.dimension
     fixed_rows, paired = even[:nf, nf:], even[nf:, nf:]
     f, lo, hi = slice(0, nf), slice(nf, nf + n_pairs), slice(nf + n_pairs, None)
     bounds = (0, nf, nf + n_pairs, dim)
@@ -510,7 +510,7 @@ def test_x_from_eigensystems_has_the_bits_of_the_assembled_blocks(L):
     u1 = floquet.stage1_unitary(p)
     half = np.exp(-0.5j * (build_h2_diagonal(p) * p.t2))[u1.order]
     expected = np.empty((p.dimension,) * 2, order="F")
-    form_x_from_blocks(u1.assemble(), half, expected, 64)
+    form_x_from_blocks(u1, half, expected, 64)
     for tile in (1, 7, 64, 100, floquet.X_TILE, p.dimension):
         x = np.empty((p.dimension,) * 2, order="F")
         floquet._form_x(u1, half, x, tile)
@@ -536,7 +536,7 @@ def test_overlaps_of_random_states_against_dense_oracle():
         spec = quasi_spectrum(floquet_operator(p))
         t_mat, z_mat = scipy.linalg.schur(dense_u_f(floquet_operator(p)), output="complex")
         energies = floquet._fold_quasi_energies(np.diag(t_mat))
-        states = spec.eigenstates()
+        states = eigenstates(spec)
         for b in range(p.dimension):
             table = overlaps(spec, bits_of(b, p.L))
             got = overlap_sums(table.quasi_energies, table.overlaps)
@@ -750,8 +750,8 @@ def test_dstemr_failure_falls_back_to_bisection(monkeypatch):
     prop = floquet_operator(p)
     spec = quasi_spectrum(prop)
     assert infos[-1] != 0
-    states = spec.eigenstates()
-    assert np.max(np.linalg.norm(dense_u_f(prop) @ states - states * spec.eigenvalues(), axis=0)) < 1e-12
+    states = eigenstates(spec)
+    assert np.max(np.linalg.norm(dense_u_f(prop) @ states - states * eigenvalues(spec), axis=0)) < 1e-12
     assert np.max(np.abs(states.conj().T @ states - np.eye(p.dimension))) < 1e-12
     # an injected dstemr failure on a random matrix and on a random point
     monkeypatch.setattr(floquet, "_lapack", real_lapack)
@@ -823,8 +823,8 @@ def test_quasi_spectrum_narrow_panels(L, kernel, omega, epsilon, v, f_t2, panel)
         patch.setattr(floquet, "RESIDUAL_PANEL", panel)
         spec = quasi_spectrum(prop)
     assert circular_match(spec.quasi_energies, reference.quasi_energies) < 1e-12
-    states = spec.eigenstates()
-    resid = dense_u_f(prop) @ states - states * spec.eigenvalues()
+    states = eigenstates(spec)
+    resid = dense_u_f(prop) @ states - states * eigenvalues(spec)
     assert np.max(np.linalg.norm(resid, axis=0)) < 1e-8
     gram = states.conj().T @ states
     assert np.max(np.abs(gram - np.eye(prop.dimension))) < 1e-8
@@ -925,12 +925,12 @@ def test_no_assembled_block_is_alive_when_x_is_formed(monkeypatch):
     p = SimulationParams(L=6, omega=np.pi / 2, epsilon=0.3, v=0.1).with_f_t2(0.25)
     prop = floquet_operator(p)
     autocorrelator_series(prop, "1" * p.L, 10)
-    blocks = weakref.ref(prop.u1.assemble())
-    assert blocks() is not None
+    blocks = [weakref.ref(block) for block in prop.u1.assemble()]
+    assert all(block() is not None for block in blocks)
     form_x, formed = floquet._form_x, []
 
     def checked(u1, half, x, *args):
-        formed.append(blocks() is None)
+        formed.append(all(block() is None for block in blocks))
         form_x(u1, half, x, *args)
 
     monkeypatch.setattr(floquet, "_form_x", checked)

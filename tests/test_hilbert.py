@@ -1,21 +1,27 @@
+import sys
+
 import numpy as np
 import pytest
 
-from starkdtc.hilbert import BasisConfig, basis_index, sigma_z_stack
+from starkdtc import SimulationParams
+from starkdtc.hilbert import basis_index, occupations, reflection_orbits, shown, sigma_z_stack
 from _oracles import bits_of
 
 
 def test_basis_dimension_and_validation():
-    assert BasisConfig(1).dimension == 2
-    assert BasisConfig(12).dimension == 4096
+    # SimulationParams is the one holder of the site-count rule; the basis
+    # functions take the L it accepted
+    assert SimulationParams(L=1).dimension == 2
+    assert SimulationParams(L=12).dimension == 4096
+    assert occupations(12).shape == (12, 4096)
     with pytest.raises(ValueError):
-        BasisConfig(0)
+        SimulationParams(L=0)
     with pytest.raises(ValueError):
-        BasisConfig(-3)
-    # a bool is refused as SimulationParams refuses it, not taken as 1 or 0
+        SimulationParams(L=-3)
+    # a bool is refused, not taken as 1 or 0
     for flag in (True, False, np.True_):
-        with pytest.raises(ValueError, match="site count must be a positive integer"):
-            BasisConfig(flag)
+        with pytest.raises(ValueError, match="L must be a positive integer"):
+            SimulationParams(L=flag)
 
 
 def test_z_product_state_single_site():
@@ -54,34 +60,31 @@ def test_z_product_state_rejects_bad_input():
 
 
 def test_occupation_diagonal_examples():
-    # row j-1 of BasisConfig.occupations() is the diagonal of n_j
-    assert BasisConfig(1).occupations()[0].tolist() == [0, 1]
-    assert BasisConfig(2).occupations()[1].tolist() == [0, 0, 1, 1]
-    assert BasisConfig(2).occupations()[0].tolist() == [0, 1, 0, 1]
+    # row j-1 of occupations(L) is the diagonal of n_j
+    assert occupations(1)[0].tolist() == [0, 1]
+    assert occupations(2)[1].tolist() == [0, 0, 1, 1]
+    assert occupations(2)[0].tolist() == [0, 1, 0, 1]
 
 
 def test_occupation_sum_is_popcount():
-    basis = BasisConfig(6)
-    total = basis.occupations().sum(axis=0)
-    expected = [bin(b).count("1") for b in range(basis.dimension)]
+    total = occupations(6).sum(axis=0)
+    expected = [bin(b).count("1") for b in range(1 << 6)]
     assert total.tolist() == expected
 
 
 def test_sigma_z_diagonal():
     # row j-1 of sigma_z_stack is the diagonal of sigma^z_j = 2 n_j - 1
-    assert sigma_z_stack(BasisConfig(1)).tolist() == [[-1, 1]]
-    assert sigma_z_stack(BasisConfig(2))[0].tolist() == [-1, 1, -1, 1]
-    basis = BasisConfig(5)
-    d = sigma_z_stack(basis)
-    assert np.array_equal(d, 2 * basis.occupations() - 1)
-    assert np.array_equal(d**2, np.ones((5, basis.dimension)))
+    assert sigma_z_stack(1).tolist() == [[-1, 1]]
+    assert sigma_z_stack(2)[0].tolist() == [-1, 1, -1, 1]
+    d = sigma_z_stack(5)
+    assert np.array_equal(d, 2 * occupations(5) - 1)
+    assert np.array_equal(d**2, np.ones((5, 1 << 5)))
 
 
 @pytest.mark.parametrize("L", range(1, 13))
 def test_reflection_orbits_partition_the_basis(L):
-    basis = BasisConfig(L)
-    fixed, lo, hi = basis.reflection_orbits()
-    dim = basis.dimension
+    fixed, lo, hi = reflection_orbits(L)
+    dim = 1 << L
     assert np.array_equal(np.sort(np.concatenate([fixed, lo, hi])), np.arange(dim))
     assert np.all(lo < hi)
     # the map the orbits define is the site reflection, an involution
@@ -96,3 +99,13 @@ def test_reflection_orbits_partition_the_basis(L):
     known = {1: (2, 0), 10: (528, 496), 12: (2080, 2016)}
     if L in known:
         assert (fixed.size + lo.size, lo.size) == known[L]
+
+
+def test_shown_names_a_value_nested_past_the_recursion_limit():
+    # json.loads takes a config nested nearly to the recursion limit, and
+    # repr of such a value used to raise RecursionError out of a refusal
+    value = []
+    for _ in range(sys.getrecursionlimit()):
+        value = [value]
+    assert shown(value) == "list nested too deeply to show"
+    assert shown([[0, 1.0]]) == "[[0, 1.0]]"

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import starkdtc.floquet as floquet_module
+import starkdtc.observables as observables_module
 import starkdtc.sweep as sweep_module
 from starkdtc import (
     ConfigError,
@@ -25,7 +26,8 @@ from starkdtc import (
 from starkdtc.floquet import propagator_u2
 from starkdtc.hamiltonian import KERNEL_VARIANTS, build_h2_diagonal
 from starkdtc.hilbert import basis_index, sigma_z_stack
-from starkdtc.sweep import PropagatorFactory, _block_series, series_record
+from starkdtc.observables import _evolve_block
+from starkdtc.sweep import _PANEL, PropagatorFactory, series_record
 
 from _oracles import dense_u_f, expm_multiply_series
 from test_floquet import point_pattern
@@ -461,16 +463,18 @@ def test_initial_state_comparison_tables_keyed_by_state():
     data=st.data(),
 )
 def test_block_column_bits_independent_of_block(L, epsilon, width, data):
-    # a point's C(n) is bitwise the same alone and at any position of any block
+    # a point's C(n) is bitwise the same alone and at any position of any
+    # block, each padded with zero columns to a multiple of _PANEL as the
+    # sweep pads it
     position = data.draw(st.integers(0, width - 1))
     f_values = data.draw(st.lists(st.floats(0.0, 0.5), min_size=width, max_size=width))
     starts = data.draw(st.lists(st.integers(0, (1 << L) - 1), min_size=width, max_size=width))
     base = SimulationParams(L=L, omega=np.pi / 2, epsilon=epsilon, v=0.1)
-    u1 = PropagatorFactory().stage1(base).assemble()
-    sz = sigma_z_stack(base.basis)
+    u1 = PropagatorFactory().stage1(base)
+    sz = sigma_z_stack(base.L)
     columns = [(base.with_f_t2(f), start) for f, start in zip(f_values, starts)]
-    block, errors = _block_series(u1, columns, sz, 30)
-    alone, alone_errors = _block_series(u1, [columns[position]], sz, 30)
+    block, errors = _evolve_block(u1, columns, sz, 30, -(-width // _PANEL) * _PANEL)
+    alone, alone_errors = _evolve_block(u1, [columns[position]], sz, 30, _PANEL)
     assert errors == [None] * width and alone_errors == [None]
     assert np.array_equal(block[:, position], alone[:, 0])
 
@@ -485,7 +489,7 @@ def test_sweep_failure_stays_in_its_column(monkeypatch):
         phase = propagator_u2(h2, t2)
         return phase * 1.001 if np.array_equal(h2, bad_h2) else phase
 
-    monkeypatch.setattr(sweep_module, "propagator_u2", skewed_phase)
+    monkeypatch.setattr(observables_module, "propagator_u2", skewed_phase)
     broken = run_sweep(spec)
     assert broken.values[bad_index] is None
     assert broken.errors[bad_index].startswith("NumericError: state norm drifted")
@@ -504,7 +508,7 @@ def test_sweep_failure_marker_names_point_and_tolerance(monkeypatch):
         phase = propagator_u2(h2, t2)
         return phase * 1.001 if np.array_equal(h2, bad_h2) else phase
 
-    monkeypatch.setattr(sweep_module, "propagator_u2", skewed_phase)
+    monkeypatch.setattr(observables_module, "propagator_u2", skewed_phase)
     broken = run_sweep(spec)
     assert broken.errors[0] is None
     assert re.search(r"tolerance 1e-08\) for \(" + point_pattern(bad_params), broken.errors[1])
